@@ -464,3 +464,7 @@ def entrypoint() -> None:
 
 
 __all__ = ["build_parser", "main", "entrypoint"]
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -1,7 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import shlex
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from domcred.learn import ALGORITHMS
 from domcred.verify import fixture_names
 
 TECH = "Technology and Computing"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -372,3 +378,44 @@ class TestVerify:
     def test_unknown_fixture_fails(self, capsys):
         assert main(["verify", "ninth-moon"]) == 1
         assert "unknown fixtures" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "domcred", "verify"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "6/6 fixtures passed" in result.stdout
+
+
+def _readme_commands():
+    """The `domcred ...` lines of the README's five-step sh block, split."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI in five steps", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [
+        shlex.split(line)[1:] for line in block.splitlines() if line.startswith("domcred ")
+    ]
+
+
+class TestReadme:
+    def test_five_step_walk_through_runs(self, tmp_path):
+        commands = _readme_commands()
+        assert [argv[0] for argv in commands] == [
+            "synth", "ingest", "annotate", "features", "benchmark",
+        ]
+        for argv in commands:
+            argv = [
+                str(tmp_path / arg[len("work/"):]) if arg.startswith("work/")
+                else str(tmp_path) if arg == "work" else arg
+                for arg in argv
+            ]
+            assert main(argv) == 0, argv
+        assert (tmp_path / "benchmark_table.txt").is_file()

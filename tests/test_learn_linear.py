@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from domcred.learn import ModelSpec, train_xy
+from domcred.learn.base import Standardizer
 from helpers import blob_data
 
 
@@ -102,6 +103,94 @@ class TestLogistic:
             ModelSpec("logistic", hyperparameters={"max_iter": 3}), x, y
         )
         assert model.summary.iterations <= 3
+
+
+@pytest.mark.parametrize(
+    "algorithm, hyper",
+    [
+        ("logistic", {"max_iter": 3}),
+        ("glm_elastic_net", {"max_iter": 3}),
+        ("glm_elastic_net", {"max_iter": 3, "lambda": 0.01}),
+        # the gaussian quadratic is solved within one outer iteration, and
+        # the second confirms it, so only a cap of 1 stops it short
+        ("glm_elastic_net", {"max_iter": 1, "lambda": 0.01, "family": "gaussian"}),
+    ],
+)
+def test_iteration_cap_says_why(algorithm, hyper):
+    x, y = blob_data()
+    model = train_xy(ModelSpec(algorithm, hyperparameters=hyper), x, y)
+    assert model.summary.iterations == hyper["max_iter"]
+    assert not model.summary.converged
+    assert model.summary.warnings == (
+        f"iteration cap reached: max_iter={hyper['max_iter']} without convergence",
+    )
+
+
+def _kkt_residuals(model, x, y, lam, alpha):
+    """Stationarity residuals of the penalized mean loss, standardized scale.
+
+    Returns the intercept's gradient, the residual of every nonzero
+    coefficient, and the gradient of every zero coefficient minus the
+    subgradient bound lambda * alpha (<= 0 when the conditions hold).
+    """
+    scaler = Standardizer.fit(x)
+    z = scaler.transform(x)
+    beta = model.params.weights * scaler.std
+    eta = model.params.linear_predictor(x)
+    mu = sigmoid(eta) if model.params.family == "binomial" else eta
+    grad = z.T @ (mu - y) / len(y)
+    nonzero = beta != 0.0
+    stationarity = (
+        grad[nonzero]
+        + lam * (1.0 - alpha) * beta[nonzero]
+        + lam * alpha * np.sign(beta[nonzero])
+    )
+    slack = np.abs(grad[~nonzero]) - lam * alpha
+    return float(np.mean(mu - y)), stationarity, slack
+
+
+class TestElasticNetSolver:
+    def test_unpenalized_binomial_is_the_logistic_fit(self):
+        # lambda = 0 runs the same IRLS loop as logistic: identical bits
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(300, 4))
+        eta = 0.2 + x @ np.array([0.9, -0.6, 0.0, 0.3])
+        y = (rng.uniform(size=300) < sigmoid(eta)).astype(float)
+        irls = train_xy(
+            ModelSpec("logistic", hyperparameters={"compute_p_values": False}), x, y
+        )
+        net = train_xy(ModelSpec("glm_elastic_net"), x, y)
+        assert net.params.intercept == irls.params.intercept
+        assert np.array_equal(net.params.weights, irls.params.weights)
+        assert net.summary == irls.summary
+
+    @pytest.mark.parametrize("family", ["binomial", "gaussian"])
+    @pytest.mark.parametrize("lam, alpha", [(0.03, 1.0), (0.05, 0.5), (0.1, 0.0)])
+    def test_penalized_fit_meets_kkt_conditions(self, family, lam, alpha):
+        rng = np.random.default_rng(22)
+        n = 300
+        signal = rng.normal(size=(n, 2))
+        noise = rng.normal(size=(n, 3))
+        x = np.column_stack([signal, noise]) * np.array([1.0, 4.0, 0.5, 2.0, 1.0]) + 3.0
+        y = (signal @ np.array([1.5, -0.8]) + 0.5 * rng.normal(size=n) > 0).astype(float)
+        model = train_xy(
+            ModelSpec(
+                "glm_elastic_net",
+                hyperparameters={"family": family, "lambda": lam, "alpha": alpha},
+            ),
+            x,
+            y,
+        )
+        assert model.summary.converged
+        intercept_grad, stationarity, slack = _kkt_residuals(model, x, y, lam, alpha)
+        assert abs(intercept_grad) < 1e-6
+        assert np.all(np.abs(stationarity) < 1e-6)
+        assert np.all(slack <= 1e-6)
+        # the signal columns survive every penalty tried here
+        assert np.all(model.params.weights[:2] != 0.0)
+        if alpha == 1.0:
+            # a pure lasso at this strength zeroes some noise column
+            assert len(slack) > 0
 
 
 class TestElasticNetBinomial:
