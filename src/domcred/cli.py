@@ -42,7 +42,7 @@ from .learn import ALGORITHMS, ModelSpec
 from .lexicon import builtin_domain_lexicon, load_domain_lexicon, load_sentiment_lexicon
 from .verify import fixture_descriptions, fixture_names, report_fixtures
 
-_GLOBAL_DEFAULTS = {"seed": 0, "threads": 1, "output_dir": "."}
+_GLOBAL_DEFAULTS = {"seed": 0, "output_dir": "."}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -74,9 +74,6 @@ def _add_global_options(parser: argparse.ArgumentParser, root: bool = False) -> 
     # subcommand-level default from shadowing a value given at the root
     d = None if root else argparse.SUPPRESS
     parser.add_argument("--seed", type=int, default=d, help="random seed (default 0)")
-    parser.add_argument(
-        "--threads", type=int, default=d, help="parallel workers; never changes results"
-    )
     parser.add_argument("--output-dir", default=d, help="directory for output files")
     parser.add_argument("--config", default=d, help="JSON config file; flags override it")
 
@@ -120,7 +117,7 @@ def _build_annotator(args, config: dict):
     )
 
 
-def cmd_ingest(args, config, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
     capture = parse_timestamp(args.capture_at) if args.capture_at else None
     dataset, load_report = load_dataset(
         args.archive,
@@ -154,7 +151,7 @@ def cmd_ingest(args, config, out_dir: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_annotate(args, config, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_annotate(args, config, out_dir: Path, seed: int) -> int:
     dataset, _ = load_dataset(args.dataset)
     annotator = _build_annotator(args, config)
     tweets, replies, report = annotate_dataset(dataset, annotator, fail_fast=args.fail_fast)
@@ -200,7 +197,7 @@ def _render_period_report(
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def cmd_features(args, config, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     dataset, _ = load_dataset(args.dataset)
     domain = args.domain or config.get("domain")
     known_domains = None
@@ -225,10 +222,10 @@ def cmd_features(args, config, out_dir: Path, seed: int, threads: int) -> int:
     slices, partition_report = partition_periods(dataset, spec)
 
     labels = load_labels(args.labels) if args.labels else None
-    if labels is not None and labels.domain != domain:
-        raise ValueError(
-            f"labels file is for domain {labels.domain!r}, not {domain!r}"
-        )
+    if labels is not None:
+        if labels.domain != domain:
+            raise ValueError(f"labels file is for domain {labels.domain!r}, not {domain!r}")
+        labels.validate_against(dataset)
     domain_features = accumulate_domain_features(dataset, tweets, replies)
     global_features = compute_global_features(dataset)
     matrix = assemble_matrix(domain, POOLED, domain_features, global_features, labels=labels)
@@ -266,7 +263,7 @@ def _model_specs(config: dict, seed: int) -> tuple[ModelSpec, ...]:
     return tuple(base[a] for a in ALGORITHMS)
 
 
-def cmd_benchmark(args, config, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
     matrix = load_matrix(args.matrix)
     if matrix.labels is None:
         if not args.labels:
@@ -291,7 +288,7 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int, threads: int) -> int:
         seed=seed,
         stratified=not args.no_stratify and config.get("stratified", True),
     )
-    report = benchmark(matrix, split_spec, specs=_model_specs(config, seed), threads=threads)
+    report = benchmark(matrix, split_spec, specs=_model_specs(config, seed))
 
     report_path = out_dir / "benchmark_report.json"
     _write_json(report_path, report.to_dict())
@@ -311,7 +308,7 @@ def _engagement_level(payload: dict) -> EngagementLevel:
     )
 
 
-def cmd_synth(args, config, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
     section = config.get("synth", {})
     kwargs = {}
     for key in (
@@ -355,7 +352,7 @@ def cmd_synth(args, config, out_dir: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_verify(args, config, out_dir: Path, seed: int, threads: int) -> int:
+def cmd_verify(args, config, out_dir: Path, seed: int) -> int:
     if args.list:
         descriptions = fixture_descriptions()
         for name in fixture_names():
@@ -448,12 +445,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         seed = int(_resolve(args, config, "seed", _GLOBAL_DEFAULTS["seed"]))
-        threads = int(_resolve(args, config, "threads", _GLOBAL_DEFAULTS["threads"]))
-        if threads < 1:
-            raise ValueError("--threads must be >= 1")
         out_dir = Path(_resolve(args, config, "output_dir", _GLOBAL_DEFAULTS["output_dir"]))
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, config, out_dir, seed=seed, threads=threads)
+        return args.func(args, config, out_dir, seed=seed)
     except (ValueError, OSError, AnnotatorError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

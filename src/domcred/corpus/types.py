@@ -100,25 +100,16 @@ class Dataset:
                 raise ValueError(f"duplicate reply_id {r.reply_id!r}")
             seen.add(r.reply_id)
 
-    def users_by_id(self) -> dict[str, UserProfile]:
-        return {u.user_id: u for u in self.users}
-
     def tweets_by_id(self) -> dict[str, TweetRecord]:
         return {t.tweet_id: t for t in self.tweets}
-
-    def replies_by_parent(self) -> dict[str, list[ReplyRecord]]:
-        grouped: dict[str, list[ReplyRecord]] = {}
-        for r in self.replies:
-            grouped.setdefault(r.parent_tweet_id, []).append(r)
-        return grouped
 
 
 @dataclass(frozen=True)
 class PeriodSlice:
     """One timeline chunk; the id sets are authoritative for membership.
 
-    contains() tests the generic half-open interval; the partitioner closes
-    the final period's right edge when it builds the id sets.
+    The partitioner fills them with the records posted in the half-open
+    interval [start, end), the final period included.
     """
 
     index: int
@@ -126,9 +117,6 @@ class PeriodSlice:
     end: datetime
     tweet_ids: frozenset[str]
     reply_ids: frozenset[str]
-
-    def contains(self, posted_at: datetime) -> bool:
-        return self.start <= posted_at < self.end
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -437,12 +436,11 @@ def benchmark(
     matrix: FeatureMatrix,
     split_spec: SplitSpec,
     specs=None,
-    threads: int = 1,
 ) -> BenchmarkReport:
     """Evaluate all seven algorithms on one shared train/test split.
 
     A model failure becomes a skipped entry with the reason recorded; the
-    suite itself never aborts.  Results do not depend on the thread count.
+    suite itself never aborts.
     """
     if matrix.labels is None:
         raise ValueError("benchmark needs a labeled matrix")
@@ -454,11 +452,7 @@ def benchmark(
     ordered = tuple(by_algorithm[a] for a in ALGORITHMS)
 
     train_m, test_m = split(matrix, split_spec)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = tuple(pool.map(lambda s: _evaluate_one(s, train_m, test_m), ordered))
-    else:
-        entries = tuple(_evaluate_one(s, train_m, test_m) for s in ordered)
+    entries = tuple(_evaluate_one(s, train_m, test_m) for s in ordered)
 
     return BenchmarkReport(
         entries=entries,

@@ -15,7 +15,6 @@ from typing import Mapping
 import numpy as np
 
 from ..corpus.types import INFLUENCER, NON_INFLUENCER
-from ..features import FEATURE_COLUMNS
 
 ALGORITHMS = (
     "naive_bayes",
@@ -181,17 +180,6 @@ def encode_labels(labels) -> np.ndarray:
 def decode_labels(probabilities: np.ndarray) -> list[str]:
     """Threshold at 0.5; an exact tie classifies as Influencer."""
     return [INFLUENCER if p >= 0.5 else NON_INFLUENCER for p in probabilities]
-
-
-def check_features(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.shape[1] != len(FEATURE_COLUMNS):
-        raise ValueError(f"expected {len(FEATURE_COLUMNS)} feature columns, got {x.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature values")
-    return x
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
 """Binary decision trees: gain-ratio classification with pessimistic pruning,
 plus variance-reduction regression trees for the boosting stages.
 
-Split search is deterministic: features ascending, thresholds ascending,
-strictly-greater criterion wins, so ties keep the earliest candidate.
+Split search is the sorted-prefix method of C4.5 and CART: each candidate
+feature column is sorted once, and one cumulative sum gives the left and
+right class counts (or target sums) at all n - 1 cuts, scored with
+whole-array arithmetic, so a node costs O(p * n log n) for p candidate
+features and n rows.  The candidates are the midpoints between neighbouring
+distinct values.  Selection is deterministic: features in the given order,
+thresholds ascending, the strictly greatest score wins, so ties keep the
+earliest candidate.
 """
 
 from __future__ import annotations
@@ -70,12 +76,38 @@ class Node:
         return node
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+def _plogp(count, total):
+    """count/total * log2(count/total) elementwise, 0.0 where count is 0."""
+    p = np.divide(count, total)
+    return p * np.log2(p, out=np.zeros_like(p), where=count > 0)
+
+
+def _entropy(neg, pos):
+    """Binary entropy in bits of (neg, pos) counts, elementwise."""
+    total = neg + pos
+    return -(_plogp(neg, total) + _plogp(pos, total))
+
+
+def _sorted_columns(x: np.ndarray, features):
+    """Sort each candidate feature column once.
+
+    Returns the row order and the sorted values, one feature per row, and the
+    mask of the n - 1 cuts whose neighbours differ; cut i sends sorted rows
+    0..i left.
+    """
+    cols = x[:, features].T
+    order = np.argsort(cols, axis=1, kind="stable")
+    xv = np.take_along_axis(cols, order, axis=1)
+    return order, xv, xv[:, :-1] != xv[:, 1:]
+
+
+def _first_best(score: np.ndarray, xv: np.ndarray, features):
+    """(score, feature, midpoint threshold) of the first maximum in
+    (feature, threshold) order; rejected cuts hold -inf."""
+    k, i = divmod(int(np.argmax(score)), score.shape[1])
+    if score[k, i] == -np.inf:
+        return None
+    return score[k, i], features[k], (xv[k, i] + xv[k, i + 1]) / 2.0
 
 
 def _best_classification_split(
@@ -83,31 +115,25 @@ def _best_classification_split(
 ) -> tuple[float, int, float] | None:
     """Highest gain-ratio (feature, threshold) over midpoint candidates."""
     n = len(y)
-    parent_counts = np.array([np.sum(y == 0), np.sum(y == 1)], dtype=float)
-    parent_entropy = _entropy(parent_counts)
-    best = None
+    if n < 2 or len(features) == 0:
+        return None
+    n_pos = float(np.sum(y == 1))
+    n_neg = float(np.sum(y == 0))
+    parent_entropy = float(_entropy(n_neg, n_pos))
 
-    for j in features:
-        order = np.argsort(x[:, j], kind="stable")
-        xv = x[order, j]
-        pos = np.cumsum(y[order])  # positives in the first i+1 rows
-        for i in range(n - 1):
-            if xv[i] == xv[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            left_pos = pos[i]
-            left = np.array([nl - left_pos, left_pos], dtype=float)
-            right = parent_counts - left
-            gain = parent_entropy - (nl / n) * _entropy(left) - (nr / n) * _entropy(right)
-            if gain <= _EPS_GAIN:
-                continue
-            pl, pr = nl / n, nr / n
-            split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
-            ratio = gain / split_info
-            if best is None or ratio > best[0]:
-                best = (ratio, j, (xv[i] + xv[i + 1]) / 2.0)
-    return best
+    order, xv, distinct = _sorted_columns(x, features)
+    left_pos = np.cumsum(y[order], axis=1)[:, :-1]  # positives in sorted rows 0..i
+    nl = np.arange(1, n, dtype=float)
+    left_neg = nl - left_pos
+    pl, pr = nl / n, (n - nl) / n
+    gain = (
+        parent_entropy
+        - pl * _entropy(left_neg, left_pos)
+        - pr * _entropy(n_neg - left_neg, n_pos - left_pos)
+    )
+    split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
+    ratio = np.where(distinct & (gain > _EPS_GAIN), gain / split_info, -np.inf)
+    return _first_best(ratio, xv, features)
 
 
 def _class_leaf(y: np.ndarray) -> Node:
@@ -228,30 +254,26 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[DecisionTree, T
 def _best_regression_split(x: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
     """Highest sum-of-squares reduction over midpoint candidates."""
     n = len(y)
+    features = range(x.shape[1])
+    if n < 2 or len(features) == 0:
+        return None
     total_sum = float(y.sum())
     total_sq = float((y * y).sum())
     parent_sse = total_sq - total_sum * total_sum / n
-    best = None
 
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xv = x[order, j]
-        ys = np.cumsum(y[order])
-        y2s = np.cumsum(y[order] * y[order])
-        for i in range(n - 1):
-            if xv[i] == xv[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            left_sse = float(y2s[i]) - float(ys[i]) ** 2 / nl
-            right_sum = total_sum - float(ys[i])
-            right_sse = (total_sq - float(y2s[i])) - right_sum**2 / nr
-            reduction = parent_sse - left_sse - right_sse
-            if reduction <= _EPS_GAIN:
-                continue
-            if best is None or reduction > best[0]:
-                best = (reduction, j, (xv[i] + xv[i + 1]) / 2.0)
-    return best
+    order, xv, distinct = _sorted_columns(x, features)
+    yo = y[order]
+    ys = np.cumsum(yo, axis=1)[:, :-1]
+    y2s = np.cumsum(yo * yo, axis=1)[:, :-1]
+    nl = np.arange(1, n, dtype=float)
+    nr = n - nl
+    # float_power is libm pow, as Python's float ** 2 is; np.square rounds
+    # differently in the last bit for about one value in a thousand
+    left_sse = y2s - np.float_power(ys, 2.0) / nl
+    right_sse = (total_sq - y2s) - np.float_power(total_sum - ys, 2.0) / nr
+    reduction = parent_sse - left_sse - right_sse
+    reduction = np.where(distinct & (reduction > _EPS_GAIN), reduction, -np.inf)
+    return _first_best(reduction, xv, features)
 
 
 def grow_regression(x: np.ndarray, y: np.ndarray, max_depth: int) -> Node:

@@ -295,3 +295,80 @@ def blob_data(seed=0, n_per=30, n_features=4, gap=3.0):
     y = np.concatenate([np.zeros(n_per), np.ones(n_per)])
     order = rng.permutation(len(y))
     return x[order], y[order]
+
+
+def _brute_entropy(counts):
+    import numpy as np
+
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def brute_classification_split(x, y, features, eps_gain=1e-12):
+    """Best (gain ratio, feature, threshold), one candidate cut at a time.
+
+    Features in the given order, thresholds ascending; a candidate replaces
+    the best only when strictly greater.
+    """
+    import numpy as np
+
+    n = len(y)
+    parent_counts = np.array([np.sum(y == 0), np.sum(y == 1)], dtype=float)
+    parent_entropy = _brute_entropy(parent_counts)
+    best = None
+    for j in features:
+        order = np.argsort(x[:, j], kind="stable")
+        xv = x[order, j]
+        pos = np.cumsum(y[order])
+        for i in range(n - 1):
+            if xv[i] == xv[i + 1]:
+                continue
+            nl = i + 1
+            nr = n - nl
+            left = np.array([nl - pos[i], pos[i]], dtype=float)
+            right = parent_counts - left
+            gain = (
+                parent_entropy
+                - (nl / n) * _brute_entropy(left)
+                - (nr / n) * _brute_entropy(right)
+            )
+            if gain <= eps_gain:
+                continue
+            pl, pr = nl / n, nr / n
+            ratio = gain / -(pl * np.log2(pl) + pr * np.log2(pr))
+            if best is None or ratio > best[0]:
+                best = (ratio, j, (xv[i] + xv[i + 1]) / 2.0)
+    return best
+
+
+def brute_regression_split(x, y, eps_gain=1e-12):
+    """Best (sum-of-squares reduction, feature, threshold), one cut at a time."""
+    import numpy as np
+
+    n = len(y)
+    total_sum = float(y.sum())
+    total_sq = float((y * y).sum())
+    parent_sse = total_sq - total_sum * total_sum / n
+    best = None
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xv = x[order, j]
+        ys = np.cumsum(y[order])
+        y2s = np.cumsum(y[order] * y[order])
+        for i in range(n - 1):
+            if xv[i] == xv[i + 1]:
+                continue
+            nl = i + 1
+            nr = n - nl
+            left_sse = float(y2s[i]) - float(ys[i]) ** 2 / nl
+            right_sum = total_sum - float(ys[i])
+            right_sse = (total_sq - float(y2s[i])) - right_sum**2 / nr
+            reduction = parent_sse - left_sse - right_sse
+            if reduction <= eps_gain:
+                continue
+            if best is None or reduction > best[0]:
+                best = (reduction, j, (xv[i] + xv[i + 1]) / 2.0)
+    return best

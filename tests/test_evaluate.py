@@ -399,12 +399,6 @@ class TestBenchmark:
             second.to_dict(), sort_keys=True
         )
 
-    def test_thread_count_does_not_change_result(self):
-        matrix = labeled_matrix(seed=32)
-        serial = benchmark(matrix, SplitSpec(seed=3), specs=fast_specs())
-        threaded = benchmark(matrix, SplitSpec(seed=3), specs=fast_specs(), threads=4)
-        assert serial.to_dict() == threaded.to_dict()
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_model_failure_becomes_skipped_entry(self):

@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from domcred.learn import ModelSpec, train_xy
 from domcred.learn.tree import (
     Node,
     _best_classification_split,
+    _best_regression_split,
     grow_regression,
     prune_pessimistic,
 )
+
+from helpers import brute_classification_split, brute_regression_split
 
 # asymmetric corner counts give the root split positive gain, unlike the
 # perfectly symmetric version whose every axis split has gain zero
@@ -239,3 +245,60 @@ class TestRegressionTree:
         sse_tree = float(np.sum((fitted.predict(x) - y) ** 2))
         sse_mean = float(np.sum((y - y.mean()) ** 2))
         assert sse_tree < 0.2 * sse_mean
+
+
+# few distinct values give duplicate and constant columns; the wide floats
+# give distinct ones
+_CELLS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, 4))
+    x = draw(arrays(np.float64, (n, p), elements=_CELLS))
+    # sampled_from shrinks towards all-negative labels, so single-class and
+    # one-off label vectors come up often
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    chosen = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+    features = draw(st.sampled_from([range(p), np.array(sorted(chosen))]))
+    return x, y, features
+
+
+# a constant column first, then two columns whose best cuts tie exactly: the
+# first feature's last cut must win over the second feature's first cut
+_TIE_X = np.array([[1.0, 3.0, 0.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0], [1.0, 0.0, 3.0]])
+_TIE_Y = np.array([0.0, 1.0, 1.0, 1.0])
+
+
+class TestSplitSearchOracle:
+    """The vectorised split search equals the one-cut-at-a-time loops exactly."""
+
+    @given(split_problems())
+    @example((_TIE_X, _TIE_Y, range(3)))
+    @settings(max_examples=200, deadline=None)
+    def test_classification_split_matches_loop(self, problem):
+        x, y, features = problem
+        assert _best_classification_split(x, y, features) == brute_classification_split(
+            x, y, features
+        )
+
+    @given(
+        split_problems(),
+        arrays(np.float64, 12, elements=st.floats(-1e3, 1e3, allow_nan=False)),
+    )
+    # Python's float ** 2 (libm pow) and x * x differ in the last bit here
+    @example((np.array([[0.0], [1.0]]), np.zeros(2), range(1)),
+             np.array([-1180.4827732401302, 0.0] + [0.0] * 10))
+    @settings(max_examples=200, deadline=None)
+    def test_regression_split_matches_loop(self, problem, targets):
+        x, _, _ = problem
+        y = targets[: len(x)]
+        assert _best_regression_split(x, y) == brute_regression_split(x, y)
+
+    def test_tie_keeps_the_earliest_feature(self):
+        ratio, feature, threshold = _best_classification_split(_TIE_X, _TIE_Y, range(3))
+        assert (feature, threshold) == (1, 2.5)
