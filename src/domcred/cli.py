@@ -171,16 +171,13 @@ def _top_k_section(title: str, scaled: dict, top_k: int) -> list[str]:
     return lines
 
 
-def _render_period_report(
-    domain: str, slices, dataset, tweets, replies, top_k: int
-) -> str:
+def _render_period_report(domain: str, slices, cells, top_k: int) -> str:
     lines = [f"domain: {domain}", ""]
     for sl in slices:
         lines.append(
             f"period {sl.index} [{format_timestamp(sl.start)} .. {format_timestamp(sl.end)})"
         )
-        cells = accumulate_domain_features(dataset, tweets, replies, period=sl)
-        in_domain = {user: f for (user, d), f in cells.items() if d == domain}
+        in_domain = {u: f for (u, d, k), f in cells.items() if d == domain and k == sl.index}
         if not in_domain:
             lines.append("  (no activity)")
             lines.append("")
@@ -214,8 +211,9 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
 
     annotator = _build_annotator(args, config)
     tweets, replies, ann_report = annotate_dataset(dataset, annotator)
+    n_periods = _resolve(args, config, "n_periods", None)
     spec = PeriodSpec(
-        n_periods=int(_resolve(args, config, "n_periods", 6)),
+        n_periods=None if n_periods is None else int(n_periods),
         start=parse_timestamp(args.start) if args.start else None,
         granularity=_resolve(args, config, "granularity", "month"),
     )
@@ -226,14 +224,14 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         if labels.domain != domain:
             raise ValueError(f"labels file is for domain {labels.domain!r}, not {domain!r}")
         labels.validate_against(dataset)
-    domain_features = accumulate_domain_features(dataset, tweets, replies)
+    domain_features = accumulate_domain_features(dataset, tweets, replies, slices)
     global_features = compute_global_features(dataset)
     matrix = assemble_matrix(domain, POOLED, domain_features, global_features, labels=labels)
     matrix_path = out_dir / "features.csv"
     save_matrix(matrix, matrix_path)
 
     top_k = int(_resolve(args, config, "top_k", 5))
-    report_text = _render_period_report(domain, slices, dataset, tweets, replies, top_k)
+    report_text = _render_period_report(domain, slices, domain_features, top_k)
     report_path = out_dir / "features_report.txt"
     report_path.write_text(report_text, encoding="utf-8")
     _write_json(
@@ -395,7 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_annotator_options(p)
     p.add_argument("dataset", help="canonical dataset file")
     p.add_argument("--domain", default=None, help="domain to analyze")
-    p.add_argument("--n-periods", type=int, default=None, help="number of periods (default 6)")
+    p.add_argument(
+        "--n-periods",
+        type=int,
+        default=None,
+        help="number of periods (default: just enough to reach the last record)",
+    )
     p.add_argument("--granularity", choices=GRANULARITIES, default=None)
     p.add_argument("--start", default=None, help="period range start (RFC 3339)")
     p.add_argument("--top-k", type=int, default=None, help="rows per ranking (default 5)")

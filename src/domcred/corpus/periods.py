@@ -2,8 +2,9 @@
 
 Slices align to UTC calendar boundaries (month by default, quarter or year
 optionally), start at the configured range start or the month of the first
-activity, and are half-open [start, end).  Records outside the configured
-range land in no slice and are counted.
+activity, and are half-open [start, end).  Without a configured count there
+are just enough slices to reach the last record.  Records outside the range
+land in no slice and are counted.
 """
 
 from __future__ import annotations
@@ -19,14 +20,18 @@ _MONTHS_PER = {"month": 1, "quarter": 3, "year": 12}
 
 @dataclass(frozen=True)
 class PeriodSpec:
-    """K consecutive calendar periods starting at ``start`` (or first activity)."""
+    """K consecutive calendar periods starting at ``start`` (or first activity).
 
-    n_periods: int
+    ``n_periods=None`` takes the smallest K whose periods reach the last
+    tweet or reply.
+    """
+
+    n_periods: int | None = None
     start: datetime | None = None
     granularity: str = "month"
 
     def __post_init__(self):
-        if self.n_periods < 1:
+        if self.n_periods is not None and self.n_periods < 1:
             raise ValueError("n_periods must be >= 1")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
@@ -71,7 +76,8 @@ def _add_months(dt: datetime, months: int) -> datetime:
 def partition_periods(
     dataset: Dataset, spec: PeriodSpec
 ) -> tuple[tuple[PeriodSlice, ...], PartitionReport]:
-    """Slice the dataset timeline into spec.n_periods consecutive periods.
+    """Slice the dataset timeline into consecutive periods (spec.n_periods, or
+    just enough to reach the last record when that is None).
 
     Periods are indexed 1..K.  Every tweet and reply is assigned by its own
     posted_at to at most one slice; anything before the range start or at or
@@ -86,10 +92,16 @@ def partition_periods(
         first = _floor_boundary(dataset.capture_at, spec.granularity)
 
     step = _MONTHS_PER[spec.granularity]
-    edges = [_add_months(first, i * step) if i else first for i in range(spec.n_periods + 1)]
+    n_periods = spec.n_periods
+    if n_periods is None:
+        # period K ends at the boundary step * K months after first's month
+        last = max(stamps, default=first).astimezone(timezone.utc)
+        months = (last.year - first.year) * 12 + last.month - first.month
+        n_periods = max(1, months // step + 1)
+    edges = [_add_months(first, i * step) if i else first for i in range(n_periods + 1)]
 
     slices = []
-    for i in range(spec.n_periods):
+    for i in range(n_periods):
         start, end = edges[i], edges[i + 1]
         tweet_ids = frozenset(
             t.tweet_id for t in dataset.tweets if start <= t.posted_at < end
@@ -104,7 +116,7 @@ def partition_periods(
     tweets_per = tuple(len(s.tweet_ids) for s in slices)
     replies_per = tuple(len(s.reply_ids) for s in slices)
     report = PartitionReport(
-        n_periods=spec.n_periods,
+        n_periods=n_periods,
         empty_periods=sum(1 for a, b in zip(tweets_per, replies_per) if a == 0 and b == 0),
         tweets_per_period=tweets_per,
         replies_per_period=replies_per,

@@ -133,4 +133,8 @@ class GroundTruthLabels:
         known = {u.user_id for u in dataset.users}
         missing = sorted(set(self.labels) - known)
         if missing:
-            raise ValueError(f"labels refer to unknown users: {missing[:5]}")
+            raise ValueError(
+                f"labels refer to unknown users: {missing[:5]}; {len(missing)} labeled"
+                " user(s) missing from the dataset (dropped by ingest --max-friends or"
+                " by cleansing?); narrow the labels file to the dataset's users"
+            )

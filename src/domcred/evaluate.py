@@ -19,7 +19,7 @@ import numpy as np
 from .corpus.types import INFLUENCER, LABELS
 from .features import FEATURE_COLUMNS, FeatureMatrix
 from .learn import ALGORITHMS, ModelSpec, TrainingSummary, train
-from .learn.base import encode_labels
+from .learn.base import decode_labels, encode_labels
 
 
 @dataclass(frozen=True)
@@ -410,7 +410,7 @@ def _evaluate_one(spec: ModelSpec, train_m: FeatureMatrix, test_m: FeatureMatrix
     try:
         model = train(spec, train_m)
         proba = model.predict_proba(test_m.x)
-        predictions = model.classify(test_m.x)
+        predictions = decode_labels(proba)
         ct = confusion(predictions, test_m.labels)
         report = metrics(ct)
         curve = roc(proba, test_m.labels)

@@ -2,9 +2,10 @@
 
 Engagement on a tweet (retweets, favorites, replies, reply sentiment) is
 split across the tweet's inferred domains in proportion to their annotation
-scores, accumulated per user, then min-max or max normalized for ranking.
-The 12-column matrix feeds the classifiers; the normalized columns feed the
-per-period credibility tables.
+scores, accumulated per (user, domain, period) cell in one pass over the
+corpus (period ``POOLED`` is the whole timeline), then min-max or max
+normalized for ranking.  The 12-column matrix feeds the classifiers; the
+normalized columns feed the per-period credibility tables.
 """
 
 from __future__ import annotations
@@ -150,45 +151,51 @@ def accumulate_domain_features(
     dataset: Dataset,
     annotated_tweets: Iterable[AnnotatedTweet],
     annotated_replies: Iterable[AnnotatedReply],
-    period: PeriodSlice | None = None,
-) -> dict[tuple[str, str], UserDomainFeatures]:
-    """Accumulate distributed engagement per (user, domain) over one selection.
+    slices: Iterable[PeriodSlice] = (),
+) -> dict[tuple[str, str, int], UserDomainFeatures]:
+    """Accumulate distributed engagement per (user, domain, period) in one pass.
+
+    One pass over the tweets and one over the replies, in the dataset's id
+    order, computing each tweet's weights once.  Every record adds its mass
+    to the pooled cell ``(user, domain, POOLED)`` and, when a slice holds it,
+    to ``(user, domain, slice.index)``.  Each cell therefore sums the same
+    records in the same order as a separate scan of its selection would.
+    Slices must be disjoint, as ``partition_periods`` makes them.
 
     Tweets contribute their own engagement counts; replies contribute their
     sentiment to the parent tweet's author, split by the parent's weights.
-    A reply belongs to the selection by its own timestamp, so late replies to
-    an earlier tweet count in the period they were written.  Tweets with no
-    usable annotation contribute nothing.  Iteration follows the dataset's
-    id ordering, fixing floating-point summation order.
+    A reply belongs to a slice by its own timestamp, so late replies to an
+    earlier tweet count in the period they were written.  Tweets with no
+    usable annotation contribute nothing.
     """
     weights_by_tweet = {
         t.tweet_id: relativeness_weights(t.merged_domains) for t in annotated_tweets
     }
     sentiment_by_reply = {r.reply_id: r.sentiment for r in annotated_replies}
     tweets_by_id = dataset.tweets_by_id()
+    slices = tuple(slices)
+    if any(sl.index == POOLED for sl in slices):
+        raise ValueError(f"slice index {POOLED} is reserved for the pooled cells")
+    tweet_periods = {t: (POOLED, sl.index) for sl in slices for t in sl.tweet_ids}
+    reply_periods = {r: (POOLED, sl.index) for sl in slices for r in sl.reply_ids}
+    cells: dict[tuple[str, str, int], _Accumulator] = {}
 
-    period_index = period.index if period is not None else POOLED
-    cells: dict[tuple[str, str], _Accumulator] = {}
-
-    def cell(user_id: str, domain: str) -> _Accumulator:
-        return cells.setdefault((user_id, domain), _Accumulator())
+    def cell(user_id: str, domain: str, period: int) -> _Accumulator:
+        return cells.setdefault((user_id, domain, period), _Accumulator())
 
     for tweet in dataset.tweets:
-        if period is not None and tweet.tweet_id not in period.tweet_ids:
-            continue
         weights = weights_by_tweet.get(tweet.tweet_id)
         if not weights:
             continue
-        for domain, w in weights.items():
-            acc = cell(tweet.author_id, domain)
-            acc.r += tweet.retweet_count * w
-            acc.l += tweet.favorite_count * w
-            acc.p += tweet.replies_count * w
-            acc.domain_tweet_count += 1
+        for period in tweet_periods.get(tweet.tweet_id, (POOLED,)):
+            for domain, w in weights.items():
+                acc = cell(tweet.author_id, domain, period)
+                acc.r += tweet.retweet_count * w
+                acc.l += tweet.favorite_count * w
+                acc.p += tweet.replies_count * w
+                acc.domain_tweet_count += 1
 
     for reply in dataset.replies:
-        if period is not None and reply.reply_id not in period.reply_ids:
-            continue
         sentiment = sentiment_by_reply.get(reply.reply_id, 0.0)
         if sentiment == 0.0:
             continue
@@ -198,31 +205,17 @@ def accumulate_domain_features(
         weights = weights_by_tweet.get(parent.tweet_id)
         if not weights:
             continue
-        for domain, w in weights.items():
-            acc = cell(parent.author_id, domain)
-            if sentiment > 0:
-                acc.sp += sentiment * w
-                acc.count_pos += w
-            else:
-                acc.sn += sentiment * w
-                acc.count_neg += w
+        for period in reply_periods.get(reply.reply_id, (POOLED,)):
+            for domain, w in weights.items():
+                acc = cell(parent.author_id, domain, period)
+                if sentiment > 0:
+                    acc.sp += sentiment * w
+                    acc.count_pos += w
+                else:
+                    acc.sn += sentiment * w
+                    acc.count_neg += w
 
-    return {
-        (user_id, domain): UserDomainFeatures(
-            user_id=user_id,
-            domain=domain,
-            period=period_index,
-            r=acc.r,
-            l=acc.l,
-            p=acc.p,
-            sp=acc.sp,
-            sn=acc.sn,
-            count_pos=acc.count_pos,
-            count_neg=acc.count_neg,
-            domain_tweet_count=acc.domain_tweet_count,
-        )
-        for (user_id, domain), acc in sorted(cells.items())
-    }
+    return {key: UserDomainFeatures(*key, **vars(acc)) for key, acc in sorted(cells.items())}
 
 
 def compute_global_features(
@@ -331,11 +324,12 @@ class FeatureMatrix:
 def assemble_matrix(
     domain: str,
     period: int,
-    domain_features: Mapping[tuple[str, str], UserDomainFeatures],
+    domain_features: Mapping[tuple[str, str, int], UserDomainFeatures],
     global_features: Mapping[str, UserGlobalFeatures],
     labels: GroundTruthLabels | None = None,
 ) -> FeatureMatrix:
-    """Build the per-user matrix for one domain from accumulated features.
+    """Build the per-user matrix for one domain from the ``(user, domain, period)``
+    cells; ``period`` picks the pooled cells (``POOLED``) or one slice's.
 
     Every selection-active user (one with global features) gets a row; users
     with no engagement attributed to the domain keep zeros in the domain
@@ -351,7 +345,7 @@ def assemble_matrix(
     rows = np.zeros((len(user_ids), len(FEATURE_COLUMNS)))
     for i, user_id in enumerate(user_ids):
         g = global_features[user_id]
-        d = domain_features.get((user_id, domain))
+        d = domain_features.get((user_id, domain, period))
         rows[i] = (
             d.l if d else 0.0,
             d.p if d else 0.0,
@@ -393,7 +387,11 @@ def save_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
 
 
 def load_matrix(path: str | Path) -> FeatureMatrix:
-    """Read a matrix written by save_matrix; values round-trip exactly."""
+    """Read a matrix written by save_matrix; values round-trip exactly.
+
+    Every row must share one (domain, period): a stacked file holding
+    several is rejected rather than read as the last row's selection.
+    """
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -402,13 +400,20 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
         if header[: len(expected)] != expected:
             raise ValueError(f"unexpected header {header!r}")
         user_ids, values, labels = [], [], []
-        domain, period = "", POOLED
+        selection = None
         for row in reader:
+            key = (row[1], int(row[2]))
+            selection = selection or key
+            if key != selection:
+                raise ValueError(
+                    f"{path}: data row {len(user_ids) + 1} has (domain, period) {key!r}"
+                    f" but row 1 has {selection!r}; a matrix holds one of each"
+                )
             user_ids.append(row[0])
-            domain, period = row[1], int(row[2])
             values.append([float(v) for v in row[3 : 3 + len(FEATURE_COLUMNS)]])
             if labeled:
                 labels.append(row[-1])
+    domain, period = selection or ("", POOLED)
     return FeatureMatrix(
         domain=domain,
         period=period,

@@ -246,24 +246,31 @@ def _compare_global(got, want):
         np.testing.assert_allclose(g.ff_r, w["ff_r"], atol=1e-12)
 
 
+def _period_cells(cells, period):
+    """The (user, domain) cells of one period from a one-pass result."""
+    return {(u, d): f for (u, d, k), f in cells.items() if k == period}
+
+
 def test_criterion_06_feature_pipeline_equals_brute_force():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     for _ in range(200):
         dataset, notes, sentiments = random_micro_dataset(rng)
+        slices, _ = partition_periods(
+            dataset, PeriodSpec(n_periods=int(rng.integers(1, 7)))
+        )
+        cells = accumulate_domain_features(dataset, notes, sentiments, slices)
+        assert {k for _, _, k in cells} <= {POOLED} | {sl.index for sl in slices}
         _compare_cells(
-            accumulate_domain_features(dataset, notes, sentiments),
+            _period_cells(cells, POOLED),
             brute_domain_cells(dataset, notes, sentiments),
         )
         _compare_global(compute_global_features(dataset), brute_global(dataset))
 
-        slices, _ = partition_periods(
-            dataset, PeriodSpec(n_periods=int(rng.integers(1, 7)))
-        )
         for sl in slices:
             interval = (sl.start, sl.end)
             _compare_cells(
-                accumulate_domain_features(dataset, notes, sentiments, period=sl),
+                _period_cells(cells, sl.index),
                 brute_domain_cells(dataset, notes, sentiments, interval=interval),
             )
             got = compute_global_features(dataset, period=sl)

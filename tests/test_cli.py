@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import domcred.cli
+import domcred.features
 from domcred.cli import main
+from domcred.corpus.archive import load_dataset
 from domcred.features import load_matrix
 from domcred.learn import ALGORITHMS
 from domcred.verify import fixture_names
@@ -245,8 +248,46 @@ class TestFeatures:
              "--labels", str(stray), "--output-dir", str(tmp_path)]
         )
         assert rc == 1
-        assert "labels refer to unknown users: ['nobody']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "labels refer to unknown users: ['nobody']" in err
+        assert "1 labeled user(s) missing from the dataset" in err
+        assert "narrow the labels file to the dataset's users" in err
         assert not (tmp_path / "features.csv").exists()
+
+    def test_default_periods_cover_every_record(self, pipeline):
+        periods = json.loads(pipeline["report_json"].read_text())["periods"]
+        assert periods["out_of_range_tweets"] == 0
+        assert periods["out_of_range_replies"] == 0
+        text = pipeline["report_txt"].read_text()
+        assert text.count("\nperiod ") == periods["n_periods"]
+
+    def test_one_accumulation_pass(self, pipeline, tmp_path, monkeypatch):
+        calls = {"accumulate": 0, "weights": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            domcred.cli,
+            "accumulate_domain_features",
+            counted("accumulate", domcred.cli.accumulate_domain_features),
+        )
+        monkeypatch.setattr(
+            domcred.features,
+            "relativeness_weights",
+            counted("weights", domcred.features.relativeness_weights),
+        )
+        rc = main(
+            ["features", str(pipeline["dataset"]), "--domain", TECH,
+             "--n-periods", "3", "--output-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        dataset, _ = load_dataset(pipeline["dataset"])
+        assert calls == {"accumulate": 1, "weights": len(dataset.tweets)}
 
 
 class TestBenchmark:
@@ -402,6 +443,15 @@ def _readme_commands():
     ]
 
 
+def _in_work(argv, work):
+    """The README's `work` directory mapped to ``work``."""
+    return [
+        str(work / arg[len("work/"):]) if arg.startswith("work/")
+        else str(work) if arg == "work" else arg
+        for arg in argv
+    ]
+
+
 class TestReadme:
     def test_five_step_walk_through_runs(self, tmp_path):
         commands = _readme_commands()
@@ -409,10 +459,14 @@ class TestReadme:
             "synth", "ingest", "annotate", "features", "benchmark",
         ]
         for argv in commands:
-            argv = [
-                str(tmp_path / arg[len("work/"):]) if arg.startswith("work/")
-                else str(tmp_path) if arg == "work" else arg
-                for arg in argv
-            ]
+            argv = _in_work(argv, tmp_path)
             assert main(argv) == 0, argv
         assert (tmp_path / "benchmark_table.txt").is_file()
+
+    def test_library_example_runs(self, tmp_path, capsys):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Library use", 1)[1].split("```python\n", 1)[1]
+        block = block.split("```", 1)[0].replace('"work/', f'"{tmp_path}/')
+        assert main(_in_work(_readme_commands()[0], tmp_path)) == 0
+        exec(compile(block, "README.md", "exec"), {})
+        assert "random_forest" in capsys.readouterr().out

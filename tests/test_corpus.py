@@ -311,6 +311,25 @@ class TestPeriods:
         assert "r1" in slices[1].reply_ids
         assert "r1" not in slices[0].reply_ids
 
+    def test_default_count_reaches_the_last_record(self):
+        ds = make_dataset(
+            [make_user("a"), make_user("b")],
+            [make_tweet("t1", "a", posted="2024-01-15T00:00:00Z")],
+            # a reply exactly on the April boundary needs a fourth month
+            [make_reply("r1", "t1", "b", posted="2024-04-01T00:00:00Z")],
+        )
+        slices, report = partition_periods(ds, PeriodSpec())
+        assert report.n_periods == 4 and len(slices) == 4
+        assert "r1" in slices[3].reply_ids
+        assert report.out_of_range_tweets == report.out_of_range_replies == 0
+        quarters, _ = partition_periods(ds, PeriodSpec(granularity="quarter"))
+        assert [q.end for q in quarters] == [
+            ts("2024-04-01T00:00:00Z"), ts("2024-07-01T00:00:00Z")
+        ]
+        # a start after every record still gives one (empty) period
+        late, report = partition_periods(ds, PeriodSpec(start=ts("2024-06-01T00:00:00Z")))
+        assert len(late) == 1 and report.out_of_range_tweets == 1
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             PeriodSpec(n_periods=0)

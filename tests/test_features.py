@@ -1,5 +1,6 @@
 """Feature distribution, accumulation, normalization, and matrix assembly."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -11,6 +12,7 @@ from domcred.corpus.periods import PeriodSpec, partition_periods
 from domcred.corpus.types import GroundTruthLabels
 from domcred.features import (
     FEATURE_COLUMNS,
+    POOLED,
     FeatureMatrix,
     UserDomainFeatures,
     accumulate_domain_features,
@@ -123,26 +125,26 @@ class TestAccumulate:
     def test_tweet_masses_split_by_weight(self):
         dataset, notes, sentiments = self.small()
         cells = accumulate_domain_features(dataset, notes, sentiments)
-        tech = cells[("alice", "tech")]
-        food = cells[("alice", "food")]
+        tech = cells[("alice", "tech", POOLED)]
+        food = cells[("alice", "food", POOLED)]
         assert tech.r == pytest.approx(6.0)
         assert food.r == pytest.approx(3.0)
         assert tech.l == pytest.approx(2.0)
         assert tech.p == pytest.approx(4.0)
         assert tech.domain_tweet_count == 1
-        assert ("alice", "food") in cells  # t3 contributed nothing new
+        assert ("alice", "food", POOLED) in cells  # t3 contributed nothing new
 
     def test_reply_sentiment_credits_parent_author(self):
         dataset, notes, sentiments = self.small()
         cells = accumulate_domain_features(dataset, notes, sentiments)
-        tech = cells[("alice", "tech")]
+        tech = cells[("alice", "tech", POOLED)]
         assert tech.sp == pytest.approx(0.9 * 2 / 3)
         assert tech.sn == pytest.approx(-0.6 * 2 / 3)
         assert tech.count_pos == pytest.approx(2 / 3)
         assert tech.count_neg == pytest.approx(2 / 3)
         # the neutral reply r3 leaves bob untouched
-        assert cells[("bob", "tech")].sp == 0.0
-        assert cells[("bob", "tech")].count_pos == 0.0
+        assert cells[("bob", "tech", POOLED)].sp == 0.0
+        assert cells[("bob", "tech", POOLED)].count_pos == 0.0
 
     def test_unannotated_tweet_invisible(self):
         dataset, notes, sentiments = self.small()
@@ -157,7 +159,7 @@ class TestAccumulate:
         notes = (annotated_tweet("t1", {"tech": 1.0, "food": 1.0, "art": 5e-324}),)
         sentiments = (annotated_reply("r1", 0.5),)
         cells = accumulate_domain_features(dataset, notes, sentiments)
-        assert set(cells) == {("alice", "food"), ("alice", "tech")}
+        assert set(cells) == {("alice", "food", POOLED), ("alice", "tech", POOLED)}
         for key in cells:
             assert cells[key].domain_tweet_count == 1
             assert cells[key].r == 4.0
@@ -173,19 +175,30 @@ class TestAccumulate:
         notes = (annotated_tweet("t1", {"tech": 1.0}),)
         sentiments = (annotated_reply("r1", 1.0),)
 
-        first = accumulate_domain_features(dataset, notes, sentiments, period=slices[0])
-        second = accumulate_domain_features(dataset, notes, sentiments, period=slices[1])
-        assert first[("alice", "tech")].r == 8.0
-        assert first[("alice", "tech")].sp == 0.0
+        cells = accumulate_domain_features(dataset, notes, sentiments, slices)
+        first = cells[("alice", "tech", slices[0].index)]
+        second = cells[("alice", "tech", slices[1].index)]
+        assert first.r == 8.0
+        assert first.sp == 0.0
         # the late reply still credits alice, in its own period
-        assert second[("alice", "tech")].sp == 1.0
-        assert second[("alice", "tech")].r == 0.0
+        assert second.sp == 1.0
+        assert second.r == 0.0
+        pooled = cells[("alice", "tech", POOLED)]
+        assert (pooled.r, pooled.sp) == (8.0, 1.0)
+
+    def test_pooled_index_is_not_a_slice(self):
+        dataset, notes, sentiments = self.small()
+        slices, _ = partition_periods(dataset, PeriodSpec(n_periods=1))
+        clash = dataclasses.replace(slices[0], index=POOLED)
+        with pytest.raises(ValueError, match="reserved"):
+            accumulate_domain_features(dataset, notes, sentiments, [clash])
 
     def test_matches_brute_oracle_on_random_data(self):
         rng = np.random.default_rng(1234)
         for _ in range(25):
             dataset, notes, sentiments = random_micro_dataset(rng)
-            got = accumulate_domain_features(dataset, notes, sentiments)
+            cells = accumulate_domain_features(dataset, notes, sentiments)
+            got = {(u, d): f for (u, d, _), f in cells.items()}
             expected = brute_domain_cells(dataset, notes, sentiments)
             expected = {k: v for k, v in expected.items() if any(v.values())}
             got_nonzero = {
@@ -391,6 +404,16 @@ class TestMatrixIO:
         loaded = load_matrix(path)
         assert loaded.labels is None
         np.testing.assert_array_equal(loaded.x, matrix.x)
+
+    def test_stacked_selections_rejected(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        save_matrix(self.matrix(), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for old, new in ((",tech,2,", ",tech,3,"), (",tech,2,", ",food,2,")):
+            stacked = lines[:-1] + [lines[-1].replace(old, new)]
+            path.write_text("".join(stacked), encoding="utf-8")
+            with pytest.raises(ValueError, match="row 4 has .*row 1 has"):
+                load_matrix(path)
 
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "matrix.csv"
