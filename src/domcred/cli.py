@@ -1,8 +1,9 @@
 """Command-line front end: ingest, annotate, features, benchmark, synth, verify.
 
 Every command is deterministic given its inputs, config, and seed, and no
-command mutates its input files.  Exit codes: 0 success, 1 validation or
-verification failure, 2 usage error.
+command mutates its input files; `features` reads the annotations that
+`annotate` wrote beside the dataset.  Exit codes: 0 success, 1 validation
+or verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .annotate import (
@@ -17,6 +19,7 @@ from .annotate import (
     LexiconAnnotator,
     RemoteAnnotator,
     annotate_dataset,
+    load_annotations,
     save_annotations,
 )
 from .corpus.archive import load_dataset, load_labels, save_dataset, save_labels
@@ -37,9 +40,8 @@ from .features import (
     normalize_s,
     save_matrix,
 )
-from .features import FeatureMatrix
 from .learn import ALGORITHMS, ModelSpec
-from .lexicon import builtin_domain_lexicon, load_domain_lexicon, load_sentiment_lexicon
+from .lexicon import load_domain_lexicon, load_sentiment_lexicon
 from .verify import fixture_descriptions, fixture_names, report_fixtures
 
 _GLOBAL_DEFAULTS = {"seed": 0, "output_dir": "."}
@@ -76,24 +78,6 @@ def _add_global_options(parser: argparse.ArgumentParser, root: bool = False) -> 
     parser.add_argument("--seed", type=int, default=d, help="random seed (default 0)")
     parser.add_argument("--output-dir", default=d, help="directory for output files")
     parser.add_argument("--config", default=d, help="JSON config file; flags override it")
-
-
-def _add_annotator_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--annotator", choices=("lexicon", "remote"), default=None, help="provider kind"
-    )
-    parser.add_argument("--annotator-url", default=None, help="remote provider endpoint")
-    parser.add_argument(
-        "--annotator-token-env",
-        default=None,
-        help="environment variable holding the remote auth token",
-    )
-    parser.add_argument("--domain-lexicon", default=None, help="domain lexicon file")
-    parser.add_argument("--sentiment-lexicon", default=None, help="sentiment lexicon file")
-    parser.add_argument("--gain", type=float, default=None, help="sentiment gain factor")
-    parser.add_argument(
-        "--min-hits", type=int, default=None, help="hits needed for a confident domain"
-    )
 
 
 def _build_annotator(args, config: dict):
@@ -194,23 +178,41 @@ def _render_period_report(domain: str, slices, cells, top_k: int) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
+def _read_annotations(dataset_path: str, dataset):
+    """The annotations `annotate` wrote beside the dataset, checked id for id."""
+    path = Path(dataset_path).parent / "annotations.jsonl"
+    if not path.is_file():
+        raise ValueError(
+            f"no annotations at {path}; write them first with "
+            f"`domcred annotate {dataset_path} --output-dir {path.parent}`"
+        )
+    tweets, replies = load_annotations(path)
+    for kind, got, want in (
+        ("tweet", [t.tweet_id for t in tweets], [t.tweet_id for t in dataset.tweets]),
+        ("reply", [r.reply_id for r in replies], [r.reply_id for r in dataset.replies]),
+    ):
+        if got != want:
+            examples = sorted(set(got) ^ set(want)) or [a for a, b in zip(got, want) if a != b]
+            raise ValueError(
+                f"annotations do not match {dataset_path}: {path} has {len(got)} {kind} ids, "
+                f"the dataset {len(want)} (e.g. {examples[:3]}); run `domcred annotate` again"
+            )
+    return tweets, replies
+
+
 def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     dataset, _ = load_dataset(args.dataset)
-    domain = args.domain or config.get("domain")
-    known_domains = None
-    if not (args.annotator == "remote" or config.get("annotator", {}).get("kind") == "remote"):
-        lexicon_path = args.domain_lexicon or config.get("annotator", {}).get("domain_lexicon")
-        lexicon = load_domain_lexicon(lexicon_path) if lexicon_path else builtin_domain_lexicon()
-        known_domains = lexicon.domains
-    if domain is None:
-        if not known_domains:
-            raise ValueError("pass --domain when using a remote annotator")
-        domain = known_domains[0]
-    if known_domains is not None and domain not in known_domains:
-        raise ValueError(f"unknown domain {domain!r}; lexicon has {list(known_domains)}")
+    tweets, replies = _read_annotations(args.dataset, dataset)
+    known_domains = sorted({d.label for t in tweets for d in t.merged_domains})
+    domain = args.domain or config.get("domain") or (known_domains or [None])[0]
+    labels = load_labels(args.labels) if args.labels else None
+    if labels is not None:
+        if labels.domain != domain:
+            raise ValueError(f"labels file is for domain {labels.domain!r}, not {domain!r}")
+        labels.validate_against(dataset)
+    if domain not in known_domains:
+        raise ValueError(f"unknown domain {domain!r}; annotations carry {known_domains}")
 
-    annotator = _build_annotator(args, config)
-    tweets, replies, ann_report = annotate_dataset(dataset, annotator)
     n_periods = _resolve(args, config, "n_periods", None)
     spec = PeriodSpec(
         n_periods=None if n_periods is None else int(n_periods),
@@ -218,12 +220,6 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         granularity=_resolve(args, config, "granularity", "month"),
     )
     slices, partition_report = partition_periods(dataset, spec)
-
-    labels = load_labels(args.labels) if args.labels else None
-    if labels is not None:
-        if labels.domain != domain:
-            raise ValueError(f"labels file is for domain {labels.domain!r}, not {domain!r}")
-        labels.validate_against(dataset)
     domain_features = accumulate_domain_features(dataset, tweets, replies, slices)
     global_features = compute_global_features(dataset)
     matrix = assemble_matrix(domain, POOLED, domain_features, global_features, labels=labels)
@@ -239,7 +235,6 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         {
             "domain": domain,
             "rows": matrix.n_rows,
-            "annotation": ann_report.to_dict(),
             "periods": partition_report.to_dict(),
         },
     )
@@ -274,13 +269,7 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
             raise ValueError(
                 f"labels file missing {len(missing)} matrix users (e.g. {missing[:3]})"
             )
-        matrix = FeatureMatrix(
-            domain=matrix.domain,
-            period=matrix.period,
-            user_ids=matrix.user_ids,
-            x=matrix.x,
-            labels=tuple(labels.labels[u] for u in matrix.user_ids),
-        )
+        matrix = replace(matrix, labels=tuple(labels.labels[u] for u in matrix.user_ids))
     split_spec = SplitSpec(
         train_fraction=float(_resolve(args, config, "train_fraction", 0.6)),
         seed=seed,
@@ -321,9 +310,7 @@ def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
         "period_days",
         "start",
     ):
-        value = getattr(args, key, None)
-        if value is None:
-            value = section.get(key)
+        value = _resolve(args, section, key, None)
         if value is not None:
             kwargs[key] = value
     if args.domains:
@@ -383,15 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annotate", help="infer domains and reply sentiment for a dataset")
     _add_global_options(p)
-    _add_annotator_options(p)
+    p.add_argument("--annotator", choices=("lexicon", "remote"), default=None, help="provider kind")
+    p.add_argument("--annotator-url", default=None, help="remote provider endpoint")
+    p.add_argument(
+        "--annotator-token-env",
+        default=None,
+        help="environment variable holding the remote auth token",
+    )
+    p.add_argument("--domain-lexicon", default=None, help="domain lexicon file")
+    p.add_argument("--sentiment-lexicon", default=None, help="sentiment lexicon file")
+    p.add_argument("--gain", type=float, default=None, help="sentiment gain factor")
+    p.add_argument("--min-hits", type=int, default=None, help="hits needed for a confident domain")
     p.add_argument("dataset", help="canonical dataset file")
     p.add_argument("--fail-fast", action="store_true", help="stop on the first provider failure")
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("features", help="compute the feature matrix and per-period rankings")
     _add_global_options(p)
-    _add_annotator_options(p)
-    p.add_argument("dataset", help="canonical dataset file")
+    p.add_argument("dataset", help="canonical dataset file, with annotations.jsonl beside it")
     p.add_argument("--domain", default=None, help="domain to analyze")
     p.add_argument(
         "--n-periods",

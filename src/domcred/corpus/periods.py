@@ -9,6 +9,7 @@ land in no slice and are counted.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -100,18 +101,21 @@ def partition_periods(
         n_periods = max(1, months // step + 1)
     edges = [_add_months(first, i * step) if i else first for i in range(n_periods + 1)]
 
-    slices = []
-    for i in range(n_periods):
-        start, end = edges[i], edges[i + 1]
-        tweet_ids = frozenset(
-            t.tweet_id for t in dataset.tweets if start <= t.posted_at < end
-        )
-        reply_ids = frozenset(
-            r.reply_id for r in dataset.replies if start <= r.posted_at < end
-        )
-        slices.append(
-            PeriodSlice(index=i + 1, start=start, end=end, tweet_ids=tweet_ids, reply_ids=reply_ids)
-        )
+    # each record's slice is one bisect over the strictly increasing edges
+    tweet_ids = [set() for _ in range(n_periods)]
+    reply_ids = [set() for _ in range(n_periods)]
+    for ids, pairs in (
+        (tweet_ids, ((t.tweet_id, t.posted_at) for t in dataset.tweets)),
+        (reply_ids, ((r.reply_id, r.posted_at) for r in dataset.replies)),
+    ):
+        for record_id, posted_at in pairs:
+            i = bisect_right(edges, posted_at) - 1
+            if 0 <= i < n_periods:
+                ids[i].add(record_id)
+    slices = [
+        PeriodSlice(i + 1, edges[i], edges[i + 1], frozenset(t_ids), frozenset(r_ids))
+        for i, (t_ids, r_ids) in enumerate(zip(tweet_ids, reply_ids))
+    ]
 
     tweets_per = tuple(len(s.tweet_ids) for s in slices)
     replies_per = tuple(len(s.reply_ids) for s in slices)

@@ -79,7 +79,7 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[NaiveBayesModel
     model = NaiveBayesModel(
         log_prior=np.log(prior), mean=mean, var=var, laplace=laplace
     )
-    probs = model.predict_proba(x)
     eps = 1e-12
-    nll = -float(np.mean(y * np.log(probs + eps) + (1 - y) * np.log(1 - probs + eps)))
+    probs = np.clip(model.predict_proba(x), eps, 1.0 - eps)
+    nll = -float(np.mean(y * np.log(probs) + (1 - y) * np.log(1.0 - probs)))
     return model, TrainingSummary(iterations=1, converged=True, final_loss=nll)

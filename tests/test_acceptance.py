@@ -453,6 +453,9 @@ def test_criterion_10_benchmark_cli_is_rerun_deterministic(tmp_path):
         ["ingest", str(synth_dir / "synth_archive.jsonl"), "--output-dir", str(data_dir)]
     ) == 0
     assert main(
+        ["annotate", str(data_dir / "dataset.jsonl"), "--output-dir", str(data_dir)]
+    ) == 0
+    assert main(
         ["features", str(data_dir / "dataset.jsonl"), "--domain", TECH,
          "--labels", str(synth_dir / "synth_labels.json"),
          "--output-dir", str(feat_dir)]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import domcred.annotate
 import domcred.cli
 import domcred.features
 from domcred.cli import main
@@ -24,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """One synth -> ingest -> features run shared by the read-only tests."""
+    """One synth -> ingest -> annotate -> features run shared by the read-only tests."""
     root = tmp_path_factory.mktemp("pipeline")
     synth_dir = root / "synth"
     data_dir = root / "data"
@@ -46,6 +47,7 @@ def pipeline(tmp_path_factory):
 
     assert main(["ingest", str(archive), "--output-dir", str(data_dir)]) == 0
     dataset = data_dir / "dataset.jsonl"
+    assert main(["annotate", str(dataset), "--output-dir", str(data_dir)]) == 0
 
     assert main(
         [
@@ -254,6 +256,59 @@ class TestFeatures:
         assert "narrow the labels file to the dataset's users" in err
         assert not (tmp_path / "features.csv").exists()
 
+    def test_domain_no_annotation_carries_fails(self, pipeline, tmp_path, capsys):
+        # a lexicon domain, but the single-domain corpus gives it no tweet
+        rc = main(
+            ["features", str(pipeline["dataset"]), "--domain", "Sports",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown domain 'Sports'" in err
+        assert f"annotations carry ['{TECH}']" in err
+
+    def test_missing_annotations_fail(self, pipeline, tmp_path, capsys):
+        dataset = tmp_path / "dataset.jsonl"
+        shutil.copy(pipeline["dataset"], dataset)
+        rc = main(
+            ["features", str(dataset), "--domain", TECH, "--output-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "annotations.jsonl") in err
+        assert f"domcred annotate {dataset} --output-dir {tmp_path}" in err
+        assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["other dataset", "tweet line removed"])
+    def test_mismatched_annotations_fail(self, pipeline, tmp_path, capsys, damage):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        dataset = data_dir / "dataset.jsonl"
+        shutil.copy(pipeline["dataset"], dataset)
+        annotations = data_dir / "annotations.jsonl"
+        if damage == "other dataset":
+            other = tmp_path / "other"
+            assert main(["synth", "--n-users", "20", "--seed", "3",
+                         "--output-dir", str(other)]) == 0
+            assert main(["ingest", str(other / "synth_archive.jsonl"),
+                         "--output-dir", str(other)]) == 0
+            assert main(["annotate", str(other / "dataset.jsonl"),
+                         "--output-dir", str(other)]) == 0
+            shutil.copy(other / "annotations.jsonl", annotations)
+        else:
+            lines = (pipeline["dataset"].parent / "annotations.jsonl").read_text().splitlines()
+            dropped = next(i for i, line in enumerate(lines) if '"kind": "tweet"' in line)
+            annotations.write_text("\n".join(lines[:dropped] + lines[dropped + 1:]) + "\n")
+        capsys.readouterr()
+        rc = main(
+            ["features", str(dataset), "--domain", TECH, "--output-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "annotations do not match" in err
+        assert "tweet ids" in err
+        assert not (tmp_path / "features.csv").exists()
+
     def test_default_periods_cover_every_record(self, pipeline):
         periods = json.loads(pipeline["report_json"].read_text())["periods"]
         assert periods["out_of_range_tweets"] == 0
@@ -262,7 +317,7 @@ class TestFeatures:
         assert text.count("\nperiod ") == periods["n_periods"]
 
     def test_one_accumulation_pass(self, pipeline, tmp_path, monkeypatch):
-        calls = {"accumulate": 0, "weights": 0}
+        calls = {"annotate": 0, "accumulate": 0, "weights": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -281,13 +336,17 @@ class TestFeatures:
             "relativeness_weights",
             counted("weights", domcred.features.relativeness_weights),
         )
+        for module in (domcred.cli, domcred.annotate):
+            monkeypatch.setattr(
+                module, "annotate_dataset", counted("annotate", module.annotate_dataset)
+            )
         rc = main(
             ["features", str(pipeline["dataset"]), "--domain", TECH,
              "--n-periods", "3", "--output-dir", str(tmp_path)]
         )
         assert rc == 0
         dataset, _ = load_dataset(pipeline["dataset"])
-        assert calls == {"accumulate": 1, "weights": len(dataset.tweets)}
+        assert calls == {"annotate": 0, "accumulate": 1, "weights": len(dataset.tweets)}
 
 
 class TestBenchmark:

@@ -120,6 +120,14 @@ class TestSanity:
         assert model.summary.converged
         assert math.isfinite(model.summary.final_loss)
 
+    def test_cross_entropy_never_negative_on_separable_data(self):
+        # the blobs sit far enough apart that every training posterior is
+        # exactly 0.0 or 1.0 in float64
+        x, y = blob_data(seed=3, n_per=30, gap=40.0)
+        model = train_xy(ModelSpec("naive_bayes"), x, y)
+        assert set(model.predict_proba(x)) == {0.0, 1.0}
+        assert model.summary.final_loss >= 0.0
+
     def test_round_trip_preserves_arrays(self):
         x, y = blob_data(seed=5, n_per=10)
         model = train_xy(ModelSpec("naive_bayes"), x, y)

@@ -1,6 +1,7 @@
 """Cross-cutting invariants checked against generated inputs."""
 
 import re
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -9,13 +10,22 @@ from hypothesis import strategies as st
 from domcred.annotate import DomainAnnotation, merge_domains
 from domcred.corpus.archive import dataset_to_lines, load_dataset, save_dataset
 from domcred.corpus.cleanse import cleanse
+from domcred.corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
 from domcred.corpus.types import INFLUENCER, NON_INFLUENCER
 from domcred.evaluate import ConfusionTable, SplitSpec, metrics, roc, split_indices
 from domcred.features import distribute, relativeness_weights
 from domcred.learn import ALGORITHMS, ModelSpec, train_xy
 from domcred.lexicon import builtin_sentiment_lexicon, tokenize
 
-from helpers import brute_wilcoxon_auc, random_micro_dataset
+from helpers import (
+    brute_partition,
+    brute_wilcoxon_auc,
+    make_dataset,
+    make_reply,
+    make_tweet,
+    make_user,
+    random_micro_dataset,
+)
 
 TOKEN_SHAPE = re.compile(r"^[a-z0-9']+$")
 
@@ -230,6 +240,54 @@ FAST_HYPERS = {
     "gradient_boosted_trees": {"n_trees": 3, "max_depth": 2},
     "neural_net": {"hidden": (4,), "epochs": 3},
 }
+
+
+MONTHS_PER = {"month": 1, "quarter": 3, "year": 12}
+EPOCH = datetime(2022, 1, 1, tzinfo=timezone.utc)
+
+
+@st.composite
+def partition_inputs(draw):
+    """A period spec with a start anywhere in a month, and records placed on
+    every edge, just before the start, at the end, and at random around it."""
+    start = EPOCH + timedelta(seconds=draw(st.integers(0, 3 * 365 * 86400)))
+    granularity = draw(st.sampled_from(GRANULARITIES))
+    n_periods = draw(st.integers(1, 5))
+    spec = PeriodSpec(n_periods=n_periods, start=start, granularity=granularity)
+    oracle_slices, _ = brute_partition(
+        make_dataset([]), start, n_periods, MONTHS_PER[granularity]
+    )
+    edges = [start] + [s.end for s in oracle_slices]
+    span = (edges[-1] - edges[0]).total_seconds()
+    stamps = list(edges) + [start - timedelta(microseconds=1)]
+    stamps += [
+        start + timedelta(seconds=offset)
+        for offset in draw(st.lists(st.floats(-0.2 * span, 1.2 * span), max_size=12))
+    ]
+    on_tweet = draw(st.lists(st.booleans(), min_size=len(stamps), max_size=len(stamps)))
+    return spec, stamps, on_tweet
+
+
+class TestPartitionInvariants:
+    @given(partition_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_matches_per_slice_rescan(self, case):
+        spec, stamps, on_tweet = case
+        tweets = [
+            make_tweet(f"t{i:03d}", "a", posted=stamp)
+            for i, (stamp, tweet) in enumerate(zip(stamps, on_tweet)) if tweet
+        ] or [make_tweet("t-only", "a", posted=stamps[0])]
+        replies = [
+            make_reply(f"r{i:03d}", tweets[0].tweet_id, "a", posted=stamp)
+            for i, (stamp, tweet) in enumerate(zip(stamps, on_tweet)) if not tweet
+        ]
+        dataset = make_dataset(
+            [make_user("a", created="2000-01-01T00:00:00Z")], tweets, replies,
+            capture="2030-01-01T00:00:00Z",
+        )
+        assert partition_periods(dataset, spec) == brute_partition(
+            dataset, spec.start, spec.n_periods, MONTHS_PER[spec.granularity]
+        )
 
 
 class TestModelInvariants:
