@@ -5,146 +5,111 @@ annotate tweets with subject domains and replies with sentiment, distribute
 each tweet's engagement across its domains in proportion to the annotation
 scores, accumulate per-user per-period features, and train classifiers that
 predict which users are domain influencers.
+
+Names resolve on first use (PEP 562): ``import domcred`` loads no submodule,
+and ``domcred.train`` imports the learners, with numpy, only when it is read.
 """
 
-from .annotate import (
-    AnnotatedReply,
-    AnnotatedTweet,
-    Annotator,
-    AnnotatorError,
-    DomainAnnotation,
-    LexiconAnnotator,
-    RemoteAnnotator,
-    annotate_dataset,
-    merge_domains,
-)
-from .corpus import (
-    ArchiveFormatError,
-    CleanseReport,
-    Dataset,
-    GroundTruthLabels,
-    LoadReport,
-    PeriodSlice,
-    PeriodSpec,
-    ReplyRecord,
-    SynthConfig,
-    TweetRecord,
-    UserProfile,
-    cleanse,
-    load_dataset,
-    load_labels,
-    partition_periods,
-    save_dataset,
-    save_labels,
-    synthesize,
-)
-from .evaluate import (
-    BenchmarkReport,
-    ConfusionTable,
-    CorrelationWeights,
-    MetricsReport,
-    RocCurve,
-    SplitSpec,
-    benchmark,
-    confusion,
-    correlation_weights,
-    metrics,
-    roc,
-    split,
-)
-from .features import (
-    FEATURE_COLUMNS,
-    FeatureMatrix,
-    UserDomainFeatures,
-    UserGlobalFeatures,
-    accumulate_domain_features,
-    assemble_matrix,
-    compute_ffr,
-    compute_global_features,
-    distribute,
-    load_matrix,
-    relativeness_weights,
-    save_matrix,
-)
-from .learn import (
-    ALGORITHMS,
-    ModelSpec,
-    TrainedModel,
-    TrainingSummary,
-    load_model,
-    save_model,
-    train,
-)
-from .lexicon import (
-    DomainLexicon,
-    SentimentLexicon,
-    builtin_domain_lexicon,
-    builtin_sentiment_lexicon,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "AnnotatedReply",
-    "AnnotatedTweet",
-    "Annotator",
-    "AnnotatorError",
-    "ArchiveFormatError",
-    "BenchmarkReport",
-    "CleanseReport",
-    "ConfusionTable",
-    "CorrelationWeights",
-    "Dataset",
-    "DomainAnnotation",
-    "DomainLexicon",
-    "FEATURE_COLUMNS",
-    "FeatureMatrix",
-    "GroundTruthLabels",
-    "LexiconAnnotator",
-    "LoadReport",
-    "MetricsReport",
-    "ModelSpec",
-    "PeriodSlice",
-    "PeriodSpec",
-    "RemoteAnnotator",
-    "ReplyRecord",
-    "RocCurve",
-    "SentimentLexicon",
-    "SplitSpec",
-    "SynthConfig",
-    "TrainedModel",
-    "TrainingSummary",
-    "TweetRecord",
-    "UserDomainFeatures",
-    "UserGlobalFeatures",
-    "UserProfile",
-    "accumulate_domain_features",
-    "annotate_dataset",
-    "assemble_matrix",
-    "benchmark",
-    "builtin_domain_lexicon",
-    "builtin_sentiment_lexicon",
-    "cleanse",
-    "compute_ffr",
-    "compute_global_features",
-    "confusion",
-    "correlation_weights",
-    "distribute",
-    "load_dataset",
-    "load_labels",
-    "load_matrix",
-    "load_model",
-    "merge_domains",
-    "metrics",
-    "partition_periods",
-    "relativeness_weights",
-    "roc",
-    "save_dataset",
-    "save_labels",
-    "save_matrix",
-    "save_model",
-    "split",
-    "synthesize",
-    "train",
-]
+# re-exported name -> submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "annotate": (
+            "AnnotatedReply",
+            "AnnotatedTweet",
+            "Annotator",
+            "AnnotatorError",
+            "DomainAnnotation",
+            "LexiconAnnotator",
+            "RemoteAnnotator",
+            "annotate_dataset",
+            "merge_domains",
+        ),
+        "corpus.archive": (
+            "ArchiveFormatError",
+            "LoadReport",
+            "load_dataset",
+            "load_labels",
+            "save_dataset",
+            "save_labels",
+        ),
+        "corpus.cleanse": ("CleanseReport", "cleanse"),
+        "corpus.periods": ("PeriodSpec", "partition_periods"),
+        "corpus.synth": ("SynthConfig", "synthesize"),
+        "corpus.types": (
+            "Dataset",
+            "GroundTruthLabels",
+            "PeriodSlice",
+            "ReplyRecord",
+            "TweetRecord",
+            "UserProfile",
+        ),
+        "evaluate": (
+            "BenchmarkReport",
+            "ConfusionTable",
+            "CorrelationWeights",
+            "MetricsReport",
+            "RocCurve",
+            "SplitSpec",
+            "benchmark",
+            "confusion",
+            "correlation_weights",
+            "metrics",
+            "roc",
+            "split",
+        ),
+        "features": (
+            "FEATURE_COLUMNS",
+            "FeatureMatrix",
+            "UserDomainFeatures",
+            "UserGlobalFeatures",
+            "accumulate_domain_features",
+            "assemble_matrix",
+            "compute_ffr",
+            "compute_global_features",
+            "distribute",
+            "load_matrix",
+            "relativeness_weights",
+            "save_matrix",
+        ),
+        "learn": (
+            "ALGORITHMS",
+            "ModelSpec",
+            "TrainedModel",
+            "TrainingSummary",
+            "load_model",
+            "save_model",
+            "train",
+        ),
+        "lexicon": (
+            "DomainLexicon",
+            "SentimentLexicon",
+            "builtin_domain_lexicon",
+            "builtin_sentiment_lexicon",
+        ),
+    }.items()
+    for name in names
+}
+# the submodules an eager `import domcred` used to leave reachable as attributes
+_SUBMODULES = frozenset({"annotate", "corpus", "evaluate", "features", "learn", "lexicon"})
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
+from .corpus.archive import decode_line
 from .corpus.types import Dataset
 from .lexicon import (
     DomainLexicon,
@@ -137,6 +136,9 @@ class RemoteAnnotator:
         self.timeout = timeout
 
     def _call(self, text: str) -> dict:
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         if self.token_env:
             token = os.environ.get(self.token_env, "")
@@ -290,11 +292,29 @@ def _domains_payload(annotations) -> list:
     return [[a.label, a.score, a.confident] for a in annotations]
 
 
-def _domains_from_payload(payload) -> tuple[DomainAnnotation, ...]:
-    return tuple(
-        DomainAnnotation(label=label, score=score, confident=confident)
-        for label, score, confident in payload
-    )
+def _domains_from_payload(payload, interned: dict) -> tuple[DomainAnnotation, ...]:
+    """The entries as DomainAnnotations, one shared instance per distinct entry.
+
+    Sharing is safe because the dataclass is frozen.  The key holds the
+    score's type, so 1 and 1.0 stay apart.  Zero scores (0.0 and -0.0 are
+    equal but written differently) and labels or flags that are not str and
+    bool are built afresh.
+    """
+    domains = []
+    for label, score, confident in payload:
+        if score and type(label) is str and type(confident) is bool:
+            key = (label, score, type(score), confident)
+            annotation = interned.get(key)
+            if annotation is None:
+                annotation = interned[key] = DomainAnnotation(label, score, confident)
+        else:
+            annotation = DomainAnnotation(label=label, score=score, confident=confident)
+        domains.append(annotation)
+    return tuple(domains)
+
+
+# one encoder for every line, instead of a json.dumps call (and its set-up) per line
+_dump = json.JSONEncoder(sort_keys=True).encode
 
 
 def save_annotations(
@@ -303,45 +323,40 @@ def save_annotations(
     """Write annotations as one JSON record per line, tweets then replies."""
     lines = []
     if report is not None:
-        lines.append(json.dumps({"kind": "report", **report.to_dict()}, sort_keys=True))
+        lines.append(_dump({"kind": "report", **report.to_dict()}))
     for t in tweets:
         lines.append(
-            json.dumps(
+            _dump(
                 {
                     "kind": "tweet",
                     "tweet_id": t.tweet_id,
                     "text_domains": _domains_payload(t.text_domains),
                     "url_domains": _domains_payload(t.url_domains),
                     "merged_domains": _domains_payload(t.merged_domains),
-                },
-                sort_keys=True,
+                }
             )
         )
     for r in replies:
-        lines.append(
-            json.dumps(
-                {"kind": "reply", "reply_id": r.reply_id, "sentiment": r.sentiment},
-                sort_keys=True,
-            )
-        )
+        lines.append(_dump({"kind": "reply", "reply_id": r.reply_id, "sentiment": r.sentiment}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedReply, ...]]:
     tweets: list[AnnotatedTweet] = []
     replies: list[AnnotatedReply] = []
+    interned: dict = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
-        record = json.loads(line)
+        record = decode_line(line)
         kind = record.get("kind")
         if kind == "tweet":
             tweets.append(
                 AnnotatedTweet(
                     tweet_id=record["tweet_id"],
-                    text_domains=_domains_from_payload(record["text_domains"]),
-                    url_domains=_domains_from_payload(record["url_domains"]),
-                    merged_domains=_domains_from_payload(record["merged_domains"]),
+                    text_domains=_domains_from_payload(record["text_domains"], interned),
+                    url_domains=_domains_from_payload(record["url_domains"], interned),
+                    merged_domains=_domains_from_payload(record["merged_domains"], interned),
                 )
             )
         elif kind == "reply":

@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .annotate import (
     AnnotatorError,
@@ -25,24 +26,13 @@ from .annotate import (
 from .corpus.archive import load_dataset, load_labels, save_dataset, save_labels
 from .corpus.cleanse import cleanse
 from .corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
-from .corpus.synth import EngagementLevel, SynthConfig, synthesize
 from .corpus.types import format_timestamp, parse_timestamp
-from .evaluate import SplitSpec, benchmark, default_specs, render_table
-from .features import (
-    POOLED,
-    accumulate_domain_features,
-    assemble_matrix,
-    compute_global_features,
-    load_matrix,
-    normalize_l,
-    normalize_p,
-    normalize_r,
-    normalize_s,
-    save_matrix,
-)
-from .learn import ALGORITHMS, ModelSpec
 from .lexicon import load_domain_lexicon, load_sentiment_lexicon
-from .verify import fixture_descriptions, fixture_names, report_fixtures
+
+# synth, features, evaluate, learn and verify load numpy: each command that
+# needs them imports them itself, so `ingest` and `annotate` never pay for it
+if TYPE_CHECKING:
+    from .learn import ModelSpec
 
 _GLOBAL_DEFAULTS = {"seed": 0, "output_dir": "."}
 
@@ -156,6 +146,8 @@ def _top_k_section(title: str, scaled: dict, top_k: int) -> list[str]:
 
 
 def _render_period_report(domain: str, slices, cells, top_k: int) -> str:
+    from .features import normalize_l, normalize_p, normalize_r, normalize_s
+
     lines = [f"domain: {domain}", ""]
     for sl in slices:
         lines.append(
@@ -201,6 +193,14 @@ def _read_annotations(dataset_path: str, dataset):
 
 
 def cmd_features(args, config, out_dir: Path, seed: int) -> int:
+    from .features import (
+        POOLED,
+        accumulate_domain_features,
+        assemble_matrix,
+        compute_global_features,
+        save_matrix,
+    )
+
     dataset, _ = load_dataset(args.dataset)
     tweets, replies = _read_annotations(args.dataset, dataset)
     known_domains = sorted({d.label for t in tweets for d in t.merged_domains})
@@ -244,6 +244,9 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
 
 
 def _model_specs(config: dict, seed: int) -> tuple[ModelSpec, ...]:
+    from .evaluate import default_specs
+    from .learn import ALGORITHMS, ModelSpec
+
     base = {s.algorithm: s for s in default_specs(seed)}
     for algorithm, overrides in config.get("models", {}).items():
         if algorithm not in base:
@@ -257,6 +260,9 @@ def _model_specs(config: dict, seed: int) -> tuple[ModelSpec, ...]:
 
 
 def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
+    from .evaluate import SplitSpec, benchmark, render_table
+    from .features import load_matrix
+
     matrix = load_matrix(args.matrix)
     if matrix.labels is None:
         if not args.labels:
@@ -289,13 +295,9 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
     return 0
 
 
-def _engagement_level(payload: dict) -> EngagementLevel:
-    return EngagementLevel(
-        **{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
-    )
-
-
 def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
+    from .corpus.synth import EngagementLevel, SynthConfig, synthesize
+
     section = config.get("synth", {})
     kwargs = {}
     for key in (
@@ -319,7 +321,9 @@ def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
         kwargs["domains"] = tuple(section["domains"])
     for level in ("influencer", "ordinary"):
         if level in section:
-            kwargs[level] = _engagement_level(section[level])
+            kwargs[level] = EngagementLevel(
+                **{k: tuple(v) if isinstance(v, list) else v for k, v in section[level].items()}
+            )
     synth_config = SynthConfig(**kwargs)
 
     dataset, labels = synthesize(synth_config, seed)
@@ -338,6 +342,8 @@ def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
 
 
 def cmd_verify(args, config, out_dir: Path, seed: int) -> int:
+    from .verify import fixture_descriptions, fixture_names, report_fixtures
+
     if args.list:
         descriptions = fixture_descriptions()
         for name in fixture_names():

@@ -25,6 +25,27 @@ from .types import (
 
 KINDS = ("user", "tweet", "reply", "dataset")
 
+# one encoder and one decoder for every line, instead of a json.dumps or
+# json.loads call (and its set-up) per line
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def decode_line(text: str):
+    """``json.loads(text)``, without its per-call set-up for a line it accepts.
+
+    A line the raw decoder does not take whole (surrounding whitespace,
+    trailing data, invalid JSON) goes to json.loads itself, so the accepted
+    lines, the values and the error messages are exactly json.loads's.
+    """
+    try:
+        value, end = _raw_decode(text)
+        if end == len(text):
+            return value
+    except ValueError:
+        pass
+    return json.loads(text)
+
 
 class ArchiveFormatError(ValueError):
     """Malformed archive line; carries the 1-based line number."""
@@ -131,7 +152,7 @@ def load_dataset(
             if not line:
                 continue
             try:
-                envelope = json.loads(line)
+                envelope = decode_line(line)
                 if not isinstance(envelope, dict):
                     raise ValueError("envelope is not an object")
                 kind = envelope.get("kind")
@@ -195,10 +216,6 @@ def load_dataset(
         provenance=provenance,
     )
     return dataset, report
-
-
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def dataset_to_lines(dataset: Dataset) -> list[str]:

@@ -18,15 +18,19 @@ def parse_timestamp(value: str) -> datetime:
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         raise ValueError(f"timestamp {value!r} has no timezone; UTC offset required")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise ValueError(f"timestamp {value!r} falls outside years 1-9999 in UTC") from exc
 
 
 def format_timestamp(dt: datetime) -> str:
-    """Canonical RFC 3339 rendering: UTC, Z suffix, microseconds only when nonzero."""
-    dt = dt.astimezone(timezone.utc)
-    if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Canonical RFC 3339 rendering in UTC with a Z suffix.
+
+    The year always has four digits; microseconds appear only when nonzero.
+    """
+    # isoformat() of a UTC datetime ends in "+00:00"
+    return dt.astimezone(timezone.utc).isoformat()[:-6] + "Z"
 
 
 @dataclass(frozen=True)

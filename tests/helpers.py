@@ -6,6 +6,7 @@ no shared code paths, so agreement with the package is meaningful.
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
 
 from domcred.annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
@@ -96,6 +97,88 @@ def annotated_reply(reply_id, sentiment):
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
+
+
+def _brute_timestamp(dt):
+    """The strftime rendering; its year is four digits only from year 1000 on."""
+    dt = dt.astimezone(UTC)
+    if dt.microsecond:
+        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
+    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def brute_dataset_lines(dataset):
+    """Archive lines with one json.dumps call and one strftime call per record."""
+
+    def dump(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+    lines = [
+        dump(
+            {
+                "kind": "dataset",
+                "capture_at": _brute_timestamp(dataset.capture_at),
+                "provenance": dataset.provenance,
+            }
+        )
+    ]
+    for u in dataset.users:
+        body = {
+            "user_id": u.user_id,
+            "handle": u.handle,
+            "followers_count": u.followers_count,
+            "friends_count": u.friends_count,
+            "created_at": _brute_timestamp(u.created_at),
+        }
+        lines.append(dump({"kind": "user", "body": body}))
+    for t in dataset.tweets:
+        body = {
+            "tweet_id": t.tweet_id,
+            "author_id": t.author_id,
+            "posted_at": _brute_timestamp(t.posted_at),
+            "text": t.text,
+            "urls": list(t.urls),
+            "retweet_count": t.retweet_count,
+            "favorite_count": t.favorite_count,
+            "replies_count": t.replies_count,
+            "is_retweet": t.is_retweet,
+            "language": t.language,
+        }
+        lines.append(dump({"kind": "tweet", "body": body}))
+    for r in dataset.replies:
+        body = {
+            "reply_id": r.reply_id,
+            "parent_tweet_id": r.parent_tweet_id,
+            "author_id": r.author_id,
+            "posted_at": _brute_timestamp(r.posted_at),
+            "text": r.text,
+        }
+        lines.append(dump({"kind": "reply", "body": body}))
+    return lines
+
+
+def brute_annotation_lines(tweets, replies, report=None):
+    """Annotation lines with one json.dumps call per record."""
+
+    def payload(domains):
+        return [[d.label, d.score, d.confident] for d in domains]
+
+    lines = []
+    if report is not None:
+        lines.append(json.dumps({"kind": "report", **report.to_dict()}, sort_keys=True))
+    for t in tweets:
+        record = {
+            "kind": "tweet",
+            "tweet_id": t.tweet_id,
+            "text_domains": payload(t.text_domains),
+            "url_domains": payload(t.url_domains),
+            "merged_domains": payload(t.merged_domains),
+        }
+        lines.append(json.dumps(record, sort_keys=True))
+    for r in replies:
+        record = {"kind": "reply", "reply_id": r.reply_id, "sentiment": r.sentiment}
+        lines.append(json.dumps(record, sort_keys=True))
+    return lines
 
 
 def brute_weights(merged_domains):

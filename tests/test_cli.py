@@ -176,6 +176,41 @@ class TestIngest:
         assert rc == 1
         assert f"line {bad_line}" in capsys.readouterr().err
 
+    @staticmethod
+    def _archive(path, created_b):
+        """Users a and b, b created at ``created_b``, and one tweet by b."""
+
+        def user(uid, created):
+            body = {"user_id": uid, "followers_count": 1, "friends_count": 1}
+            return {"kind": "user", "body": {**body, "created_at": created}}
+
+        tweet = {"tweet_id": "t1", "author_id": "b", "language": "en"}
+        records = [user("a", "2020-01-01T00:00:00Z"), user("b", created_b)]
+        records.append({"kind": "tweet", "body": {**tweet, "posted_at": "2024-02-01T00:00:00Z"}})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return path
+
+    def test_year_below_1000_survives_the_next_stage(self, tmp_path):
+        archive = self._archive(tmp_path / "archive.jsonl", "0999-06-01T00:00:00Z")
+        assert main(["ingest", str(archive), "--output-dir", str(tmp_path)]) == 0
+        dataset, report = load_dataset(tmp_path / "dataset.jsonl")
+        assert report.warning_count == 0
+        assert [u.user_id for u in dataset.users] == ["a", "b"]
+        assert [t.tweet_id for t in dataset.tweets] == ["t1"]
+        assert "0999-06-01T00:00:00Z" in (tmp_path / "dataset.jsonl").read_text()
+
+    def test_out_of_range_timestamp_is_a_malformed_line(self, tmp_path, capsys):
+        archive = self._archive(tmp_path / "archive.jsonl", "0001-01-01T00:00:00+01:00")
+        assert main(["ingest", str(archive), "--output-dir", str(tmp_path / "out")]) == 0
+        load = json.loads((tmp_path / "out/ingest_report.json").read_text())["load"]
+        assert load["malformed_line_numbers"] == [2]
+        assert load["quarantined_tweets"] == 1
+
+        capsys.readouterr()
+        rc = main(["ingest", str(archive), "--fail-fast", "--output-dir", str(tmp_path / "ff")])
+        assert rc == 1
+        assert "error: line 2: " in capsys.readouterr().err
+
 
 class TestAnnotate:
     def test_writes_annotations_and_report(self, pipeline, tmp_path, capsys):
@@ -327,9 +362,9 @@ class TestFeatures:
             return wrapper
 
         monkeypatch.setattr(
-            domcred.cli,
+            domcred.features,
             "accumulate_domain_features",
-            counted("accumulate", domcred.cli.accumulate_domain_features),
+            counted("accumulate", domcred.features.accumulate_domain_features),
         )
         monkeypatch.setattr(
             domcred.features,

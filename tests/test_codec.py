@@ -1,0 +1,279 @@
+"""Archive and annotation line codecs: byte-identity with the json.dumps and
+strftime writers, exact json.loads acceptance, and timestamp round trips."""
+
+import json
+import re
+from datetime import datetime, timedelta, timezone
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from domcred.annotate import (
+    AnnotatedReply,
+    AnnotatedTweet,
+    AnnotationReport,
+    DomainAnnotation,
+    load_annotations,
+    save_annotations,
+)
+from domcred.corpus.archive import (
+    ArchiveFormatError,
+    dataset_to_lines,
+    decode_line,
+    load_dataset,
+)
+from domcred.corpus.types import (
+    Dataset,
+    ReplyRecord,
+    TweetRecord,
+    UserProfile,
+    format_timestamp,
+    parse_timestamp,
+)
+
+from helpers import brute_annotation_lines, brute_dataset_lines
+
+UTC = timezone.utc
+CANONICAL = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?Z$")
+
+offsets = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes))
+)
+
+
+def stamps(first_year, last_year):
+    """Aware datetimes whose UTC instant stays inside [first_year, last_year]."""
+    # one day of margin on each side keeps any offset inside the range
+    return st.datetimes(
+        min_value=datetime(first_year, 1, 2),
+        max_value=datetime(last_year, 12, 30),
+        timezones=st.one_of(st.just(UTC), offsets),
+    )
+
+
+class TestTimestamps:
+    @given(stamp=stamps(1, 9999))
+    def test_format_then_parse_is_identity(self, stamp):
+        text = format_timestamp(stamp)
+        assert CANONICAL.match(text), text
+        assert parse_timestamp(text) == stamp
+
+    def test_year_below_1000_is_zero_padded(self):
+        stamp = datetime(999, 6, 1, tzinfo=UTC)
+        assert format_timestamp(stamp) == "0999-06-01T00:00:00Z"
+        assert parse_timestamp("0999-06-01T00:00:00Z") == stamp
+
+    @pytest.mark.parametrize(
+        "text", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"]
+    )
+    def test_instant_outside_utc_range_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="outside years 1-9999"):
+            parse_timestamp(text)
+
+
+def datasets():
+    text = st.text(max_size=12)
+    ids = st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True)
+    counts = st.integers(0, 10**12)
+
+    @st.composite
+    def build(draw):
+        users = tuple(
+            UserProfile(
+                user_id=uid,
+                handle=draw(text),
+                followers_count=draw(counts),
+                friends_count=draw(counts),
+                created_at=draw(stamps(1000, 9997)),
+            )
+            for uid in draw(ids)
+        )
+        tweets = tuple(
+            TweetRecord(
+                tweet_id=tid,
+                author_id=draw(st.sampled_from([u.user_id for u in users])),
+                posted_at=draw(stamps(1000, 9998)),
+                text=draw(text),
+                urls=tuple(draw(st.lists(st.text(max_size=20), max_size=3))),
+                retweet_count=draw(counts),
+                favorite_count=draw(counts),
+                replies_count=draw(counts),
+                is_retweet=draw(st.booleans()),
+                language=draw(st.none() | st.text(max_size=3)),
+            )
+            for tid in draw(ids)
+        )
+        replies = tuple(
+            ReplyRecord(
+                reply_id=rid,
+                parent_tweet_id=draw(text),
+                author_id=draw(text),
+                posted_at=draw(stamps(1000, 9998)),
+                text=draw(text),
+            )
+            for rid in draw(ids)
+        )
+        newest = max(u.created_at for u in users)
+        capture = newest + draw(st.timedeltas(timedelta(microseconds=1), timedelta(days=300)))
+        return Dataset(users, tweets, replies, capture, provenance=draw(text))
+
+    return build()
+
+
+class TestDatasetLines:
+    @given(dataset=datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_lines_equal_the_per_line_json_dumps_writer(self, dataset):
+        assert dataset_to_lines(dataset) == brute_dataset_lines(dataset)
+
+    def _archive(self, tmp_path, lines):
+        path = tmp_path / "archive.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def _user(self, uid, created="2020-01-01T00:00:00Z"):
+        body = {
+            "user_id": uid,
+            "followers_count": 1,
+            "friends_count": 1,
+            "created_at": created,
+        }
+        return json.dumps({"kind": "user", "body": body})
+
+    def test_malformed_lines_counted_as_json_loads_would(self, tmp_path):
+        lines = [
+            self._user("a"),
+            "{} x",
+            '{"kind": "user", "body": {}} {}',
+            "[1, 2]",
+            '"user"',
+            "",
+            "   ",
+            f"  {self._user('b')}\t",
+            "\ufeff" + self._user("c"),
+        ]
+        _, report = load_dataset(self._archive(tmp_path, lines))
+        assert report.malformed_lines == 5
+        assert report.malformed_line_numbers == [2, 3, 4, 5, 9]
+
+        def accepted(line):
+            try:
+                return isinstance(json.loads(line.strip()), dict)
+            except ValueError:
+                return False
+
+        expected = [n for n, line in enumerate(lines, 1) if line.strip() and not accepted(line)]
+        assert report.malformed_line_numbers == expected
+
+    def test_fail_fast_keeps_the_json_loads_message(self, tmp_path):
+        path = self._archive(tmp_path, [self._user("a"), "{} x"])
+        with pytest.raises(ArchiveFormatError, match=r"line 2: Extra data: line 1 column 4"):
+            load_dataset(path, fail_fast=True)
+
+    @pytest.mark.parametrize(
+        "text", ["{} x", "{}x", "[1]  2", "{", "", " {} ", "\t[1]\n", "\ufeff{}", "NaN", '"a"']
+    )
+    def test_decode_line_is_json_loads(self, text):
+        def outcome(decode):
+            try:
+                return "ok", decode(text)
+            except ValueError as exc:
+                return type(exc).__name__, str(exc)
+
+        assert outcome(decode_line) == outcome(json.loads)
+
+    def test_out_of_range_timestamp_is_a_malformed_line(self, tmp_path):
+        path = self._archive(
+            tmp_path, [self._user("a"), self._user("b", "0001-01-01T00:00:00+01:00")]
+        )
+        dataset, report = load_dataset(path)
+        assert report.malformed_line_numbers == [2]
+        assert [u.user_id for u in dataset.users] == ["a"]
+        with pytest.raises(ArchiveFormatError, match="line 2: .*outside years 1-9999"):
+            load_dataset(path, fail_fast=True)
+
+
+labels = st.text(min_size=1, max_size=8)
+scores = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0]))
+domain_lists = st.lists(
+    st.builds(DomainAnnotation, label=labels, score=scores, confident=st.booleans()),
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def annotations(draw):
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), max_size=5, unique=True))
+    tweets = tuple(
+        AnnotatedTweet(tid, draw(domain_lists), draw(domain_lists), draw(domain_lists))
+        for tid in ids
+    )
+    replies = tuple(
+        AnnotatedReply(rid, draw(st.floats(-1.0, 1.0)))
+        for rid in draw(st.lists(st.text(min_size=1, max_size=6), max_size=5, unique=True))
+    )
+    report = draw(
+        st.none()
+        | st.builds(
+            AnnotationReport,
+            n_tweets=st.integers(0, 9),
+            failures=st.lists(st.tuples(st.text(max_size=4), st.text(max_size=8)), max_size=2),
+        )
+    )
+    return tweets, replies, report
+
+
+class TestAnnotationLines:
+    @given(payload=annotations())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_lines_equal_the_per_line_json_dumps_writer(self, payload, tmp_path):
+        tweets, replies, report = payload
+        path = tmp_path / "annotations.jsonl"
+        save_annotations(tweets, replies, path, report=report)
+        text = path.read_text(encoding="utf-8")
+        assert text == "\n".join(brute_annotation_lines(tweets, replies, report)) + "\n"
+        loaded_tweets, loaded_replies = load_annotations(path)
+        save_annotations(loaded_tweets, loaded_replies, path, report=report)
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_load_equals_per_entry_construction(self, tmp_path):
+        entries = [
+            [["Arts", 1, True], ["Sports", 0.5, False]],
+            [["Arts", 1.0, True], ["Sports", 0.5, False], ["Sports", 0.5, 1]],
+            [["Arts", 1, True], ["Sports", -0.0, False], ["Sports", 0.0, False]],
+        ]
+        lines = [
+            json.dumps(
+                {
+                    "kind": "tweet",
+                    "tweet_id": f"t{i}",
+                    "text_domains": domains,
+                    "url_domains": [],
+                    "merged_domains": domains,
+                }
+            )
+            for i, domains in enumerate(entries)
+        ]
+        lines.append(json.dumps({"kind": "reply", "reply_id": "r0", "sentiment": -0.25}))
+        path = tmp_path / "annotations.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        tweets, replies = load_annotations(path)
+        expected = [
+            tuple(DomainAnnotation(label=a, score=s, confident=c) for a, s, c in domains)
+            for domains in entries
+        ]
+        assert [t.merged_domains for t in tweets] == expected
+        assert [t.text_domains for t in tweets] == expected
+        # == cannot tell 1 from 1.0 or -0.0 from 0.0; repr can
+        assert [repr(t.merged_domains) for t in tweets] == [repr(e) for e in expected]
+        assert replies == (AnnotatedReply("r0", -0.25),)
+        # one instance per distinct entry in the file
+        assert tweets[0].merged_domains[0] is tweets[2].merged_domains[0]
+        assert tweets[0].merged_domains[1] is tweets[1].merged_domains[1]
+        assert tweets[0].merged_domains[0] is not tweets[1].merged_domains[0]
