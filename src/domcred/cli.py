@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -295,8 +295,26 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
     return 0
 
 
+def _overlay_level(base, name: str, section):
+    """Lay a config section over a default EngagementLevel, field by field."""
+    if not isinstance(section, dict):
+        raise ValueError(f"synth.{name} must be a JSON object")
+    valid = [f.name for f in fields(base)]
+    unknown = sorted(set(section) - set(valid))
+    if unknown:
+        raise ValueError(
+            f"unknown synth.{name} field(s) {', '.join(unknown)}; "
+            f"valid fields: {', '.join(valid)}"
+        )
+    overrides = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
+    try:
+        return replace(base, **overrides)
+    except ValueError as exc:
+        raise ValueError(f"synth.{name}: {exc}") from exc
+
+
 def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
-    from .corpus.synth import EngagementLevel, SynthConfig, synthesize
+    from .corpus.synth import INFLUENCER_LEVEL, ORDINARY_LEVEL, SynthConfig, synthesize
 
     section = config.get("synth", {})
     kwargs = {}
@@ -319,11 +337,9 @@ def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
         kwargs["domains"] = tuple(args.domains)
     elif "domains" in section:
         kwargs["domains"] = tuple(section["domains"])
-    for level in ("influencer", "ordinary"):
+    for level, base in (("influencer", INFLUENCER_LEVEL), ("ordinary", ORDINARY_LEVEL)):
         if level in section:
-            kwargs[level] = EngagementLevel(
-                **{k: tuple(v) if isinstance(v, list) else v for k, v in section[level].items()}
-            )
+            kwargs[level] = _overlay_level(base, level, section[level])
     synth_config = SynthConfig(**kwargs)
 
     dataset, labels = synthesize(synth_config, seed)

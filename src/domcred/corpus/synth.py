@@ -4,10 +4,18 @@ synthesize(config, seed) is a pure function: the same arguments always
 produce byte-identical archives.  Influencers get systematically heavier
 engagement, more followers, and more positive replies than ordinary users,
 so the planted labels are recoverable from the engineered features.
+
+Stream contract: the archive bytes are a function of (config, seed, numpy's
+``Generator`` algorithms).  Every record is built from one ``default_rng``
+stream, and the order of the draws, with their arguments, is the contract:
+reordering, batching or merging draws moves the bytes even where the
+distributions stay the same.  ``tests/test_corpus.py`` pins the digests of a
+few configurations; a change that moves the bytes updates them and says so.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from datetime import timedelta
 
@@ -29,6 +37,17 @@ _FILLERS = ("the", "a", "about", "today", "really", "just", "new", "my", "this",
 _NEUTRAL_REPLY = ("the", "this", "that", "it", "was", "so", "very", "honestly")
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an Integral too, but a JSON true is never meant as a count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngagementLevel:
     """Per-user-class generation parameters."""
@@ -44,12 +63,19 @@ class EngagementLevel:
 
     def __post_init__(self):
         for name in ("followers", "friends", "account_age_days", "tweets_per_period"):
-            lo, hi = getattr(self, name)
+            bounds = getattr(self, name)
+            if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+                raise ValueError(f"{name} must be a [lo, hi] pair, got {bounds!r}")
+            lo, hi = bounds
+            _require_int(f"{name} lo", lo)
+            _require_int(f"{name} hi", hi)
             if not 0 <= lo <= hi:
                 raise ValueError(f"{name} range must satisfy 0 <= lo <= hi")
         for name in ("retweets_mean", "favorites_mean", "replies_mean"):
+            _require_real(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        _require_real("positive_reply_rate", self.positive_reply_rate)
         if not 0.0 <= self.positive_reply_rate <= 1.0:
             raise ValueError("positive_reply_rate must be in [0, 1]")
 
@@ -96,6 +122,16 @@ class SynthConfig:
     ordinary: EngagementLevel = ORDINARY_LEVEL
 
     def __post_init__(self):
+        for name in ("n_users", "n_periods", "period_days"):
+            _require_int(name, getattr(self, name))
+        for name in (
+            "influencer_fraction",
+            "off_domain_rate",
+            "blend_rate",
+            "non_english_rate",
+            "retweet_rate",
+        ):
+            _require_real(name, getattr(self, name))
         if self.n_users < 2:
             raise ValueError("n_users must be >= 2")
         if not 0.0 < self.influencer_fraction < 1.0:
@@ -105,24 +141,39 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.n_periods < 1 or self.period_days < 1:
             raise ValueError("n_periods and period_days must be >= 1")
+        if not isinstance(self.start, str):
+            raise ValueError(f"start must be an RFC 3339 string, got {self.start!r}")
         parse_timestamp(self.start)
 
 
-def _tweet_text(rng, primary_terms, other_terms, fillers) -> str:
-    words = list(rng.choice(primary_terms, size=int(rng.integers(4, 8))))
+def draw_words(rng, pool, k: int) -> list:
+    """The k words ``rng.choice(np.array(pool), size=k)`` draws, drawn the same way.
+
+    With replacement and no weights, ``Generator.choice`` draws exactly
+    ``integers(0, len(pool), size=k)`` and takes those indices, so indexing a
+    Python sequence gives the same words and leaves the generator in the same
+    state, without the array round trip.
+    """
+    return [pool[j] for j in rng.integers(0, len(pool), size=k).tolist()]
+
+
+def _shuffled_text(rng, words: list) -> str:
+    return " ".join([words[i] for i in rng.permutation(len(words)).tolist()])
+
+
+def _tweet_text(rng, primary_terms, other_terms) -> str:
+    words = draw_words(rng, primary_terms, int(rng.integers(4, 8)))
     if other_terms is not None:
-        words += list(rng.choice(other_terms, size=int(rng.integers(2, 4))))
-    words += list(rng.choice(fillers, size=int(rng.integers(1, 4))))
-    order = rng.permutation(len(words))
-    return " ".join(words[i] for i in order)
+        words += draw_words(rng, other_terms, int(rng.integers(2, 4)))
+    words += draw_words(rng, _FILLERS, int(rng.integers(1, 4)))
+    return _shuffled_text(rng, words)
 
 
 def _reply_text(rng, positive: bool, pos_words, neg_words) -> str:
     charged = pos_words if positive else neg_words
-    words = list(rng.choice(charged, size=int(rng.integers(2, 5))))
-    words += list(rng.choice(_NEUTRAL_REPLY, size=int(rng.integers(1, 4))))
-    order = rng.permutation(len(words))
-    return " ".join(words[i] for i in order)
+    words = draw_words(rng, charged, int(rng.integers(2, 5)))
+    words += draw_words(rng, _NEUTRAL_REPLY, int(rng.integers(1, 4)))
+    return _shuffled_text(rng, words)
 
 
 def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabels]:
@@ -136,12 +187,10 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabe
     if target not in domains:
         raise ValueError(f"target_domain {target!r} not among configured domains")
 
-    term_pool = {d: np.array(sorted(lexicon.terms[d])) for d in domains}
+    term_pool = {d: sorted(lexicon.terms[d]) for d in domains}
     sentiment = builtin_sentiment_lexicon()
-    pos_words = np.array(sorted(t for t, p in sentiment.polarity.items() if p == 1))
-    neg_words = np.array(sorted(t for t, p in sentiment.polarity.items() if p == -1))
-    fillers = np.array(_FILLERS)
-    domain_array = np.array(domains)
+    pos_words = sorted(t for t, p in sentiment.polarity.items() if p == 1)
+    neg_words = sorted(t for t, p in sentiment.polarity.items() if p == -1)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     start = parse_timestamp(config.start)
@@ -150,21 +199,24 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabe
 
     # floor with a tiny epsilon so 100 * 0.1 lands on 10, not 9
     n_influencers = max(1, int(config.n_users * config.influencer_fraction + 1e-9))
-    flags = np.zeros(config.n_users, dtype=bool)
-    flags[rng.choice(config.n_users, size=n_influencers, replace=False)] = True
+    flags = [False] * config.n_users
+    for i in rng.choice(config.n_users, size=n_influencers, replace=False).tolist():
+        flags[i] = True
     # planted influencers are influential in the target domain specifically
-    primaries = domain_array[rng.integers(0, len(domains), size=config.n_users)]
-    primaries[flags] = target
+    primaries = [
+        target if flag else domain
+        for flag, domain in zip(flags, draw_words(rng, domains, config.n_users))
+    ]
 
     users: list[UserProfile] = []
     tweets: list[TweetRecord] = []
     replies: list[ReplyRecord] = []
     labels: dict[str, str] = {}
+    user_ids = [f"u{i:05d}" for i in range(config.n_users)]
 
-    for i in range(config.n_users):
+    for i, user_id in enumerate(user_ids):
         level = config.influencer if flags[i] else config.ordinary
         age = int(rng.integers(level.account_age_days[0], level.account_age_days[1] + 1))
-        user_id = f"u{i:05d}"
         users.append(
             UserProfile(
                 user_id=user_id,
@@ -178,7 +230,7 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabe
 
     for i in range(config.n_users):
         level = config.influencer if flags[i] else config.ordinary
-        primary = str(primaries[i])
+        primary = primaries[i]
         others = [d for d in domains if d != primary]
         seq = 0
         for _ in range(config.n_periods):
@@ -195,12 +247,7 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabe
                     pool = others[int(rng.integers(0, len(others)))]
                 elif others and rng.random() < config.blend_rate:
                     blend = others[int(rng.integers(0, len(others)))]
-                text = _tweet_text(
-                    rng,
-                    term_pool[pool],
-                    term_pool[blend] if blend else None,
-                    fillers,
-                )
+                text = _tweet_text(rng, term_pool[pool], term_pool[blend] if blend else None)
 
                 n_replies = int(rng.poisson(level.replies_mean))
                 is_retweet = rng.random() < config.retweet_rate
@@ -209,7 +256,7 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabe
                 tweets.append(
                     TweetRecord(
                         tweet_id=tweet_id,
-                        author_id=f"u{i:05d}",
+                        author_id=user_ids[i],
                         posted_at=posted,
                         text=text,
                         retweet_count=int(rng.poisson(level.retweets_mean)),
@@ -231,7 +278,7 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabe
                         ReplyRecord(
                             reply_id=f"r{tweet_id[1:]}-{k:03d}",
                             parent_tweet_id=tweet_id,
-                            author_id=f"u{author:05d}",
+                            author_id=user_ids[author],
                             posted_at=reply_at,
                             text=_reply_text(rng, positive, pos_words, neg_words),
                         )

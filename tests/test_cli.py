@@ -148,6 +148,52 @@ class TestSynth:
         assert rc == 1
         assert "influencer_fraction" in capsys.readouterr().err
 
+    def _synth_with(self, tmp_path, section: dict) -> int:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": section}))
+        return main(
+            ["synth", "--n-users", "20", "--seed", "4", "--config", str(config),
+             "--output-dir", str(tmp_path / "out")]
+        )
+
+    def test_partial_level_override_keeps_other_defaults(self, tmp_path):
+        assert self._synth_with(tmp_path, {"influencer": {"followers": [1, 2]}}) == 0
+        dataset, _ = load_dataset(tmp_path / "out/synth_archive.jsonl")
+        labels = json.loads((tmp_path / "out/synth_labels.json").read_text())["labels"]
+        influencers = [u for u in dataset.users if labels[u.user_id] == "Influencer"]
+        assert influencers
+        assert all(1 <= u.followers_count <= 2 for u in influencers)
+        # the rest of the level is the default: influencer friends stay in range
+        assert all(100 <= u.friends_count <= 900 for u in influencers)
+
+    def test_unknown_level_field_fails_naming_valid_fields(self, tmp_path, capsys):
+        assert self._synth_with(tmp_path, {"ordinary": {"bogus": 1}}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "bogus" in err and "positive_reply_rate" in err
+        assert not (tmp_path / "out/synth_archive.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"n_periods": "3"}, "n_periods"),
+            ({"period_days": True}, "period_days"),
+            ({"retweet_rate": "0.1"}, "retweet_rate"),
+            ({"influencer": {"replies_mean": "6"}}, "replies_mean"),
+            ({"ordinary": [1, 2]}, "ordinary"),
+        ],
+    )
+    def test_wrong_config_types_fail_cleanly(self, tmp_path, capsys, section, field):
+        assert self._synth_with(tmp_path, section) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+    def test_string_n_users_in_config_fails_cleanly(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"n_users": "30"}}))
+        assert main(["synth", "--config", str(config), "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: n_users must be an integer")
+
 
 class TestIngest:
     def test_report_counts(self, pipeline):

@@ -1,9 +1,14 @@
 """Dataset model, archive round-trips, cleansing, periods, and the generator."""
 
+import hashlib
 import json
+from dataclasses import replace
 from datetime import timedelta
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domcred.corpus.archive import (
     ArchiveFormatError,
@@ -15,7 +20,14 @@ from domcred.corpus.archive import (
 )
 from domcred.corpus.cleanse import cleanse
 from domcred.corpus.periods import PeriodSpec, partition_periods
-from domcred.corpus.synth import SynthConfig, synthesize
+from domcred.corpus.synth import (
+    INFLUENCER_LEVEL,
+    ORDINARY_LEVEL,
+    EngagementLevel,
+    SynthConfig,
+    draw_words,
+    synthesize,
+)
 from domcred.corpus.types import (
     Dataset,
     GroundTruthLabels,
@@ -376,3 +388,106 @@ class TestSynthesize:
         loaded, report = load_dataset(path)
         assert report.warning_count == 0
         assert loaded == dataset
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n_users": "30"}, "n_users"),
+            ({"n_users": True}, "n_users"),
+            ({"n_users": 30.0}, "n_users"),
+            ({"n_periods": 2.5}, "n_periods"),
+            ({"period_days": None}, "period_days"),
+            ({"influencer_fraction": "0.25"}, "influencer_fraction"),
+            ({"blend_rate": True}, "blend_rate"),
+            ({"retweet_rate": [0.1]}, "retweet_rate"),
+            ({"start": 20240101}, "start"),
+        ],
+    )
+    def test_wrong_types_rejected_by_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"followers": (1, "2")}, "followers"),
+            ({"friends": (1, 2, 3)}, "friends"),
+            ({"tweets_per_period": 4}, "tweets_per_period"),
+            ({"replies_mean": "6"}, "replies_mean"),
+            ({"positive_reply_rate": None}, "positive_reply_rate"),
+        ],
+    )
+    def test_level_wrong_types_rejected_by_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            replace(INFLUENCER_LEVEL, **kwargs)
+
+
+def _silent(level: EngagementLevel) -> EngagementLevel:
+    return replace(level, tweets_per_period=(0, 0))
+
+
+# sha256 of "\n".join(dataset_to_lines(synthesize(config, seed=7))).  The
+# generator's draw order is its contract: a change that moves these digests
+# moves every synthetic archive and must say so.
+GOLDEN_STREAM = {
+    "default": (
+        SynthConfig(n_users=40),
+        "5917e45e6c44ed5e42fb7bf6e380811e6bab0f3b7ba333afb826f16bc42514b2",
+    ),
+    "two_users": (
+        SynthConfig(n_users=2),
+        "c41b3e498bbfd300017b11a2ddccca058e8c67a8132b343d6ae4f3d221561655",
+    ),
+    "one_domain": (
+        SynthConfig(n_users=40, domains=("Sports",)),
+        "3c4bb7e38be3b5b0ac1ac22383426d02369caf7945e03405b6cc2ad469b981c7",
+    ),
+    "rates_one": (
+        SynthConfig(
+            n_users=40,
+            off_domain_rate=1.0,
+            blend_rate=1.0,
+            non_english_rate=1.0,
+            retweet_rate=1.0,
+        ),
+        "a1e70fc747d3e52144306c70edaf97e273266401713e4c221d7d62d9e0eb931f",
+    ),
+    "no_tweets": (
+        SynthConfig(
+            n_users=40,
+            influencer=_silent(INFLUENCER_LEVEL),
+            ordinary=_silent(ORDINARY_LEVEL),
+        ),
+        "6b2841c1b2c48d2caebe5a585aca8e6bf36deff1ea5d52a1a25dfd952af3487d",
+    ),
+}
+
+
+# word-like text: numpy's str arrays drop trailing NULs, which the pools never hold
+WORDS = st.text("abcdefghij'-", min_size=1, max_size=6)
+
+
+class TestSynthStream:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_STREAM))
+    def test_golden_digest(self, name):
+        config, digest = GOLDEN_STREAM[name]
+        dataset, _ = synthesize(config, seed=7)
+        lines = "\n".join(dataset_to_lines(dataset)).encode("utf-8")
+        assert hashlib.sha256(lines).hexdigest() == digest
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pool=st.lists(WORDS, min_size=1, max_size=40),
+        k=st.integers(0, 8),
+    )
+    def test_index_draw_equals_rng_choice(self, seed, pool, k):
+        # draw_words relies on choice-with-replacement drawing integers(0, n, k)
+        by_choice = np.random.default_rng(seed)
+        by_index = np.random.default_rng(seed)
+        expected = by_choice.choice(np.array(pool), size=k).tolist()
+        assert draw_words(by_index, pool, k) == expected, (
+            f"numpy {np.__version__}: Generator.choice no longer draws "
+            "integers(0, len(pool), size=k)"
+        )
+        assert by_index.bit_generator.state == by_choice.bit_generator.state
