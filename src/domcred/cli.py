@@ -35,6 +35,17 @@ if TYPE_CHECKING:
     from .learn import ModelSpec
 
 _GLOBAL_DEFAULTS = {"seed": 0, "output_dir": "."}
+_ANNOTATOR_KEYS = (
+    "kind", "url", "token_env", "timeout",
+    "domain_lexicon", "sentiment_lexicon", "gain", "min_hits",
+)
+# the synth section's flag-backed keys; domains and the two levels are read apart
+_SYNTH_SCALARS = (
+    "n_users", "influencer_fraction", "target_domain", "off_domain_rate", "blend_rate",
+    "non_english_rate", "retweet_rate", "n_periods", "period_days", "start",
+)
+_SYNTH_KEYS = _SYNTH_SCALARS + ("domains", "influencer", "ordinary")
+_JSON_TYPE_NAMES = {int: "an integer", bool: "true or false"}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -53,12 +64,30 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
-def _resolve(args, config: dict, key: str, default):
-    """Command line wins, then the config file, then the built-in default."""
+def _resolve(args, config: dict, key: str, default, kind: type | None = None):
+    """Command line wins, then the config file, then the built-in default.
+
+    With a kind, a config value must be a JSON value of exactly that type:
+    ``true`` is not an integer and ``"false"`` is not a boolean.
+    """
     value = getattr(args, key, None)
     if value is not None:
         return value
+    if kind is not None and key in config and type(config[key]) is not kind:
+        raise ValueError(f"config {key} must be {_JSON_TYPE_NAMES[kind]}, got {config[key]!r}")
     return config.get(key, default)
+
+
+def _section(value, name: str, valid=None) -> dict:
+    """A config section: a JSON object, holding only the keys in valid when given."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config {name} must be a JSON object")
+    unknown = sorted(set(value) - set(valid)) if valid is not None else []
+    if unknown:
+        raise ValueError(
+            f"unknown config {name} key(s) {', '.join(unknown)}; valid keys: {', '.join(valid)}"
+        )
+    return value
 
 
 def _add_global_options(parser: argparse.ArgumentParser, root: bool = False) -> None:
@@ -71,7 +100,7 @@ def _add_global_options(parser: argparse.ArgumentParser, root: bool = False) -> 
 
 
 def _build_annotator(args, config: dict):
-    section = config.get("annotator", {})
+    section = _section(config.get("annotator", {}), "annotator", _ANNOTATOR_KEYS)
     kind = args.annotator or section.get("kind", "lexicon")
     if kind == "remote":
         url = args.annotator_url or section.get("url")
@@ -87,7 +116,7 @@ def _build_annotator(args, config: dict):
         domain_lexicon=load_domain_lexicon(domain_path) if domain_path else None,
         sentiment_lexicon=load_sentiment_lexicon(sentiment_path) if sentiment_path else None,
         gain=float(_resolve(args, section, "gain", 1.0)),
-        min_hits=int(_resolve(args, section, "min_hits", 2)),
+        min_hits=_resolve(args, section, "min_hits", 2, int),
     )
 
 
@@ -213,9 +242,9 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     if domain not in known_domains:
         raise ValueError(f"unknown domain {domain!r}; annotations carry {known_domains}")
 
-    n_periods = _resolve(args, config, "n_periods", None)
+    top_k = _resolve(args, config, "top_k", 5, int)
     spec = PeriodSpec(
-        n_periods=None if n_periods is None else int(n_periods),
+        n_periods=_resolve(args, config, "n_periods", None, int),
         start=parse_timestamp(args.start) if args.start else None,
         granularity=_resolve(args, config, "granularity", "month"),
     )
@@ -226,7 +255,6 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     matrix_path = out_dir / "features.csv"
     save_matrix(matrix, matrix_path)
 
-    top_k = int(_resolve(args, config, "top_k", 5))
     report_text = _render_period_report(domain, slices, domain_features, top_k)
     report_path = out_dir / "features_report.txt"
     report_path.write_text(report_text, encoding="utf-8")
@@ -248,10 +276,10 @@ def _model_specs(config: dict, seed: int) -> tuple[ModelSpec, ...]:
     from .learn import ALGORITHMS, ModelSpec
 
     base = {s.algorithm: s for s in default_specs(seed)}
-    for algorithm, overrides in config.get("models", {}).items():
+    for algorithm, overrides in _section(config.get("models", {}), "models").items():
         if algorithm not in base:
             raise ValueError(f"unknown algorithm {algorithm!r} in config")
-        hyper = dict(overrides)
+        hyper = dict(_section(overrides, f"models.{algorithm}"))
         model_seed = hyper.pop("seed", base[algorithm].seed)
         base[algorithm] = ModelSpec(
             algorithm=algorithm, hyperparameters=hyper, seed=model_seed
@@ -279,7 +307,7 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
     split_spec = SplitSpec(
         train_fraction=float(_resolve(args, config, "train_fraction", 0.6)),
         seed=seed,
-        stratified=not args.no_stratify and config.get("stratified", True),
+        stratified=not args.no_stratify and _resolve(args, config, "stratified", True, bool),
     )
     report = benchmark(matrix, split_spec, specs=_model_specs(config, seed))
 
@@ -297,15 +325,7 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
 
 def _overlay_level(base, name: str, section):
     """Lay a config section over a default EngagementLevel, field by field."""
-    if not isinstance(section, dict):
-        raise ValueError(f"synth.{name} must be a JSON object")
-    valid = [f.name for f in fields(base)]
-    unknown = sorted(set(section) - set(valid))
-    if unknown:
-        raise ValueError(
-            f"unknown synth.{name} field(s) {', '.join(unknown)}; "
-            f"valid fields: {', '.join(valid)}"
-        )
+    _section(section, f"synth.{name}", [f.name for f in fields(base)])
     overrides = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
     try:
         return replace(base, **overrides)
@@ -316,27 +336,21 @@ def _overlay_level(base, name: str, section):
 def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
     from .corpus.synth import INFLUENCER_LEVEL, ORDINARY_LEVEL, SynthConfig, synthesize
 
-    section = config.get("synth", {})
+    section = _section(config.get("synth", {}), "synth", _SYNTH_KEYS)
     kwargs = {}
-    for key in (
-        "n_users",
-        "influencer_fraction",
-        "target_domain",
-        "off_domain_rate",
-        "blend_rate",
-        "non_english_rate",
-        "retweet_rate",
-        "n_periods",
-        "period_days",
-        "start",
-    ):
+    for key in _SYNTH_SCALARS:
         value = _resolve(args, section, key, None)
         if value is not None:
             kwargs[key] = value
     if args.domains:
         kwargs["domains"] = tuple(args.domains)
     elif "domains" in section:
-        kwargs["domains"] = tuple(section["domains"])
+        domains = section["domains"]
+        if not (isinstance(domains, list) and all(isinstance(d, str) for d in domains)):
+            raise ValueError(
+                f"config synth.domains must be a JSON list of domain names, got {domains!r}"
+            )
+        kwargs["domains"] = tuple(domains)
     for level, base in (("influencer", INFLUENCER_LEVEL), ("ordinary", ORDINARY_LEVEL)):
         if level in section:
             kwargs[level] = _overlay_level(base, level, section[level])
@@ -465,7 +479,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _load_config(args.config)
-        seed = int(_resolve(args, config, "seed", _GLOBAL_DEFAULTS["seed"]))
+        seed = _resolve(args, config, "seed", _GLOBAL_DEFAULTS["seed"], int)
         out_dir = Path(_resolve(args, config, "output_dir", _GLOBAL_DEFAULTS["output_dir"]))
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args, config, out_dir, seed=seed)

@@ -27,7 +27,7 @@ from .forest import RandomForest
 from .linear import LinearCoefficients
 from .naive_bayes import NaiveBayesModel
 from .neural import NeuralNet
-from .tree import DecisionTree, Node, RegressionTree
+from .tree import Node, Tree
 
 FORMAT_VERSION = 1
 
@@ -46,7 +46,7 @@ _PARAM_CLASSES = {
     "naive_bayes": NaiveBayesModel,
     "logistic": LinearCoefficients,
     "glm_elastic_net": LinearCoefficients,
-    "decision_tree": DecisionTree,
+    "decision_tree": Tree,
     "random_forest": RandomForest,
     "gradient_boosted_trees": GradientBoosting,
     "neural_net": NeuralNet,
@@ -160,7 +160,6 @@ __all__ = [
     "ALGORITHMS",
     "DEFAULT_HYPERPARAMETERS",
     "ConstantModel",
-    "DecisionTree",
     "GradientBoosting",
     "LinearCoefficients",
     "ModelSpec",
@@ -168,10 +167,10 @@ __all__ = [
     "NeuralNet",
     "Node",
     "RandomForest",
-    "RegressionTree",
     "Standardizer",
     "TrainedModel",
     "TrainingSummary",
+    "Tree",
     "decode_labels",
     "encode_labels",
     "independent_columns",

@@ -164,6 +164,17 @@ class TrainingSummary:
         )
 
 
+def sigmoid(eta: np.ndarray) -> np.ndarray:
+    """The logistic function, written with tanh so no exp overflows."""
+    return 0.5 * (1.0 + np.tanh(0.5 * eta))
+
+
+def binomial_nll(eta: np.ndarray, y: np.ndarray) -> float:
+    """Mean binomial negative log-likelihood of 0/1 labels y at log-odds eta:
+    the mean of log(1 + exp(eta)) - y * eta, computed stably."""
+    return float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+
+
 def encode_labels(labels) -> np.ndarray:
     """Influencer -> 1.0, NonInfluencer -> 0.0."""
     out = np.empty(len(labels))

@@ -14,25 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import TrainingSummary
-from .tree import RegressionTree, grow_regression
+from .base import TrainingSummary, binomial_nll, sigmoid
+from .tree import Node, Tree, _best_regression_split, _mean_leaf, grow
 
 _MAX_STEP = 1000.0
-
-
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * eta))
-
-
-def _logistic_loss(scores: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
 
 
 def _line_search(scores: np.ndarray, h: np.ndarray, y: np.ndarray) -> float:
     """Newton iterations on the 1-D convex problem min_rho loss(scores + rho*h)."""
     rho = 1.0
     for _ in range(12):
-        p = _sigmoid(scores + rho * h)
+        p = sigmoid(scores + rho * h)
         grad = float(np.mean(h * (p - y)))
         curv = float(np.mean(h * h * p * (1.0 - p)))
         if curv <= 1e-12:
@@ -43,9 +35,9 @@ def _line_search(scores: np.ndarray, h: np.ndarray, y: np.ndarray) -> float:
         if abs(step) < 1e-10:
             break
     # never accept a step that worsens the loss
-    base = _logistic_loss(scores, y)
+    base = binomial_nll(scores, y)
     for _ in range(30):
-        if _logistic_loss(scores + rho * h, y) <= base + 1e-12:
+        if binomial_nll(scores + rho * h, y) <= base + 1e-12:
             break
         rho /= 2.0
     else:
@@ -53,12 +45,20 @@ def _line_search(scores: np.ndarray, h: np.ndarray, y: np.ndarray) -> float:
     return rho
 
 
+def _scale_leaves(node: Node, factor: float) -> None:
+    if node.is_leaf:
+        node.value *= factor
+    else:
+        _scale_leaves(node.left, factor)
+        _scale_leaves(node.right, factor)
+
+
 @dataclass
 class GradientBoosting:
     """Base log-odds plus weighted regression trees; weights sum to 1."""
 
     base_score: float
-    members: list[RegressionTree]
+    members: list[Tree]
     weights: np.ndarray
     stage_losses: tuple[float, ...] = field(default=())
 
@@ -69,7 +69,7 @@ class GradientBoosting:
         return scores
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_scores(x))
+        return sigmoid(self.decision_scores(x))
 
     def to_dict(self) -> dict:
         return {
@@ -83,7 +83,7 @@ class GradientBoosting:
     def from_dict(cls, d: dict) -> "GradientBoosting":
         return cls(
             base_score=d["base_score"],
-            members=[RegressionTree.from_dict(m) for m in d["members"]],
+            members=[Tree.from_dict(m) for m in d["members"]],
             weights=np.array(d["weights"]),
             stage_losses=tuple(d["stage_losses"]),
         )
@@ -98,31 +98,30 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[GradientBoostin
     base_score = float(np.log(mean / (1.0 - mean)))
     scores = np.full(len(y), base_score)
 
-    trees: list[RegressionTree] = []
+    trees: list[Tree] = []
     multipliers: list[float] = []
-    losses = [_logistic_loss(scores, y)]
+    losses = [binomial_nll(scores, y)]
 
     for _ in range(n_trees):
-        residual = y - _sigmoid(scores)
-        tree = RegressionTree(grow_regression(x, residual, max_depth))
+        residual = y - sigmoid(scores)
+        tree = Tree(grow(x, residual, max_depth, _best_regression_split, _mean_leaf))
         h = tree.predict(x)
         rho = _line_search(scores, h, y)
         multiplier = learning_rate * rho
         scores = scores + multiplier * h
         trees.append(tree)
         multipliers.append(multiplier)
-        losses.append(_logistic_loss(scores, y))
+        losses.append(binomial_nll(scores, y))
 
     total = sum(multipliers)
     if total > 0:
         weights = np.array(multipliers) / total
-        for tree in trees:
-            tree.scale_leaves(total)
     else:
         # every stage degenerated; keep the base score and uniform weights
         weights = np.full(n_trees, 1.0 / n_trees) if n_trees else np.array([])
-        for tree in trees:
-            tree.scale_leaves(0.0)
+        total = 0.0
+    for tree in trees:
+        _scale_leaves(tree.root, total)
 
     model = GradientBoosting(
         base_score=base_score,

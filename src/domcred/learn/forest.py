@@ -13,17 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import TrainingSummary
-from .tree import DecisionTree, grow_classification
+from .tree import Tree, _best_classification_split, _class_leaf, grow
 
 
 @dataclass
 class RandomForest:
-    members: list[DecisionTree]
+    members: list[Tree]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         votes = np.zeros(x.shape[0])
         for member in self.members:
-            votes += member.votes(x)
+            votes += member.predict(x) >= 0.5  # a tied leaf votes positive
         return votes / len(self.members)
 
     def to_dict(self) -> dict:
@@ -31,7 +31,7 @@ class RandomForest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForest":
-        return cls(members=[DecisionTree.from_dict(m) for m in d["members"]])
+        return cls(members=[Tree.from_dict(m) for m in d["members"]])
 
 
 def _subsample_size(setting, n_features: int) -> int | None:
@@ -57,11 +57,11 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[RandomForest, T
             bx, by = x[idx], y[idx]
         else:
             bx, by = x, y
-        root = grow_classification(
-            bx, by, max_depth=max_depth, minimal_gain=minimal_gain,
-            rng=rng, n_feature_subsample=k,
+        root = grow(
+            bx, by, max_depth, _best_classification_split, _class_leaf,
+            minimal_gain=minimal_gain, rng=rng, n_feature_subsample=k,
         )
-        members.append(DecisionTree(root=root, max_depth=max_depth))
+        members.append(Tree(root))
 
     forest = RandomForest(members=members)
     train_error = float(np.mean((forest.predict_proba(x) >= 0.5) != (y == 1.0)))

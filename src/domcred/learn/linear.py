@@ -20,19 +20,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .base import Standardizer, TrainingSummary, independent_columns
+from .base import Standardizer, TrainingSummary, binomial_nll, independent_columns, sigmoid
 
 COEFFICIENT_CAP = 30.0  # on the standardized scale; hit on separable data
 _WEIGHT_FLOOR = 1e-10
-
-
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * eta))
-
-
-def _binomial_nll(eta: np.ndarray, y: np.ndarray) -> float:
-    # mean of log(1 + exp(eta)) - y*eta, computed stably
-    return float(np.mean(np.logaddexp(0.0, eta) - y * eta))
 
 
 @dataclass(frozen=True)
@@ -58,7 +49,7 @@ class LinearCoefficients:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         eta = self.linear_predictor(x)
         if self.family == "binomial":
-            return _sigmoid(eta)
+            return sigmoid(eta)
         return np.clip(eta, 0.0, 1.0)
 
     def to_dict(self) -> dict:
@@ -151,19 +142,19 @@ def _irls(
     """
     n, k = design.shape
     b = np.zeros(k)
-    nll = _binomial_nll(design @ b, y)
+    nll = binomial_nll(design @ b, y)
     converged = False
     iterations = 0
     hessian = np.eye(k)
 
     for iterations in range(1, max_iter + 1):
         eta = design @ b
-        p = _sigmoid(eta)
+        p = sigmoid(eta)
         w = np.maximum(p * (1.0 - p), _WEIGHT_FLOOR)
         grad = design.T @ (y - p) / n
         hessian = (design.T * w) @ design / n
         candidate, new_nll = _halving_step(
-            b, _solve(hessian, grad), nll, lambda c: _binomial_nll(design @ c, y), cap
+            b, _solve(hessian, grad), nll, lambda c: binomial_nll(design @ c, y), cap
         )
         shift = float(np.max(np.abs(candidate - b), initial=0.0))
         b, nll = candidate, new_nll
@@ -303,7 +294,7 @@ def _penalized(
     def objective(b: np.ndarray) -> float:
         eta = design @ b
         if family == "binomial":
-            loss = _binomial_nll(eta, y)
+            loss = binomial_nll(eta, y)
         else:
             loss = 0.5 * float(np.mean((y - eta) ** 2))
         return loss + _penalty(b[1:], lam, alpha)
@@ -315,7 +306,7 @@ def _penalized(
     for iterations in range(1, max_iter + 1):
         if family == "binomial":
             eta = design @ b
-            p = _sigmoid(eta)
+            p = sigmoid(eta)
             w = np.maximum(p * (1.0 - p), _WEIGHT_FLOOR)
             target = eta + (y - p) / w
         else:

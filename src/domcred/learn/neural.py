@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Standardizer, TrainingSummary
+from .base import Standardizer, TrainingSummary, sigmoid
 
 ACTIVATIONS = ("rectifier", "tanh", "maxout")
-
-
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * eta))
 
 
 class NeuralNet:
@@ -78,7 +74,7 @@ class NeuralNet:
             a = h
         out = (a @ self.weights[-1].T + self.biases[-1]).ravel()
         caches.append(a)
-        return _sigmoid(out), caches
+        return sigmoid(out), caches
 
     def _penalty(self) -> float:
         total = 0.0

@@ -1,6 +1,10 @@
 """Binary decision trees: gain-ratio classification with pessimistic pruning,
 plus variance-reduction regression trees for the boosting stages.
 
+One grower builds both kinds; the caller passes the split scorer and the
+leaf builder.  One fitted-tree class predicts for both: every row descends
+together, one mask per node, and a row equal to a threshold goes left.
+
 Split search is the sorted-prefix method of C4.5 and CART: each candidate
 feature column is sorted once, and one cumulative sum gives the left and
 right class counts (or target sums) at all n - 1 cuts, scored with
@@ -43,12 +47,6 @@ class Node:
         if self.is_leaf:
             return 0
         return 1 + max(self.left.depth(), self.right.depth())
-
-    def leaf_for(self, row: np.ndarray) -> "Node":
-        node = self
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
 
     def to_dict(self) -> dict:
         d = {"n": self.n, "value": self.value}
@@ -143,18 +141,25 @@ def _class_leaf(y: np.ndarray) -> Node:
     return Node(n=total, value=pos / total if total else 0.5, counts=(neg, pos))
 
 
-def grow_classification(
+def grow(
     x: np.ndarray,
     y: np.ndarray,
     max_depth: int,
-    minimal_gain: float,
+    split,
+    leaf,
+    minimal_gain: float = 0.0,
     rng: np.random.Generator | None = None,
     n_feature_subsample: int | None = None,
 ) -> Node:
-    """Recursive gain-ratio splitting; the forest passes an rng to subsample
-    candidate features independently at every split."""
+    """Recursive splitting, left subtree first.
+
+    ``split(x, y, features)`` returns the best (score, feature, threshold) or
+    None, and ``leaf(y)`` builds the node that summarizes rows y.  A split
+    scoring below minimal_gain is refused.  The forest passes an rng to
+    subsample candidate features independently at every split.
+    """
     if len(y) < 2 or max_depth == 0 or np.all(y == y[0]):
-        return _class_leaf(y)
+        return leaf(y)
 
     if rng is not None and n_feature_subsample is not None:
         features = np.sort(
@@ -163,21 +168,18 @@ def grow_classification(
     else:
         features = range(x.shape[1])
 
-    best = _best_classification_split(x, y, features)
+    best = split(x, y, features)
     if best is None or best[0] < minimal_gain:
-        return _class_leaf(y)
+        return leaf(y)
 
     _, feature, threshold = best
     mask = x[:, feature] <= threshold
-    node = _class_leaf(y)
+    node = leaf(y)
     node.feature = int(feature)
     node.threshold = float(threshold)
-    node.left = grow_classification(
-        x[mask], y[mask], max_depth - 1, minimal_gain, rng, n_feature_subsample
-    )
-    node.right = grow_classification(
-        x[~mask], y[~mask], max_depth - 1, minimal_gain, rng, n_feature_subsample
-    )
+    args = (max_depth - 1, split, leaf, minimal_gain, rng, n_feature_subsample)
+    node.left = grow(x[mask], y[mask], *args)
+    node.right = grow(x[~mask], y[~mask], *args)
     return node
 
 
@@ -213,18 +215,27 @@ def prune_pessimistic(node: Node, confidence: float) -> Node:
 
 
 @dataclass
-class DecisionTree:
-    """A fitted classification tree; probability is the leaf's positive share."""
+class Tree:
+    """A fitted tree.  A leaf's value is the positive share of its training
+    rows (classification) or their mean target (regression)."""
 
     root: Node
-    max_depth: int
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.root.leaf_for(row).value for row in x])
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The value of the leaf each row reaches."""
+        out = np.empty(x.shape[0])
+        stack = [(self.root, np.arange(x.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out[rows] = node.value
+            elif len(rows):
+                go_left = x[rows, node.feature] <= node.threshold
+                stack.append((node.right, rows[~go_left]))
+                stack.append((node.left, rows[go_left]))
+        return out
 
-    def votes(self, x: np.ndarray) -> np.ndarray:
-        """Majority class per row; a tied leaf votes positive."""
-        return (self.predict_proba(x) >= 0.5).astype(float)
+    predict_proba = predict
 
     def n_leaves(self) -> int:
         def count(nd: Node) -> int:
@@ -233,28 +244,31 @@ class DecisionTree:
         return count(self.root)
 
     def to_dict(self) -> dict:
-        return {"root": self.root.to_dict(), "max_depth": self.max_depth}
+        return {"root": self.root.to_dict()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        return cls(root=Node.from_dict(d["root"]), max_depth=d["max_depth"])
+    def from_dict(cls, d: dict) -> "Tree":
+        # decision-tree dicts also carry max_depth, which prediction never needed
+        return cls(root=Node.from_dict(d["root"]))
 
 
-def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[DecisionTree, TrainingSummary]:
-    root = grow_classification(
-        x, y, max_depth=int(hyper["max_depth"]), minimal_gain=float(hyper["minimal_gain"])
+def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[Tree, TrainingSummary]:
+    root = grow(
+        x, y, int(hyper["max_depth"]), _best_classification_split, _class_leaf,
+        minimal_gain=float(hyper["minimal_gain"]),
     )
     if hyper["confidence"] is not None:
         root = prune_pessimistic(root, float(hyper["confidence"]))
-    tree = DecisionTree(root=root, max_depth=int(hyper["max_depth"]))
-    train_error = float(np.mean(tree.votes(x) != y))
+    tree = Tree(root)
+    train_error = float(np.mean((tree.predict(x) >= 0.5) != y))
     return tree, TrainingSummary(iterations=1, converged=True, final_loss=train_error)
 
 
-def _best_regression_split(x: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
+def _best_regression_split(
+    x: np.ndarray, y: np.ndarray, features
+) -> tuple[float, int, float] | None:
     """Highest sum-of-squares reduction over midpoint candidates."""
     n = len(y)
-    features = range(x.shape[1])
     if n < 2 or len(features) == 0:
         return None
     total_sum = float(y.sum())
@@ -276,42 +290,5 @@ def _best_regression_split(x: np.ndarray, y: np.ndarray) -> tuple[float, int, fl
     return _first_best(reduction, xv, features)
 
 
-def grow_regression(x: np.ndarray, y: np.ndarray, max_depth: int) -> Node:
-    if len(y) < 2 or max_depth == 0 or np.all(y == y[0]):
-        return Node(n=len(y), value=float(y.mean()) if len(y) else 0.0)
-    best = _best_regression_split(x, y)
-    if best is None:
-        return Node(n=len(y), value=float(y.mean()))
-    _, feature, threshold = best
-    mask = x[:, feature] <= threshold
-    node = Node(n=len(y), value=float(y.mean()), feature=int(feature), threshold=float(threshold))
-    node.left = grow_regression(x[mask], y[mask], max_depth - 1)
-    node.right = grow_regression(x[~mask], y[~mask], max_depth - 1)
-    return node
-
-
-class RegressionTree:
-    """A fitted regression tree used as one boosting stage."""
-
-    def __init__(self, root: Node):
-        self.root = root
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.root.leaf_for(row).value for row in x])
-
-    def scale_leaves(self, factor: float) -> None:
-        def walk(nd: Node) -> None:
-            if nd.is_leaf:
-                nd.value *= factor
-            else:
-                walk(nd.left)
-                walk(nd.right)
-
-        walk(self.root)
-
-    def to_dict(self) -> dict:
-        return {"root": self.root.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(root=Node.from_dict(d["root"]))
+def _mean_leaf(y: np.ndarray) -> Node:
+    return Node(n=len(y), value=float(y.mean()) if len(y) else 0.0)

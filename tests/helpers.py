@@ -492,3 +492,17 @@ def brute_regression_split(x, y, eps_gain=1e-12):
             if best is None or reduction > best[0]:
                 best = (reduction, j, (xv[i] + xv[i + 1]) / 2.0)
     return best
+
+
+def walk_tree(root, x):
+    """Each row's leaf value, one row and one node at a time: the per-row
+    descent that the vectorised ``Tree.predict`` replaced."""
+    import numpy as np
+
+    values = []
+    for row in x:
+        node = root
+        while node.feature is not None:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        values.append(node.value)
+    return np.array(values, dtype=float)

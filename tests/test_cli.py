@@ -194,6 +194,18 @@ class TestSynth:
         assert main(["synth", "--config", str(config), "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: n_users must be an integer")
 
+    def test_unknown_synth_key_fails_naming_valid_keys(self, tmp_path, capsys):
+        assert self._synth_with(tmp_path, {"n_user": 30}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config synth key(s) n_user;")
+        assert "valid keys: n_users, " in err and "ordinary" in err
+        assert not (tmp_path / "out/synth_archive.jsonl").exists()
+
+    def test_string_domains_fail_asking_for_a_list(self, tmp_path, capsys):
+        assert self._synth_with(tmp_path, {"domains": TECH}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config synth.domains must be a JSON list of domain names")
+
 
 class TestIngest:
     def test_report_counts(self, pipeline):
@@ -270,6 +282,19 @@ class TestAnnotate:
         report = json.loads((tmp_path / "annotate_report.json").read_text())
         assert report["n_tweets"] > 0
         assert report["n_annotatable"] > 0
+
+    def test_unknown_annotator_key_fails_naming_valid_keys(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"annotator": {"min_hit": 5}}))
+        rc = main(
+            ["annotate", str(pipeline["dataset"]), "--config", str(config),
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config annotator key(s) min_hit;")
+        assert "min_hits" in err
+        assert not (tmp_path / "annotations.jsonl").exists()
 
     def test_remote_without_url_fails(self, pipeline, tmp_path, capsys):
         rc = main(
@@ -528,6 +553,41 @@ class TestBenchmark:
         )
         assert rc == 1
         assert "unknown algorithm" in capsys.readouterr().err
+
+
+class TestConfigShapes:
+    """A config value of the wrong JSON shape or type exits 1 naming its key."""
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("synth", {"synth": []}, "synth"),
+            ("annotate", {"annotator": "lexicon"}, "annotator"),
+            ("benchmark", {"models": []}, "models"),
+            ("benchmark", {"models": {"random_forest": [["n_trees", 3]]}}, "models.random_forest"),
+            ("benchmark", {"stratified": "false"}, "stratified"),
+            ("synth", {"seed": True}, "seed"),
+            ("features", {"n_periods": 2.7}, "n_periods"),
+            ("features", {"top_k": "3"}, "top_k"),
+        ],
+    )
+    def test_wrong_shape_fails_naming_the_key(
+        self, pipeline, tmp_path, capsys, command, payload, key
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        inputs = {
+            "synth": ["--n-users", "20"],
+            "annotate": [str(pipeline["dataset"])],
+            "features": [str(pipeline["dataset"]), "--domain", TECH],
+            "benchmark": [str(pipeline["matrix"])],
+        }[command]
+        out = tmp_path / "out"
+        rc = main([command, *inputs, "--config", str(config), "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {key} must be ")
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestVerify:

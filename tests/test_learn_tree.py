@@ -1,4 +1,6 @@
-"""Decision tree growth, gain-ratio selection, and pessimistic pruning."""
+"""Decision tree growth, gain-ratio selection, pruning, and prediction."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,16 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from domcred.learn import ModelSpec, train_xy
+from domcred.learn import ModelSpec, load_model, save_model, train_xy
 from domcred.learn.tree import (
     Node,
+    Tree,
     _best_classification_split,
     _best_regression_split,
-    grow_regression,
+    _class_leaf,
+    _mean_leaf,
+    grow,
     prune_pessimistic,
 )
 
-from helpers import brute_classification_split, brute_regression_split
+from helpers import brute_classification_split, brute_regression_split, walk_tree
 
 # asymmetric corner counts give the root split positive gain, unlike the
 # perfectly symmetric version whose every axis split has gain zero
@@ -215,7 +220,7 @@ class TestRegressionTree:
     def test_step_function_recovered(self):
         x = np.arange(1.0, 9.0).reshape(-1, 1)
         y = np.array([1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0])
-        root = grow_regression(x, y, max_depth=4)
+        root = grow(x, y, 4, _best_regression_split, _mean_leaf)
         assert root.feature == 0
         assert root.threshold == 4.5
         assert root.left.is_leaf and root.left.value == 1.0
@@ -223,14 +228,14 @@ class TestRegressionTree:
 
     def test_constant_target_is_leaf(self):
         x = np.arange(5.0).reshape(-1, 1)
-        root = grow_regression(x, np.full(5, 2.5), max_depth=3)
+        root = grow(x, np.full(5, 2.5), 3, _best_regression_split, _mean_leaf)
         assert root.is_leaf
         assert root.value == 2.5
 
     def test_depth_zero_returns_mean_leaf(self):
         x = np.arange(4.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        root = grow_regression(x, y, max_depth=0)
+        root = grow(x, y, 0, _best_regression_split, _mean_leaf)
         assert root.is_leaf
         assert root.value == 1.5
 
@@ -238,10 +243,8 @@ class TestRegressionTree:
         rng = np.random.default_rng(24)
         x = rng.uniform(size=(50, 2))
         y = np.where(x[:, 0] > 0.5, 2.0, -1.0) + 0.1 * rng.normal(size=50)
-        root = grow_regression(x, y, max_depth=3)
-        from domcred.learn.tree import RegressionTree
-
-        fitted = RegressionTree(root)
+        root = grow(x, y, 3, _best_regression_split, _mean_leaf)
+        fitted = Tree(root)
         sse_tree = float(np.sum((fitted.predict(x) - y) ** 2))
         sse_mean = float(np.sum((y - y.mean()) ** 2))
         assert sse_tree < 0.2 * sse_mean
@@ -297,8 +300,108 @@ class TestSplitSearchOracle:
     def test_regression_split_matches_loop(self, problem, targets):
         x, _, _ = problem
         y = targets[: len(x)]
-        assert _best_regression_split(x, y) == brute_regression_split(x, y)
+        assert _best_regression_split(x, y, range(x.shape[1])) == brute_regression_split(x, y)
 
     def test_tie_keeps_the_earliest_feature(self):
         ratio, feature, threshold = _best_classification_split(_TIE_X, _TIE_Y, range(3))
         assert (feature, threshold) == (1, 2.5)
+
+
+def _thresholds(node: Node) -> list[tuple[int, float]]:
+    if node.is_leaf:
+        return []
+    return [(node.feature, node.threshold), *_thresholds(node.left), *_thresholds(node.right)]
+
+
+def _query_rows(x: np.ndarray, root: Node) -> np.ndarray:
+    """The training rows, then copies of them with one column set exactly to
+    each node's threshold."""
+    rows = [x]
+    for feature, threshold in _thresholds(root):
+        on = x.copy()
+        on[:, feature] = threshold
+        rows.append(on)
+    return np.vstack(rows)
+
+
+class TestVectorisedPredict:
+    """Tree.predict routes every row down at once; the per-row walk is the oracle."""
+
+    @given(
+        split_problems(),
+        arrays(np.float64, 12, elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_walk(self, problem, targets, max_depth):
+        x, y, _ = problem
+        roots = [
+            grow(x, y, max_depth, _best_classification_split, _class_leaf),
+            grow(x, targets[: len(x)], max_depth, _best_regression_split, _mean_leaf),
+        ]
+        for root in roots:
+            for rows in (_query_rows(x, root), x[:0]):
+                got = Tree(root).predict(rows)
+                want = walk_tree(root, rows)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_single_leaf_root(self):
+        tree = Tree(Node(n=3, value=0.25))
+        x = np.arange(6.0).reshape(3, 2)
+        assert tree.predict(x).tolist() == [0.25, 0.25, 0.25]
+        assert tree.predict(x[:0]).shape == (0,)
+
+
+def _split_dict(n, value, counts, feature, threshold, left, right):
+    return {"n": n, "value": value, "counts": counts, "feature": feature,
+            "threshold": threshold, "left": left, "right": right}
+
+
+# a depth-2 decision tree saved by the format that also stored max_depth in
+# the parameters; PREDICTED is what that format's loader returned for QUERY
+MAX_DEPTH_FORMAT_MODEL = {
+    "format_version": 1,
+    "algorithm": "decision_tree",
+    "hyperparameters": {
+        "criterion": "gain_ratio", "max_depth": 2, "confidence": None, "minimal_gain": 0.0,
+    },
+    "seed": 0,
+    "summary": {"iterations": 1, "converged": True, "final_loss": 0.2, "warnings": []},
+    "n_features": 2,
+    "params_kind": "decision_tree",
+    "parameters": {
+        "root": _split_dict(
+            10, 0.5, [5, 5], 0, 0.35,
+            _split_dict(
+                5, 0.2, [4, 1], 1, 0.5,
+                {"n": 3, "value": 0.0, "counts": [3, 0]},
+                {"n": 2, "value": 0.5, "counts": [1, 1]},
+            ),
+            _split_dict(
+                5, 0.8, [1, 4], 1, 0.5,
+                {"n": 3, "value": 1.0, "counts": [0, 3]},
+                {"n": 2, "value": 0.5, "counts": [1, 1]},
+            ),
+        ),
+        "max_depth": 2,
+    },
+}
+QUERY = [[0, 0], [1, 1], [0.5, 0.5], [0.25, 2.5], [9, -9], [0.35, 0.5], [0.35, 0.6], [0.36, 0.5]]
+PREDICTED = [0.0, 0.5, 1.0, 0.5, 1.0, 0.0, 0.5, 1.0]
+
+
+class TestSavedModels:
+    def test_decision_tree_saved_with_max_depth_predicts_as_before(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(MAX_DEPTH_FORMAT_MODEL))
+        model = load_model(path)
+        assert isinstance(model.params, Tree)
+        assert model.predict_proba(QUERY).tolist() == PREDICTED
+        assert model.classify(QUERY)[:2] == ["NonInfluencer", "Influencer"]
+
+        # saved again, the parameters are the root alone and predict the same
+        save_model(model, tmp_path / "again.json")
+        again = json.loads((tmp_path / "again.json").read_text())["parameters"]
+        assert again == {"root": MAX_DEPTH_FORMAT_MODEL["parameters"]["root"]}
+        assert load_model(tmp_path / "again.json").predict_proba(QUERY).tolist() == PREDICTED
