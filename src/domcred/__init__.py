@@ -51,13 +51,11 @@ _EXPORTS = {
         "evaluate": (
             "BenchmarkReport",
             "ConfusionTable",
-            "CorrelationWeights",
             "MetricsReport",
             "RocCurve",
             "SplitSpec",
             "benchmark",
             "confusion",
-            "correlation_weights",
             "metrics",
             "roc",
             "split",
@@ -81,8 +79,6 @@ _EXPORTS = {
             "ModelSpec",
             "TrainedModel",
             "TrainingSummary",
-            "load_model",
-            "save_model",
             "train",
         ),
         "lexicon": (

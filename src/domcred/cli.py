@@ -45,7 +45,12 @@ _SYNTH_SCALARS = (
     "non_english_rate", "retweet_rate", "n_periods", "period_days", "start",
 )
 _SYNTH_KEYS = _SYNTH_SCALARS + ("domains", "influencer", "ordinary")
-_JSON_TYPE_NAMES = {int: "an integer", bool: "true or false"}
+# the JSON values each kind takes: true is not an integer, an integer is a number
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -64,17 +69,25 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
+def _typed(name: str, value, kind: type):
+    """value, when it is a JSON value of the kind; else an error naming the key."""
+    types, description = _JSON_TYPES[kind]
+    if type(value) not in types:
+        raise ValueError(f"config {name} must be {description}, got {value!r}")
+    return value
+
+
 def _resolve(args, config: dict, key: str, default, kind: type | None = None):
     """Command line wins, then the config file, then the built-in default.
 
-    With a kind, a config value must be a JSON value of exactly that type:
+    With a kind, a config value must be a JSON value of that kind:
     ``true`` is not an integer and ``"false"`` is not a boolean.
     """
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if kind is not None and key in config and type(config[key]) is not kind:
-        raise ValueError(f"config {key} must be {_JSON_TYPE_NAMES[kind]}, got {config[key]!r}")
+    if kind is not None and key in config:
+        return _typed(key, config[key], kind)
     return config.get(key, default)
 
 
@@ -115,7 +128,7 @@ def _build_annotator(args, config: dict):
     return LexiconAnnotator(
         domain_lexicon=load_domain_lexicon(domain_path) if domain_path else None,
         sentiment_lexicon=load_sentiment_lexicon(sentiment_path) if sentiment_path else None,
-        gain=float(_resolve(args, section, "gain", 1.0)),
+        gain=float(_resolve(args, section, "gain", 1.0, float)),
         min_hits=_resolve(args, section, "min_hits", 2, int),
     )
 
@@ -280,10 +293,16 @@ def _model_specs(config: dict, seed: int) -> tuple[ModelSpec, ...]:
         if algorithm not in base:
             raise ValueError(f"unknown algorithm {algorithm!r} in config")
         hyper = dict(_section(overrides, f"models.{algorithm}"))
-        model_seed = hyper.pop("seed", base[algorithm].seed)
-        base[algorithm] = ModelSpec(
-            algorithm=algorithm, hyperparameters=hyper, seed=model_seed
+        model_seed = _typed(
+            f"models.{algorithm}.seed", hyper.pop("seed", base[algorithm].seed), int
         )
+        try:
+            base[algorithm] = ModelSpec(
+                algorithm=algorithm, hyperparameters=hyper, seed=model_seed
+            )
+        except ValueError as exc:
+            # ModelSpec names the key as algorithm.key
+            raise ValueError(f"config models.{exc}") from exc
     return tuple(base[a] for a in ALGORITHMS)
 
 
@@ -305,7 +324,7 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
             )
         matrix = replace(matrix, labels=tuple(labels.labels[u] for u in matrix.user_ids))
     split_spec = SplitSpec(
-        train_fraction=float(_resolve(args, config, "train_fraction", 0.6)),
+        train_fraction=float(_resolve(args, config, "train_fraction", 0.6, float)),
         seed=seed,
         stratified=not args.no_stratify and _resolve(args, config, "stratified", True, bool),
     )

@@ -10,16 +10,15 @@ are exposed separately for a sidecar file.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus.types import INFLUENCER, LABELS
-from .features import FEATURE_COLUMNS, FeatureMatrix
+from .features import FeatureMatrix
 from .learn import ALGORITHMS, ModelSpec, TrainingSummary, train
-from .learn.base import decode_labels, encode_labels
+from .learn.base import decode_labels
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,6 @@ class ConfusionTable:
 
     def to_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConfusionTable":
-        return cls(tp=d["tp"], fp=d["fp"], fn=d["fn"], tn=d["tn"])
 
 
 def confusion(predictions, labels) -> ConfusionTable:
@@ -289,45 +284,6 @@ def roc(scores, labels) -> RocCurve:
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
     return RocCurve(points=tuple(points), auc=min(1.0, max(0.0, auc)))
-
-
-@dataclass(frozen=True)
-class CorrelationWeights:
-    """|Pearson r| of each feature against the 0/1 label, sorted descending."""
-
-    weights: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        for name, value in self.weights:
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"weight for {name} out of [0, 1]")
-
-    def as_dict(self) -> dict:
-        return dict(self.weights)
-
-    def to_dict(self) -> dict:
-        return {"weights": [[name, value] for name, value in self.weights]}
-
-
-def correlation_weights(matrix: FeatureMatrix) -> CorrelationWeights:
-    if matrix.labels is None:
-        raise ValueError("matrix has no labels")
-    if matrix.n_rows < 2:
-        raise ValueError("need at least 2 rows")
-    y = encode_labels(matrix.labels)
-    yc = y - y.mean()
-    y_ss = float(yc @ yc)
-    pairs = []
-    for j, name in enumerate(FEATURE_COLUMNS):
-        xc = matrix.x[:, j] - matrix.x[:, j].mean()
-        denom = math.sqrt(float(xc @ xc) * y_ss)
-        if denom == 0.0:
-            value = 0.0
-        else:
-            value = min(1.0, abs(float(xc @ yc) / denom))
-        pairs.append((name, value))
-    pairs.sort(key=lambda kv: (-kv[1], kv[0]))
-    return CorrelationWeights(weights=tuple(pairs))
 
 
 @dataclass(frozen=True)

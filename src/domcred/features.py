@@ -102,20 +102,14 @@ class UserDomainFeatures:
 
 @dataclass(frozen=True)
 class UserGlobalFeatures:
-    """Domain-independent features: profile counts, account age, totals."""
+    """Domain-independent features: profile counts and engagement totals."""
 
     user_id: str
     followers_count: int
     friends_count: int
-    age_years: float
-    ff_r: float
     retweet_total: int = 0
     favorite_total: int = 0
     replies_total: int = 0
-
-    def __post_init__(self):
-        if self.age_years <= 0:
-            raise ValueError("age_years must be > 0")
 
 
 def profile_age_years(profile: UserProfile, capture_at: datetime) -> float:
@@ -224,8 +218,6 @@ def compute_global_features(
     """Profile features plus in-selection engagement totals, per active user.
 
     A user is active when they have at least one tweet in the selection.
-    The followers-friends ratio uses the dataset capture timestamp and does
-    not vary by period.
     """
     totals: dict[str, list[int]] = {}
     for tweet in dataset.tweets:
@@ -245,8 +237,6 @@ def compute_global_features(
             user_id=user.user_id,
             followers_count=user.followers_count,
             friends_count=user.friends_count,
-            age_years=profile_age_years(user, dataset.capture_at),
-            ff_r=compute_ffr(user, dataset.capture_at),
             retweet_total=rt,
             favorite_total=fav,
             replies_total=rep,

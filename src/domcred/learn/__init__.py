@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +27,6 @@ from .naive_bayes import NaiveBayesModel
 from .neural import NeuralNet
 from .tree import Node, Tree
 
-FORMAT_VERSION = 1
-
 _FITTERS = {
     "naive_bayes": naive_bayes.fit,
     "logistic": linear_mod.fit_logistic,
@@ -39,17 +35,6 @@ _FITTERS = {
     "random_forest": forest.fit,
     "gradient_boosted_trees": boosting.fit,
     "neural_net": neural.fit,
-}
-
-_PARAM_CLASSES = {
-    "constant": ConstantModel,
-    "naive_bayes": NaiveBayesModel,
-    "logistic": LinearCoefficients,
-    "glm_elastic_net": LinearCoefficients,
-    "decision_tree": Tree,
-    "random_forest": RandomForest,
-    "gradient_boosted_trees": GradientBoosting,
-    "neural_net": NeuralNet,
 }
 
 _WARN_ON_CONSTANT = ("logistic", "glm_elastic_net", "neural_net")
@@ -118,44 +103,6 @@ def train(spec: ModelSpec, matrix: FeatureMatrix) -> TrainedModel:
     return train_xy(spec, matrix.x, encode_labels(matrix.labels))
 
 
-def save_model(model: TrainedModel, path: str | Path) -> None:
-    params_kind = (
-        "constant" if isinstance(model.params, ConstantModel) else model.spec.algorithm
-    )
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "algorithm": model.spec.algorithm,
-        "hyperparameters": {
-            k: list(v) if isinstance(v, tuple) else v
-            for k, v in model.spec.hyperparameters.items()
-        },
-        "seed": model.spec.seed,
-        "summary": model.summary.to_dict(),
-        "n_features": model.n_features,
-        "params_kind": params_kind,
-        "parameters": model.params.to_dict(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> TrainedModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {payload.get('format_version')!r}")
-    spec = ModelSpec(
-        algorithm=payload["algorithm"],
-        hyperparameters=payload["hyperparameters"],
-        seed=payload["seed"],
-    )
-    params = _PARAM_CLASSES[payload["params_kind"]].from_dict(payload["parameters"])
-    return TrainedModel(
-        spec=spec,
-        params=params,
-        summary=TrainingSummary.from_dict(payload["summary"]),
-        n_features=payload["n_features"],
-    )
-
-
 __all__ = [
     "ALGORITHMS",
     "DEFAULT_HYPERPARAMETERS",
@@ -174,8 +121,6 @@ __all__ = [
     "decode_labels",
     "encode_labels",
     "independent_columns",
-    "load_model",
-    "save_model",
     "train",
     "train_xy",
 ]

@@ -1,9 +1,8 @@
 """Shared model contract: specs, training summaries, helpers, label codec.
 
-Each algorithm module provides a parameter class with
-``fit(x, y, hyper, seed) -> params``, ``predict_proba(x) -> probs``, and
-``to_dict``/``from_dict`` for serialization.  The top-level train() in
-__init__ wraps them in a TrainedModel.
+Each algorithm module provides ``fit(x, y, hyper, seed) -> (params, summary)``,
+where the parameter class has ``predict_proba(x) -> probs``.  The top-level
+train() in __init__ wraps them in a TrainedModel.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
     "logistic": {
         "max_iter": 100,
         "tol": 1e-8,
-        "compute_p_values": True,
         "remove_collinear": True,
         "intercept": True,
         "coefficient_cap": 30.0,
@@ -78,7 +76,18 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
 }
 
 
+# the types a bool, int or float hyperparameter takes, by the type of its
+# default: true is not an integer, and an integer is a number.  confidence
+# also takes None, and hidden and feature_subsample have their own rules below.
+_VALUE_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+}
+
+
 def _validate_hyper(algorithm: str, hyper: dict) -> None:
+    defaults = DEFAULT_HYPERPARAMETERS[algorithm]
     positive = {
         "max_iter", "tol", "coefficient_cap", "max_depth", "n_trees",
         "learning_rate", "rho", "epsilon", "batch_size",
@@ -86,12 +95,15 @@ def _validate_hyper(algorithm: str, hyper: dict) -> None:
     # epochs = 0 is legal: it leaves the seeded initial weights untouched
     non_negative = {"lambda", "l1", "l2", "minimal_gain", "epochs"}
     for key, value in hyper.items():
+        accepted = _VALUE_TYPES.get(type(defaults[key]))
+        if accepted and key != "confidence" and type(value) not in accepted[0]:
+            raise ValueError(f"{algorithm}.{key} must be {accepted[1]}, got {value!r}")
         if key in positive and not value > 0:
-            raise ValueError(f"{algorithm}: {key} must be > 0, got {value!r}")
+            raise ValueError(f"{algorithm}.{key} must be > 0, got {value!r}")
         if key in non_negative and not value >= 0:
-            raise ValueError(f"{algorithm}: {key} must be >= 0, got {value!r}")
+            raise ValueError(f"{algorithm}.{key} must be >= 0, got {value!r}")
     if "alpha" in hyper and not 0.0 <= hyper["alpha"] <= 1.0:
-        raise ValueError(f"{algorithm}: alpha must be in [0, 1]")
+        raise ValueError(f"{algorithm}.alpha must be in [0, 1]")
     if "family" in hyper and hyper["family"] not in ("binomial", "gaussian"):
         raise ValueError(f"{algorithm}: unknown family {hyper['family']!r}")
     if "criterion" in hyper and hyper["criterion"] != "gain_ratio":
@@ -101,16 +113,23 @@ def _validate_hyper(algorithm: str, hyper: dict) -> None:
     if "loss" in hyper and algorithm == "neural_net" and hyper["loss"] != "quadratic":
         raise ValueError(f"{algorithm}: unknown loss {hyper['loss']!r}")
     if "confidence" in hyper and hyper["confidence"] is not None:
-        if not 0.0 < hyper["confidence"] < 0.5:
-            raise ValueError(f"{algorithm}: confidence must be in (0, 0.5) or None")
+        c = hyper["confidence"]
+        if not (type(c) in (int, float) and 0.0 < c < 0.5):
+            raise ValueError(f"{algorithm}.confidence must be in (0, 0.5) or None, got {c!r}")
     if "feature_subsample" in hyper:
         fs = hyper["feature_subsample"]
-        if not (fs is None or fs == "sqrt" or (isinstance(fs, int) and fs >= 1)):
-            raise ValueError(f"{algorithm}: feature_subsample must be 'sqrt', int >= 1, or None")
+        if not (fs is None or fs == "sqrt" or (type(fs) is int and fs >= 1)):
+            raise ValueError(
+                f"{algorithm}.feature_subsample must be 'sqrt', int >= 1, or None, got {fs!r}"
+            )
     if "hidden" in hyper:
-        hidden = tuple(hyper["hidden"])
-        if not hidden or any(not (isinstance(h, int) and h >= 1) for h in hidden):
-            raise ValueError(f"{algorithm}: hidden must be a nonempty tuple of ints >= 1")
+        hidden = hyper["hidden"]
+        if not isinstance(hidden, tuple) or not hidden or any(
+            type(h) is not int or h < 1 for h in hidden
+        ):
+            raise ValueError(
+                f"{algorithm}.hidden must be a nonempty tuple of ints >= 1, got {hidden!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -129,7 +148,7 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"{self.algorithm}: unknown hyperparameters {unknown}")
         merged = {**defaults, **dict(self.hyperparameters)}
-        if "hidden" in merged:
+        if isinstance(merged.get("hidden"), list):
             merged["hidden"] = tuple(merged["hidden"])
         _validate_hyper(self.algorithm, merged)
         object.__setattr__(self, "hyperparameters", MappingProxyType(merged))
@@ -153,15 +172,6 @@ class TrainingSummary:
             "final_loss": self.final_loss,
             "warnings": list(self.warnings),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingSummary":
-        return cls(
-            iterations=d["iterations"],
-            converged=d["converged"],
-            final_loss=d["final_loss"],
-            warnings=tuple(d["warnings"]),
-        )
 
 
 def sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -210,13 +220,6 @@ class Standardizer:
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
-
 
 def independent_columns(x: np.ndarray, tol: float = 1e-8) -> list[int]:
     """Greedy left-to-right selection of linearly independent columns.
@@ -252,10 +255,3 @@ class ConstantModel:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return np.full(x.shape[0], self.probability)
-
-    def to_dict(self) -> dict:
-        return {"probability": self.probability}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstantModel":
-        return cls(probability=d["probability"])

@@ -71,23 +71,6 @@ class GradientBoosting:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_scores(x))
 
-    def to_dict(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "members": [m.to_dict() for m in self.members],
-            "weights": self.weights.tolist(),
-            "stage_losses": list(self.stage_losses),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradientBoosting":
-        return cls(
-            base_score=d["base_score"],
-            members=[Tree.from_dict(m) for m in d["members"]],
-            weights=np.array(d["weights"]),
-            stage_losses=tuple(d["stage_losses"]),
-        )
-
 
 def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[GradientBoosting, TrainingSummary]:
     n_trees = int(hyper["n_trees"])

@@ -26,13 +26,6 @@ class RandomForest:
             votes += member.predict(x) >= 0.5  # a tied leaf votes positive
         return votes / len(self.members)
 
-    def to_dict(self) -> dict:
-        return {"members": [m.to_dict() for m in self.members]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForest":
-        return cls(members=[Tree.from_dict(m) for m in d["members"]])
-
 
 def _subsample_size(setting, n_features: int) -> int | None:
     if setting is None:

@@ -16,7 +16,6 @@ for Generalized Linear Models via Coordinate Descent", JSS 33(1), 2010).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -33,9 +32,6 @@ class LinearCoefficients:
     family: str
     intercept: float
     weights: np.ndarray
-    lambda_: float = 0.0
-    alpha: float = 0.0
-    p_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.family not in ("binomial", "gaussian"):
@@ -51,27 +47,6 @@ class LinearCoefficients:
         if self.family == "binomial":
             return sigmoid(eta)
         return np.clip(eta, 0.0, 1.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "intercept": self.intercept,
-            "weights": self.weights.tolist(),
-            "lambda": self.lambda_,
-            "alpha": self.alpha,
-            "p_values": list(self.p_values) if self.p_values is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearCoefficients":
-        return cls(
-            family=d["family"],
-            intercept=d["intercept"],
-            weights=np.array(d["weights"]),
-            lambda_=d["lambda"],
-            alpha=d["alpha"],
-            p_values=tuple(d["p_values"]) if d["p_values"] is not None else None,
-        )
 
 
 def _raw_scale(
@@ -131,21 +106,19 @@ def _summary(
 
 def _irls(
     design: np.ndarray, y: np.ndarray, max_iter: int, tol: float, cap: float
-) -> tuple[np.ndarray, np.ndarray, TrainingSummary]:
+) -> tuple[np.ndarray, TrainingSummary]:
     """Newton / IRLS with step halving on the mean binomial loss.
 
     Every coefficient, the intercept column included, is clipped to
     [-cap, cap]; perfectly separable data drives them there, and the fit is
     then flagged non-converged with a warning instead of diverging.  The
     loop stops once a step moves no coefficient by ``tol`` or more.
-    Returns the coefficients, the last Hessian and the summary.
     """
     n, k = design.shape
     b = np.zeros(k)
     nll = binomial_nll(design @ b, y)
     converged = False
     iterations = 0
-    hessian = np.eye(k)
 
     for iterations in range(1, max_iter + 1):
         eta = design @ b
@@ -163,13 +136,13 @@ def _irls(
             break
 
     capped = bool(np.any(np.abs(b) >= cap - 1e-12))
-    return b, hessian, _summary(iterations, converged, nll, capped, max_iter)
+    return b, _summary(iterations, converged, nll, capped, max_iter)
 
 
 def fit_logistic(
     x: np.ndarray, y: np.ndarray, hyper, seed: int
 ) -> tuple[LinearCoefficients, TrainingSummary]:
-    """Unpenalized logistic regression by the shared IRLS loop, with p-values."""
+    """Unpenalized logistic regression by the shared IRLS loop."""
     max_iter = int(hyper["max_iter"])
     tol = float(hyper["tol"])
     cap = float(hyper["coefficient_cap"])
@@ -189,35 +162,13 @@ def fit_logistic(
     design_parts.append(z[:, kept])
     design = np.hstack(design_parts)
 
-    b, hessian, summary = _irls(design, y, max_iter, tol, cap)
-
-    p_values = None
-    if hyper["compute_p_values"]:
-        p_values = [float("nan")] * x.shape[1]
-        try:
-            cov = np.linalg.inv(hessian * n)
-            se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-            offset = 1 if use_intercept else 0
-            normal = NormalDist()
-            for idx, j in enumerate(kept):
-                s = se[offset + idx]
-                if s > 0:
-                    zscore = b[offset + idx] / s
-                    p_values[j] = 2.0 * (1.0 - normal.cdf(abs(zscore)))
-        except np.linalg.LinAlgError:
-            pass
+    b, summary = _irls(design, y, max_iter, tol, cap)
 
     b0 = b[0] if use_intercept else 0.0
     beta = b[1:] if use_intercept else b
     intercept, weights = _raw_scale(b0, beta, kept, scaler, x.shape[1])
 
-    model = LinearCoefficients(
-        family="binomial",
-        intercept=intercept,
-        weights=weights,
-        p_values=tuple(p_values) if p_values is not None else None,
-    )
-    return model, summary
+    return LinearCoefficients(family="binomial", intercept=intercept, weights=weights), summary
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -353,14 +304,11 @@ def fit_elastic_net(
     if lam > 0.0:
         b, summary = _penalized(design, y, family, lam, alpha, max_iter, tol)
     elif family == "binomial":
-        b, _, summary = _irls(design, y, max_iter, tol, COEFFICIENT_CAP)
+        b, summary = _irls(design, y, max_iter, tol, COEFFICIENT_CAP)
     else:
         b = _solve(design.T @ design / n, design.T @ y / n)
         loss = 0.5 * float(np.mean((y - design @ b) ** 2))
         summary = TrainingSummary(iterations=1, converged=True, final_loss=loss)
 
     intercept, weights = _raw_scale(b[0], b[1:], kept, scaler, x.shape[1])
-    model = LinearCoefficients(
-        family=family, intercept=intercept, weights=weights, lambda_=lam, alpha=alpha
-    )
-    return model, summary
+    return LinearCoefficients(family=family, intercept=intercept, weights=weights), summary

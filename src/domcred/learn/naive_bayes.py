@@ -13,18 +13,11 @@ VARIANCE_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class NaiveBayesModel:
-    """Class priors plus per-class Gaussian conditionals per feature.
-
-    With ``laplace`` on, class counts get add-one smoothing and variances are
-    floored at 1e-9 so a zero-variance feature cannot blow up the posterior.
-    Without it priors are raw frequencies and variances are floored only at
-    the smallest positive float, keeping the delta-function limit finite.
-    """
+    """Class priors plus per-class Gaussian conditionals per feature."""
 
     log_prior: np.ndarray  # shape (2,), classes ordered (negative, positive)
     mean: np.ndarray  # shape (2, n_features)
     var: np.ndarray  # shape (2, n_features)
-    laplace: bool
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         log_post = self.log_joint(x)
@@ -41,25 +34,15 @@ class NaiveBayesModel:
             out[:, c] = self.log_prior[c] + log_pdf.sum(axis=1)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "log_prior": self.log_prior.tolist(),
-            "mean": self.mean.tolist(),
-            "var": self.var.tolist(),
-            "laplace": self.laplace,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NaiveBayesModel":
-        return cls(
-            log_prior=np.array(d["log_prior"]),
-            mean=np.array(d["mean"]),
-            var=np.array(d["var"]),
-            laplace=d["laplace"],
-        )
-
 
 def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[NaiveBayesModel, TrainingSummary]:
+    """Class priors, means and floored variances from the training rows.
+
+    With ``laplace`` on, class counts get add-one smoothing and variances are
+    floored at 1e-9 so a zero-variance feature cannot blow up the posterior.
+    Without it priors are raw frequencies and variances are floored only at
+    the smallest positive float, keeping the delta-function limit finite.
+    """
     laplace = bool(hyper["laplace"])
     n = len(y)
     counts = np.array([np.sum(y == 0), np.sum(y == 1)], dtype=float)
@@ -76,9 +59,7 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[NaiveBayesModel
         mean[c] = rows.mean(axis=0)
         var[c] = np.maximum(rows.var(axis=0), floor)
 
-    model = NaiveBayesModel(
-        log_prior=np.log(prior), mean=mean, var=var, laplace=laplace
-    )
+    model = NaiveBayesModel(log_prior=np.log(prior), mean=mean, var=var)
     eps = 1e-12
     probs = np.clip(model.predict_proba(x), eps, 1.0 - eps)
     nll = -float(np.mean(y * np.log(probs) + (1 - y) * np.log(1.0 - probs)))

@@ -135,29 +135,6 @@ class NeuralNet:
         p, _ = self._forward(self.scaler.transform(x))
         return p
 
-    def to_dict(self) -> dict:
-        return {
-            "scaler": self.scaler.to_dict(),
-            "activation": self.activation,
-            "hidden": list(self.hidden),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "l1": self.l1,
-            "l2": self.l2,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NeuralNet":
-        return cls(
-            scaler=Standardizer.from_dict(d["scaler"]),
-            activation=d["activation"],
-            hidden=tuple(d["hidden"]),
-            weights=[np.array(w) for w in d["weights"]],
-            biases=[np.array(b) for b in d["biases"]],
-            l1=d["l1"],
-            l2=d["l2"],
-        )
-
 
 def _init_layers(rng, n_inputs: int, hidden: tuple[int, ...], activation: str):
     weights, biases = [], []

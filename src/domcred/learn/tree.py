@@ -48,31 +48,6 @@ class Node:
             return 0
         return 1 + max(self.left.depth(), self.right.depth())
 
-    def to_dict(self) -> dict:
-        d = {"n": self.n, "value": self.value}
-        if self.counts is not None:
-            d["counts"] = list(self.counts)
-        if not self.is_leaf:
-            d["feature"] = self.feature
-            d["threshold"] = self.threshold
-            d["left"] = self.left.to_dict()
-            d["right"] = self.right.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Node":
-        node = cls(
-            n=d["n"],
-            value=d["value"],
-            counts=tuple(d["counts"]) if "counts" in d else None,
-        )
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
-
 
 def _plogp(count, total):
     """count/total * log2(count/total) elementwise, 0.0 where count is 0."""
@@ -242,14 +217,6 @@ class Tree:
             return 1 if nd.is_leaf else count(nd.left) + count(nd.right)
 
         return count(self.root)
-
-    def to_dict(self) -> dict:
-        return {"root": self.root.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        # decision-tree dicts also carry max_depth, which prediction never needed
-        return cls(root=Node.from_dict(d["root"]))
 
 
 def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[Tree, TrainingSummary]:

@@ -182,13 +182,19 @@ def brute_annotation_lines(tweets, replies, report=None):
 
 
 def brute_weights(merged_domains):
+    """Shares of the positive scores; a label whose share underflows to 0.0
+    is dropped and the rest are renormalised over their own total."""
+    positive = [(a.label, a.score) for a in merged_domains if a.score > 0]
     total = 0.0
-    for a in merged_domains:
-        if a.score > 0:
-            total += a.score
+    for _, score in positive:
+        total += score
     if total <= 0:
         return {}
-    return {a.label: a.score / total for a in merged_domains if a.score > 0}
+    kept = [(label, score) for label, score in positive if score / total > 0]
+    total = 0.0
+    for _, score in kept:
+        total += score
+    return {label: score / total for label, score in kept}
 
 
 def _in_interval(stamp, interval):
@@ -307,13 +313,8 @@ def brute_global(dataset, interval=None):
         if user.user_id not in out:
             continue
         entry = out[user.user_id]
-        days = (dataset.capture_at - user.created_at).total_seconds() / 86400.0
-        age = max(days / 365.25, 1.0 / 365.25)
-        diff = user.followers_count - user.friends_count
         entry["followers_count"] = user.followers_count
         entry["friends_count"] = user.friends_count
-        entry["age_years"] = age
-        entry["ff_r"] = (1.0 / age) if diff == 0 else diff / age
     return out
 
 

@@ -569,6 +569,26 @@ class TestConfigShapes:
             ("synth", {"seed": True}, "seed"),
             ("features", {"n_periods": 2.7}, "n_periods"),
             ("features", {"top_k": "3"}, "top_k"),
+            ("benchmark", {"models": {"logistic": {"max_iter": "5"}}}, "models.logistic.max_iter"),
+            ("benchmark", {"models": {"logistic": {"max_iter": True}}}, "models.logistic.max_iter"),
+            (
+                "benchmark",
+                {"models": {"random_forest": {"seed": True}}},
+                "models.random_forest.seed",
+            ),
+            (
+                "benchmark",
+                {"models": {"random_forest": {"n_trees": 2.5}}},
+                "models.random_forest.n_trees",
+            ),
+            ("benchmark", {"train_fraction": "0.5"}, "train_fraction"),
+            ("annotate", {"annotator": {"gain": "2"}}, "gain"),
+            ("benchmark", {"models": {"neural_net": {"hidden": 5}}}, "models.neural_net.hidden"),
+            (
+                "benchmark",
+                {"models": {"decision_tree": {"confidence": "0.1"}}},
+                "models.decision_tree.confidence",
+            ),
         ],
     )
     def test_wrong_shape_fails_naming_the_key(

@@ -263,9 +263,7 @@ class TestGlobalFeatures:
             assert set(got) == set(expected)
             for uid, want in expected.items():
                 g = got[uid]
-                assert g.retweet_total == want["retweet_total"]
-                assert g.ff_r == pytest.approx(want["ff_r"], abs=1e-12)
-                assert g.age_years == pytest.approx(want["age_years"], abs=1e-12)
+                assert {key: getattr(g, key) for key in want} == want
 
 
 class TestNormalizations:

@@ -74,7 +74,7 @@ def test_every_exported_name_is_the_defining_modules_object():
         print(len(domcred.__all__), len(domcred.corpus.__all__))
         """
     )
-    assert out == "62 29\n"
+    assert out == "58 29\n"
 
 
 def test_star_import_and_submodule_attributes_still_work():

@@ -1,35 +1,21 @@
-"""Model specs, shared helpers, and the train/save/load contract."""
+"""Model specs, shared helpers, and the train contract."""
 
 import numpy as np
 import pytest
 
 from domcred.learn import (
-    ALGORITHMS,
     ConstantModel,
     ModelSpec,
     Standardizer,
     decode_labels,
     encode_labels,
     independent_columns,
-    load_model,
-    save_model,
     train,
     train_xy,
 )
 from domcred.corpus.types import INFLUENCER, NON_INFLUENCER
 from domcred.features import FeatureMatrix
 from helpers import blob_data
-
-# small hyperparameters so the full round-trip suite stays fast
-FAST_HYPERS = {
-    "naive_bayes": {},
-    "logistic": {"max_iter": 50},
-    "glm_elastic_net": {"lambda": 0.01},
-    "decision_tree": {"max_depth": 5},
-    "random_forest": {"n_trees": 10, "max_depth": 5},
-    "gradient_boosted_trees": {"n_trees": 5, "max_depth": 3},
-    "neural_net": {"hidden": (8,), "epochs": 5},
-}
 
 
 class TestModelSpec:
@@ -107,12 +93,6 @@ class TestStandardizer:
         x = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
         z = Standardizer.fit(x).transform(x)
         np.testing.assert_array_equal(z[:, 0], 0.0)
-
-    def test_round_trip(self):
-        scaler = Standardizer.fit(np.random.default_rng(0).normal(size=(8, 2)))
-        again = Standardizer.from_dict(scaler.to_dict())
-        np.testing.assert_array_equal(again.mean, scaler.mean)
-        np.testing.assert_array_equal(again.std, scaler.std)
 
 
 class TestLabelCodec:
@@ -236,35 +216,3 @@ class TestTrainedModel:
         assert set(got) == {INFLUENCER, NON_INFLUENCER}
         assert got == [INFLUENCER if v else NON_INFLUENCER for v in y]
 
-
-class TestPersistence:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_round_trip_predictions_identical(self, algorithm, tmp_path):
-        x, y = blob_data(seed=11, n_per=25)
-        x_new, _ = blob_data(seed=99, n_per=10)
-        spec = ModelSpec(algorithm, hyperparameters=FAST_HYPERS[algorithm], seed=5)
-        model = train_xy(spec, x, y)
-        path = tmp_path / f"{algorithm}.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.spec == model.spec
-        assert loaded.summary == model.summary
-        assert loaded.n_features == model.n_features
-        np.testing.assert_array_equal(
-            loaded.predict_proba(x_new), model.predict_proba(x_new)
-        )
-
-    def test_constant_round_trip(self, tmp_path):
-        x = np.random.default_rng(0).normal(size=(4, 2))
-        model = train_xy(ModelSpec("logistic"), x, np.ones(4))
-        path = tmp_path / "constant.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert isinstance(loaded.params, ConstantModel)
-        np.testing.assert_array_equal(loaded.predict_proba(x), 1.0)
-
-    def test_unsupported_format_rejected(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"format_version": 99}', encoding="utf-8")
-        with pytest.raises(ValueError, match="unsupported model format"):
-            load_model(path)

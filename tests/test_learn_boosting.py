@@ -74,7 +74,10 @@ class TestSanity:
         spec = ModelSpec("gradient_boosted_trees", hyperparameters={"n_trees": 6})
         a = train_xy(spec, x, y)
         b = train_xy(spec, x, y)
-        assert a.params.to_dict() == b.params.to_dict()
+        assert a.params.base_score == b.params.base_score
+        assert a.params.members == b.params.members
+        assert np.array_equal(a.params.weights, b.params.weights)
+        assert a.params.stage_losses == b.params.stage_losses
 
     def test_probabilities_in_unit_interval(self):
         x, y = blob_data(seed=48, n_per=30, gap=1.0)

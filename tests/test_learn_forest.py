@@ -35,7 +35,7 @@ class TestSingleMemberReduction:
             y,
         )
         assert forest.classify(x_new) == tree.classify(x_new)
-        assert forest.params.members[0].to_dict() == tree.params.to_dict()
+        assert forest.params.members[0] == tree.params
 
 
 class TestDeterminism:
@@ -44,7 +44,7 @@ class TestDeterminism:
         spec = ModelSpec("random_forest", hyperparameters={"n_trees": 15}, seed=9)
         a = train_xy(spec, x, y)
         b = train_xy(spec, x, y)
-        assert a.params.to_dict() == b.params.to_dict()
+        assert a.params == b.params
         np.testing.assert_array_equal(a.predict_proba(x), b.predict_proba(x))
 
     def test_different_seed_different_members(self):
@@ -52,7 +52,7 @@ class TestDeterminism:
         hyper = {"n_trees": 15}
         a = train_xy(ModelSpec("random_forest", hyperparameters=hyper, seed=1), x, y)
         b = train_xy(ModelSpec("random_forest", hyperparameters=hyper, seed=2), x, y)
-        assert a.params.to_dict() != b.params.to_dict()
+        assert a.params != b.params
 
     def test_members_differ_within_forest(self):
         # bootstrap resamples differ per member even on identical data
@@ -60,8 +60,8 @@ class TestDeterminism:
         model = train_xy(
             ModelSpec("random_forest", hyperparameters={"n_trees": 10}), x, y
         )
-        dicts = [m.to_dict() for m in model.params.members]
-        assert any(d != dicts[0] for d in dicts[1:])
+        members = model.params.members
+        assert any(m != members[0] for m in members[1:])
 
 
 class TestVotes:

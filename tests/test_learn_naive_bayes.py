@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from domcred.learn import ModelSpec, train_xy
-from domcred.learn.naive_bayes import VARIANCE_FLOOR, NaiveBayesModel
+from domcred.learn.naive_bayes import VARIANCE_FLOOR
 from helpers import blob_data
 
 
@@ -127,11 +127,3 @@ class TestSanity:
         model = train_xy(ModelSpec("naive_bayes"), x, y)
         assert set(model.predict_proba(x)) == {0.0, 1.0}
         assert model.summary.final_loss >= 0.0
-
-    def test_round_trip_preserves_arrays(self):
-        x, y = blob_data(seed=5, n_per=10)
-        model = train_xy(ModelSpec("naive_bayes"), x, y)
-        again = NaiveBayesModel.from_dict(model.params.to_dict())
-        np.testing.assert_array_equal(again.mean, model.params.mean)
-        np.testing.assert_array_equal(again.var, model.params.var)
-        np.testing.assert_array_equal(again.log_prior, model.params.log_prior)

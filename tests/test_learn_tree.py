@@ -1,14 +1,12 @@
 """Decision tree growth, gain-ratio selection, pruning, and prediction."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from domcred.learn import ModelSpec, load_model, save_model, train_xy
+from domcred.learn import ModelSpec, TrainedModel, TrainingSummary, train_xy
 from domcred.learn.tree import (
     Node,
     Tree,
@@ -90,7 +88,7 @@ class TestClassificationGrowth:
         y = (x[:, 0] + 0.5 * rng.normal(size=60) > 0).astype(float)
         a = train_xy(ModelSpec("decision_tree"), x, y)
         b = train_xy(ModelSpec("decision_tree"), x, y)
-        assert a.params.to_dict() == b.params.to_dict()
+        assert a.params == b.params
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(22)
@@ -353,55 +351,39 @@ class TestVectorisedPredict:
         assert tree.predict(x[:0]).shape == (0,)
 
 
-def _split_dict(n, value, counts, feature, threshold, left, right):
-    return {"n": n, "value": value, "counts": counts, "feature": feature,
-            "threshold": threshold, "left": left, "right": right}
+def _split(n, value, counts, feature, threshold, left, right):
+    return Node(n=n, value=value, counts=counts, feature=feature, threshold=threshold,
+                left=left, right=right)
 
 
-# a depth-2 decision tree saved by the format that also stored max_depth in
-# the parameters; PREDICTED is what that format's loader returned for QUERY
-MAX_DEPTH_FORMAT_MODEL = {
-    "format_version": 1,
-    "algorithm": "decision_tree",
-    "hyperparameters": {
-        "criterion": "gain_ratio", "max_depth": 2, "confidence": None, "minimal_gain": 0.0,
-    },
-    "seed": 0,
-    "summary": {"iterations": 1, "converged": True, "final_loss": 0.2, "warnings": []},
-    "n_features": 2,
-    "params_kind": "decision_tree",
-    "parameters": {
-        "root": _split_dict(
-            10, 0.5, [5, 5], 0, 0.35,
-            _split_dict(
-                5, 0.2, [4, 1], 1, 0.5,
-                {"n": 3, "value": 0.0, "counts": [3, 0]},
-                {"n": 2, "value": 0.5, "counts": [1, 1]},
-            ),
-            _split_dict(
-                5, 0.8, [1, 4], 1, 0.5,
-                {"n": 3, "value": 1.0, "counts": [0, 3]},
-                {"n": 2, "value": 0.5, "counts": [1, 1]},
-            ),
+# a hand-written depth-2 decision tree; PREDICTED is what it has always
+# returned for QUERY, rows on a threshold ((0.35, 0.5) and kin) included
+PINNED_TREE = Tree(
+    _split(
+        10, 0.5, (5, 5), 0, 0.35,
+        _split(
+            5, 0.2, (4, 1), 1, 0.5,
+            Node(n=3, value=0.0, counts=(3, 0)),
+            Node(n=2, value=0.5, counts=(1, 1)),
         ),
-        "max_depth": 2,
-    },
-}
+        _split(
+            5, 0.8, (1, 4), 1, 0.5,
+            Node(n=3, value=1.0, counts=(0, 3)),
+            Node(n=2, value=0.5, counts=(1, 1)),
+        ),
+    )
+)
 QUERY = [[0, 0], [1, 1], [0.5, 0.5], [0.25, 2.5], [9, -9], [0.35, 0.5], [0.35, 0.6], [0.36, 0.5]]
 PREDICTED = [0.0, 0.5, 1.0, 0.5, 1.0, 0.0, 0.5, 1.0]
 
 
-class TestSavedModels:
-    def test_decision_tree_saved_with_max_depth_predicts_as_before(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(MAX_DEPTH_FORMAT_MODEL))
-        model = load_model(path)
-        assert isinstance(model.params, Tree)
+class TestPinnedTree:
+    def test_hand_built_tree_predicts_as_before(self):
+        model = TrainedModel(
+            spec=ModelSpec("decision_tree", hyperparameters={"max_depth": 2, "confidence": None}),
+            params=PINNED_TREE,
+            summary=TrainingSummary(iterations=1, converged=True, final_loss=0.2),
+            n_features=2,
+        )
         assert model.predict_proba(QUERY).tolist() == PREDICTED
         assert model.classify(QUERY)[:2] == ["NonInfluencer", "Influencer"]
-
-        # saved again, the parameters are the root alone and predict the same
-        save_model(model, tmp_path / "again.json")
-        again = json.loads((tmp_path / "again.json").read_text())["parameters"]
-        assert again == {"root": MAX_DEPTH_FORMAT_MODEL["parameters"]["root"]}
-        assert load_model(tmp_path / "again.json").predict_proba(QUERY).tolist() == PREDICTED

@@ -19,6 +19,7 @@ from domcred.lexicon import builtin_sentiment_lexicon, tokenize
 
 from helpers import (
     brute_partition,
+    brute_weights,
     brute_wilcoxon_auc,
     make_dataset,
     make_reply,
@@ -101,13 +102,7 @@ class TestRelativenessInvariants:
         weights = relativeness_weights(a)
         assert abs(sum(weights.values()) - 1.0) < 1e-12
         assert all(w > 0 for w in weights.values())
-        # A positive score whose share underflows to 0.0 has no representable
-        # weight, so it is dropped; every other positive-score label is kept.
-        positive = {d.label: d.score for d in a if d.score > 0}
-        total = sum(positive.values())
-        assert set(weights) <= set(positive)
-        for label, score in positive.items():
-            assert (label not in weights) == (score / total == 0.0)
+        assert weights == brute_weights(a)
 
     @given(a=annotation_lists(), value=st.floats(-1e6, 1e6))
     def test_distribution_conserves_mass(self, a, value):
@@ -233,7 +228,7 @@ class TestDatasetInvariants:
 
 FAST_HYPERS = {
     "naive_bayes": {},
-    "logistic": {"max_iter": 25, "compute_p_values": False},
+    "logistic": {"max_iter": 25},
     "glm_elastic_net": {"lambda": 0.1, "max_iter": 25},
     "decision_tree": {"max_depth": 4},
     "random_forest": {"n_trees": 5, "max_depth": 4},
