@@ -9,6 +9,7 @@ Annotator protocol.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,8 +100,8 @@ class LexiconAnnotator:
     ):
         self.domain_lexicon = domain_lexicon or builtin_domain_lexicon()
         self.sentiment_lexicon = sentiment_lexicon or builtin_sentiment_lexicon()
-        if gain <= 0:
-            raise ValueError("gain must be positive")
+        if not 0 < gain < math.inf:
+            raise ValueError("gain must be positive and finite")
         if min_hits < 1:
             raise ValueError("min_hits must be >= 1")
         self.gain = gain

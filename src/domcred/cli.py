@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from .lexicon import load_domain_lexicon, load_sentiment_lexicon
 # synth, features, evaluate, learn and verify load numpy: each command that
 # needs them imports them itself, so `ingest` and `annotate` never pay for it
 if TYPE_CHECKING:
-    from .learn import ModelSpec
+    from .learn.base import ModelSpec
 
 _GLOBAL_DEFAULTS = {"seed": 0, "output_dir": "."}
 _ANNOTATOR_KEYS = (
@@ -45,10 +46,11 @@ _SYNTH_SCALARS = (
     "non_english_rate", "retweet_rate", "n_periods", "period_days", "start",
 )
 _SYNTH_KEYS = _SYNTH_SCALARS + ("domains", "influencer", "ordinary")
-# the JSON values each kind takes: true is not an integer, an integer is a number
+# the JSON values each kind takes: true is not an integer, an integer is a
+# number, and a number is finite (JSON's Infinity and NaN read as floats)
 _JSON_TYPES = {
     int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
+    float: ((int, float), "a finite number"),
     bool: ((bool,), "true or false"),
 }
 
@@ -72,7 +74,7 @@ def _load_config(path: str | None) -> dict:
 def _typed(name: str, value, kind: type):
     """value, when it is a JSON value of the kind; else an error naming the key."""
     types, description = _JSON_TYPES[kind]
-    if type(value) not in types:
+    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
         raise ValueError(f"config {name} must be {description}, got {value!r}")
     return value
 
@@ -286,7 +288,7 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
 
 def _model_specs(config: dict, seed: int) -> tuple[ModelSpec, ...]:
     from .evaluate import default_specs
-    from .learn import ALGORITHMS, ModelSpec
+    from .learn.base import ALGORITHMS, ModelSpec
 
     base = {s.algorithm: s for s in default_specs(seed)}
     for algorithm, overrides in _section(config.get("models", {}), "models").items():

@@ -296,4 +296,14 @@ def save_labels(labels: GroundTruthLabels, path: str | Path) -> None:
 
 def load_labels(path: str | Path) -> GroundTruthLabels:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GroundTruthLabels(domain=payload["domain"], labels=dict(payload["labels"]))
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("domain"), str)
+        and isinstance(payload.get("labels"), dict)
+        and all(isinstance(v, str) for v in payload["labels"].values())
+    ):
+        raise ValueError(
+            f'{path}: a labels file holds a JSON object with a "domain" string and a'
+            ' "labels" object mapping user ids to label strings'
+        )
+    return GroundTruthLabels(domain=payload["domain"], labels=payload["labels"])

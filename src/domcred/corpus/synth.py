@@ -15,6 +15,7 @@ few configurations; a change that moves the bytes updates them and says so.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from datetime import timedelta
@@ -44,8 +45,10 @@ def _require_int(name: str, value) -> None:
 
 
 def _require_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+        isinstance(value, float) and not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)

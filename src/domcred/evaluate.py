@@ -17,8 +17,8 @@ import numpy as np
 
 from .corpus.types import INFLUENCER, LABELS
 from .features import FeatureMatrix
-from .learn import ALGORITHMS, ModelSpec, TrainingSummary, train
-from .learn.base import decode_labels
+from .learn import train
+from .learn.base import ALGORITHMS, ModelSpec, TrainingSummary, decode_labels
 
 
 @dataclass(frozen=True)

@@ -384,14 +384,19 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
     """
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        labeled = header[-1] == "label"
+        header = next(reader, [])
         expected = ["user_id", "domain", "period", *FEATURE_COLUMNS]
         if header[: len(expected)] != expected:
-            raise ValueError(f"unexpected header {header!r}")
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        labeled = header[-1] == "label"
         user_ids, values, labels = [], [], []
         selection = None
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: data row {len(user_ids) + 1} has {len(row)} cells"
+                    f" but the header has {len(header)}"
+                )
             key = (row[1], int(row[2]))
             selection = selection or key
             if key != selection:

@@ -7,30 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import FeatureMatrix
-from . import boosting, forest, naive_bayes, neural, tree
-from . import linear as linear_mod
-from .base import (
-    ALGORITHMS,
-    DEFAULT_HYPERPARAMETERS,
-    ConstantModel,
-    ModelSpec,
-    Standardizer,
-    TrainingSummary,
-    decode_labels,
-    encode_labels,
-    independent_columns,
-)
-from .boosting import GradientBoosting
-from .forest import RandomForest
-from .linear import LinearCoefficients
-from .naive_bayes import NaiveBayesModel
-from .neural import NeuralNet
-from .tree import Node, Tree
+from . import boosting, forest, linear, naive_bayes, neural, tree
+from .base import ConstantModel, ModelSpec, TrainingSummary, decode_labels, encode_labels
 
 _FITTERS = {
     "naive_bayes": naive_bayes.fit,
-    "logistic": linear_mod.fit_logistic,
-    "glm_elastic_net": linear_mod.fit_elastic_net,
+    "logistic": linear.fit_logistic,
+    "glm_elastic_net": linear.fit_elastic_net,
     "decision_tree": tree.fit,
     "random_forest": forest.fit,
     "gradient_boosted_trees": boosting.fit,
@@ -101,26 +84,3 @@ def train(spec: ModelSpec, matrix: FeatureMatrix) -> TrainedModel:
     if matrix.labels is None:
         raise ValueError("matrix has no labels; training is supervised")
     return train_xy(spec, matrix.x, encode_labels(matrix.labels))
-
-
-__all__ = [
-    "ALGORITHMS",
-    "DEFAULT_HYPERPARAMETERS",
-    "ConstantModel",
-    "GradientBoosting",
-    "LinearCoefficients",
-    "ModelSpec",
-    "NaiveBayesModel",
-    "NeuralNet",
-    "Node",
-    "RandomForest",
-    "Standardizer",
-    "TrainedModel",
-    "TrainingSummary",
-    "Tree",
-    "decode_labels",
-    "encode_labels",
-    "independent_columns",
-    "train",
-    "train_xy",
-]

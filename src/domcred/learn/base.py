@@ -7,6 +7,7 @@ train() in __init__ wraps them in a TrainedModel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -77,12 +78,13 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
 
 
 # the types a bool, int or float hyperparameter takes, by the type of its
-# default: true is not an integer, and an integer is a number.  confidence
-# also takes None, and hidden and feature_subsample have their own rules below.
+# default: true is not an integer, an integer is a number, and a number is
+# finite (JSON's Infinity and NaN read as floats).  confidence also takes
+# None, and hidden and feature_subsample have their own rules below.
 _VALUE_TYPES = {
     bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
+    float: ((int, float), "a finite number"),
 }
 
 
@@ -96,7 +98,9 @@ def _validate_hyper(algorithm: str, hyper: dict) -> None:
     non_negative = {"lambda", "l1", "l2", "minimal_gain", "epochs"}
     for key, value in hyper.items():
         accepted = _VALUE_TYPES.get(type(defaults[key]))
-        if accepted and key != "confidence" and type(value) not in accepted[0]:
+        if accepted and key != "confidence" and (
+            type(value) not in accepted[0] or (type(value) is float and not math.isfinite(value))
+        ):
             raise ValueError(f"{algorithm}.{key} must be {accepted[1]}, got {value!r}")
         if key in positive and not value > 0:
             raise ValueError(f"{algorithm}.{key} must be > 0, got {value!r}")

@@ -48,7 +48,8 @@ from domcred.features import (
     relativeness_weights,
     save_matrix,
 )
-from domcred.learn import ALGORITHMS, ModelSpec, train, train_xy
+from domcred.learn import ModelSpec, train, train_xy
+from domcred.learn.base import ALGORITHMS
 
 from helpers import (
     blob_data,

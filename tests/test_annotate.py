@@ -83,6 +83,11 @@ class TestLexiconAnnotator:
         with pytest.raises(ValueError, match="min_hits"):
             small_annotator(min_hits=0)
 
+    @pytest.mark.parametrize("gain", [float("inf"), float("nan")])
+    def test_rejects_non_finite_gain(self, gain):
+        with pytest.raises(ValueError, match="gain must be positive and finite"):
+            small_annotator(gain=gain)
+
 
 class TestMergeDomains:
     def test_shared_label_averages_and_ors_confidence(self):

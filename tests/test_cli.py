@@ -16,7 +16,7 @@ import domcred.features
 from domcred.cli import main
 from domcred.corpus.archive import load_dataset
 from domcred.features import load_matrix
-from domcred.learn import ALGORITHMS
+from domcred.learn.base import ALGORITHMS
 from domcred.verify import fixture_names
 
 TECH = "Technology and Computing"
@@ -181,6 +181,7 @@ class TestSynth:
             ({"retweet_rate": "0.1"}, "retweet_rate"),
             ({"influencer": {"replies_mean": "6"}}, "replies_mean"),
             ({"ordinary": [1, 2]}, "ordinary"),
+            ({"influencer": {"retweets_mean": float("inf")}}, "retweets_mean"),
         ],
     )
     def test_wrong_config_types_fail_cleanly(self, tmp_path, capsys, section, field):
@@ -555,6 +556,33 @@ class TestBenchmark:
         assert "unknown algorithm" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "command, name, content",
+        [
+            ("benchmark", "features.csv", ""),
+            ("benchmark", "features.csv", "HEADER\nu1,Tech\n"),
+            ("features", "labels.json", '{"domain": "Tech"}'),
+            ("features", "labels.json", "[1, 2]"),
+        ],
+    )
+    def test_malformed_file_fails_naming_it(
+        self, pipeline, tmp_path, capsys, command, name, content
+    ):
+        header = pipeline["matrix"].read_text().splitlines()[0]
+        bad = tmp_path / name
+        bad.write_text(content.replace("HEADER", header))
+        argv = {
+            "benchmark": ["benchmark", str(bad)],
+            "features": ["features", str(pipeline["dataset"]), "--domain", TECH,
+                         "--labels", str(bad)],
+        }[command]
+        out = tmp_path / "out"
+        assert main([*argv, "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestConfigShapes:
     """A config value of the wrong JSON shape or type exits 1 naming its key."""
 
@@ -589,6 +617,16 @@ class TestConfigShapes:
                 {"models": {"decision_tree": {"confidence": "0.1"}}},
                 "models.decision_tree.confidence",
             ),
+            # json.dumps writes these as Infinity and NaN, which json.loads reads back
+            (
+                "benchmark",
+                {"models": {"gradient_boosted_trees": {"learning_rate": float("inf")}}},
+                "models.gradient_boosted_trees.learning_rate",
+            ),
+            ("benchmark", {"models": {"logistic": {"tol": float("inf")}}}, "models.logistic.tol"),
+            ("annotate", {"annotator": {"gain": float("inf")}}, "gain"),
+            ("annotate", {"annotator": {"gain": float("nan")}}, "gain"),
+            ("benchmark", {"train_fraction": float("-inf")}, "train_fraction"),
         ],
     )
     def test_wrong_shape_fails_naming_the_key(

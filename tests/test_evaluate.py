@@ -22,7 +22,8 @@ from domcred.evaluate import (
     split_indices,
 )
 from domcred.features import FEATURE_COLUMNS, FeatureMatrix
-from domcred.learn import ALGORITHMS, ModelSpec
+from domcred.learn import ModelSpec
+from domcred.learn.base import ALGORITHMS
 
 from helpers import brute_wilcoxon_auc
 

@@ -3,16 +3,8 @@
 import numpy as np
 import pytest
 
-from domcred.learn import (
-    ConstantModel,
-    ModelSpec,
-    Standardizer,
-    decode_labels,
-    encode_labels,
-    independent_columns,
-    train,
-    train_xy,
-)
+from domcred.learn import ConstantModel, ModelSpec, decode_labels, encode_labels, train, train_xy
+from domcred.learn.base import Standardizer, independent_columns
 from domcred.corpus.types import INFLUENCER, NON_INFLUENCER
 from domcred.features import FeatureMatrix
 from helpers import blob_data

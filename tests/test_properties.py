@@ -14,7 +14,8 @@ from domcred.corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
 from domcred.corpus.types import INFLUENCER, NON_INFLUENCER
 from domcred.evaluate import ConfusionTable, SplitSpec, metrics, roc, split_indices
 from domcred.features import distribute, relativeness_weights
-from domcred.learn import ALGORITHMS, ModelSpec, train_xy
+from domcred.learn import ModelSpec, train_xy
+from domcred.learn.base import ALGORITHMS
 from domcred.lexicon import builtin_sentiment_lexicon, tokenize
 
 from helpers import (
