@@ -65,9 +65,12 @@ def _write_json(path: Path, payload) -> None:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: config file is not UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"{path}: config file must hold a JSON object")
     return payload
 
 
@@ -313,6 +316,11 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
     from .features import load_matrix
 
     matrix = load_matrix(args.matrix)
+    if matrix.labels is not None and args.labels:
+        raise ValueError(
+            f"{args.matrix}: matrix already carries a label column; --labels is only"
+            " for unlabeled matrices"
+        )
     if matrix.labels is None:
         if not args.labels:
             raise ValueError(

@@ -295,7 +295,10 @@ def save_labels(labels: GroundTruthLabels, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> GroundTruthLabels:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: labels file is not UTF-8 JSON: {exc}") from exc
     if not (
         isinstance(payload, dict)
         and isinstance(payload.get("domain"), str)

@@ -7,10 +7,28 @@ so the planted labels are recoverable from the engineered features.
 
 Stream contract: the archive bytes are a function of (config, seed, numpy's
 ``Generator`` algorithms).  Every record is built from one ``default_rng``
-stream, and the order of the draws, with their arguments, is the contract:
-reordering, batching or merging draws moves the bytes even where the
-distributions stay the same.  ``tests/test_corpus.py`` pins the digests of a
-few configurations; a change that moves the bytes updates them and says so.
+stream, consumed as a fixed sequence of sized draws, one per field per
+record kind, in this order:
+
+1. influencer flags: ``choice(n_users, n_influencers, replace=False)``;
+2. a primary domain for every user (influencers then take the target);
+3. per user: account age, followers, friends, each between its level's bounds;
+4. a tweet count per (user, period);
+5. per tweet: timestamp; off-domain uniform; blend uniform; other-domain
+   index (these three only when some domain has others); reply count;
+   retweet and favourite counts; retweet flag; language flag; and the
+   topic, blend and filler word counts;
+6. one word index per tweet-word slot, then one uniform key per slot;
+7. per reply: time offset, author, positive flag, charged and neutral word
+   counts;
+8. one word index per reply-word slot, then one uniform key per slot.
+
+Off-domain takes precedence over blend.  Each text's words are ordered by
+their keys, ties keeping their place (a stable lexsort of (key, text)).
+Reordering, merging or resizing any of these draws moves the bytes even
+where the distributions stay the same.  ``tests/test_corpus.py`` pins the
+digests of a few configurations; a change that moves the bytes updates
+them and says so.
 """
 
 from __future__ import annotations
@@ -149,34 +167,43 @@ class SynthConfig:
         parse_timestamp(self.start)
 
 
-def draw_words(rng, pool, k: int) -> list:
-    """The k words ``rng.choice(np.array(pool), size=k)`` draws, drawn the same way.
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and place of each of ``sum(counts)`` items laid out in runs.
 
-    With replacement and no weights, ``Generator.choice`` draws exactly
-    ``integers(0, len(pool), size=k)`` and takes those indices, so indexing a
-    Python sequence gives the same words and leaves the generator in the same
-    state, without the array round trip.
+    Run i holds counts[i] items; item j belongs to run owner[j] and is the
+    place[j]-th item of it.
     """
-    return [pool[j] for j in rng.integers(0, len(pool), size=k).tolist()]
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
-def _shuffled_text(rng, words: list) -> str:
-    return " ".join([words[i] for i in rng.permutation(len(words)).tolist()])
+def _texts(rng, parts, vocab) -> list[str]:
+    """Draw the words of a batch of texts, shuffle each text and join it.
 
-
-def _tweet_text(rng, primary_terms, other_terms) -> str:
-    words = draw_words(rng, primary_terms, int(rng.integers(4, 8)))
-    if other_terms is not None:
-        words += draw_words(rng, other_terms, int(rng.integers(2, 4)))
-    words += draw_words(rng, _FILLERS, int(rng.integers(1, 4)))
-    return _shuffled_text(rng, words)
-
-
-def _reply_text(rng, positive: bool, pos_words, neg_words) -> str:
-    charged = pos_words if positive else neg_words
-    words = draw_words(rng, charged, int(rng.integers(2, 5)))
-    words += draw_words(rng, _NEUTRAL_REPLY, int(rng.integers(1, 4)))
-    return _shuffled_text(rng, words)
+    ``parts`` is a list of (offset, size, count) per-text arrays: that part of
+    text i takes count[i] words, each drawn uniformly, with replacement, from
+    ``vocab[offset[i] : offset[i] + size[i]]``.  The words of a text are laid
+    out part by part, then put in the order of one uniform key per word (ties
+    keep their place), which shuffles each text uniformly.  Every text must
+    get at least one word.
+    """
+    offset, size, count = (np.stack(column, axis=1).ravel() for column in zip(*parts))
+    picks = np.repeat(offset, count) + rng.integers(0, np.repeat(size, count))
+    keys = rng.random(picks.size)
+    per_text = sum(part[2] for part in parts)
+    text_of, place = _runs(per_text)
+    # one row of keys per text, padded with 2.0 so the padding sorts last
+    grid = np.full((per_text.size, per_text.max(initial=0)), 2.0)
+    grid[text_of, place] = keys
+    ranks = np.argsort(grid, axis=1, kind="stable")
+    ends = np.cumsum(per_text)
+    order = (ends - per_text)[:, None] + ranks
+    order = order[np.arange(grid.shape[1]) < per_text[:, None]]
+    # each word carries its separator: a space, or a newline when it ends its text
+    spelled = np.array([w + " " for w in vocab] + [w + "\n" for w in vocab], dtype=object)
+    ending = np.zeros(picks.size, dtype=np.intp)
+    ending[ends - 1] = len(vocab)
+    return "".join(spelled[picks[order] + ending].tolist()).split("\n")[:-1]
 
 
 def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabels]:
@@ -190,102 +217,166 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabe
     if target not in domains:
         raise ValueError(f"target_domain {target!r} not among configured domains")
 
-    term_pool = {d: sorted(lexicon.terms[d]) for d in domains}
+    # domain k's terms are tweet_vocab[term_offset[k] : term_offset[k] + term_size[k]]
+    term_pools = [sorted(lexicon.terms[d]) for d in domains]
+    term_size = np.array([len(pool) for pool in term_pools])
+    term_offset = np.cumsum(term_size) - term_size
+    tweet_vocab = [w for pool in term_pools for w in pool] + list(_FILLERS)
     sentiment = builtin_sentiment_lexicon()
     pos_words = sorted(t for t, p in sentiment.polarity.items() if p == 1)
     neg_words = sorted(t for t, p in sentiment.polarity.items() if p == -1)
+    reply_vocab = pos_words + neg_words + list(_NEUTRAL_REPLY)
+    # the other domains of domain k, by name, so a repeated name is never its own other
+    others = [[j for j, d in enumerate(domains) if d != name] for name in domains]
+    n_others = np.array([len(o) for o in others])
+    others_table = np.array([o + [0] * (n_others.max() - len(o)) for o in others])
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     start = parse_timestamp(config.start)
     span_seconds = config.n_periods * config.period_days * 86400
     capture_at = start + timedelta(seconds=span_seconds)
+    n_users = config.n_users
 
     # floor with a tiny epsilon so 100 * 0.1 lands on 10, not 9
-    n_influencers = max(1, int(config.n_users * config.influencer_fraction + 1e-9))
-    flags = [False] * config.n_users
-    for i in rng.choice(config.n_users, size=n_influencers, replace=False).tolist():
-        flags[i] = True
+    n_influencers = max(1, int(n_users * config.influencer_fraction + 1e-9))
+    is_influencer = np.zeros(n_users, dtype=bool)
+    is_influencer[rng.choice(n_users, size=n_influencers, replace=False)] = True
     # planted influencers are influential in the target domain specifically
-    primaries = [
-        target if flag else domain
-        for flag, domain in zip(flags, draw_words(rng, domains, config.n_users))
-    ]
+    primary = np.where(
+        is_influencer, domains.index(target), rng.integers(0, len(domains), size=n_users)
+    )
 
-    users: list[UserProfile] = []
-    tweets: list[TweetRecord] = []
-    replies: list[ReplyRecord] = []
-    labels: dict[str, str] = {}
-    user_ids = [f"u{i:05d}" for i in range(config.n_users)]
+    levels = (config.ordinary, config.influencer)
+    level_of = is_influencer.astype(np.intp)
 
-    for i, user_id in enumerate(user_ids):
-        level = config.influencer if flags[i] else config.ordinary
-        age = int(rng.integers(level.account_age_days[0], level.account_age_days[1] + 1))
-        users.append(
-            UserProfile(
-                user_id=user_id,
-                handle=f"user{i:05d}",
-                followers_count=int(rng.integers(level.followers[0], level.followers[1] + 1)),
-                friends_count=int(rng.integers(level.friends[0], level.friends[1] + 1)),
-                created_at=start - timedelta(days=age),
-            )
+    def per_user(name: str) -> np.ndarray:
+        return np.array([getattr(level, name) for level in levels])[level_of]
+
+    def draw_in(name: str, size=None) -> np.ndarray:
+        lo, hi = per_user(name).T
+        if size is not None:
+            lo, hi = lo[:, None], hi[:, None]
+        return rng.integers(lo, hi, size=size, endpoint=True)
+
+    ages = draw_in("account_age_days")
+    followers = draw_in("followers")
+    friends = draw_in("friends")
+    tweets_of = draw_in("tweets_per_period", size=(n_users, config.n_periods)).sum(axis=1)
+
+    author, seq = _runs(tweets_of)
+    n_tweets = author.size
+    tweet_primary = primary[author]
+    posted = rng.integers(0, span_seconds, size=n_tweets)
+    if n_others.any():
+        has_others = n_others[tweet_primary] > 0
+        off = has_others & (rng.random(n_tweets) < config.off_domain_rate)
+        blend = has_others & ~off & (rng.random(n_tweets) < config.blend_rate)
+        pick = rng.integers(0, np.maximum(n_others[tweet_primary], 1))
+        other = others_table[tweet_primary, pick]
+    else:  # a single domain has no others to draw from
+        off = blend = np.zeros(n_tweets, dtype=bool)
+        other = tweet_primary
+    replies_of = rng.poisson(per_user("replies_mean")[author])
+    retweets = rng.poisson(per_user("retweets_mean")[author])
+    favorites = rng.poisson(per_user("favorites_mean")[author])
+    is_retweet = rng.random(n_tweets) < config.retweet_rate
+    is_spanish = rng.random(n_tweets) < config.non_english_rate
+    n_topic = rng.integers(4, 8, size=n_tweets)
+    n_blend = np.where(blend, rng.integers(2, 4, size=n_tweets), 0)
+    n_filler = rng.integers(1, 4, size=n_tweets)
+    topic = np.where(off, other, tweet_primary)
+    fillers = np.full(n_tweets, len(tweet_vocab) - len(_FILLERS))
+    tweet_texts = _texts(
+        rng,
+        [
+            (term_offset[topic], term_size[topic], n_topic),
+            (term_offset[other], term_size[other], n_blend),
+            (fillers, np.full(n_tweets, len(_FILLERS)), n_filler),
+        ],
+        tweet_vocab,
+    )
+
+    parent, reply_seq = _runs(replies_of)
+    n_replies = parent.size
+    parent_author = author[parent]
+    reply_posted = np.minimum(
+        posted[parent] + rng.integers(60, 3 * 86400, size=n_replies), span_seconds
+    )
+    reply_author = rng.integers(0, n_users - 1, size=n_replies)
+    reply_author += reply_author >= parent_author  # never the parent's author
+    positive = rng.random(n_replies) < per_user("positive_reply_rate")[parent_author]
+    n_charged = rng.integers(2, 5, size=n_replies)
+    n_neutral = rng.integers(1, 4, size=n_replies)
+    charged = np.where(positive, 0, len(pos_words))
+    n_pool = np.where(positive, len(pos_words), len(neg_words))
+    neutral = np.full(n_replies, len(pos_words) + len(neg_words))
+    reply_texts = _texts(
+        rng,
+        [
+            (charged, n_pool, n_charged),
+            (neutral, np.full(n_replies, len(_NEUTRAL_REPLY)), n_neutral),
+        ],
+        reply_vocab,
+    )
+
+    user_ids = [f"u{i:05d}" for i in range(n_users)]
+    users = [
+        UserProfile(
+            user_id=user_id,
+            handle=f"user{user_id[1:]}",
+            followers_count=n_followers,
+            friends_count=n_friends,
+            created_at=start - timedelta(days=age),
         )
-        labels[user_id] = INFLUENCER if flags[i] else NON_INFLUENCER
-
-    for i in range(config.n_users):
-        level = config.influencer if flags[i] else config.ordinary
-        primary = primaries[i]
-        others = [d for d in domains if d != primary]
-        seq = 0
-        for _ in range(config.n_periods):
-            n_tweets = int(
-                rng.integers(level.tweets_per_period[0], level.tweets_per_period[1] + 1)
-            )
-            for _ in range(n_tweets):
-                tweet_id = f"t{i:05d}-{seq:04d}"
-                seq += 1
-                posted = start + timedelta(seconds=int(rng.integers(0, span_seconds)))
-
-                pool, blend = primary, None
-                if others and rng.random() < config.off_domain_rate:
-                    pool = others[int(rng.integers(0, len(others)))]
-                elif others and rng.random() < config.blend_rate:
-                    blend = others[int(rng.integers(0, len(others)))]
-                text = _tweet_text(rng, term_pool[pool], term_pool[blend] if blend else None)
-
-                n_replies = int(rng.poisson(level.replies_mean))
-                is_retweet = rng.random() < config.retweet_rate
-                language = "es" if rng.random() < config.non_english_rate else "en"
-
-                tweets.append(
-                    TweetRecord(
-                        tweet_id=tweet_id,
-                        author_id=user_ids[i],
-                        posted_at=posted,
-                        text=text,
-                        retweet_count=int(rng.poisson(level.retweets_mean)),
-                        favorite_count=int(rng.poisson(level.favorites_mean)),
-                        replies_count=n_replies,
-                        is_retweet=is_retweet,
-                        language=language,
-                    )
-                )
-
-                for k in range(n_replies):
-                    offset = int(rng.integers(60, 3 * 86400))
-                    reply_at = min(posted + timedelta(seconds=offset), capture_at)
-                    author = int(rng.integers(0, config.n_users - 1))
-                    if author >= i:
-                        author += 1
-                    positive = rng.random() < level.positive_reply_rate
-                    replies.append(
-                        ReplyRecord(
-                            reply_id=f"r{tweet_id[1:]}-{k:03d}",
-                            parent_tweet_id=tweet_id,
-                            author_id=user_ids[author],
-                            posted_at=reply_at,
-                            text=_reply_text(rng, positive, pos_words, neg_words),
-                        )
-                    )
+        for user_id, age, n_followers, n_friends in zip(
+            user_ids, ages.tolist(), followers.tolist(), friends.tolist()
+        )
+    ]
+    labels = {
+        user_id: INFLUENCER if flag else NON_INFLUENCER
+        for user_id, flag in zip(user_ids, is_influencer.tolist())
+    }
+    tweet_ids = [f"t{i:05d}-{k:04d}" for i, k in zip(author.tolist(), seq.tolist())]
+    tweets = [
+        TweetRecord(
+            tweet_id=tweet_id,
+            author_id=user_ids[i],
+            posted_at=start + timedelta(seconds=at),
+            text=text,
+            retweet_count=n_retweets,
+            favorite_count=n_favorites,
+            replies_count=n,
+            is_retweet=retweet,
+            language="es" if spanish else "en",
+        )
+        for tweet_id, i, at, text, n_retweets, n_favorites, n, retweet, spanish in zip(
+            tweet_ids,
+            author.tolist(),
+            posted.tolist(),
+            tweet_texts,
+            retweets.tolist(),
+            favorites.tolist(),
+            replies_of.tolist(),
+            is_retweet.tolist(),
+            is_spanish.tolist(),
+        )
+    ]
+    replies = [
+        ReplyRecord(
+            reply_id=f"r{tweet_ids[p][1:]}-{k:03d}",
+            parent_tweet_id=tweet_ids[p],
+            author_id=user_ids[a],
+            posted_at=start + timedelta(seconds=at),
+            text=text,
+        )
+        for p, k, a, at, text in zip(
+            parent.tolist(),
+            reply_seq.tolist(),
+            reply_author.tolist(),
+            reply_posted.tolist(),
+            reply_texts,
+        )
+    ]
 
     dataset = Dataset(
         users=tuple(users),

@@ -397,7 +397,11 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
                     f"{path}: data row {len(user_ids) + 1} has {len(row)} cells"
                     f" but the header has {len(header)}"
                 )
-            key = (row[1], int(row[2]))
+            try:
+                key = (row[1], int(row[2]))
+                values.append([float(v) for v in row[3 : 3 + len(FEATURE_COLUMNS)]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: data row {len(user_ids) + 1}: {exc}") from exc
             selection = selection or key
             if key != selection:
                 raise ValueError(
@@ -405,7 +409,6 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
                     f" but row 1 has {selection!r}; a matrix holds one of each"
                 )
             user_ids.append(row[0])
-            values.append([float(v) for v in row[3 : 3 + len(FEATURE_COLUMNS)]])
             if labeled:
                 labels.append(row[-1])
     domain, period = selection or ("", POOLED)

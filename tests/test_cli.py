@@ -498,6 +498,19 @@ class TestBenchmark:
         report = json.loads((tmp_path / "benchmark_report.json").read_text())
         assert all(m["status"] == "trained" for m in report["models"])
 
+    def test_labels_rejected_for_labeled_matrix(self, pipeline, tmp_path, capsys):
+        unread = tmp_path / "labels.json"
+        unread.write_text("not json")
+        rc = main(
+            ["benchmark", str(pipeline["matrix"]), "--labels", str(unread),
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "matrix already carries a label column" in err
+        assert "--labels is only for unlabeled matrices" in err
+        assert not (tmp_path / "out" / "benchmark_report.json").exists()
+
     def test_labels_must_cover_matrix_users(self, pipeline, tmp_path, capsys):
         payload = json.loads(pipeline["labels"].read_text())
         kept = dict(list(payload["labels"].items())[:5])
@@ -564,18 +577,29 @@ class TestMalformedInputs:
             ("benchmark", "features.csv", "HEADER\nu1,Tech\n"),
             ("features", "labels.json", '{"domain": "Tech"}'),
             ("features", "labels.json", "[1, 2]"),
+            ("features", "labels.json", "not json"),
+            ("features", "labels.json", "\xff{}"),
+            ("config", "config.json", "not json"),
+            ("config", "config.json", "\xff{}"),
+            ("config", "config.json", "[1, 2]"),
+            ("benchmark", "features.csv", "HEADER\nu1,Tech,zero,CELLS\n"),
         ],
     )
     def test_malformed_file_fails_naming_it(
         self, pipeline, tmp_path, capsys, command, name, content
     ):
         header = pipeline["matrix"].read_text().splitlines()[0]
+        cells = ",".join(["0"] * (len(header.split(",")) - 3))
         bad = tmp_path / name
-        bad.write_text(content.replace("HEADER", header))
+        # latin-1 writes "\xff" as the byte 0xff, which is not UTF-8
+        bad.write_text(
+            content.replace("HEADER", header).replace("CELLS", cells), encoding="latin-1"
+        )
         argv = {
             "benchmark": ["benchmark", str(bad)],
             "features": ["features", str(pipeline["dataset"]), "--domain", TECH,
                          "--labels", str(bad)],
+            "config": ["benchmark", str(pipeline["matrix"]), "--config", str(bad)],
         }[command]
         out = tmp_path / "out"
         assert main([*argv, "--output-dir", str(out)]) == 1

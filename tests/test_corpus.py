@@ -5,10 +5,7 @@ import json
 from dataclasses import replace
 from datetime import timedelta
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from domcred.corpus.archive import (
     ArchiveFormatError,
@@ -23,9 +20,9 @@ from domcred.corpus.periods import PeriodSpec, partition_periods
 from domcred.corpus.synth import (
     INFLUENCER_LEVEL,
     ORDINARY_LEVEL,
+    _FILLERS,
     EngagementLevel,
     SynthConfig,
-    draw_words,
     synthesize,
 )
 from domcred.corpus.types import (
@@ -34,6 +31,7 @@ from domcred.corpus.types import (
     format_timestamp,
     parse_timestamp,
 )
+from domcred.lexicon import builtin_domain_lexicon
 from helpers import make_dataset, make_reply, make_tweet, make_user, ts
 
 
@@ -421,6 +419,72 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=field):
             replace(INFLUENCER_LEVEL, **kwargs)
 
+    # The tests below hold for any draw order: they pin what the generator
+    # promises, not the bytes it writes.
+
+    @pytest.mark.parametrize("seed", [1, 7, 13])
+    def test_record_invariants(self, seed):
+        config = SynthConfig(n_users=60)
+        dataset, labels = synthesize(config, seed)
+        start = parse_timestamp(config.start)
+        tweets_of = {u.user_id: 0 for u in dataset.users}
+        for t in dataset.tweets:
+            tweets_of[t.author_id] += 1
+            assert start <= t.posted_at < dataset.capture_at
+            assert t.language in ("en", "es")
+        for user_id, n in tweets_of.items():
+            level = config.influencer if labels.labels[user_id] == "Influencer" else config.ordinary
+            lo, hi = level.tweets_per_period
+            assert config.n_periods * lo <= n <= config.n_periods * hi
+
+        by_id = dataset.tweets_by_id()
+        reply_ids = {t.tweet_id: [] for t in dataset.tweets}
+        for r in dataset.replies:
+            reply_ids[r.parent_tweet_id].append(r.reply_id)
+            assert r.author_id != by_id[r.parent_tweet_id].author_id
+            assert by_id[r.parent_tweet_id].posted_at <= r.posted_at <= dataset.capture_at
+        for tweet_id, ids in reply_ids.items():
+            assert by_id[tweet_id].replies_count == len(ids)
+            assert sorted(ids) == [f"r{tweet_id[1:]}-{k:03d}" for k in range(len(ids))]
+
+    def test_edge_configs_behave_as_named(self):
+        two, labels = synthesize(GOLDEN_STREAM["two_users"][0], seed=7)
+        labels.validate_against(two)
+        assert len(two.users) == 2 and two.tweets
+
+        silent, _ = synthesize(GOLDEN_STREAM["no_tweets"][0], seed=7)
+        assert len(silent.users) == 40
+        assert silent.tweets == () and silent.replies == ()
+
+        loud, _ = synthesize(GOLDEN_STREAM["rates_one"][0], seed=7)
+        assert loud.tweets
+        assert all(t.language == "es" and t.is_retweet for t in loud.tweets)
+
+        config = GOLDEN_STREAM["one_domain"][0]
+        single, _ = synthesize(config, seed=7)
+        allowed = builtin_domain_lexicon().terms["Sports"] | set(_FILLERS)
+        assert single.tweets
+        for t in single.tweets:
+            assert set(t.text.split()) <= allowed, t.text
+
+    def test_mean_record_counts_match_the_levels(self):
+        config = SynthConfig(n_users=2000)
+        n_inf = int(config.n_users * config.influencer_fraction)
+        want_tweets = want_replies = 0.0
+        for level, n in ((config.influencer, n_inf), (config.ordinary, config.n_users - n_inf)):
+            lo, hi = level.tweets_per_period
+            tweets = n * config.n_periods * (lo + hi) / 2
+            want_tweets += tweets
+            want_replies += tweets * level.replies_mean
+        seeds = range(101, 109)
+        got_tweets = got_replies = 0
+        for seed in seeds:
+            dataset, _ = synthesize(config, seed)
+            got_tweets += len(dataset.tweets)
+            got_replies += len(dataset.replies)
+        assert got_tweets / len(seeds) == pytest.approx(want_tweets, rel=0.01)
+        assert got_replies / len(seeds) == pytest.approx(want_replies, rel=0.01)
+
 
 def _silent(level: EngagementLevel) -> EngagementLevel:
     return replace(level, tweets_per_period=(0, 0))
@@ -432,15 +496,15 @@ def _silent(level: EngagementLevel) -> EngagementLevel:
 GOLDEN_STREAM = {
     "default": (
         SynthConfig(n_users=40),
-        "5917e45e6c44ed5e42fb7bf6e380811e6bab0f3b7ba333afb826f16bc42514b2",
+        "a7bc907acc00e48d57210ee1ed725d602ad128ba410fd0fbab05cdebc2e9b053",
     ),
     "two_users": (
         SynthConfig(n_users=2),
-        "c41b3e498bbfd300017b11a2ddccca058e8c67a8132b343d6ae4f3d221561655",
+        "225f661ba363a3bc9750bec127494f9deb068b2e83584e13c89f3e3425e63501",
     ),
     "one_domain": (
         SynthConfig(n_users=40, domains=("Sports",)),
-        "3c4bb7e38be3b5b0ac1ac22383426d02369caf7945e03405b6cc2ad469b981c7",
+        "063e44a4be1ea3a37d7363101ee9da2c1f587fddaf292cc310846ddedeb16ca4",
     ),
     "rates_one": (
         SynthConfig(
@@ -450,7 +514,7 @@ GOLDEN_STREAM = {
             non_english_rate=1.0,
             retweet_rate=1.0,
         ),
-        "a1e70fc747d3e52144306c70edaf97e273266401713e4c221d7d62d9e0eb931f",
+        "6d24d4d33f44454b61f47d2947b71c62024b4250978f4c20c98c9acbaa51f8aa",
     ),
     "no_tweets": (
         SynthConfig(
@@ -458,13 +522,9 @@ GOLDEN_STREAM = {
             influencer=_silent(INFLUENCER_LEVEL),
             ordinary=_silent(ORDINARY_LEVEL),
         ),
-        "6b2841c1b2c48d2caebe5a585aca8e6bf36deff1ea5d52a1a25dfd952af3487d",
+        "706ee069dad4f675760af30f8d76950ee67519eaebf3b56733c9e310e407ecfa",
     ),
 }
-
-
-# word-like text: numpy's str arrays drop trailing NULs, which the pools never hold
-WORDS = st.text("abcdefghij'-", min_size=1, max_size=6)
 
 
 class TestSynthStream:
@@ -474,20 +534,3 @@ class TestSynthStream:
         dataset, _ = synthesize(config, seed=7)
         lines = "\n".join(dataset_to_lines(dataset)).encode("utf-8")
         assert hashlib.sha256(lines).hexdigest() == digest
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        pool=st.lists(WORDS, min_size=1, max_size=40),
-        k=st.integers(0, 8),
-    )
-    def test_index_draw_equals_rng_choice(self, seed, pool, k):
-        # draw_words relies on choice-with-replacement drawing integers(0, n, k)
-        by_choice = np.random.default_rng(seed)
-        by_index = np.random.default_rng(seed)
-        expected = by_choice.choice(np.array(pool), size=k).tolist()
-        assert draw_words(by_index, pool, k) == expected, (
-            f"numpy {np.__version__}: Generator.choice no longer draws "
-            "integers(0, len(pool), size=k)"
-        )
-        assert by_index.bit_generator.state == by_choice.bit_generator.state
