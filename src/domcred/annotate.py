@@ -1,9 +1,10 @@
 """Taxonomy and sentiment annotation behind a pluggable provider contract.
 
-The built-in provider scores text against bundled term lexicons and is fully
-deterministic.  A remote HTTP provider with the same surface exists for
-services that expose a JSON endpoint.  Analysis code depends only on the
-Annotator protocol.
+Each tweet's domains are inferred from its text and each reply gets one
+sentiment score.  The built-in provider scores text against bundled term
+lexicons and is fully deterministic.  A remote HTTP provider with the same
+surface exists for services that expose a JSON endpoint.  Analysis code
+depends only on the Annotator protocol.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .corpus.archive import decode_line
 from .corpus.types import Dataset
@@ -46,34 +47,6 @@ class DomainAnnotation:
 
 def _rank(annotations) -> list[DomainAnnotation]:
     return sorted(annotations, key=lambda a: (-a.score, a.label))
-
-
-def merge_domains(
-    text_domains: tuple[DomainAnnotation, ...],
-    url_domains: tuple[DomainAnnotation, ...],
-) -> tuple[DomainAnnotation, ...]:
-    """Combine text-derived and URL-derived annotations into one ranked list.
-
-    A label present on both sides averages the two scores (capped at 1) and
-    is confident if either side was; a label on one side passes through.
-    The union is re-ranked (score desc, label asc) and truncated to three.
-    Commutative, and the identity when one side is empty.
-    """
-    a = {d.label: d for d in text_domains}
-    b = {d.label: d for d in url_domains}
-    merged = []
-    for label in set(a) | set(b):
-        if label in a and label in b:
-            merged.append(
-                DomainAnnotation(
-                    label=label,
-                    score=min(1.0, (a[label].score + b[label].score) / 2.0),
-                    confident=a[label].confident or b[label].confident,
-                )
-            )
-        else:
-            merged.append(a.get(label) or b[label])
-    return tuple(_rank(merged)[:MAX_DOMAINS_PER_TEXT])
 
 
 class Annotator(Protocol):
@@ -132,6 +105,8 @@ class RemoteAnnotator:
     """
 
     def __init__(self, url: str, token_env: str = "", timeout: float = 10.0):
+        if not 0 < timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
         self.url = url
         self.token_env = token_env
         self.timeout = timeout
@@ -183,16 +158,10 @@ class RemoteAnnotator:
 
 @dataclass(frozen=True)
 class AnnotatedTweet:
-    """Domain annotations for one tweet from its text and its URLs."""
+    """The domains inferred from one tweet's text, ranked by score."""
 
     tweet_id: str
-    text_domains: tuple[DomainAnnotation, ...] = ()
-    url_domains: tuple[DomainAnnotation, ...] = ()
     merged_domains: tuple[DomainAnnotation, ...] = ()
-
-    @property
-    def annotatable(self) -> bool:
-        return bool(self.merged_domains)
 
 
 @dataclass(frozen=True)
@@ -233,16 +202,13 @@ class AnnotationReport:
 def annotate_dataset(
     dataset: Dataset,
     annotator: Annotator | None = None,
-    url_text_resolver: Callable[[str], str] | None = None,
     fail_fast: bool = False,
 ) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedReply, ...], AnnotationReport]:
     """Annotate every tweet (domains) and every reply (sentiment) independently.
 
-    URL domains are inferred from resolver-provided page text when a resolver
-    is given; otherwise annotation is text-only.  A provider failure on one
-    item is recorded in the report and the item gets an empty or neutral
-    annotation, unless ``fail_fast`` re-raises.  Output order is canonical
-    (by tweet/reply id, inherited from the dataset).
+    A provider failure on one item is recorded in the report and the item
+    gets an empty or neutral annotation, unless ``fail_fast`` re-raises.
+    Output order is canonical (by tweet/reply id, inherited from the dataset).
     """
     annotator = annotator or LexiconAnnotator()
     report = AnnotationReport(n_tweets=len(dataset.tweets), n_replies=len(dataset.replies))
@@ -250,28 +216,17 @@ def annotate_dataset(
     replies: list[AnnotatedReply] = []
 
     for tweet in dataset.tweets:
-        text_domains: tuple[DomainAnnotation, ...] = ()
-        url_domains: tuple[DomainAnnotation, ...] = ()
+        domains: tuple[DomainAnnotation, ...] = ()
         try:
-            text_domains = annotator.infer_taxonomy(tweet.text)
-            if url_text_resolver is not None and tweet.urls:
-                url_text = " ".join(url_text_resolver(u) for u in tweet.urls)
-                url_domains = annotator.infer_taxonomy(url_text)
+            domains = annotator.infer_taxonomy(tweet.text)
         except AnnotatorError as exc:
             if fail_fast:
                 raise
             report.failures.append((tweet.tweet_id, str(exc)))
-        merged = merge_domains(text_domains, url_domains)
-        annotated = AnnotatedTweet(
-            tweet_id=tweet.tweet_id,
-            text_domains=text_domains,
-            url_domains=url_domains,
-            merged_domains=merged,
-        )
-        tweets.append(annotated)
-        if annotated.annotatable:
+        tweets.append(AnnotatedTweet(tweet_id=tweet.tweet_id, merged_domains=domains))
+        if domains:
             report.n_annotatable += 1
-            if not any(d.confident for d in merged):
+            if not any(d.confident for d in domains):
                 report.n_unconfident += 1
 
     for reply in dataset.replies:
@@ -293,17 +248,35 @@ def _domains_payload(annotations) -> list:
     return [[a.label, a.score, a.confident] for a in annotations]
 
 
+# the JSON types a score or a sentiment takes; true is not a number
+_NUMBERS = (int, float)
+
+
 def _domains_from_payload(payload, interned: dict) -> tuple[DomainAnnotation, ...]:
     """The entries as DomainAnnotations, one shared instance per distinct entry.
 
-    Sharing is safe because the dataclass is frozen.  The key holds the
-    score's type, so 1 and 1.0 stay apart.  Zero scores (0.0 and -0.0 are
-    equal but written differently) and labels or flags that are not str and
-    bool are built afresh.
+    Each entry is a [label, score, confident] list with a string label and a
+    numeric score.  Sharing is safe because the dataclass is frozen.  The key
+    holds the score's type, so 1 and 1.0 stay apart.  Zero scores (0.0 and
+    -0.0 are equal but written differently) and flags that are not bool are
+    built afresh.
     """
+    if type(payload) is not list:
+        raise ValueError(f"merged_domains must be a list, got {payload!r}")
     domains = []
-    for label, score, confident in payload:
-        if score and type(label) is str and type(confident) is bool:
+    for entry in payload:
+        if not (
+            type(entry) is list
+            and len(entry) == 3
+            and type(entry[0]) is str
+            and type(entry[1]) in _NUMBERS
+        ):
+            raise ValueError(
+                f"domain entry {entry!r} is not a [label, score, confident] triple"
+                " with a string label and a numeric score"
+            )
+        label, score, confident = entry
+        if score and type(confident) is bool:
             key = (label, score, type(score), confident)
             annotation = interned.get(key)
             if annotation is None:
@@ -326,44 +299,53 @@ def save_annotations(
     if report is not None:
         lines.append(_dump({"kind": "report", **report.to_dict()}))
     for t in tweets:
-        lines.append(
-            _dump(
-                {
-                    "kind": "tweet",
-                    "tweet_id": t.tweet_id,
-                    "text_domains": _domains_payload(t.text_domains),
-                    "url_domains": _domains_payload(t.url_domains),
-                    "merged_domains": _domains_payload(t.merged_domains),
-                }
-            )
-        )
+        domains = _domains_payload(t.merged_domains)
+        lines.append(_dump({"kind": "tweet", "tweet_id": t.tweet_id, "merged_domains": domains}))
     for r in replies:
         lines.append(_dump({"kind": "reply", "reply_id": r.reply_id, "sentiment": r.sentiment}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedReply, ...]]:
+    """The tweet and reply records of an annotations file, in file order.
+
+    Files written before a tweet carried one domain list hold two more lists
+    per tweet; they still load, and only ``merged_domains`` is read.  A line
+    that is not such a record raises ValueError naming the file and the line.
+    """
     tweets: list[AnnotatedTweet] = []
     replies: list[AnnotatedReply] = []
     interned: dict = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: annotations file is not UTF-8: {exc}") from exc
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        record = decode_line(line)
-        kind = record.get("kind")
-        if kind == "tweet":
-            tweets.append(
-                AnnotatedTweet(
-                    tweet_id=record["tweet_id"],
-                    text_domains=_domains_from_payload(record["text_domains"], interned),
-                    url_domains=_domains_from_payload(record["url_domains"], interned),
-                    merged_domains=_domains_from_payload(record["merged_domains"], interned),
-                )
-            )
-        elif kind == "reply":
-            replies.append(
-                AnnotatedReply(reply_id=record["reply_id"], sentiment=record["sentiment"])
-            )
-        elif kind != "report":
-            raise ValueError(f"unknown annotation record kind {kind!r}")
+        try:
+            record = decode_line(line)
+            if type(record) is not dict:
+                raise ValueError(f"a record must be a JSON object, got {record!r}")
+            kind = record["kind"]
+            if kind == "tweet":
+                tweet_id = record["tweet_id"]
+                if type(tweet_id) is not str:
+                    raise ValueError(f"tweet_id must be a string, got {tweet_id!r}")
+                domains = _domains_from_payload(record["merged_domains"], interned)
+                tweets.append(AnnotatedTweet(tweet_id, domains))
+            elif kind == "reply":
+                reply_id, sentiment = record["reply_id"], record["sentiment"]
+                if type(reply_id) is not str or type(sentiment) not in _NUMBERS:
+                    raise ValueError(
+                        "a reply needs a string reply_id and a numeric sentiment,"
+                        f" got {reply_id!r} and {sentiment!r}"
+                    )
+                replies.append(AnnotatedReply(reply_id, sentiment))
+            elif kind != "report":
+                raise ValueError(f"unknown annotation record kind {kind!r}")
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {line_no}: record has no {exc} key") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return tuple(tweets), tuple(replies)

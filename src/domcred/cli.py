@@ -52,6 +52,7 @@ _JSON_TYPES = {
     int: ((int,), "an integer"),
     float: ((int, float), "a finite number"),
     bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
 }
 
 
@@ -119,17 +120,22 @@ def _add_global_options(parser: argparse.ArgumentParser, root: bool = False) -> 
 
 def _build_annotator(args, config: dict):
     section = _section(config.get("annotator", {}), "annotator", _ANNOTATOR_KEYS)
-    kind = args.annotator or section.get("kind", "lexicon")
+    kind = _resolve(args, section, "kind", "lexicon", str)
     if kind == "remote":
-        url = args.annotator_url or section.get("url")
+        url = _resolve(args, section, "url", None, str)
         if not url:
             raise ValueError("remote annotator needs --annotator-url or config annotator.url")
-        token_env = args.annotator_token_env or section.get("token_env", "")
-        return RemoteAnnotator(url, token_env=token_env, timeout=section.get("timeout", 10.0))
+        timeout = _resolve(args, section, "timeout", 10.0, float)
+        if not timeout > 0:
+            raise ValueError(
+                f"config timeout must be a finite number greater than 0, got {timeout!r}"
+            )
+        token_env = _resolve(args, section, "token_env", "", str)
+        return RemoteAnnotator(url, token_env=token_env, timeout=timeout)
     if kind != "lexicon":
         raise ValueError(f"unknown annotator kind {kind!r}")
-    domain_path = args.domain_lexicon or section.get("domain_lexicon")
-    sentiment_path = args.sentiment_lexicon or section.get("sentiment_lexicon")
+    domain_path = _resolve(args, section, "domain_lexicon", None, str)
+    sentiment_path = _resolve(args, section, "sentiment_lexicon", None, str)
     return LexiconAnnotator(
         domain_lexicon=load_domain_lexicon(domain_path) if domain_path else None,
         sentiment_lexicon=load_sentiment_lexicon(sentiment_path) if sentiment_path else None,
@@ -435,11 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annotate", help="infer domains and reply sentiment for a dataset")
     _add_global_options(p)
-    p.add_argument("--annotator", choices=("lexicon", "remote"), default=None, help="provider kind")
-    p.add_argument("--annotator-url", default=None, help="remote provider endpoint")
+    # the dests are the annotator config keys each flag overrides
+    p.add_argument(
+        "--annotator",
+        choices=("lexicon", "remote"),
+        default=None,
+        dest="kind",
+        help="provider kind",
+    )
+    p.add_argument("--annotator-url", default=None, dest="url", help="remote provider endpoint")
     p.add_argument(
         "--annotator-token-env",
         default=None,
+        dest="token_env",
         help="environment variable holding the remote auth token",
     )
     p.add_argument("--domain-lexicon", default=None, help="domain lexicon file")
@@ -509,7 +523,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         seed = _resolve(args, config, "seed", _GLOBAL_DEFAULTS["seed"], int)
-        out_dir = Path(_resolve(args, config, "output_dir", _GLOBAL_DEFAULTS["output_dir"]))
+        out_dir = Path(_resolve(args, config, "output_dir", _GLOBAL_DEFAULTS["output_dir"], str))
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args, config, out_dir, seed=seed)
     except (ValueError, OSError, AnnotatorError, RuntimeError) as exc:

@@ -43,7 +43,6 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
         "tol": 1e-8,
     },
     "decision_tree": {
-        "criterion": "gain_ratio",
         "max_depth": 20,
         "confidence": 0.1,
         "minimal_gain": 0.05,
@@ -51,7 +50,6 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
     "random_forest": {
         "n_trees": 100,
         "max_depth": 10,
-        "criterion": "gain_ratio",
         "minimal_gain": 0.05,
         "bootstrap": True,
         "feature_subsample": "sqrt",
@@ -65,7 +63,6 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
         "hidden": (50, 50),
         "activation": "rectifier",
         "epochs": 50,
-        "loss": "quadratic",
         "l1": 1e-5,
         "l2": 0.0,
         "adaptive_rate": True,
@@ -110,12 +107,8 @@ def _validate_hyper(algorithm: str, hyper: dict) -> None:
         raise ValueError(f"{algorithm}.alpha must be in [0, 1]")
     if "family" in hyper and hyper["family"] not in ("binomial", "gaussian"):
         raise ValueError(f"{algorithm}: unknown family {hyper['family']!r}")
-    if "criterion" in hyper and hyper["criterion"] != "gain_ratio":
-        raise ValueError(f"{algorithm}: unknown criterion {hyper['criterion']!r}")
     if "activation" in hyper and hyper["activation"] not in ("rectifier", "tanh", "maxout"):
         raise ValueError(f"{algorithm}: unknown activation {hyper['activation']!r}")
-    if "loss" in hyper and algorithm == "neural_net" and hyper["loss"] != "quadratic":
-        raise ValueError(f"{algorithm}: unknown loss {hyper['loss']!r}")
     if "confidence" in hyper and hyper["confidence"] is not None:
         c = hyper["confidence"]
         if not (type(c) in (int, float) and 0.0 < c < 0.5):

@@ -81,14 +81,12 @@ def annotation(label, score, confident=False):
 
 
 def annotated_tweet(tweet_id, scores, confident=False):
-    """AnnotatedTweet whose merged domains carry the given label -> score map."""
+    """AnnotatedTweet whose domains carry the given label -> score map."""
     merged = tuple(
         DomainAnnotation(label=label, score=score, confident=confident)
         for label, score in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     )
-    return AnnotatedTweet(
-        tweet_id=tweet_id, text_domains=merged, url_domains=(), merged_domains=merged
-    )
+    return AnnotatedTweet(tweet_id=tweet_id, merged_domains=merged)
 
 
 def annotated_reply(reply_id, sentiment):
@@ -170,8 +168,6 @@ def brute_annotation_lines(tweets, replies, report=None):
         record = {
             "kind": "tweet",
             "tweet_id": t.tweet_id,
-            "text_domains": payload(t.text_domains),
-            "url_domains": payload(t.url_domains),
             "merged_domains": payload(t.merged_domains),
         }
         lines.append(json.dumps(record, sort_keys=True))

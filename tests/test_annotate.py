@@ -1,12 +1,10 @@
-"""Annotation providers, merging, and persistence."""
+"""Annotation providers and persistence."""
 
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from domcred.annotate import (
     AnnotatorError,
@@ -15,7 +13,6 @@ from domcred.annotate import (
     RemoteAnnotator,
     annotate_dataset,
     load_annotations,
-    merge_domains,
     save_annotations,
 )
 from domcred.lexicon import parse_domain_lexicon, parse_sentiment_lexicon
@@ -89,52 +86,6 @@ class TestLexiconAnnotator:
             small_annotator(gain=gain)
 
 
-class TestMergeDomains:
-    def test_shared_label_averages_and_ors_confidence(self):
-        text = (DomainAnnotation("Tech", 1.0, confident=True),)
-        url = (DomainAnnotation("Tech", 0.5, confident=False),)
-        (merged,) = merge_domains(text, url)
-        assert merged.score == pytest.approx(0.75)
-        assert merged.confident
-
-    def test_one_sided_labels_pass_through(self):
-        text = (DomainAnnotation("Tech", 0.4),)
-        url = (DomainAnnotation("Food", 0.9),)
-        merged = merge_domains(text, url)
-        assert [d.label for d in merged] == ["Food", "Tech"]
-
-    def test_empty_side_is_identity(self):
-        text = (DomainAnnotation("Tech", 1.0), DomainAnnotation("Food", 0.2))
-        assert merge_domains(text, ()) == text
-        assert merge_domains((), text) == text
-
-    def test_truncates_to_three(self):
-        text = tuple(DomainAnnotation(f"D{i}", 1.0 - i / 10) for i in range(3))
-        url = (DomainAnnotation("D9", 0.05),)
-        merged = merge_domains(text, url)
-        assert len(merged) == 3
-        assert "D9" not in {d.label for d in merged}
-
-    scores = st.floats(min_value=0.0, max_value=1.0)
-
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from("ABCDE"), scores, st.booleans()),
-            max_size=5,
-            unique_by=lambda t: t[0],
-        ),
-        st.lists(
-            st.tuples(st.sampled_from("ABCDE"), scores, st.booleans()),
-            max_size=5,
-            unique_by=lambda t: t[0],
-        ),
-    )
-    def test_commutative(self, left, right):
-        a = tuple(DomainAnnotation(*t) for t in left)
-        b = tuple(DomainAnnotation(*t) for t in right)
-        assert merge_domains(a, b) == merge_domains(b, a)
-
-
 class FailingAnnotator:
     """Delegates to a lexicon annotator but fails on marked texts."""
 
@@ -174,20 +125,6 @@ class TestAnnotateDataset:
         assert report.n_annotatable == 2
         assert report.n_not_annotatable == 1
         assert report.n_neutral_replies == 1
-
-    def test_url_resolver_feeds_url_domains(self):
-        tweets, _, _ = annotate_dataset(
-            self.dataset(),
-            small_annotator(min_hits=1),
-            url_text_resolver=lambda url: "server headline",
-        )
-        t3 = tweets[2]
-        assert {d.label for d in t3.url_domains} == {"Tech", "News"}
-        assert t3.merged_domains[0].label == "Food"
-
-    def test_without_resolver_urls_ignored(self):
-        tweets, _, _ = annotate_dataset(self.dataset(), small_annotator())
-        assert tweets[2].url_domains == ()
 
     def test_failures_recorded_and_neutralized(self):
         users = [make_user("u1")]
@@ -312,6 +249,11 @@ class TestRemoteAnnotator:
             remote.infer_taxonomy("x")
         with pytest.raises(AnnotatorError, match="bad sentiment"):
             remote.score_sentiment("x")
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("inf"), float("nan")])
+    def test_rejects_bad_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
+            RemoteAnnotator("http://127.0.0.1:1", timeout=timeout)
 
     def test_unreachable_host_wrapped(self):
         remote = RemoteAnnotator("http://127.0.0.1:1", timeout=0.5)

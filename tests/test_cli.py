@@ -21,6 +21,8 @@ from domcred.verify import fixture_names
 
 TECH = "Technology and Computing"
 ROOT = Path(__file__).resolve().parent.parent
+# a remote annotator endpoint for configs that must fail before any request
+UNUSED_URL = "http://127.0.0.1:1/"
 
 
 @pytest.fixture(scope="module")
@@ -583,6 +585,26 @@ class TestMalformedInputs:
             ("config", "config.json", "\xff{}"),
             ("config", "config.json", "[1, 2]"),
             ("benchmark", "features.csv", "HEADER\nu1,Tech,zero,CELLS\n"),
+            ("features", "annotations.jsonl", '{"kind": "tweet", "tweet_id": "t1"}'),
+            (
+                "features",
+                "annotations.jsonl",
+                '{"kind": "reply", "reply_id": "r1", "sentiment": "x"}',
+            ),
+            ("features", "annotations.jsonl", "[1, 2]"),
+            (
+                "features",
+                "annotations.jsonl",
+                '{"kind": "tweet", "tweet_id": "t1", "merged_domains": [["Tech", 1.0]]}',
+            ),
+            (
+                "features",
+                "annotations.jsonl",
+                '{"kind": "tweet", "tweet_id": "t1", "merged_domains": [[5, 1.0, true]]}',
+            ),
+            ("features", "annotations.jsonl", '{"tweet_id": "t1", "merged_domains": []}'),
+            ("features", "annotations.jsonl", "not json"),
+            ("features", "annotations.jsonl", "\xff{}"),
         ],
     )
     def test_malformed_file_fails_naming_it(
@@ -595,10 +617,14 @@ class TestMalformedInputs:
         bad.write_text(
             content.replace("HEADER", header).replace("CELLS", cells), encoding="latin-1"
         )
+        # features reads the annotations.jsonl beside its dataset
+        dataset = pipeline["dataset"]
+        if name == "annotations.jsonl":
+            dataset = shutil.copy(dataset, tmp_path / dataset.name)
         argv = {
             "benchmark": ["benchmark", str(bad)],
-            "features": ["features", str(pipeline["dataset"]), "--domain", TECH,
-                         "--labels", str(bad)],
+            "features": ["features", str(dataset), "--domain", TECH]
+            + (["--labels", str(bad)] if name == "labels.json" else []),
             "config": ["benchmark", str(pipeline["matrix"]), "--config", str(bad)],
         }[command]
         out = tmp_path / "out"
@@ -651,6 +677,33 @@ class TestConfigShapes:
             ("annotate", {"annotator": {"gain": float("inf")}}, "gain"),
             ("annotate", {"annotator": {"gain": float("nan")}}, "gain"),
             ("benchmark", {"train_fraction": float("-inf")}, "train_fraction"),
+            ("synth", {"output_dir": 5}, "output_dir"),
+            ("annotate", {"annotator": {"kind": 5}}, "kind"),
+            ("annotate", {"annotator": {"domain_lexicon": 5}}, "domain_lexicon"),
+            ("annotate", {"annotator": {"domain_lexicon": True}}, "domain_lexicon"),
+            ("annotate", {"annotator": {"sentiment_lexicon": 5}}, "sentiment_lexicon"),
+            ("annotate", {"annotator": {"sentiment_lexicon": True}}, "sentiment_lexicon"),
+            ("annotate", {"annotator": {"kind": "remote", "url": 5}}, "url"),
+            (
+                "annotate",
+                {"annotator": {"kind": "remote", "url": UNUSED_URL, "token_env": 3}},
+                "token_env",
+            ),
+            (
+                "annotate",
+                {"annotator": {"kind": "remote", "url": UNUSED_URL, "timeout": "soon"}},
+                "timeout",
+            ),
+            (
+                "annotate",
+                {"annotator": {"kind": "remote", "url": UNUSED_URL, "timeout": -1}},
+                "timeout",
+            ),
+            (
+                "annotate",
+                {"annotator": {"kind": "remote", "url": UNUSED_URL, "timeout": 0}},
+                "timeout",
+            ),
         ],
     )
     def test_wrong_shape_fails_naming_the_key(
@@ -665,7 +718,9 @@ class TestConfigShapes:
             "benchmark": [str(pipeline["matrix"])],
         }[command]
         out = tmp_path / "out"
-        rc = main([command, *inputs, "--config", str(config), "--output-dir", str(out)])
+        # the output directory then comes from the config under test
+        flag = [] if key == "output_dir" else ["--output-dir", str(out)]
+        rc = main([command, *inputs, "--config", str(config), *flag])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {key} must be ")

@@ -206,7 +206,7 @@ domain_lists = st.lists(
 def annotations(draw):
     ids = draw(st.lists(st.text(min_size=1, max_size=6), max_size=5, unique=True))
     tweets = tuple(
-        AnnotatedTweet(tid, draw(domain_lists), draw(domain_lists), draw(domain_lists))
+        AnnotatedTweet(tid, draw(domain_lists))
         for tid in ids
     )
     replies = tuple(
@@ -242,6 +242,7 @@ class TestAnnotationLines:
         assert path.read_text(encoding="utf-8") == text
 
     def test_load_equals_per_entry_construction(self, tmp_path):
+        # lines in the layout written before a tweet carried one domain list
         entries = [
             [["Arts", 1, True], ["Sports", 0.5, False]],
             [["Arts", 1.0, True], ["Sports", 0.5, False], ["Sports", 0.5, 1]],
@@ -269,7 +270,6 @@ class TestAnnotationLines:
             for domains in entries
         ]
         assert [t.merged_domains for t in tweets] == expected
-        assert [t.text_domains for t in tweets] == expected
         # == cannot tell 1 from 1.0 or -0.0 from 0.0; repr can
         assert [repr(t.merged_domains) for t in tweets] == [repr(e) for e in expected]
         assert replies == (AnnotatedReply("r0", -0.25),)
@@ -277,3 +277,12 @@ class TestAnnotationLines:
         assert tweets[0].merged_domains[0] is tweets[2].merged_domains[0]
         assert tweets[0].merged_domains[1] is tweets[1].merged_domains[1]
         assert tweets[0].merged_domains[0] is not tweets[1].merged_domains[0]
+        # saving what was loaded writes the one-list layout
+        save_annotations(tweets, replies, path)
+        assert path.read_text(encoding="utf-8").splitlines()[:3] == [
+            json.dumps(
+                {"kind": "tweet", "merged_domains": domains, "tweet_id": f"t{i}"},
+                sort_keys=True,
+            )
+            for i, domains in enumerate(entries)
+        ]

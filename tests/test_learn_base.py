@@ -18,6 +18,9 @@ class TestModelSpec:
     def test_unknown_hyperparameter(self):
         with pytest.raises(ValueError, match="unknown hyperparameters"):
             ModelSpec(algorithm="naive_bayes", hyperparameters={"bandwidth": 2})
+        # the split criterion is fixed to gain ratio, not a setting
+        with pytest.raises(ValueError, match="unknown hyperparameters"):
+            ModelSpec(algorithm="decision_tree", hyperparameters={"criterion": "gain_ratio"})
 
     def test_defaults_merged_and_overrides_stick(self):
         spec = ModelSpec(algorithm="random_forest", hyperparameters={"n_trees": 7})

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from domcred.annotate import DomainAnnotation, merge_domains
+from domcred.annotate import DomainAnnotation
 from domcred.corpus.archive import dataset_to_lines, load_dataset, save_dataset
 from domcred.corpus.cleanse import cleanse
 from domcred.corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
@@ -65,28 +65,6 @@ class TestLexiconInvariants:
         lexicon = builtin_sentiment_lexicon()
         assume(not any(tok in lexicon.polarity for tok in tokenize(text)))
         assert lexicon.score(text) == 0.0
-
-
-class TestMergeInvariants:
-    @given(a=annotation_lists(), b=annotation_lists())
-    def test_merge_is_ranked_and_truncated(self, a, b):
-        merged = merge_domains(a, b)
-        assert len(merged) <= 3
-        labels = [m.label for m in merged]
-        assert len(set(labels)) == len(labels)
-        for first, second in zip(merged, merged[1:]):
-            assert (-first.score, first.label) <= (-second.score, second.label)
-        for m in merged:
-            assert 0.0 <= m.score <= 1.0
-
-    @given(a=annotation_lists(), b=annotation_lists())
-    def test_merge_is_commutative(self, a, b):
-        assert merge_domains(a, b) == merge_domains(b, a)
-
-    @given(a=annotation_lists())
-    def test_merging_with_self_changes_nothing(self, a):
-        # averaging a score with itself is exact, so both calls must agree
-        assert merge_domains(a, a) == merge_domains(a, ())
 
 
 class TestRelativenessInvariants:
