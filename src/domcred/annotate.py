@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Protocol
 
@@ -188,15 +188,7 @@ class AnnotationReport:
         return self.n_tweets - self.n_annotatable
 
     def to_dict(self) -> dict:
-        return {
-            "n_tweets": self.n_tweets,
-            "n_annotatable": self.n_annotatable,
-            "n_not_annotatable": self.n_not_annotatable,
-            "n_unconfident": self.n_unconfident,
-            "n_replies": self.n_replies,
-            "n_neutral_replies": self.n_neutral_replies,
-            "failures": [list(f) for f in self.failures],
-        }
+        return {**asdict(self), "n_not_annotatable": self.n_not_annotatable}
 
 
 def annotate_dataset(
@@ -291,13 +283,9 @@ def _domains_from_payload(payload, interned: dict) -> tuple[DomainAnnotation, ..
 _dump = json.JSONEncoder(sort_keys=True).encode
 
 
-def save_annotations(
-    tweets, replies, path, report: AnnotationReport | None = None
-) -> None:
+def save_annotations(tweets, replies, path) -> None:
     """Write annotations as one JSON record per line, tweets then replies."""
     lines = []
-    if report is not None:
-        lines.append(_dump({"kind": "report", **report.to_dict()}))
     for t in tweets:
         domains = _domains_payload(t.merged_domains)
         lines.append(_dump({"kind": "tweet", "tweet_id": t.tweet_id, "merged_domains": domains}))
@@ -342,7 +330,7 @@ def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedR
                         f" got {reply_id!r} and {sentiment!r}"
                     )
                 replies.append(AnnotatedReply(reply_id, sentiment))
-            elif kind != "report":
+            else:
                 raise ValueError(f"unknown annotation record kind {kind!r}")
         except KeyError as exc:
             raise ValueError(f"{path}: line {line_no}: record has no {exc} key") from None

@@ -9,10 +9,9 @@ or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,7 +23,15 @@ from .annotate import (
     load_annotations,
     save_annotations,
 )
-from .corpus.archive import load_dataset, load_labels, save_dataset, save_labels
+from .corpus.archive import (
+    ArchiveFormatError,
+    load_dataset,
+    load_labels,
+    read_json,
+    save_dataset,
+    save_labels,
+    write_json,
+)
 from .corpus.cleanse import cleanse
 from .corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
 from .corpus.types import format_timestamp, parse_timestamp
@@ -36,6 +43,11 @@ if TYPE_CHECKING:
     from .learn.base import ModelSpec
 
 _GLOBAL_DEFAULTS = {"seed": 0, "output_dir": "."}
+# one config file serves every command, so each accepts every stage's keys
+_CONFIG_KEYS = (
+    "seed", "output_dir", "domain", "n_periods", "granularity", "top_k",
+    "train_fraction", "stratified", "annotator", "models", "synth",
+)
 _ANNOTATOR_KEYS = (
     "kind", "url", "token_env", "timeout",
     "domain_lexicon", "sentiment_lexicon", "gain", "min_hits",
@@ -56,23 +68,13 @@ _JSON_TYPES = {
 }
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{path}: config file is not UTF-8 JSON: {exc}") from exc
+    payload = read_json(path, "config")
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
-    return payload
+    return _section(payload, None, _CONFIG_KEYS)
 
 
 def _typed(name: str, value, kind: type):
@@ -97,14 +99,16 @@ def _resolve(args, config: dict, key: str, default, kind: type | None = None):
     return config.get(key, default)
 
 
-def _section(value, name: str, valid=None) -> dict:
-    """A config section: a JSON object, holding only the keys in valid when given."""
+def _section(value, name: str | None, valid=None) -> dict:
+    """A config section (the whole file when name is None): a JSON object,
+    holding only the keys in valid when given."""
     if not isinstance(value, dict):
         raise ValueError(f"config {name} must be a JSON object")
     unknown = sorted(set(value) - set(valid)) if valid is not None else []
     if unknown:
+        where = f"config {name}" if name else "config"
         raise ValueError(
-            f"unknown config {name} key(s) {', '.join(unknown)}; valid keys: {', '.join(valid)}"
+            f"unknown {where} key(s) {', '.join(unknown)}; valid keys: {', '.join(valid)}"
         )
     return value
 
@@ -157,12 +161,12 @@ def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
     )
     dataset_path = out_dir / "dataset.jsonl"
     save_dataset(cleansed, dataset_path)
-    _write_json(
+    write_json(
         out_dir / "ingest_report.json",
         {
             "source": str(args.archive),
             "load": load_report.to_dict(),
-            "cleanse": cleanse_report.to_dict(),
+            "cleanse": asdict(cleanse_report),
             "counts": {
                 "users": len(cleansed.users),
                 "tweets": len(cleansed.tweets),
@@ -178,13 +182,27 @@ def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
     return 0
 
 
+def _load_canonical(path: str):
+    """The dataset `ingest` wrote, which loads with nothing skipped or dropped."""
+    rerun = "; write it again with `domcred ingest`"
+    try:
+        dataset, report = load_dataset(path, fail_fast=True)
+    except ArchiveFormatError as exc:
+        raise ValueError(f"{path}: {exc}{rerun}") from exc
+    dropped = {k: v for k, v in asdict(report).items() if v}
+    if dropped:
+        counts = ", ".join(f"{k} {v}" for k, v in dropped.items())
+        raise ValueError(f"{path}: not a canonical dataset ({counts}){rerun}")
+    return dataset
+
+
 def cmd_annotate(args, config, out_dir: Path, seed: int) -> int:
-    dataset, _ = load_dataset(args.dataset)
+    dataset = _load_canonical(args.dataset)
     annotator = _build_annotator(args, config)
     tweets, replies, report = annotate_dataset(dataset, annotator, fail_fast=args.fail_fast)
     annotations_path = out_dir / "annotations.jsonl"
     save_annotations(tweets, replies, annotations_path)
-    _write_json(out_dir / "annotate_report.json", report.to_dict())
+    write_json(out_dir / "annotate_report.json", report.to_dict())
     print(f"wrote {annotations_path}")
     print(f"{report.n_annotatable}/{report.n_tweets} tweets annotatable")
     return 0
@@ -254,7 +272,7 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         save_matrix,
     )
 
-    dataset, _ = load_dataset(args.dataset)
+    dataset = _load_canonical(args.dataset)
     tweets, replies = _read_annotations(args.dataset, dataset)
     known_domains = sorted({d.label for t in tweets for d in t.merged_domains})
     domain = args.domain or config.get("domain") or (known_domains or [None])[0]
@@ -267,6 +285,8 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         raise ValueError(f"unknown domain {domain!r}; annotations carry {known_domains}")
 
     top_k = _resolve(args, config, "top_k", 5, int)
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     spec = PeriodSpec(
         n_periods=_resolve(args, config, "n_periods", None, int),
         start=parse_timestamp(args.start) if args.start else None,
@@ -282,12 +302,12 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     report_text = _render_period_report(domain, slices, domain_features, top_k)
     report_path = out_dir / "features_report.txt"
     report_path.write_text(report_text, encoding="utf-8")
-    _write_json(
+    write_json(
         out_dir / "features_report.json",
         {
             "domain": domain,
             "rows": matrix.n_rows,
-            "periods": partition_report.to_dict(),
+            "periods": asdict(partition_report),
         },
     )
     print(f"wrote {matrix_path} ({matrix.n_rows} rows)")
@@ -347,12 +367,12 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
     report = benchmark(matrix, split_spec, specs=_model_specs(config, seed))
 
     report_path = out_dir / "benchmark_report.json"
-    _write_json(report_path, report.to_dict())
+    write_json(report_path, report.to_dict())
     table_path = out_dir / "benchmark_table.txt"
     table = render_table(report)
     table_path.write_text(table, encoding="utf-8")
     # timings are the one run-dependent output, kept out of the report files
-    _write_json(out_dir / "benchmark_timings.json", {"wall_time_seconds": report.timings()})
+    write_json(out_dir / "benchmark_timings.json", {"wall_time_seconds": report.timings()})
     sys.stdout.write(table)
     print(f"wrote {report_path}")
     return 0
@@ -476,7 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--granularity", choices=GRANULARITIES, default=None)
     p.add_argument("--start", default=None, help="period range start (RFC 3339)")
-    p.add_argument("--top-k", type=int, default=None, help="rows per ranking (default 5)")
+    p.add_argument(
+        "--top-k", type=int, default=None, help="rows per ranking, at least 1 (default 5)"
+    )
     p.add_argument("--labels", default=None, help="labels file to attach to the matrix")
     p.set_defaults(func=cmd_features)
 

@@ -9,7 +9,7 @@ defaults to one day after the newest record.  See docs/formats.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -77,15 +77,16 @@ class LoadReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "malformed_lines": self.malformed_lines,
-            "malformed_line_numbers": self.malformed_line_numbers,
-            "quarantined_users": self.quarantined_users,
-            "quarantined_tweets": self.quarantined_tweets,
-            "quarantined_replies": self.quarantined_replies,
-            "filtered_users": self.filtered_users,
-            "warning_count": self.warning_count,
-        }
+        return {**asdict(self), "warning_count": self.warning_count}
+
+
+def _check_utf8(line: str) -> None:
+    """ValueError when a line read with surrogateescape held a byte that is not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ValueError(f"not UTF-8: byte 0x{byte:02x} at character {exc.start}") from None
 
 
 def _user_from_body(body: dict) -> UserProfile:
@@ -104,7 +105,6 @@ def _tweet_from_body(body: dict) -> TweetRecord:
         author_id=str(body["author_id"]),
         posted_at=parse_timestamp(body["posted_at"]),
         text=str(body.get("text", "")),
-        urls=tuple(str(u) for u in body.get("urls", [])),
         retweet_count=int(body.get("retweet_count", 0)),
         favorite_count=int(body.get("favorite_count", 0)),
         replies_count=int(body.get("replies_count", 0)),
@@ -146,12 +146,16 @@ def load_dataset(
     meta_capture: datetime | None = None
     provenance = ""
 
-    with path.open("r", encoding="utf-8") as fh:
+    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
+    # so a bad line is found, and counted, on its own
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    _check_utf8(line)
                 envelope = decode_line(line)
                 if not isinstance(envelope, dict):
                     raise ValueError("envelope is not an object")
@@ -254,7 +258,6 @@ def dataset_to_lines(dataset: Dataset) -> list[str]:
                         "author_id": t.author_id,
                         "posted_at": format_timestamp(t.posted_at),
                         "text": t.text,
-                        "urls": list(t.urls),
                         "retweet_count": t.retweet_count,
                         "favorite_count": t.favorite_count,
                         "replies_count": t.replies_count,
@@ -286,19 +289,28 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(dataset_to_lines(dataset)) + "\n", encoding="utf-8")
 
 
-def save_labels(labels: GroundTruthLabels, path: str | Path) -> None:
-    payload = {"domain": labels.domain, "labels": dict(sorted(labels.labels.items()))}
+def write_json(path: str | Path, payload) -> None:
+    """Write one JSON document: sorted keys, two-space indent, a final newline."""
     Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
 
 
-def load_labels(path: str | Path) -> GroundTruthLabels:
+def read_json(path: str | Path, what: str):
+    """The JSON document in a file; ValueError naming the file when it is not UTF-8 JSON."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{path}: labels file is not UTF-8 JSON: {exc}") from exc
+        raise ValueError(f"{path}: {what} file is not UTF-8 JSON: {exc}") from exc
+
+
+def save_labels(labels: GroundTruthLabels, path: str | Path) -> None:
+    write_json(path, asdict(labels))
+
+
+def load_labels(path: str | Path) -> GroundTruthLabels:
+    payload = read_json(path, "labels")
     if not (
         isinstance(payload, dict)
         and isinstance(payload.get("domain"), str)

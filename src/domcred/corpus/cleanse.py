@@ -17,14 +17,6 @@ class CleanseReport:
     retweets_zeroed: int = 0
     owner_replies_removed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "language_removed": self.language_removed,
-            "orphan_replies_removed": self.orphan_replies_removed,
-            "retweets_zeroed": self.retweets_zeroed,
-            "owner_replies_removed": self.owner_replies_removed,
-        }
-
 
 def cleanse(
     dataset: Dataset,

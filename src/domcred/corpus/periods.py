@@ -49,16 +49,6 @@ class PartitionReport:
     out_of_range_tweets: int
     out_of_range_replies: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n_periods": self.n_periods,
-            "empty_periods": self.empty_periods,
-            "tweets_per_period": list(self.tweets_per_period),
-            "replies_per_period": list(self.replies_per_period),
-            "out_of_range_tweets": self.out_of_range_tweets,
-            "out_of_range_replies": self.out_of_range_replies,
-        }
-
 
 def _floor_boundary(dt: datetime, granularity: str) -> datetime:
     if granularity == "year":

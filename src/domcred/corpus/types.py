@@ -54,7 +54,6 @@ class TweetRecord:
     author_id: str
     posted_at: datetime
     text: str
-    urls: tuple[str, ...] = ()
     retweet_count: int = 0
     favorite_count: int = 0
     replies_count: int = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,13 +32,6 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "train_fraction": self.train_fraction,
-            "seed": self.seed,
-            "stratified": self.stratified,
-        }
 
 
 def _train_count(n: int, fraction: float) -> int:
@@ -142,9 +135,6 @@ class ConfusionTable:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
-
 
 def confusion(predictions, labels) -> ConfusionTable:
     predictions = list(predictions)
@@ -178,16 +168,6 @@ class MetricsReport:
     recall: float
     f_score: float
     warnings: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "classification_error": self.classification_error,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "warnings": list(self.warnings),
-        }
 
 
 def metrics(ct: ConfusionTable) -> MetricsReport:
@@ -240,9 +220,6 @@ class RocCurve:
                 raise ValueError("curve coordinates must be non-decreasing")
         if not 0.0 <= self.auc <= 1.0:
             raise ValueError("auc out of range")
-
-    def to_dict(self) -> dict:
-        return {"points": [list(p) for p in self.points], "auc": self.auc}
 
 
 def roc(scores, labels) -> RocCurve:
@@ -301,15 +278,9 @@ class BenchmarkEntry:
 
     def to_dict(self) -> dict:
         # wall time deliberately omitted: reruns must serialize identically
-        return {
-            "algorithm": self.algorithm,
-            "status": self.status,
-            "reason": self.reason,
-            "metrics": None if self.metrics is None else self.metrics.to_dict(),
-            "confusion": None if self.confusion is None else self.confusion.to_dict(),
-            "roc": None if self.roc is None else self.roc.to_dict(),
-            "summary": None if self.summary is None else self.summary.to_dict(),
-        }
+        payload = asdict(self)
+        del payload["wall_time_seconds"]
+        return payload
 
 
 @dataclass(frozen=True)
@@ -332,7 +303,7 @@ class BenchmarkReport:
 
     def to_dict(self) -> dict:
         return {
-            "split": self.split_spec.to_dict(),
+            "split": asdict(self.split_spec),
             "fingerprint": self.fingerprint,
             "n_train": self.n_train,
             "n_test": self.n_test,

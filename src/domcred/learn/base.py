@@ -162,14 +162,6 @@ class TrainingSummary:
     final_loss: float | None = None
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_loss": self.final_loss,
-            "warnings": list(self.warnings),
-        }
-
 
 def sigmoid(eta: np.ndarray) -> np.ndarray:
     """The logistic function, written with tanh so no exp overflows."""

@@ -39,7 +39,6 @@ def make_tweet(
     favorites=0,
     replies=0,
     language="en",
-    urls=(),
     is_retweet=False,
 ):
     return TweetRecord(
@@ -47,7 +46,6 @@ def make_tweet(
         author_id=author,
         posted_at=ts(posted) if isinstance(posted, str) else posted,
         text=text,
-        urls=tuple(urls),
         retweet_count=retweets,
         favorite_count=favorites,
         replies_count=replies,
@@ -135,7 +133,6 @@ def brute_dataset_lines(dataset):
             "author_id": t.author_id,
             "posted_at": _brute_timestamp(t.posted_at),
             "text": t.text,
-            "urls": list(t.urls),
             "retweet_count": t.retweet_count,
             "favorite_count": t.favorite_count,
             "replies_count": t.replies_count,
@@ -155,15 +152,13 @@ def brute_dataset_lines(dataset):
     return lines
 
 
-def brute_annotation_lines(tweets, replies, report=None):
+def brute_annotation_lines(tweets, replies):
     """Annotation lines with one json.dumps call per record."""
 
     def payload(domains):
         return [[d.label, d.score, d.confident] for d in domains]
 
     lines = []
-    if report is not None:
-        lines.append(json.dumps({"kind": "report", **report.to_dict()}, sort_keys=True))
     for t in tweets:
         record = {
             "kind": "tweet",

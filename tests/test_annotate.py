@@ -109,7 +109,7 @@ class TestAnnotateDataset:
         tweets = [
             make_tweet("t1", "u1", text="python code all day"),
             make_tweet("t2", "u2", text="no domain words here"),
-            make_tweet("t3", "u2", text="pizza pasta", urls=("http://x.example/a",)),
+            make_tweet("t3", "u2", text="pizza pasta"),
         ]
         replies = [
             make_reply("r1", "t1", "u2", text="great work"),
@@ -154,11 +154,9 @@ class TestAnnotateDataset:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        tweets, replies, report = annotate_dataset(
-            TestAnnotateDataset().dataset(), small_annotator()
-        )
+        tweets, replies, _ = annotate_dataset(TestAnnotateDataset().dataset(), small_annotator())
         path = tmp_path / "annotations.jsonl"
-        save_annotations(tweets, replies, path, report=report)
+        save_annotations(tweets, replies, path)
         loaded_tweets, loaded_replies = load_annotations(path)
         assert loaded_tweets == tweets
         assert loaded_replies == replies

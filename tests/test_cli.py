@@ -13,6 +13,7 @@ import pytest
 import domcred.annotate
 import domcred.cli
 import domcred.features
+from domcred.annotate import annotate_dataset, save_annotations
 from domcred.cli import main
 from domcred.corpus.archive import load_dataset
 from domcred.features import load_matrix
@@ -220,22 +221,25 @@ class TestIngest:
     def test_malformed_line_skipped_and_counted(self, pipeline, tmp_path, capsys):
         broken = tmp_path / "broken.jsonl"
         shutil.copy(pipeline["archive"], broken)
-        with broken.open("a", encoding="utf-8") as fh:
-            fh.write("{{{not json\n")
-        bad_line = sum(1 for _ in broken.open())
+        lines = broken.read_bytes().splitlines(keepends=True)
+        user = next(i for i, line in enumerate(lines) if line.startswith(b'{"body":{"created_at"'))
+        # a user line holding the byte 0xff, which is not UTF-8, and a line of bad JSON
+        lines[user] = lines[user].replace(b'"handle":"', b'"handle":"\xff', 1)
+        broken.write_bytes(b"".join(lines) + b"{{{not json\n")
+        not_utf8, not_json = user + 1, len(lines) + 1
 
         rc = main(["ingest", str(broken), "--output-dir", str(tmp_path / "out")])
         assert rc == 0
         report = json.loads((tmp_path / "out/ingest_report.json").read_text())
-        assert report["load"]["malformed_lines"] == 1
-        assert report["load"]["malformed_line_numbers"] == [bad_line]
+        assert report["load"]["malformed_lines"] == 2
+        assert report["load"]["malformed_line_numbers"] == [not_utf8, not_json]
 
         capsys.readouterr()
         rc = main(
             ["ingest", str(broken), "--fail-fast", "--output-dir", str(tmp_path / "ff")]
         )
         assert rc == 1
-        assert f"line {bad_line}" in capsys.readouterr().err
+        assert f"error: line {not_utf8}: not UTF-8: byte 0xff" in capsys.readouterr().err
 
     @staticmethod
     def _archive(path, created_b):
@@ -306,6 +310,118 @@ class TestAnnotate:
         )
         assert rc == 1
         assert "annotator-url" in capsys.readouterr().err
+
+
+class TestCanonicalDataset:
+    """annotate and features read the dataset ingest wrote, or nothing."""
+
+    @pytest.mark.parametrize("command", ["annotate", "features"])
+    @pytest.mark.parametrize("damage", ["truncated user line", "dangling reply"])
+    def test_damaged_dataset_fails(self, pipeline, tmp_path, capsys, command, damage):
+        dataset = tmp_path / "dataset.jsonl"
+        lines = pipeline["dataset"].read_text(encoding="utf-8").splitlines()
+        if damage == "truncated user line":
+            user = next(i for i, line in enumerate(lines) if line.endswith('"kind":"user"}'))
+            lines[user] = lines[user][:60]
+            want = f"error: {dataset}: line {user + 1}: "
+        else:
+            reply = json.loads(next(line for line in lines if line.endswith('"kind":"reply"}')))
+            reply["body"].update(reply_id="r-dangling", parent_tweet_id="no-such-tweet")
+            lines.append(json.dumps(reply))
+            want = f"error: {dataset}: not a canonical dataset (quarantined_replies 1); "
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # annotations that match what a lenient load keeps, so only the load can fail
+        kept, _ = load_dataset(dataset)
+        tweets, replies, _ = annotate_dataset(kept)
+        save_annotations(tweets, replies, tmp_path / "annotations.jsonl")
+        argv = [command, str(dataset), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + (["--domain", TECH] if command == "features" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(want)
+        assert "`domcred ingest`" in err
+        assert not any((tmp_path / "out").iterdir())
+
+
+class TestReportBytes:
+    """The corpus-side reports of one small fixed pipeline, byte for byte."""
+
+    INGEST = """{
+  "cleanse": {
+    "language_removed": 14,
+    "orphan_replies_removed": 40,
+    "owner_replies_removed": 0,
+    "retweets_zeroed": 16
+  },
+  "counts": {
+    "replies": 964,
+    "tweets": 330,
+    "users": 20
+  },
+  "load": {
+    "filtered_users": 0,
+    "malformed_line_numbers": [
+      1370
+    ],
+    "malformed_lines": 1,
+    "quarantined_replies": 0,
+    "quarantined_tweets": 0,
+    "quarantined_users": 0,
+    "warning_count": 1
+  },
+  "source": SOURCE
+}
+"""
+    ANNOTATE = """{
+  "failures": [],
+  "n_annotatable": 330,
+  "n_neutral_replies": 0,
+  "n_not_annotatable": 0,
+  "n_replies": 964,
+  "n_tweets": 330,
+  "n_unconfident": 0
+}
+"""
+    FEATURES = """{
+  "domain": "Arts and Entertainment",
+  "periods": {
+    "empty_periods": 0,
+    "n_periods": 4,
+    "out_of_range_replies": 670,
+    "out_of_range_tweets": 217,
+    "replies_per_period": [
+      57,
+      108,
+      43,
+      86
+    ],
+    "tweets_per_period": [
+      28,
+      32,
+      22,
+      31
+    ]
+  },
+  "rows": 20
+}
+"""
+
+    def test_reports_are_pinned(self, tmp_path):
+        synth = ["synth", "--n-users", "20", "--seed", "1", "--output-dir", str(tmp_path)]
+        assert main(synth) == 0
+        archive = tmp_path / "synth_archive.jsonl"
+        with archive.open("a", encoding="utf-8") as fh:
+            fh.write("{{{not json\n")
+        dataset = tmp_path / "dataset.jsonl"
+        assert main(["ingest", str(archive), "--output-dir", str(tmp_path)]) == 0
+        assert main(["annotate", str(dataset), "--output-dir", str(tmp_path)]) == 0
+        assert main(
+            ["features", str(dataset), "--n-periods", "4", "--output-dir", str(tmp_path)]
+        ) == 0
+        source = json.dumps(str(archive), ensure_ascii=False)
+        ingest = (tmp_path / "ingest_report.json").read_text(encoding="utf-8")
+        assert ingest == self.INGEST.replace("SOURCE", source)
+        assert (tmp_path / "annotate_report.json").read_text(encoding="utf-8") == self.ANNOTATE
+        assert (tmp_path / "features_report.json").read_text(encoding="utf-8") == self.FEATURES
 
 
 class TestFeatures:
@@ -603,6 +719,7 @@ class TestMalformedInputs:
                 '{"kind": "tweet", "tweet_id": "t1", "merged_domains": [[5, 1.0, true]]}',
             ),
             ("features", "annotations.jsonl", '{"tweet_id": "t1", "merged_domains": []}'),
+            ("features", "annotations.jsonl", '{"kind": "report", "n_tweets": 0}'),
             ("features", "annotations.jsonl", "not json"),
             ("features", "annotations.jsonl", "\xff{}"),
         ],
@@ -709,6 +826,25 @@ class TestConfigShapes:
     def test_wrong_shape_fails_naming_the_key(
         self, pipeline, tmp_path, capsys, command, payload, key
     ):
+        # the output directory then comes from the config under test
+        err = self._fail(pipeline, tmp_path, capsys, command, payload, key != "output_dir")
+        assert err.startswith(f"error: config {key} must be ")
+
+    @pytest.mark.parametrize("command", ["synth", "annotate", "features", "benchmark", "verify"])
+    def test_unknown_key_fails_naming_valid_keys(self, pipeline, tmp_path, capsys, command):
+        err = self._fail(pipeline, tmp_path, capsys, command, {"topk": 3, "seeed": 4})
+        assert err.startswith(
+            "error: unknown config key(s) seeed, topk; valid keys: seed, output_dir, domain,"
+        )
+
+    @pytest.mark.parametrize("payload, flags", [({}, ["--top-k", "-1"]), ({"top_k": 0}, [])])
+    def test_top_k_below_one_fails(self, pipeline, tmp_path, capsys, payload, flags):
+        err = self._fail(pipeline, tmp_path, capsys, "features", payload, flags=flags)
+        assert err.startswith("error: top_k must be at least 1, got ")
+
+    @staticmethod
+    def _fail(pipeline, tmp_path, capsys, command, payload, output_dir=True, flags=()):
+        """stderr of a command run with the config, after checking it exits 1 writing nothing."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(payload))
         inputs = {
@@ -716,15 +852,14 @@ class TestConfigShapes:
             "annotate": [str(pipeline["dataset"])],
             "features": [str(pipeline["dataset"]), "--domain", TECH],
             "benchmark": [str(pipeline["matrix"])],
+            "verify": [],
         }[command]
         out = tmp_path / "out"
-        # the output directory then comes from the config under test
-        flag = [] if key == "output_dir" else ["--output-dir", str(out)]
-        rc = main([command, *inputs, "--config", str(config), *flag])
+        flag = ["--output-dir", str(out)] if output_dir else []
+        rc = main([command, *inputs, *flags, "--config", str(config), *flag])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config {key} must be ")
         assert not out.exists() or not any(out.iterdir())
+        return capsys.readouterr().err
 
 
 class TestVerify:

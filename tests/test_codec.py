@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from domcred.annotate import (
     AnnotatedReply,
     AnnotatedTweet,
-    AnnotationReport,
     DomainAnnotation,
     load_annotations,
     save_annotations,
@@ -95,7 +94,6 @@ def datasets():
                 author_id=draw(st.sampled_from([u.user_id for u in users])),
                 posted_at=draw(stamps(1000, 9998)),
                 text=draw(text),
-                urls=tuple(draw(st.lists(st.text(max_size=20), max_size=3))),
                 retweet_count=draw(counts),
                 favorite_count=draw(counts),
                 replies_count=draw(counts),
@@ -166,6 +164,16 @@ class TestDatasetLines:
         expected = [n for n, line in enumerate(lines, 1) if line.strip() and not accepted(line)]
         assert report.malformed_line_numbers == expected
 
+    def test_line_that_is_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "archive.jsonl"
+        bad = self._user("b").replace('"b"', '"b\xff"').encode("latin-1")
+        path.write_bytes(b"\n".join([self._user("a").encode(), bad, self._user("c").encode()]))
+        dataset, report = load_dataset(path)
+        assert report.malformed_line_numbers == [2]
+        assert [u.user_id for u in dataset.users] == ["a", "c"]
+        with pytest.raises(ArchiveFormatError, match="line 2: not UTF-8: byte 0xff at character"):
+            load_dataset(path, fail_fast=True)
+
     def test_fail_fast_keeps_the_json_loads_message(self, tmp_path):
         path = self._archive(tmp_path, [self._user("a"), "{} x"])
         with pytest.raises(ArchiveFormatError, match=r"line 2: Extra data: line 1 column 4"):
@@ -213,15 +221,7 @@ def annotations(draw):
         AnnotatedReply(rid, draw(st.floats(-1.0, 1.0)))
         for rid in draw(st.lists(st.text(min_size=1, max_size=6), max_size=5, unique=True))
     )
-    report = draw(
-        st.none()
-        | st.builds(
-            AnnotationReport,
-            n_tweets=st.integers(0, 9),
-            failures=st.lists(st.tuples(st.text(max_size=4), st.text(max_size=8)), max_size=2),
-        )
-    )
-    return tweets, replies, report
+    return tweets, replies
 
 
 class TestAnnotationLines:
@@ -232,13 +232,13 @@ class TestAnnotationLines:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_lines_equal_the_per_line_json_dumps_writer(self, payload, tmp_path):
-        tweets, replies, report = payload
+        tweets, replies = payload
         path = tmp_path / "annotations.jsonl"
-        save_annotations(tweets, replies, path, report=report)
+        save_annotations(tweets, replies, path)
         text = path.read_text(encoding="utf-8")
-        assert text == "\n".join(brute_annotation_lines(tweets, replies, report)) + "\n"
+        assert text == "\n".join(brute_annotation_lines(tweets, replies)) + "\n"
         loaded_tweets, loaded_replies = load_annotations(path)
-        save_annotations(loaded_tweets, loaded_replies, path, report=report)
+        save_annotations(loaded_tweets, loaded_replies, path)
         assert path.read_text(encoding="utf-8") == text
 
     def test_load_equals_per_entry_construction(self, tmp_path):

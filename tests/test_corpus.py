@@ -116,7 +116,7 @@ class TestArchiveIO:
     def test_round_trip_is_byte_identical(self, tmp_path):
         ds = make_dataset(
             [make_user("a"), make_user("b", followers=99)],
-            [make_tweet("t1", "a", retweets=3, urls=("http://x",))],
+            [make_tweet("t1", "a", retweets=3)],
             [make_reply("r1", "t1", "b")],
         )
         path = tmp_path / "ds.jsonl"
@@ -496,15 +496,15 @@ def _silent(level: EngagementLevel) -> EngagementLevel:
 GOLDEN_STREAM = {
     "default": (
         SynthConfig(n_users=40),
-        "a7bc907acc00e48d57210ee1ed725d602ad128ba410fd0fbab05cdebc2e9b053",
+        "fae6f12b24ea6abc77a535f9e2b64d16b1c9d0a1d9fb8ec9085735e68d6b3b00",
     ),
     "two_users": (
         SynthConfig(n_users=2),
-        "225f661ba363a3bc9750bec127494f9deb068b2e83584e13c89f3e3425e63501",
+        "309cca6dd02a125fc1b326c6fdf6736330780051967aede36776aabd83dd6b03",
     ),
     "one_domain": (
         SynthConfig(n_users=40, domains=("Sports",)),
-        "063e44a4be1ea3a37d7363101ee9da2c1f587fddaf292cc310846ddedeb16ca4",
+        "15272e5d485896f515c9c4de58ce48de2a9eb32d07e8333b161ece384496397a",
     ),
     "rates_one": (
         SynthConfig(
@@ -514,7 +514,7 @@ GOLDEN_STREAM = {
             non_english_rate=1.0,
             retweet_rate=1.0,
         ),
-        "6d24d4d33f44454b61f47d2947b71c62024b4250978f4c20c98c9acbaa51f8aa",
+        "70b4d83792fa25fb541f5021794da9ade440d3fc528440d1c2be46cd4cbc71b8",
     ),
     "no_tweets": (
         SynthConfig(
