@@ -247,11 +247,11 @@ _NUMBERS = (int, float)
 def _domains_from_payload(payload, interned: dict) -> tuple[DomainAnnotation, ...]:
     """The entries as DomainAnnotations, one shared instance per distinct entry.
 
-    Each entry is a [label, score, confident] list with a string label and a
-    numeric score.  Sharing is safe because the dataclass is frozen.  The key
-    holds the score's type, so 1 and 1.0 stay apart.  Zero scores (0.0 and
-    -0.0 are equal but written differently) and flags that are not bool are
-    built afresh.
+    Each entry is a [label, score, confident] list with a string label, a
+    numeric score and a flag that is a bool or the integer 0 or 1.  Sharing
+    is safe because the dataclass is frozen.  The key holds the score's
+    type, so 1 and 1.0 stay apart.  Zero scores (0.0 and -0.0 are equal but
+    written differently) and the integer flags are built afresh.
     """
     if type(payload) is not list:
         raise ValueError(f"merged_domains must be a list, got {payload!r}")
@@ -262,10 +262,11 @@ def _domains_from_payload(payload, interned: dict) -> tuple[DomainAnnotation, ..
             and len(entry) == 3
             and type(entry[0]) is str
             and type(entry[1]) in _NUMBERS
+            and (type(entry[2]) is bool or (type(entry[2]) is int and entry[2] in (0, 1)))
         ):
             raise ValueError(
                 f"domain entry {entry!r} is not a [label, score, confident] triple"
-                " with a string label and a numeric score"
+                " with a string label, a numeric score and a true, false, 0 or 1 flag"
             )
         label, score, confident = entry
         if score and type(confident) is bool:

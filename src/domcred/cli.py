@@ -37,8 +37,8 @@ from .corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
 from .corpus.types import format_timestamp, parse_timestamp
 from .lexicon import load_domain_lexicon, load_sentiment_lexicon
 
-# synth, features, evaluate, learn and verify load numpy: each command that
-# needs them imports them itself, so `ingest` and `annotate` never pay for it
+# synth, evaluate, learn and verify load numpy: each command that needs them
+# imports them itself, so `ingest`, `annotate` and `features` never pay for it
 if TYPE_CHECKING:
     from .learn.base import ModelSpec
 
@@ -149,6 +149,8 @@ def _build_annotator(args, config: dict):
 
 
 def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
+    if args.max_friends is not None and args.max_friends < 1:
+        raise ValueError(f"--max-friends must be at least 1, got {args.max_friends}")
     capture = parse_timestamp(args.capture_at) if args.capture_at else None
     dataset, load_report = load_dataset(
         args.archive,
@@ -219,12 +221,17 @@ def _top_k_section(title: str, scaled: dict, top_k: int) -> list[str]:
 def _render_period_report(domain: str, slices, cells, top_k: int) -> str:
     from .features import normalize_l, normalize_p, normalize_r, normalize_s
 
+    # the domain's cells by period, users in cell order, grouped in one pass
+    by_period: dict[int, dict] = {}
+    for (user, d, period), f in cells.items():
+        if d == domain:
+            by_period.setdefault(period, {})[user] = f
     lines = [f"domain: {domain}", ""]
     for sl in slices:
         lines.append(
             f"period {sl.index} [{format_timestamp(sl.start)} .. {format_timestamp(sl.end)})"
         )
-        in_domain = {u: f for (u, d, k), f in cells.items() if d == domain and k == sl.index}
+        in_domain = by_period.get(sl.index)
         if not in_domain:
             lines.append("  (no activity)")
             lines.append("")
@@ -267,15 +274,20 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     from .features import (
         POOLED,
         accumulate_domain_features,
-        assemble_matrix,
         compute_global_features,
-        save_matrix,
+        matrix_rows,
+        write_matrix_csv,
     )
 
     dataset = _load_canonical(args.dataset)
     tweets, replies = _read_annotations(args.dataset, dataset)
     known_domains = sorted({d.label for t in tweets for d in t.merged_domains})
-    domain = args.domain or config.get("domain") or (known_domains or [None])[0]
+    if not known_domains:
+        raise ValueError(
+            f"no annotated tweet carries a domain ({args.dataset} holds"
+            f" {len(dataset.tweets)} tweets); there is no domain to analyze"
+        )
+    domain = args.domain or config.get("domain") or known_domains[0]
     labels = load_labels(args.labels) if args.labels else None
     if labels is not None:
         if labels.domain != domain:
@@ -295,9 +307,11 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     slices, partition_report = partition_periods(dataset, spec)
     domain_features = accumulate_domain_features(dataset, tweets, replies, slices)
     global_features = compute_global_features(dataset)
-    matrix = assemble_matrix(domain, POOLED, domain_features, global_features, labels=labels)
+    user_ids, rows, row_labels = matrix_rows(
+        domain, POOLED, domain_features, global_features, labels=labels
+    )
     matrix_path = out_dir / "features.csv"
-    save_matrix(matrix, matrix_path)
+    write_matrix_csv(matrix_path, domain, POOLED, user_ids, rows, row_labels)
 
     report_text = _render_period_report(domain, slices, domain_features, top_k)
     report_path = out_dir / "features_report.txt"
@@ -306,11 +320,11 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         out_dir / "features_report.json",
         {
             "domain": domain,
-            "rows": matrix.n_rows,
+            "rows": len(user_ids),
             "periods": asdict(partition_report),
         },
     )
-    print(f"wrote {matrix_path} ({matrix.n_rows} rows)")
+    print(f"wrote {matrix_path} ({len(user_ids)} rows)")
     print(f"wrote {report_path}")
     return 0
 
@@ -455,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat tweets without a language tag as English",
     )
-    p.add_argument("--max-friends", type=int, default=None, help="drop users at or above this")
+    p.add_argument(
+        "--max-friends", type=int, default=None, help="drop users at or above this (at least 1)"
+    )
     p.add_argument("--capture-at", default=None, help="capture timestamp override (RFC 3339)")
     p.set_defaults(func=cmd_ingest)
 

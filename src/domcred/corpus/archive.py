@@ -136,8 +136,10 @@ def load_dataset(
     created at or after the capture timestamp.  With ``fail_fast`` a malformed
     line raises ArchiveFormatError; otherwise it is skipped and counted.
     ``max_friends`` optionally drops users at or above the given friends count
-    (off by default), together with their records.
+    (off by default), together with their records; it must be at least 1.
     """
+    if max_friends is not None and max_friends < 1:
+        raise ValueError(f"max_friends must be at least 1, got {max_friends}")
     path = Path(path)
     report = LoadReport()
     users: list[UserProfile] = []

@@ -6,6 +6,12 @@ scores, accumulated per (user, domain, period) cell in one pass over the
 corpus (period ``POOLED`` is the whole timeline), then min-max or max
 normalized for ranking.  The 12-column matrix feeds the classifiers; the
 normalized columns feed the per-period credibility tables.
+
+The module loads without numpy: ``matrix_rows`` and ``write_matrix_csv``
+give the ``features`` command its rows and CSV as plain Python values.  A
+``FeatureMatrix`` holds an ndarray, so ``assemble_matrix`` and
+``load_matrix``, which build one, import numpy inside the function;
+``save_matrix`` writes one through ``write_matrix_csv``.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ import csv
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
 from .corpus.types import Dataset, GroundTruthLabels, PeriodSlice, UserProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FEATURE_COLUMNS = (
     "domain_favorite_count",
@@ -129,18 +136,6 @@ def compute_ffr(profile: UserProfile, capture_at: datetime) -> float:
     return diff / age
 
 
-@dataclass
-class _Accumulator:
-    r: float = 0.0
-    l: float = 0.0
-    p: float = 0.0
-    sp: float = 0.0
-    sn: float = 0.0
-    count_pos: float = 0.0
-    count_neg: float = 0.0
-    domain_tweet_count: int = 0
-
-
 def accumulate_domain_features(
     dataset: Dataset,
     annotated_tweets: Iterable[AnnotatedTweet],
@@ -166,50 +161,59 @@ def accumulate_domain_features(
         t.tweet_id: relativeness_weights(t.merged_domains) for t in annotated_tweets
     }
     sentiment_by_reply = {r.reply_id: r.sentiment for r in annotated_replies}
-    tweets_by_id = dataset.tweets_by_id()
     slices = tuple(slices)
     if any(sl.index == POOLED for sl in slices):
         raise ValueError(f"slice index {POOLED} is reserved for the pooled cells")
-    tweet_periods = {t: (POOLED, sl.index) for sl in slices for t in sl.tweet_ids}
-    reply_periods = {r: (POOLED, sl.index) for sl in slices for r in sl.reply_ids}
-    cells: dict[tuple[str, str, int], _Accumulator] = {}
-
-    def cell(user_id: str, domain: str, period: int) -> _Accumulator:
-        return cells.setdefault((user_id, domain, period), _Accumulator())
+    # a record's slice index (absent when no slice holds it) picks its cells' periods
+    tweet_slice = {t: sl.index for sl in slices for t in sl.tweet_ids}
+    reply_slice = {r: sl.index for sl in slices for r in sl.reply_ids}
+    periods_of = {None: (POOLED,), **{sl.index: (POOLED, sl.index) for sl in slices}}
+    # the authors of the tweets that carry weights, for their replies' cells
+    author_of: dict[str, str] = {}
+    # a cell holds r, l, p, sp, sn, count_pos, count_neg, domain_tweet_count
+    cells: dict[tuple[str, str, int], list] = {}
+    cell = cells.get
 
     for tweet in dataset.tweets:
         weights = weights_by_tweet.get(tweet.tweet_id)
         if not weights:
             continue
-        for period in tweet_periods.get(tweet.tweet_id, (POOLED,)):
-            for domain, w in weights.items():
-                acc = cell(tweet.author_id, domain, period)
-                acc.r += tweet.retweet_count * w
-                acc.l += tweet.favorite_count * w
-                acc.p += tweet.replies_count * w
-                acc.domain_tweet_count += 1
+        author = author_of[tweet.tweet_id] = tweet.author_id
+        periods = periods_of[tweet_slice.get(tweet.tweet_id)]
+        rt, fav, rep = tweet.retweet_count, tweet.favorite_count, tweet.replies_count
+        for domain, w in weights.items():
+            r, l, p = rt * w, fav * w, rep * w
+            for period in periods:
+                key = (author, domain, period)
+                acc = cell(key)
+                if acc is None:
+                    acc = cells[key] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]
+                acc[0] += r
+                acc[1] += l
+                acc[2] += p
+                acc[7] += 1
 
     for reply in dataset.replies:
         sentiment = sentiment_by_reply.get(reply.reply_id, 0.0)
         if sentiment == 0.0:
             continue
-        parent = tweets_by_id.get(reply.parent_tweet_id)
-        if parent is None:
+        author = author_of.get(reply.parent_tweet_id)
+        if author is None:
             continue
-        weights = weights_by_tweet.get(parent.tweet_id)
-        if not weights:
-            continue
-        for period in reply_periods.get(reply.reply_id, (POOLED,)):
-            for domain, w in weights.items():
-                acc = cell(parent.author_id, domain, period)
-                if sentiment > 0:
-                    acc.sp += sentiment * w
-                    acc.count_pos += w
-                else:
-                    acc.sn += sentiment * w
-                    acc.count_neg += w
+        periods = periods_of[reply_slice.get(reply.reply_id)]
+        # positive replies fill sp and count_pos, the rest sn and count_neg
+        total, count = (3, 5) if sentiment > 0 else (4, 6)
+        for domain, w in weights_by_tweet[reply.parent_tweet_id].items():
+            s = sentiment * w
+            for period in periods:
+                key = (author, domain, period)
+                acc = cell(key)
+                if acc is None:
+                    acc = cells[key] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]
+                acc[total] += s
+                acc[count] += w
 
-    return {key: UserDomainFeatures(*key, **vars(acc)) for key, acc in sorted(cells.items())}
+    return {key: UserDomainFeatures(*key, *acc) for key, acc in sorted(cells.items())}
 
 
 def compute_global_features(
@@ -311,20 +315,21 @@ class FeatureMatrix:
         return self.x[:, FEATURE_COLUMNS.index(name)]
 
 
-def assemble_matrix(
+def matrix_rows(
     domain: str,
     period: int,
     domain_features: Mapping[tuple[str, str, int], UserDomainFeatures],
     global_features: Mapping[str, UserGlobalFeatures],
     labels: GroundTruthLabels | None = None,
-) -> FeatureMatrix:
-    """Build the per-user matrix for one domain from the ``(user, domain, period)``
-    cells; ``period`` picks the pooled cells (``POOLED``) or one slice's.
+) -> tuple[list[str], list[tuple], list[str] | None]:
+    """The user ids, the 12-column rows and the row labels (or None) of the
+    matrix for one domain from the ``(user, domain, period)`` cells;
+    ``period`` picks the pooled cells (``POOLED``) or one slice's.
 
     Every selection-active user (one with global features) gets a row; users
     with no engagement attributed to the domain keep zeros in the domain
-    columns.  With labels the rows are restricted to labeled users and the
-    label column is attached; without, all active users appear unlabeled.
+    columns.  With labels the rows are restricted to labeled users and their
+    labels returned; without, all active users appear unlabeled.
     """
     user_ids = sorted(global_features)
     if labels is not None:
@@ -332,48 +337,80 @@ def assemble_matrix(
     if not user_ids:
         raise ValueError(f"no users to assemble for domain {domain!r}")
 
-    rows = np.zeros((len(user_ids), len(FEATURE_COLUMNS)))
-    for i, user_id in enumerate(user_ids):
+    rows = []
+    for user_id in user_ids:
         g = global_features[user_id]
         d = domain_features.get((user_id, domain, period))
-        rows[i] = (
-            d.l if d else 0.0,
-            d.p if d else 0.0,
-            d.r if d else 0.0,
-            g.followers_count,
-            g.friends_count,
-            g.retweet_total,
-            g.favorite_total,
-            g.replies_total,
-            d.count_pos if d else 0.0,
-            d.count_neg if d else 0.0,
-            d.sp if d else 0.0,
-            d.sn if d else 0.0,
+        rows.append(
+            (
+                d.l if d else 0.0,
+                d.p if d else 0.0,
+                d.r if d else 0.0,
+                g.followers_count,
+                g.friends_count,
+                g.retweet_total,
+                g.favorite_total,
+                g.replies_total,
+                d.count_pos if d else 0.0,
+                d.count_neg if d else 0.0,
+                d.sp if d else 0.0,
+                d.sn if d else 0.0,
+            )
         )
+    row_labels = [labels.labels[u] for u in user_ids] if labels is not None else None
+    return user_ids, rows, row_labels
 
+
+def assemble_matrix(
+    domain: str,
+    period: int,
+    domain_features: Mapping[tuple[str, str, int], UserDomainFeatures],
+    global_features: Mapping[str, UserGlobalFeatures],
+    labels: GroundTruthLabels | None = None,
+) -> FeatureMatrix:
+    """The rows of ``matrix_rows`` as a FeatureMatrix."""
+    import numpy as np
+
+    user_ids, rows, row_labels = matrix_rows(
+        domain, period, domain_features, global_features, labels
+    )
     return FeatureMatrix(
         domain=domain,
         period=period,
         user_ids=tuple(user_ids),
-        x=rows,
-        labels=tuple(labels.labels[u] for u in user_ids) if labels is not None else None,
+        x=np.array(rows, dtype=float),
+        labels=tuple(row_labels) if row_labels is not None else None,
     )
 
 
-def save_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    """Write the matrix as CSV: user_id, domain, period, the 12 columns, label."""
+def write_matrix_csv(
+    path: str | Path,
+    domain: str,
+    period: int,
+    user_ids: Sequence[str],
+    rows: Sequence[Sequence[float]],
+    labels: Sequence[str] | None = None,
+) -> None:
+    """Write matrix rows as CSV: user_id, domain, period, the 12 columns, label."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = ["user_id", "domain", "period", *FEATURE_COLUMNS]
-        if matrix.labels is not None:
+        if labels is not None:
             header.append("label")
         writer.writerow(header)
-        for i, user_id in enumerate(matrix.user_ids):
-            row = [user_id, matrix.domain, matrix.period]
-            row += [repr(float(v)) for v in matrix.x[i]]
-            if matrix.labels is not None:
-                row.append(matrix.labels[i])
+        for i, (user_id, values) in enumerate(zip(user_ids, rows)):
+            row = [user_id, domain, period]
+            row += [repr(float(v)) for v in values]
+            if labels is not None:
+                row.append(labels[i])
             writer.writerow(row)
+
+
+def save_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
+    """Write the matrix as CSV with ``write_matrix_csv``."""
+    write_matrix_csv(
+        path, matrix.domain, matrix.period, matrix.user_ids, matrix.x.tolist(), matrix.labels
+    )
 
 
 def load_matrix(path: str | Path) -> FeatureMatrix:
@@ -382,6 +419,8 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
     Every row must share one (domain, period): a stacked file holding
     several is rejected rather than read as the last row's selection.
     """
+    import numpy as np
+
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

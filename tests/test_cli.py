@@ -13,12 +13,21 @@ import pytest
 import domcred.annotate
 import domcred.cli
 import domcred.features
-from domcred.annotate import annotate_dataset, save_annotations
+from domcred.annotate import annotate_dataset, load_annotations, save_annotations
 from domcred.cli import main
-from domcred.corpus.archive import load_dataset
-from domcred.features import load_matrix
+from domcred.corpus.archive import load_dataset, load_labels, save_dataset
+from domcred.corpus.periods import PeriodSpec, partition_periods
+from domcred.features import (
+    POOLED,
+    accumulate_domain_features,
+    assemble_matrix,
+    compute_global_features,
+    load_matrix,
+    save_matrix,
+)
 from domcred.learn.base import ALGORITHMS
 from domcred.verify import fixture_names
+from helpers import make_dataset, make_tweet, make_user
 
 TECH = "Technology and Computing"
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +263,18 @@ class TestIngest:
         records.append({"kind": "tweet", "body": {**tweet, "posted_at": "2024-02-01T00:00:00Z"}})
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         return path
+
+    @pytest.mark.parametrize("max_friends", ["0", "-5"])
+    def test_max_friends_below_one_fails(self, pipeline, tmp_path, capsys, max_friends):
+        out = tmp_path / "out"
+        rc = main(
+            ["ingest", str(pipeline["archive"]), "--max-friends", max_friends,
+             "--output-dir", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: --max-friends must be at least 1, got {max_friends}" in err
+        assert not (out / "dataset.jsonl").exists()
 
     def test_year_below_1000_survives_the_next_stage(self, tmp_path):
         archive = self._archive(tmp_path / "archive.jsonl", "0999-06-01T00:00:00Z")
@@ -492,6 +513,37 @@ class TestFeatures:
         assert "unknown domain 'Sports'" in err
         assert f"annotations carry ['{TECH}']" in err
 
+    def test_no_annotated_domain_fails(self, tmp_path, capsys):
+        # no word of either tweet is in the domain lexicon
+        dataset = make_dataset(
+            [make_user("a")],
+            [make_tweet("t1", "a", text="hello there"), make_tweet("t2", "a", text="hi")],
+        )
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(dataset, path)
+        assert main(["annotate", str(path), "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["features", str(path), "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "no annotated tweet carries a domain" in err
+        assert f"{path} holds 2 tweets" in err
+
+    def test_csv_equals_the_feature_matrix_path(self, pipeline, tmp_path):
+        """The plain rows `features` writes match save_matrix(assemble_matrix(...))."""
+        dataset, _ = load_dataset(pipeline["dataset"])
+        tweets, replies = load_annotations(pipeline["dataset"].parent / "annotations.jsonl")
+        slices, _ = partition_periods(dataset, PeriodSpec())
+        cells = accumulate_domain_features(dataset, tweets, replies, slices)
+        active = compute_global_features(dataset)
+        for labels, written in (
+            (load_labels(pipeline["labels"]), pipeline["matrix"]),
+            (None, pipeline["bare_matrix"]),
+        ):
+            matrix = assemble_matrix(TECH, POOLED, cells, active, labels=labels)
+            save_matrix(matrix, tmp_path / "features.csv")
+            assert (tmp_path / "features.csv").read_bytes() == written.read_bytes()
+
     def test_missing_annotations_fail(self, pipeline, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"
         shutil.copy(pipeline["dataset"], dataset)
@@ -717,6 +769,11 @@ class TestMalformedInputs:
                 "features",
                 "annotations.jsonl",
                 '{"kind": "tweet", "tweet_id": "t1", "merged_domains": [[5, 1.0, true]]}',
+            ),
+            (
+                "features",
+                "annotations.jsonl",
+                '{"kind": "tweet", "tweet_id": "t1", "merged_domains": [["Tech", 1.0, "no"]]}',
             ),
             ("features", "annotations.jsonl", '{"tweet_id": "t1", "merged_domains": []}'),
             ("features", "annotations.jsonl", '{"kind": "report", "n_tweets": 0}'),

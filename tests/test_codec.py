@@ -286,3 +286,12 @@ class TestAnnotationLines:
             )
             for i, domains in enumerate(entries)
         ]
+
+    @pytest.mark.parametrize("flag", ['"no"', "null", "0.5", "2", "[]"])
+    def test_confident_flag_must_be_bool_or_0_or_1(self, tmp_path, flag):
+        path = tmp_path / "annotations.jsonl"
+        good = '{"kind": "tweet", "tweet_id": "t0", "merged_domains": [["Arts", 1.0, 0]]}'
+        bad = f'{{"kind": "tweet", "tweet_id": "t1", "merged_domains": [["Arts", 1.0, {flag}]]}}'
+        path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: .*0 or 1 flag"):
+            load_annotations(path)

@@ -193,6 +193,12 @@ class TestArchiveIO:
         assert report.quarantined_tweets == 1
         assert [u.user_id for u in ds.users] == ["a"]
 
+    @pytest.mark.parametrize("max_friends", [0, -5])
+    def test_max_friends_below_one_rejected(self, tmp_path, max_friends):
+        path = self._archive(tmp_path, [self._user_line("a")])
+        with pytest.raises(ValueError, match=f"max_friends must be at least 1, got {max_friends}"):
+            load_dataset(path, max_friends=max_friends)
+
     def test_default_capture_is_day_after_latest_stamp(self, tmp_path):
         path = self._archive(
             tmp_path,

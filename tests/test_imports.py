@@ -38,18 +38,24 @@ def test_importing_the_cli_loads_no_numpy():
     assert _python("import sys, domcred.cli; print('numpy' in sys.modules)") == "False\n"
 
 
-@pytest.mark.parametrize("command", ["ingest", "annotate"])
+@pytest.mark.parametrize("command", ["ingest", "annotate", "features"])
 def test_corpus_commands_load_no_numpy(tmp_path, command):
     dataset = make_dataset(
         [make_user("a"), make_user("b")], [make_tweet("t1", "a")], [make_reply("r1", "t1", "b")]
     )
-    save_dataset(dataset, tmp_path / "dataset.jsonl")
-    argv = [command, str(tmp_path / "dataset.jsonl"), "--output-dir", str(tmp_path / "out")]
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(dataset, path)
+    # features reads the annotations that annotate writes beside the dataset
+    steps = []
+    if command == "features":
+        steps.append(["annotate", str(path), "--output-dir", str(tmp_path)])
+    steps.append([command, str(path), "--output-dir", str(tmp_path / "out")])
     out = _python(
         f"""
         import sys
         from domcred.cli import main
-        assert main({argv!r}) == 0
+        for argv in {steps!r}:
+            assert main(argv) == 0
         print('numpy' in sys.modules)
         """
     )
