@@ -8,6 +8,13 @@ or verification failure, 2 usage error.
 
 from __future__ import annotations
 
+import os
+
+# The learners multiply matrices of at most a few thousand rows by 50
+# columns, where waking a BLAS worker thread costs more than it saves; set
+# before anything loads numpy, and a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import math
 import sys

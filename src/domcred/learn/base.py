@@ -89,7 +89,7 @@ def _validate_hyper(algorithm: str, hyper: dict) -> None:
     defaults = DEFAULT_HYPERPARAMETERS[algorithm]
     positive = {
         "max_iter", "tol", "coefficient_cap", "max_depth", "n_trees",
-        "learning_rate", "rho", "epsilon", "batch_size",
+        "learning_rate", "epsilon", "batch_size",
     }
     # epochs = 0 is legal: it leaves the seeded initial weights untouched
     non_negative = {"lambda", "l1", "l2", "minimal_gain", "epochs"}
@@ -103,6 +103,9 @@ def _validate_hyper(algorithm: str, hyper: dict) -> None:
             raise ValueError(f"{algorithm}.{key} must be > 0, got {value!r}")
         if key in non_negative and not value >= 0:
             raise ValueError(f"{algorithm}.{key} must be >= 0, got {value!r}")
+    # ADADELTA's decay weighs old average against new term: 1 freezes, above 1 diverges
+    if "rho" in hyper and not 0.0 < hyper["rho"] < 1.0:
+        raise ValueError(f"{algorithm}.rho must be in (0, 1), got {hyper['rho']!r}")
     if "alpha" in hyper and not 0.0 <= hyper["alpha"] <= 1.0:
         raise ValueError(f"{algorithm}.alpha must be in [0, 1]")
     if "family" in hyper and hyper["family"] not in ("binomial", "gaussian"):

@@ -8,6 +8,8 @@ init, epoch shuffles) flows from the seed, so training is reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import Standardizer, TrainingSummary, sigmoid
@@ -18,10 +20,12 @@ ACTIVATIONS = ("rectifier", "tanh", "maxout")
 class NeuralNet:
     """Fitted network: standardizer, hidden stack, linear-sigmoid output.
 
-    ``parameters`` exposes the weight and bias arrays in a fixed order
-    (per layer: weights then bias, output last) and ``loss_and_gradients``
-    returns matching analytic gradients, which makes finite-difference
-    checking straightforward.
+    Every weight array and then every bias array lies in one flat vector,
+    ``theta``; ``weights`` and ``biases`` are views of it, so training steps
+    the whole vector at once.  ``parameters`` exposes the same views in a
+    fixed order (per layer: weights then bias, output last) and
+    ``loss_and_gradients`` returns matching analytic gradients, which makes
+    finite-difference checking straightforward.
     """
 
     def __init__(
@@ -39,18 +43,27 @@ class NeuralNet:
         self.scaler = scaler
         self.activation = activation
         self.hidden = tuple(hidden)
-        self.weights = weights
-        self.biases = biases
+        self._shapes = [w.shape for w in weights] + [b.shape for b in biases]
+        self.theta = np.concatenate([a.ravel() for a in weights + biases])
+        self.weights, self.biases = self._split(self.theta)
+        # the penalized weights are the first _n_weights entries of theta
+        self._n_weights = sum(w.size for w in weights)
         self.l1 = l1
         self.l2 = l2
 
+    def _split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Views of a vector laid out like theta: (weight arrays, bias arrays)."""
+        arrays, start = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            arrays.append(flat[start : start + size].reshape(shape))
+            start += size
+        n_layers = len(self._shapes) // 2
+        return arrays[:n_layers], arrays[n_layers:]
+
     @property
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return _interleave(self.weights, self.biases)
 
     def _forward(self, z: np.ndarray):
         a = z
@@ -76,25 +89,24 @@ class NeuralNet:
         caches.append(a)
         return sigmoid(out), caches
 
-    def _penalty(self) -> float:
-        total = 0.0
+    def _loss(self, z: np.ndarray, y: np.ndarray) -> float:
+        """Quadratic loss plus the L1/L2 penalty on the weights."""
+        p, _ = self._forward(z)
+        penalty = 0.0
         for w in self.weights:
-            total += self.l1 * float(np.abs(w).sum()) + 0.5 * self.l2 * float((w * w).sum())
-        return total
+            penalty += self.l1 * float(np.abs(w).sum()) + 0.5 * self.l2 * float((w * w).sum())
+        return float(np.sum((p - y) ** 2)) / (2.0 * len(y)) + penalty
 
-    def _loss_grads_standardized(self, z: np.ndarray, y: np.ndarray):
+    def _gradients(self, z: np.ndarray, y: np.ndarray, grad: np.ndarray) -> None:
+        """Fill grad, laid out like theta, with the penalized loss's gradient
+        on one batch."""
         p, caches = self._forward(z)
-        batch = len(y)
-        loss = float(np.sum((p - y) ** 2)) / (2.0 * batch) + self._penalty()
-
-        grads_w = [np.zeros_like(w) for w in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
+        grads_w, grads_b = self._split(grad)
 
         # d loss / d output-preactivation, through the sigmoid
-        dout = (p - y) * p * (1.0 - p) / batch
-        a_last = caches[-1]
-        grads_w[-1] = dout[None, :] @ a_last
-        grads_b[-1] = np.array([dout.sum()])
+        dout = (p - y) * p * (1.0 - p) / len(y)
+        np.matmul(dout[None, :], caches[-1], out=grads_w[-1])
+        grads_b[-1][0] = dout.sum()
         delta = dout[:, None] @ self.weights[-1]
 
         for i in range(len(self.hidden) - 1, -1, -1):
@@ -102,38 +114,42 @@ class NeuralNet:
                 a_prev, winner = caches[i]
                 dz1 = delta * winner
                 dz2 = delta * ~winner
-                grads_w[i] = np.stack([dz1.T @ a_prev, dz2.T @ a_prev])
-                grads_b[i] = np.stack([dz1.sum(axis=0), dz2.sum(axis=0)])
+                np.matmul(dz1.T, a_prev, out=grads_w[i][0])
+                np.matmul(dz2.T, a_prev, out=grads_w[i][1])
+                dz1.sum(axis=0, out=grads_b[i][0])
+                dz2.sum(axis=0, out=grads_b[i][1])
                 delta = dz1 @ self.weights[i][0] + dz2 @ self.weights[i][1]
-            elif self.activation == "rectifier":
-                a_prev, pre = caches[i]
-                dpre = delta * (pre > 0)
-                grads_w[i] = dpre.T @ a_prev
-                grads_b[i] = dpre.sum(axis=0)
-                delta = dpre @ self.weights[i]
             else:
-                a_prev, h = caches[i]
-                dpre = delta * (1.0 - h * h)
-                grads_w[i] = dpre.T @ a_prev
-                grads_b[i] = dpre.sum(axis=0)
+                a_prev, cache = caches[i]
+                if self.activation == "rectifier":
+                    dpre = delta * (cache > 0)
+                else:
+                    dpre = delta * (1.0 - cache * cache)
+                np.matmul(dpre.T, a_prev, out=grads_w[i])
+                dpre.sum(axis=0, out=grads_b[i])
                 delta = dpre @ self.weights[i]
 
-        for i, w in enumerate(self.weights):
-            grads_w[i] = grads_w[i] + self.l1 * np.sign(w) + self.l2 * w
-
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.append(gw)
-            grads.append(gb)
-        return loss, grads
+        w = self.theta[: self._n_weights]
+        gw = grad[: self._n_weights]
+        # two adds, not one of their sum: (g + l1 sign w) + l2 w, rounded as ever
+        gw += self.l1 * np.sign(w)
+        gw += self.l2 * w
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray):
         """Penalized quadratic loss and analytic gradients for one batch."""
-        return self._loss_grads_standardized(self.scaler.transform(x), y)
+        z = self.scaler.transform(x)
+        grad = np.empty_like(self.theta)
+        self._gradients(z, y, grad)
+        return self._loss(z, y), _interleave(*self._split(grad))
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         p, _ = self._forward(self.scaler.transform(x))
         return p
+
+
+def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
+    """Per layer its weights then its bias, output layer last."""
+    return [a for pair in zip(weights, biases) for a in pair]
 
 
 def _init_layers(rng, n_inputs: int, hidden: tuple[int, ...], activation: str):
@@ -175,29 +191,31 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[NeuralNet, Trai
         weights=weights, biases=biases, l1=l1, l2=l2,
     )
 
-    params = net.parameters
-    acc_grad = [np.zeros_like(p) for p in params]
-    acc_step = [np.zeros_like(p) for p in params]
+    theta = net.theta
+    grad = np.empty_like(theta)
+    acc_grad = np.zeros_like(theta)
+    acc_step = np.zeros_like(theta)
+    # ADADELTA takes no learning rate: its step size comes from rho and epsilon
+    advice = "check rho and epsilon" if adaptive else "lower the learning rate"
 
-    loss = net._loss_grads_standardized(z, y)[0]
+    loss = net._loss(z, y)
     for epoch in range(epochs):
         order = rng.permutation(len(y))
         for start in range(0, len(y), batch_size):
             idx = order[start : start + batch_size]
-            _, grads = net._loss_grads_standardized(z[idx], y[idx])
-            for i, (p, g) in enumerate(zip(params, grads)):
-                if adaptive:
-                    acc_grad[i] = rho * acc_grad[i] + (1.0 - rho) * g * g
-                    step = -np.sqrt(acc_step[i] + eps) / np.sqrt(acc_grad[i] + eps) * g
-                    acc_step[i] = rho * acc_step[i] + (1.0 - rho) * step * step
-                    p += step
-                else:
-                    p -= rate * g
-        loss = net._loss_grads_standardized(z, y)[0]
+            net._gradients(z[idx], y[idx], grad)
+            if adaptive:
+                acc_grad = rho * acc_grad + (1.0 - rho) * grad * grad
+                step = -np.sqrt(acc_step + eps) / np.sqrt(acc_grad + eps) * grad
+                acc_step = rho * acc_step + (1.0 - rho) * step * step
+                theta += step
+            else:
+                theta -= rate * grad
+        loss = net._loss(z, y)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite training loss at epoch {epoch + 1}: {loss!r}; "
-                "lower the learning rate or check the input scale"
+                f"{advice} or check the input scale"
             )
 
     summary = TrainingSummary(iterations=epochs, converged=True, final_loss=loss)

@@ -498,3 +498,144 @@ def walk_tree(root, x):
             node = node.left if row[node.feature] <= node.threshold else node.right
         values.append(node.value)
     return np.array(values, dtype=float)
+
+
+def _brute_net_forward(weights, biases, activation, z):
+    """Output probabilities and per-layer caches, one array at a time."""
+    import numpy as np
+
+    a = z
+    caches = []
+    for w, b in zip(weights[:-1], biases[:-1]):
+        if activation == "maxout":
+            z1 = a @ w[0].T + b[0]
+            z2 = a @ w[1].T + b[1]
+            winner = z1 >= z2
+            h = np.where(winner, z1, z2)
+            caches.append((a, winner))
+        elif activation == "rectifier":
+            pre = a @ w.T + b
+            h = np.maximum(pre, 0.0)
+            caches.append((a, pre))
+        else:
+            pre = a @ w.T + b
+            h = np.tanh(pre)
+            caches.append((a, h))
+        a = h
+    out = (a @ weights[-1].T + biases[-1]).ravel()
+    return 0.5 * (1.0 + np.tanh(0.5 * out)), caches, a
+
+
+def _brute_net_loss_grads(weights, biases, activation, l1, l2, z, y):
+    """Penalized quadratic loss and the per-array gradients, interleaved
+    weight, bias per layer, output last."""
+    import numpy as np
+
+    p, caches, a_last = _brute_net_forward(weights, biases, activation, z)
+    batch = len(y)
+    penalty = 0.0
+    for w in weights:
+        penalty += l1 * float(np.abs(w).sum()) + 0.5 * l2 * float((w * w).sum())
+    loss = float(np.sum((p - y) ** 2)) / (2.0 * batch) + penalty
+
+    grads_w = [np.zeros_like(w) for w in weights]
+    grads_b = [np.zeros_like(b) for b in biases]
+    dout = (p - y) * p * (1.0 - p) / batch
+    grads_w[-1] = dout[None, :] @ a_last
+    grads_b[-1] = np.array([dout.sum()])
+    delta = dout[:, None] @ weights[-1]
+    for i in range(len(caches) - 1, -1, -1):
+        if activation == "maxout":
+            a_prev, winner = caches[i]
+            dz1 = delta * winner
+            dz2 = delta * ~winner
+            grads_w[i] = np.stack([dz1.T @ a_prev, dz2.T @ a_prev])
+            grads_b[i] = np.stack([dz1.sum(axis=0), dz2.sum(axis=0)])
+            delta = dz1 @ weights[i][0] + dz2 @ weights[i][1]
+        elif activation == "rectifier":
+            a_prev, pre = caches[i]
+            dpre = delta * (pre > 0)
+            grads_w[i] = dpre.T @ a_prev
+            grads_b[i] = dpre.sum(axis=0)
+            delta = dpre @ weights[i]
+        else:
+            a_prev, h = caches[i]
+            dpre = delta * (1.0 - h * h)
+            grads_w[i] = dpre.T @ a_prev
+            grads_b[i] = dpre.sum(axis=0)
+            delta = dpre @ weights[i]
+    for i, w in enumerate(weights):
+        grads_w[i] = grads_w[i] + l1 * np.sign(w) + l2 * w
+    grads = []
+    for gw, gb in zip(grads_w, grads_b):
+        grads.append(gw)
+        grads.append(gb)
+    return loss, grads
+
+
+def brute_neural_fit(x, y, hyper, seed):
+    """The network ``neural.fit`` trains, stepped one parameter array at a
+    time: per array an ADADELTA (or fixed-rate) update, after a full loss
+    and gradient evaluation of every minibatch.
+
+    Returns (weights, biases, final_loss, predict_proba).
+    """
+    import numpy as np
+
+    hidden = tuple(hyper["hidden"])
+    activation = hyper["activation"]
+    l1, l2 = float(hyper["l1"]), float(hyper["l2"])
+    rho, eps = float(hyper["rho"]), float(hyper["epsilon"])
+    rate = float(hyper["learning_rate"])
+    batch_size = int(hyper["batch_size"])
+
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    z = (x - mean) / std
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    weights, biases = [], []
+    fan_in = x.shape[1]
+    for units in hidden:
+        limit = np.sqrt(6.0 / (fan_in + units))
+        if activation == "maxout":
+            weights.append(rng.uniform(-limit, limit, size=(2, units, fan_in)))
+            biases.append(np.zeros((2, units)))
+        else:
+            weights.append(rng.uniform(-limit, limit, size=(units, fan_in)))
+            biases.append(np.zeros(units))
+        fan_in = units
+    limit = np.sqrt(6.0 / (fan_in + 1))
+    weights.append(rng.uniform(-limit, limit, size=(1, fan_in)))
+    biases.append(np.zeros(1))
+
+    params = []
+    for w, b in zip(weights, biases):
+        params.append(w)
+        params.append(b)
+    acc_grad = [np.zeros_like(p) for p in params]
+    acc_step = [np.zeros_like(p) for p in params]
+
+    def loss_grads(zb, yb):
+        return _brute_net_loss_grads(weights, biases, activation, l1, l2, zb, yb)
+
+    loss = loss_grads(z, y)[0]
+    for _ in range(int(hyper["epochs"])):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), batch_size):
+            idx = order[start : start + batch_size]
+            _, grads = loss_grads(z[idx], y[idx])
+            for i, (p, g) in enumerate(zip(params, grads)):
+                if hyper["adaptive_rate"]:
+                    acc_grad[i] = rho * acc_grad[i] + (1.0 - rho) * g * g
+                    step = -np.sqrt(acc_step[i] + eps) / np.sqrt(acc_grad[i] + eps) * g
+                    acc_step[i] = rho * acc_step[i] + (1.0 - rho) * step * step
+                    p += step
+                else:
+                    p -= rate * g
+        loss = loss_grads(z, y)[0]
+
+    def predict_proba(x_new):
+        return _brute_net_forward(weights, biases, activation, (x_new - mean) / std)[0]
+
+    return weights, biases, loss, predict_proba

@@ -878,6 +878,7 @@ class TestConfigShapes:
                 {"annotator": {"kind": "remote", "url": UNUSED_URL, "timeout": 0}},
                 "timeout",
             ),
+            ("benchmark", {"models": {"neural_net": {"rho": 1.5}}}, "models.neural_net.rho"),
         ],
     )
     def test_wrong_shape_fails_naming_the_key(

@@ -1,10 +1,12 @@
-"""The import diet: each command loads only the layers it uses.
+"""The import diet: each command loads only the layers it uses, and the
+CLI sets its BLAS thread default before anything loads numpy.
 
 Every check runs in a fresh interpreter, since this test process has long
 since imported numpy.  The last one runs a stage under bench/tracer.py,
 which rebinds the names each loaded domcred module holds.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -12,17 +14,25 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from domcred.corpus.archive import save_dataset
+from domcred.features import FEATURE_COLUMNS
 from helpers import make_dataset, make_reply, make_tweet, make_user
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _python(code: str) -> str:
+def _python(code: str, blas_threads: str | None = None) -> str:
+    """Stdout of code run in a fresh interpreter, with OPENBLAS_NUM_THREADS
+    set to blas_threads, or unset for None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # importing domcred.cli in this process may already have set it
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     result = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         env=env,
@@ -36,6 +46,44 @@ def _python(code: str) -> str:
 
 def test_importing_the_cli_loads_no_numpy():
     assert _python("import sys, domcred.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("blas_threads, expected", [(None, "1"), ("2", "2")])
+def test_cli_runs_blas_single_threaded_unless_told_otherwise(blas_threads, expected):
+    out = _python(
+        """
+        import os, sys, domcred.cli
+        print(os.environ["OPENBLAS_NUM_THREADS"], 'numpy' in sys.modules)
+        """,
+        blas_threads,
+    )
+    assert out == f"{expected} False\n"
+
+
+def test_benchmark_report_does_not_depend_on_blas_threads(tmp_path):
+    # 180 training rows: the net's 180x50 @ 50x50 products are past
+    # OpenBLAS's threading threshold, so a second thread does take part
+    rng = np.random.default_rng(71)
+    x = rng.gamma(2.0, 10.0, size=(300, len(FEATURE_COLUMNS)))
+    score = x[:, 0] - x[:, 1] + rng.normal(0.0, 10.0, size=300)
+    labels = np.where(score > np.median(score), "Influencer", "NonInfluencer")
+    matrix = tmp_path / "matrix.csv"
+    with matrix.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user_id", "domain", "period", *FEATURE_COLUMNS, "label"])
+        for i, (row, label) in enumerate(zip(x, labels)):
+            cells = map(repr, row.tolist())
+            writer.writerow([f"u{i:03d}", "Technology and Computing", 0, *cells, label])
+    config = tmp_path / "config.json"
+    models = {"random_forest": {"n_trees": 5}, "gradient_boosted_trees": {"n_trees": 3}}
+    config.write_text(json.dumps({"models": models}), encoding="utf-8")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        argv = ["benchmark", str(matrix), "--config", str(config), "--output-dir", str(out)]
+        _python(f"from domcred.cli import main; assert main({argv!r}) == 0", threads)
+        reports.append((out / "benchmark_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", ["ingest", "annotate", "features"])

@@ -63,6 +63,11 @@ class TestModelSpec:
         spec = ModelSpec(algorithm="neural_net", hyperparameters={"hidden": [4, 4]})
         assert spec.hyper["hidden"] == (4, 4)
 
+    @pytest.mark.parametrize("rho", [0, 0.0, 1, 1.0, 1.5, -0.2])
+    def test_rho_range(self, rho):
+        with pytest.raises(ValueError, match=r"neural_net\.rho must be in \(0, 1\)"):
+            ModelSpec(algorithm="neural_net", hyperparameters={"rho": rho})
+
     def test_activation_validation(self):
         with pytest.raises(ValueError, match="activation"):
             ModelSpec(algorithm="neural_net", hyperparameters={"activation": "gelu"})

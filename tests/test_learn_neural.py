@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from domcred.learn import ModelSpec, train_xy
-from helpers import blob_data
+from helpers import blob_data, brute_neural_fit
 
 
 def fit_net(x, y, **overrides):
@@ -134,7 +134,7 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_raises_runtime_error(self):
         x, y = blob_data(seed=68, n_per=10)
-        with pytest.raises(RuntimeError, match="non-finite training loss"):
+        with pytest.raises(RuntimeError, match="non-finite training loss.*lower the learning rate"):
             train_xy(
                 ModelSpec(
                     "neural_net",
@@ -150,6 +150,17 @@ class TestTraining:
                 x,
                 y,
             )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_adaptive_divergence_names_rho_and_epsilon(self):
+        x, y = blob_data(seed=68, n_per=10)
+        # epsilon dwarfs both running averages, so each step is the raw gradient
+        hyper = {"hidden": (6,), "epochs": 60, "epsilon": 1e300, "l2": 1e10}
+        with pytest.raises(RuntimeError, match="non-finite training loss") as err:
+            train_xy(ModelSpec("neural_net", hyperparameters=hyper, seed=5), x, y)
+        assert "check rho and epsilon" in str(err.value)
+        assert "learning rate" not in str(err.value)
 
     @pytest.mark.parametrize("activation", ["rectifier", "tanh", "maxout"])
     def test_all_activations_train(self, activation):
@@ -169,3 +180,33 @@ class TestTraining:
         )
         accuracy = np.mean((model.predict_proba(x) >= 0.5) == (y == 1.0))
         assert accuracy >= 0.9
+
+
+class TestMatchesPerArrayLoop:
+    """Training over one flat parameter vector does, element for element,
+    the float operations of stepping each weight and bias array alone."""
+
+    @pytest.mark.parametrize("activation", ["rectifier", "tanh", "maxout"])
+    @pytest.mark.parametrize("adaptive", [True, False])
+    @pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3), (1e-3, 1e-3)])
+    # 37 rows: 8 leaves a short last batch, 64 is one batch larger than n
+    @pytest.mark.parametrize("batch_size", [8, 64])
+    def test_bit_identical(self, activation, adaptive, l1, l2, batch_size):
+        x, y = blob_data(seed=70, n_per=20, gap=1.5)
+        x, y = x[:37], y[:37]
+        spec = ModelSpec(
+            "neural_net",
+            hyperparameters={
+                "hidden": (5, 4), "activation": activation, "epochs": 3,
+                "adaptive_rate": adaptive, "learning_rate": 0.05,
+                "l1": l1, "l2": l2, "batch_size": batch_size,
+            },
+            seed=11,
+        )
+        model = train_xy(spec, x, y)
+        weights, biases, loss, predict_proba = brute_neural_fit(x, y, spec.hyper, spec.seed)
+        net = model.params
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert np.array_equal(got, want)
+        assert model.summary.final_loss == loss
+        assert np.array_equal(model.predict_proba(x), predict_proba(x))
