@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Protocol
 
@@ -32,7 +33,7 @@ class AnnotatorError(RuntimeError):
     """Provider failure, distinct from a legitimate empty annotation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainAnnotation:
     """One inferred domain: taxonomy label, score in [0, 1], confident flag."""
 
@@ -156,7 +157,7 @@ class RemoteAnnotator:
         return max(-1.0, min(1.0, value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedTweet:
     """The domains inferred from one tweet's text, ranked by score."""
 
@@ -164,7 +165,7 @@ class AnnotatedTweet:
     merged_domains: tuple[DomainAnnotation, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedReply:
     reply_id: str
     sentiment: float
@@ -236,10 +237,6 @@ def annotate_dataset(
     return tuple(tweets), tuple(replies), report
 
 
-def _domains_payload(annotations) -> list:
-    return [[a.label, a.score, a.confident] for a in annotations]
-
-
 # the JSON types a score or a sentiment takes; true is not a number
 _NUMBERS = (int, float)
 
@@ -280,18 +277,47 @@ def _domains_from_payload(payload, interned: dict) -> tuple[DomainAnnotation, ..
     return tuple(domains)
 
 
-# one encoder for every line, instead of a json.dumps call (and its set-up) per line
-_dump = json.JSONEncoder(sort_keys=True).encode
+# One template per record kind: the line json.dumps(record, sort_keys=True)
+# writes, with its ", " and ": " separators.  Strings are filled in through
+# encode_basestring_ascii, the quoting function of that encoder.
+_TWEET_LINE = '{"kind": "tweet", "merged_domains": [%s], "tweet_id": %s}'
+_DOMAIN_ENTRY = "[%s, %s, %s]"
+_REPLY_LINE = '{"kind": "reply", "reply_id": %s, "sentiment": %s}'
+
+
+def _json_number(value) -> str:
+    """A score, sentiment or confident flag as json writes it.
+
+    A bool is true or false, an int keeps its integer form (1, not 1.0) and a
+    float its shortest repr; the range checks of the records keep out NaN and
+    the infinities, which json would write in its own way.
+    """
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return float.__repr__(value)
 
 
 def save_annotations(tweets, replies, path) -> None:
     """Write annotations as one JSON record per line, tweets then replies."""
-    lines = []
-    for t in tweets:
-        domains = _domains_payload(t.merged_domains)
-        lines.append(_dump({"kind": "tweet", "tweet_id": t.tweet_id, "merged_domains": domains}))
-    for r in replies:
-        lines.append(_dump({"kind": "reply", "reply_id": r.reply_id, "sentiment": r.sentiment}))
+    quote, number = encode_basestring_ascii, _json_number
+    lines = [
+        _TWEET_LINE
+        % (
+            ", ".join(
+                [
+                    _DOMAIN_ENTRY % (quote(d.label), number(d.score), number(d.confident))
+                    for d in t.merged_domains
+                ]
+            ),
+            quote(t.tweet_id),
+        )
+        for t in tweets
+    ]
+    lines += [_REPLY_LINE % (quote(r.reply_id), number(r.sentiment)) for r in replies]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .types import (
@@ -25,10 +26,27 @@ from .types import (
 
 KINDS = ("user", "tweet", "reply", "dataset")
 
-# one encoder and one decoder for every line, instead of a json.dumps or
-# json.loads call (and its set-up) per line
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+# one decoder for every line, instead of a json.loads call (and its set-up) per line
 _raw_decode = json.JSONDecoder().raw_decode
+
+# One template per line kind: the line json.dumps(record, sort_keys=True,
+# separators=(",", ":"), ensure_ascii=False) writes.  Strings are filled in
+# through encode_basestring, the quoting function of that encoder, and
+# timestamps, which are ASCII digits and punctuation, through format_timestamp.
+_META_LINE = '{"capture_at":"%s","kind":"dataset","provenance":%s}'
+_USER_LINE = (
+    '{"body":{"created_at":"%s","followers_count":%d,"friends_count":%d,"handle":%s,'
+    '"user_id":%s},"kind":"user"}'
+)
+_TWEET_LINE = (
+    '{"body":{"author_id":%s,"favorite_count":%d,"is_retweet":%s,"language":%s,'
+    '"posted_at":"%s","replies_count":%d,"retweet_count":%d,"text":%s,"tweet_id":%s},'
+    '"kind":"tweet"}'
+)
+_REPLY_LINE = (
+    '{"body":{"author_id":%s,"parent_tweet_id":%s,"posted_at":"%s","reply_id":%s,'
+    '"text":%s},"kind":"reply"}'
+)
 
 
 def decode_line(text: str):
@@ -89,37 +107,60 @@ def _check_utf8(line: str) -> None:
         raise ValueError(f"not UTF-8: byte 0x{byte:02x} at character {exc.start}") from None
 
 
+_REQUIRED = object()
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+
+
+def _field(body: dict, key: str, kind: type, default=_REQUIRED):
+    """``body[key]`` when its JSON type is exactly ``kind`` (true is not an integer).
+
+    An optional field that is missing or null takes ``default``; any other
+    value raises ValueError naming the field.
+    """
+    value = body.get(key)
+    if type(value) is kind:
+        return value
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in body:
+        raise ValueError(f"missing {key}")
+    raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+# the builders pass the fields in record field order, by position, which
+# constructs a record faster than keywords do
 def _user_from_body(body: dict) -> UserProfile:
+    user_id = _field(body, "user_id", str)
     return UserProfile(
-        user_id=str(body["user_id"]),
-        handle=str(body.get("handle", body["user_id"])),
-        followers_count=int(body["followers_count"]),
-        friends_count=int(body["friends_count"]),
-        created_at=parse_timestamp(body["created_at"]),
+        user_id,
+        _field(body, "handle", str, user_id),
+        _field(body, "followers_count", int),
+        _field(body, "friends_count", int),
+        parse_timestamp(_field(body, "created_at", str)),
     )
 
 
 def _tweet_from_body(body: dict) -> TweetRecord:
     return TweetRecord(
-        tweet_id=str(body["tweet_id"]),
-        author_id=str(body["author_id"]),
-        posted_at=parse_timestamp(body["posted_at"]),
-        text=str(body.get("text", "")),
-        retweet_count=int(body.get("retweet_count", 0)),
-        favorite_count=int(body.get("favorite_count", 0)),
-        replies_count=int(body.get("replies_count", 0)),
-        is_retweet=bool(body.get("is_retweet", False)),
-        language=body.get("language"),
+        _field(body, "tweet_id", str),
+        _field(body, "author_id", str),
+        parse_timestamp(_field(body, "posted_at", str)),
+        _field(body, "text", str, ""),
+        _field(body, "retweet_count", int, 0),
+        _field(body, "favorite_count", int, 0),
+        _field(body, "replies_count", int, 0),
+        _field(body, "is_retweet", bool, False),
+        _field(body, "language", str, None),
     )
 
 
 def _reply_from_body(body: dict) -> ReplyRecord:
     return ReplyRecord(
-        reply_id=str(body["reply_id"]),
-        parent_tweet_id=str(body["parent_tweet_id"]),
-        author_id=str(body["author_id"]),
-        posted_at=parse_timestamp(body["posted_at"]),
-        text=str(body.get("text", "")),
+        _field(body, "reply_id", str),
+        _field(body, "parent_tweet_id", str),
+        _field(body, "author_id", str),
+        parse_timestamp(_field(body, "posted_at", str)),
+        _field(body, "text", str, ""),
     )
 
 
@@ -165,9 +206,10 @@ def load_dataset(
                 if kind not in KINDS:
                     raise ValueError(f"unknown kind {kind!r}")
                 if kind == "dataset":
-                    if "capture_at" in envelope:
-                        meta_capture = parse_timestamp(envelope["capture_at"])
-                    provenance = str(envelope.get("provenance", ""))
+                    capture = _field(envelope, "capture_at", str, None)
+                    if capture is not None:
+                        meta_capture = parse_timestamp(capture)
+                    provenance = _field(envelope, "provenance", str, "")
                     continue
                 body = envelope.get("body")
                 if not isinstance(body, dict):
@@ -226,64 +268,45 @@ def load_dataset(
 
 def dataset_to_lines(dataset: Dataset) -> list[str]:
     """Canonical serialization: meta line, then users, tweets, replies by id."""
-    lines = [
-        _dump(
-            {
-                "kind": "dataset",
-                "capture_at": format_timestamp(dataset.capture_at),
-                "provenance": dataset.provenance,
-            }
+    quote, stamp = encode_basestring, format_timestamp
+    lines = [_META_LINE % (stamp(dataset.capture_at), quote(dataset.provenance))]
+    lines += [
+        _USER_LINE
+        % (
+            stamp(u.created_at),
+            u.followers_count,
+            u.friends_count,
+            quote(u.handle),
+            quote(u.user_id),
         )
+        for u in dataset.users
     ]
-    for u in dataset.users:
-        lines.append(
-            _dump(
-                {
-                    "kind": "user",
-                    "body": {
-                        "user_id": u.user_id,
-                        "handle": u.handle,
-                        "followers_count": u.followers_count,
-                        "friends_count": u.friends_count,
-                        "created_at": format_timestamp(u.created_at),
-                    },
-                }
-            )
+    lines += [
+        _TWEET_LINE
+        % (
+            quote(t.author_id),
+            t.favorite_count,
+            "true" if t.is_retweet else "false",
+            "null" if t.language is None else quote(t.language),
+            stamp(t.posted_at),
+            t.replies_count,
+            t.retweet_count,
+            quote(t.text),
+            quote(t.tweet_id),
         )
-    for t in dataset.tweets:
-        lines.append(
-            _dump(
-                {
-                    "kind": "tweet",
-                    "body": {
-                        "tweet_id": t.tweet_id,
-                        "author_id": t.author_id,
-                        "posted_at": format_timestamp(t.posted_at),
-                        "text": t.text,
-                        "retweet_count": t.retweet_count,
-                        "favorite_count": t.favorite_count,
-                        "replies_count": t.replies_count,
-                        "is_retweet": t.is_retweet,
-                        "language": t.language,
-                    },
-                }
-            )
+        for t in dataset.tweets
+    ]
+    lines += [
+        _REPLY_LINE
+        % (
+            quote(r.author_id),
+            quote(r.parent_tweet_id),
+            stamp(r.posted_at),
+            quote(r.reply_id),
+            quote(r.text),
         )
-    for r in dataset.replies:
-        lines.append(
-            _dump(
-                {
-                    "kind": "reply",
-                    "body": {
-                        "reply_id": r.reply_id,
-                        "parent_tweet_id": r.parent_tweet_id,
-                        "author_id": r.author_id,
-                        "posted_at": format_timestamp(r.posted_at),
-                        "text": r.text,
-                    },
-                }
-            )
-        )
+        for r in dataset.replies
+    ]
     return lines
 
 

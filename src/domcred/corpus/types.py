@@ -33,7 +33,7 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat()[:-6] + "Z"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserProfile:
     user_id: str
     handle: str
@@ -48,7 +48,7 @@ class UserProfile:
             raise ValueError(f"user {self.user_id}: friends_count < 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     tweet_id: str
     author_id: str
@@ -66,7 +66,7 @@ class TweetRecord:
                 raise ValueError(f"tweet {self.tweet_id}: {name} < 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplyRecord:
     reply_id: str
     parent_tweet_id: str

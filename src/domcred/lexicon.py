@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 TOKEN_RE = re.compile(r"[a-z0-9']+")
@@ -42,14 +44,24 @@ class DomainLexicon:
     def domains(self) -> tuple[str, ...]:
         return tuple(sorted(self.terms))
 
-    def hit_counts(self, text: str) -> dict[str, int]:
-        """Token occurrences per domain; every occurrence counts."""
-        tokens = tokenize(text)
-        counts: dict[str, int] = {}
+    @cached_property
+    def _term_domains(self) -> dict[str, tuple[str, ...]]:
+        """Term -> the domains whose vocabulary holds it, in ``terms`` order."""
+        index: dict[str, list[str]] = {}
         for domain, vocabulary in self.terms.items():
-            hits = sum(1 for tok in tokens if tok in vocabulary)
-            if hits:
-                counts[domain] = hits
+            for term in vocabulary:
+                index.setdefault(term, []).append(domain)
+        return {term: tuple(domains) for term, domains in index.items()}
+
+    def hit_counts(self, text: str) -> dict[str, int]:
+        """Token occurrences per domain, keyed in ``terms`` order; every occurrence counts."""
+        index = self._term_domains
+        counts: dict[str, int] = {}
+        for token in tokenize(text):
+            for domain in index.get(token, ()):
+                counts[domain] = counts.get(domain, 0) + 1
+        if len(counts) > 1:
+            counts = {domain: counts[domain] for domain in self.terms if domain in counts}
         return counts
 
 
@@ -69,9 +81,8 @@ class SentimentLexicon:
         tokens = tokenize(text)
         if not tokens:
             return 0.0
-        pos = sum(1 for t in tokens if self.polarity.get(t) == 1)
-        neg = sum(1 for t in tokens if self.polarity.get(t) == -1)
-        raw = gain * (pos - neg) / len(tokens)
+        # pos - neg in one pass: each token adds its polarity, 0 when it has none
+        raw = gain * sum(map(self.polarity.get, tokens, repeat(0))) / len(tokens)
         return max(-1.0, min(1.0, raw))
 
 

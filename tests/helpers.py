@@ -12,6 +12,7 @@ from datetime import datetime, timedelta, timezone
 from domcred.annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
 from domcred.corpus.periods import PartitionReport
 from domcred.corpus.types import Dataset, PeriodSlice, ReplyRecord, TweetRecord, UserProfile
+from domcred.lexicon import tokenize
 
 UTC = timezone.utc
 
@@ -170,6 +171,28 @@ def brute_annotation_lines(tweets, replies):
         record = {"kind": "reply", "reply_id": r.reply_id, "sentiment": r.sentiment}
         lines.append(json.dumps(record, sort_keys=True))
     return lines
+
+
+def brute_hit_counts(lexicon, text):
+    """Token hits per domain with one pass over the tokens per domain."""
+    tokens = tokenize(text)
+    counts = {}
+    for domain, vocabulary in lexicon.terms.items():
+        hits = sum(1 for tok in tokens if tok in vocabulary)
+        if hits:
+            counts[domain] = hits
+    return counts
+
+
+def brute_sentiment_score(lexicon, text, gain=1.0):
+    """Sentiment with the positive and the negative tokens counted in two passes."""
+    tokens = tokenize(text)
+    if not tokens:
+        return 0.0
+    pos = sum(1 for t in tokens if lexicon.polarity.get(t) == 1)
+    neg = sum(1 for t in tokens if lexicon.polarity.get(t) == -1)
+    raw = gain * (pos - neg) / len(tokens)
+    return max(-1.0, min(1.0, raw))
 
 
 def brute_weights(merged_domains):

@@ -21,6 +21,7 @@ from domcred.corpus.archive import (
     dataset_to_lines,
     decode_line,
     load_dataset,
+    save_dataset,
 )
 from domcred.corpus.types import (
     Dataset,
@@ -31,7 +32,14 @@ from domcred.corpus.types import (
     parse_timestamp,
 )
 
-from helpers import brute_annotation_lines, brute_dataset_lines
+from helpers import (
+    brute_annotation_lines,
+    brute_dataset_lines,
+    make_dataset,
+    make_reply,
+    make_tweet,
+    make_user,
+)
 
 UTC = timezone.utc
 CANONICAL = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?Z$")
@@ -295,3 +303,201 @@ class TestAnnotationLines:
         path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: .*0 or 1 flag"):
             load_annotations(path)
+
+
+class TestLineSeparatorsInText:
+    # str.splitlines breaks at each of these; json writes them raw when
+    # ensure_ascii is off, so the loader must split at "\n" alone
+    TEXT = "one\u2028two\u2029three\x85four"
+
+    def test_text_stays_on_its_line_and_loads_back_equal(self, tmp_path):
+        dataset = make_dataset(
+            [make_user("a", handle="h\u2028h")],
+            [make_tweet("t1", "a", text=self.TEXT)],
+            [make_reply("r1", "t1", "a", text=self.TEXT)],
+            provenance="p\u2029p",
+        )
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(dataset, path)
+        data = path.read_bytes()
+        assert data.count(b"\n") == 4
+        for char in "\u2028\u2029\x85":
+            assert char.encode() in data
+        loaded, report = load_dataset(path)
+        assert report.warning_count == 0
+        assert loaded == dataset
+        assert loaded.tweets[0].text == self.TEXT == loaded.replies[0].text
+
+
+class TestAnnotationNumbers:
+    @pytest.mark.parametrize(
+        "score, flag",
+        [(1, True), (1.0, False), (1, 1), (1.0, 0), (0, 1), (-0.0, True), (5e-324, 0)],
+    )
+    @pytest.mark.parametrize("sentiment", [0, 1, -1, 1.0, -0.0, 0.0, 5e-324, -5e-324])
+    def test_written_as_json_writes_them_and_stable_through_a_load(
+        self, tmp_path, score, flag, sentiment
+    ):
+        tweets = (AnnotatedTweet("té", (DomainAnnotation("Été", score, flag),)),)
+        replies = (AnnotatedReply("r1", sentiment),)
+        path = tmp_path / "annotations.jsonl"
+        save_annotations(tweets, replies, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == "\n".join(brute_annotation_lines(tweets, replies)) + "\n"
+        assert text.isascii()
+        loaded_tweets, loaded_replies = load_annotations(path)
+        assert repr(loaded_tweets) == repr(tweets)
+        assert repr(loaded_replies) == repr(replies)
+        save_annotations(loaded_tweets, loaded_replies, path)
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_empty_domain_list_and_no_records(self, tmp_path):
+        path = tmp_path / "annotations.jsonl"
+        tweets = (AnnotatedTweet("t1"),)
+        save_annotations(tweets, (), path)
+        assert path.read_text(encoding="utf-8") == brute_annotation_lines(tweets, ())[0] + "\n"
+        save_annotations((), (), path)
+        assert path.read_text(encoding="utf-8") == "\n"
+
+
+def _body_line(kind, **override):
+    """One valid archive line of ``kind`` with ``override`` applied; ``...`` drops a key."""
+    bodies = {
+        "user": {
+            "user_id": "a",
+            "handle": "ha",
+            "followers_count": 1,
+            "friends_count": 1,
+            "created_at": "2020-01-01T00:00:00Z",
+        },
+        "tweet": {
+            "tweet_id": "t1",
+            "author_id": "a",
+            "posted_at": "2024-02-01T00:00:00Z",
+            "text": "python code",
+            "retweet_count": 2,
+            "favorite_count": 3,
+            "replies_count": 1,
+            "is_retweet": False,
+            "language": "en",
+        },
+        "reply": {
+            "reply_id": "r1",
+            "parent_tweet_id": "t1",
+            "author_id": "a",
+            "posted_at": "2024-02-02T00:00:00Z",
+            "text": "great",
+        },
+    }
+    body = {**bodies[kind], **override}
+    return json.dumps({"kind": kind, "body": {k: v for k, v in body.items() if v is not ...}})
+
+
+class TestArchiveFieldTypes:
+    """Each documented field type is checked, not coerced."""
+
+    def _load(self, tmp_path, kind, override, fail_fast=False):
+        lines = [_body_line("user"), _body_line("tweet"), _body_line("reply")]
+        lines[("user", "tweet", "reply").index(kind)] = _body_line(kind, **override)
+        path = tmp_path / "archive.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return load_dataset(path, fail_fast=fail_fast)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("user", "user_id", 5),
+            ("user", "handle", 7),
+            ("user", "followers_count", 10.9),
+            ("user", "followers_count", "5"),
+            ("user", "followers_count", None),
+            ("user", "friends_count", True),
+            ("user", "created_at", 20200101),
+            ("tweet", "tweet_id", None),
+            ("tweet", "author_id", ["a"]),
+            ("tweet", "posted_at", None),
+            ("tweet", "text", 5),
+            ("tweet", "retweet_count", 1.0),
+            ("tweet", "favorite_count", False),
+            ("tweet", "replies_count", "1"),
+            ("tweet", "is_retweet", "false"),
+            ("tweet", "is_retweet", 0),
+            ("tweet", "language", ["en"]),
+            ("tweet", "language", 1),
+            ("reply", "reply_id", 1),
+            ("reply", "parent_tweet_id", {"id": "t1"}),
+            ("reply", "text", ["great"]),
+        ],
+    )
+    def test_wrong_type_is_a_malformed_line_named_under_fail_fast(
+        self, tmp_path, kind, field, value
+    ):
+        line_no = ("user", "tweet", "reply").index(kind) + 1
+        _, report = self._load(tmp_path, kind, {field: value})
+        assert report.malformed_line_numbers == [line_no]
+        with pytest.raises(ArchiveFormatError, match=rf"^line {line_no}: {field} must be "):
+            self._load(tmp_path, kind, {field: value}, fail_fast=True)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("user", "followers_count"), ("user", "created_at"), ("tweet", "author_id")],
+    )
+    def test_missing_required_field_is_named(self, tmp_path, kind, field):
+        _, report = self._load(tmp_path, kind, {field: ...})
+        assert report.malformed_lines == 1
+        with pytest.raises(ArchiveFormatError, match=rf"missing {field}$"):
+            self._load(tmp_path, kind, {field: ...}, fail_fast=True)
+
+    @pytest.mark.parametrize("value", [None, ...])
+    def test_optional_field_null_or_missing_takes_its_default(self, tmp_path, value):
+        override = {
+            "text": value,
+            "retweet_count": value,
+            "favorite_count": value,
+            "replies_count": value,
+            "is_retweet": value,
+            "language": value,
+        }
+        dataset, report = self._load(tmp_path, "tweet", override)
+        assert report.warning_count == 0
+        assert dataset.tweets == (
+            make_tweet("t1", "a", text="", language=None, posted="2024-02-01T00:00:00Z"),
+        )
+        dataset, report = self._load(tmp_path, "user", {"handle": value})
+        assert dataset.users[0].handle == "a"
+        dataset, report = self._load(tmp_path, "reply", {"text": value})
+        assert dataset.replies[0].text == ""
+
+    def test_string_false_is_not_a_retweet(self, tmp_path):
+        # bool("false") is True: coercion would load a retweet and cleansing
+        # would then zero its engagement
+        dataset, report = self._load(tmp_path, "tweet", {"is_retweet": "false"})
+        assert report.malformed_lines == 1
+        assert dataset.tweets == ()
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"provenance": 5}, "provenance must be a string"),
+            ({"capture_at": 1}, "capture_at must be a string"),
+        ],
+    )
+    def test_meta_line_fields_are_checked(self, tmp_path, meta, message):
+        path = tmp_path / "archive.jsonl"
+        path.write_text(
+            json.dumps({"kind": "dataset", **meta}) + "\n" + _body_line("user") + "\n",
+            encoding="utf-8",
+        )
+        _, report = load_dataset(path)
+        assert report.malformed_line_numbers == [1]
+        with pytest.raises(ArchiveFormatError, match=f"line 1: {message}"):
+            load_dataset(path, fail_fast=True)
+
+    def test_null_meta_fields_take_their_defaults(self, tmp_path):
+        path = tmp_path / "archive.jsonl"
+        meta = {"kind": "dataset", "capture_at": None, "provenance": None}
+        path.write_text(json.dumps(meta) + "\n" + _body_line("user") + "\n", encoding="utf-8")
+        dataset, report = load_dataset(path)
+        assert report.warning_count == 0
+        assert dataset.provenance == ""
+        assert dataset.capture_at == parse_timestamp("2020-01-02T00:00:00Z")

@@ -13,6 +13,8 @@ from domcred.lexicon import (
     tokenize,
 )
 
+from helpers import brute_hit_counts, brute_sentiment_score
+
 DOMAINS_TEXT = """
 # comment
 [Tech]
@@ -134,3 +136,37 @@ class TestBuiltins:
         lex = builtin_sentiment_lexicon()
         assert lex.score("great awesome") == 1.0
         assert lex.score("terrible awful") == -1.0
+
+
+class TestOnePassAgainstTwoPass:
+    """The one-pass scorers equal the per-domain and per-polarity passes."""
+
+    words = st.sampled_from(
+        ["python", "server", "pizza", "great", "bad", "fine", "the", "Python!", "x", "\n"]
+    )
+    texts = st.lists(words, max_size=30).map(" ".join)
+
+    @given(texts)
+    def test_hit_counts_equal_with_key_order(self, text):
+        # "python" is a term of both domains and counts for each
+        lex = parse_domain_lexicon(DOMAINS_TEXT)
+        counts = lex.hit_counts(text)
+        expected = brute_hit_counts(lex, text)
+        assert counts == expected
+        assert list(counts) == list(expected)
+
+    @given(st.text(max_size=200))
+    def test_builtin_hit_counts_equal_with_key_order(self, text):
+        lex = builtin_domain_lexicon()
+        counts = lex.hit_counts(text)
+        assert list(counts.items()) == list(brute_hit_counts(lex, text).items())
+
+    @given(texts, st.floats(min_value=0.01, max_value=10.0))
+    def test_score_is_bit_identical(self, text, gain):
+        lex = parse_sentiment_lexicon(SENTIMENT_TEXT)
+        assert repr(lex.score(text, gain=gain)) == repr(brute_sentiment_score(lex, text, gain))
+
+    @given(st.text(max_size=200), st.floats(min_value=0.01, max_value=10.0))
+    def test_builtin_score_is_bit_identical(self, text, gain):
+        lex = builtin_sentiment_lexicon()
+        assert repr(lex.score(text, gain=gain)) == repr(brute_sentiment_score(lex, text, gain))
