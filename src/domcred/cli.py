@@ -16,7 +16,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -32,6 +31,7 @@ from .annotate import (
 )
 from .corpus.archive import (
     ArchiveFormatError,
+    json_value,
     load_dataset,
     load_labels,
     read_json,
@@ -65,14 +65,6 @@ _SYNTH_SCALARS = (
     "non_english_rate", "retweet_rate", "n_periods", "period_days", "start",
 )
 _SYNTH_KEYS = _SYNTH_SCALARS + ("domains", "influencer", "ordinary")
-# the JSON values each kind takes: true is not an integer, an integer is a
-# number, and a number is finite (JSON's Infinity and NaN read as floats)
-_JSON_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a finite number"),
-    bool: ((bool,), "true or false"),
-    str: ((str,), "a string"),
-}
 
 
 def _load_config(path: str | None) -> dict:
@@ -82,14 +74,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
     return _section(payload, None, _CONFIG_KEYS)
-
-
-def _typed(name: str, value, kind: type):
-    """value, when it is a JSON value of the kind; else an error naming the key."""
-    types, description = _JSON_TYPES[kind]
-    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
-        raise ValueError(f"config {name} must be {description}, got {value!r}")
-    return value
 
 
 def _resolve(args, config: dict, key: str, default, kind: type | None = None):
@@ -102,7 +86,7 @@ def _resolve(args, config: dict, key: str, default, kind: type | None = None):
     if value is not None:
         return value
     if kind is not None and key in config:
-        return _typed(key, config[key], kind)
+        return json_value(config[key], kind, f"config {key}")
     return config.get(key, default)
 
 
@@ -345,8 +329,8 @@ def _model_specs(config: dict, seed: int) -> tuple[ModelSpec, ...]:
         if algorithm not in base:
             raise ValueError(f"unknown algorithm {algorithm!r} in config")
         hyper = dict(_section(overrides, f"models.{algorithm}"))
-        model_seed = _typed(
-            f"models.{algorithm}.seed", hyper.pop("seed", base[algorithm].seed), int
+        model_seed = json_value(
+            hyper.pop("seed", base[algorithm].seed), int, f"config models.{algorithm}.seed"
         )
         try:
             base[algorithm] = ModelSpec(

@@ -9,6 +9,7 @@ defaults to one day after the newest record.  See docs/formats.md.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring
@@ -108,7 +109,6 @@ def _check_utf8(line: str) -> None:
 
 
 _REQUIRED = object()
-_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
 
 
 def _field(body: dict, key: str, kind: type, default=_REQUIRED):
@@ -124,7 +124,7 @@ def _field(body: dict, key: str, kind: type, default=_REQUIRED):
         return default
     if key not in body:
         raise ValueError(f"missing {key}")
-    raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return json_value(value, kind, key)
 
 
 # the builders pass the fields in record field order, by position, which
@@ -320,6 +320,24 @@ def write_json(path: str | Path, payload) -> None:
         json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
+
+
+# the JSON values each kind takes: true is not an integer, an integer is a
+# number, and a number is finite (JSON's Infinity and NaN read as floats)
+_JSON_KINDS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+    str: ((str,), "a string"),
+}
+
+
+def json_value(value, kind: type, name: str):
+    """value, when it is a JSON value of kind; else ValueError naming it."""
+    types, description = _JSON_KINDS[kind]
+    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+        raise ValueError(f"{name} must be {description}, got {value!r}")
+    return value
 
 
 def read_json(path: str | Path, what: str):

@@ -12,7 +12,10 @@ from .base import ConstantModel, ModelSpec, TrainingSummary, decode_labels, enco
 
 _FITTERS = {
     "naive_bayes": naive_bayes.fit,
-    "logistic": linear.fit_logistic,
+    # logistic regression is the binomial elastic net at lambda = 0
+    "logistic": lambda x, y, hyper, seed: linear.fit_elastic_net(
+        x, y, {**hyper, "family": "binomial", "lambda": 0.0}, seed
+    ),
     "glm_elastic_net": linear.fit_elastic_net,
     "decision_tree": tree.fit,
     "random_forest": forest.fit,

@@ -7,13 +7,13 @@ train() in __init__ wraps them in a TrainedModel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
+from ..corpus.archive import json_value
 from ..corpus.types import INFLUENCER, NON_INFLUENCER
 
 ALGORITHMS = (
@@ -28,13 +28,7 @@ ALGORITHMS = (
 
 DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
     "naive_bayes": {"laplace": True},
-    "logistic": {
-        "max_iter": 100,
-        "tol": 1e-8,
-        "remove_collinear": True,
-        "intercept": True,
-        "coefficient_cap": 30.0,
-    },
+    "logistic": {"max_iter": 100, "tol": 1e-8},
     "glm_elastic_net": {
         "family": "binomial",
         "lambda": 0.0,
@@ -74,31 +68,20 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
 }
 
 
-# the types a bool, int or float hyperparameter takes, by the type of its
-# default: true is not an integer, an integer is a number, and a number is
-# finite (JSON's Infinity and NaN read as floats).  confidence also takes
-# None, and hidden and feature_subsample have their own rules below.
-_VALUE_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a finite number"),
-}
-
-
 def _validate_hyper(algorithm: str, hyper: dict) -> None:
     defaults = DEFAULT_HYPERPARAMETERS[algorithm]
     positive = {
-        "max_iter", "tol", "coefficient_cap", "max_depth", "n_trees",
+        "max_iter", "tol", "max_depth", "n_trees",
         "learning_rate", "epsilon", "batch_size",
     }
     # epochs = 0 is legal: it leaves the seeded initial weights untouched
     non_negative = {"lambda", "l1", "l2", "minimal_gain", "epochs"}
     for key, value in hyper.items():
-        accepted = _VALUE_TYPES.get(type(defaults[key]))
-        if accepted and key != "confidence" and (
-            type(value) not in accepted[0] or (type(value) is float and not math.isfinite(value))
-        ):
-            raise ValueError(f"{algorithm}.{key} must be {accepted[1]}, got {value!r}")
+        # a bool, int or float setting takes the JSON values of its default's
+        # kind; confidence also takes None, and the string and tuple
+        # settings have their own rules below
+        if type(defaults[key]) in (bool, int, float) and key != "confidence":
+            json_value(value, type(defaults[key]), f"{algorithm}.{key}")
         if key in positive and not value > 0:
             raise ValueError(f"{algorithm}.{key} must be > 0, got {value!r}")
         if key in non_negative and not value >= 0:
@@ -175,6 +158,25 @@ def binomial_nll(eta: np.ndarray, y: np.ndarray) -> float:
     """Mean binomial negative log-likelihood of 0/1 labels y at log-odds eta:
     the mean of log(1 + exp(eta)) - y * eta, computed stably."""
     return float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+
+
+def _halving_step(
+    b: np.ndarray, delta: np.ndarray, loss: float, objective, cap: float = np.inf
+) -> tuple[np.ndarray, float]:
+    """First of the steps 1, 1/2, ... (30 tries) along delta not raising the loss.
+
+    Each candidate is clipped to [-cap, cap]; when every try raises the
+    objective by more than 1e-12, the point stays at b.  The linear solvers
+    step a coefficient vector, the boosting line search a scalar.
+    """
+    step = 1.0
+    for _ in range(30):
+        candidate = np.clip(b + step * delta, -cap, cap)
+        new_loss = objective(candidate)
+        if new_loss <= loss + 1e-12:
+            return candidate, new_loss
+        step /= 2.0
+    return b, loss
 
 
 def encode_labels(labels) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import TrainingSummary, binomial_nll, sigmoid
+from .base import TrainingSummary, _halving_step, binomial_nll, sigmoid
 from .tree import Node, Tree, _best_regression_split, _mean_leaf, grow
 
 _MAX_STEP = 1000.0
@@ -35,14 +35,10 @@ def _line_search(scores: np.ndarray, h: np.ndarray, y: np.ndarray) -> float:
         if abs(step) < 1e-10:
             break
     # never accept a step that worsens the loss
-    base = binomial_nll(scores, y)
-    for _ in range(30):
-        if binomial_nll(scores + rho * h, y) <= base + 1e-12:
-            break
-        rho /= 2.0
-    else:
-        rho = 0.0
-    return rho
+    rho, _ = _halving_step(
+        0.0, rho, binomial_nll(scores, y), lambda r: binomial_nll(scores + r * h, y)
+    )
+    return float(rho)
 
 
 def _scale_leaves(node: Node, factor: float) -> None:

@@ -1,12 +1,14 @@
-"""Linear classifiers: IRLS logistic regression and elastic-net GLM.
+"""Linear classifiers: the elastic-net GLM, and logistic regression as its
+binomial fit at lambda = 0.
 
-Both standardize features internally and report coefficients on the raw
-feature scale (the two parameterizations give identical predictions).  The
-elastic-net penalty is lambda * ((1 - alpha)/2 * ||b||_2^2 + alpha * ||b||_1)
-on the mean loss, never applied to the intercept.
+The one front end standardizes features internally and reports
+coefficients on the raw feature scale (the two parameterizations give
+identical predictions).  The elastic-net penalty is
+lambda * ((1 - alpha)/2 * ||b||_2^2 + alpha * ||b||_1) on the mean loss,
+never applied to the intercept.
 
 Each problem goes through exactly one solver.  Unpenalized binomial fits
-(``logistic``, and ``glm_elastic_net`` at lambda = 0) share one Newton /
+(``logistic``, and ``glm_elastic_net`` at lambda = 0) run one Newton /
 IRLS loop; the unpenalized gaussian fit is a single linear solve; penalized
 fits of either family run covariance-update coordinate descent inside a
 proximal Newton loop (Friedman, Hastie & Tibshirani, "Regularization Paths
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Standardizer, TrainingSummary, binomial_nll, independent_columns, sigmoid
+from .base import (
+    Standardizer,
+    TrainingSummary,
+    _halving_step,
+    binomial_nll,
+    independent_columns,
+    sigmoid,
+)
 
 COEFFICIENT_CAP = 30.0  # on the standardized scale; hit on separable data
 _WEIGHT_FLOOR = 1e-10
@@ -68,24 +77,6 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
 
 
-def _halving_step(
-    b: np.ndarray, delta: np.ndarray, loss: float, objective, cap: float = np.inf
-) -> tuple[np.ndarray, float]:
-    """First of the steps 1, 1/2, ... (30 tries) along delta not raising the loss.
-
-    Each candidate is clipped to [-cap, cap]; when every try raises the
-    objective, the point stays at b.
-    """
-    step = 1.0
-    for _ in range(30):
-        candidate = np.clip(b + step * delta, -cap, cap)
-        new_loss = objective(candidate)
-        if new_loss <= loss + 1e-12:
-            return candidate, new_loss
-        step /= 2.0
-    return b, loss
-
-
 def _summary(
     iterations: int, converged: bool, loss: float, capped: bool, max_iter: int
 ) -> TrainingSummary:
@@ -105,14 +96,15 @@ def _summary(
 
 
 def _irls(
-    design: np.ndarray, y: np.ndarray, max_iter: int, tol: float, cap: float
+    design: np.ndarray, y: np.ndarray, max_iter: int, tol: float
 ) -> tuple[np.ndarray, TrainingSummary]:
     """Newton / IRLS with step halving on the mean binomial loss.
 
     Every coefficient, the intercept column included, is clipped to
-    [-cap, cap]; perfectly separable data drives them there, and the fit is
-    then flagged non-converged with a warning instead of diverging.  The
-    loop stops once a step moves no coefficient by ``tol`` or more.
+    [-COEFFICIENT_CAP, COEFFICIENT_CAP]; perfectly separable data drives
+    them there, and the fit is then flagged non-converged with a warning
+    instead of diverging.  The loop stops once a step moves no coefficient
+    by ``tol`` or more.
     """
     n, k = design.shape
     b = np.zeros(k)
@@ -127,7 +119,7 @@ def _irls(
         grad = design.T @ (y - p) / n
         hessian = (design.T * w) @ design / n
         candidate, new_nll = _halving_step(
-            b, _solve(hessian, grad), nll, lambda c: binomial_nll(design @ c, y), cap
+            b, _solve(hessian, grad), nll, lambda c: binomial_nll(design @ c, y), COEFFICIENT_CAP
         )
         shift = float(np.max(np.abs(candidate - b), initial=0.0))
         b, nll = candidate, new_nll
@@ -135,40 +127,8 @@ def _irls(
             converged = True
             break
 
-    capped = bool(np.any(np.abs(b) >= cap - 1e-12))
+    capped = bool(np.any(np.abs(b) >= COEFFICIENT_CAP - 1e-12))
     return b, _summary(iterations, converged, nll, capped, max_iter)
-
-
-def fit_logistic(
-    x: np.ndarray, y: np.ndarray, hyper, seed: int
-) -> tuple[LinearCoefficients, TrainingSummary]:
-    """Unpenalized logistic regression by the shared IRLS loop."""
-    max_iter = int(hyper["max_iter"])
-    tol = float(hyper["tol"])
-    cap = float(hyper["coefficient_cap"])
-    use_intercept = bool(hyper["intercept"])
-
-    scaler = Standardizer.fit(x)
-    z = scaler.transform(x)
-    if hyper["remove_collinear"]:
-        kept = independent_columns(z)
-    else:
-        kept = [j for j in range(z.shape[1]) if np.linalg.norm(z[:, j]) > 1e-12]
-
-    n = len(y)
-    design_parts = []
-    if use_intercept:
-        design_parts.append(np.ones((n, 1)))
-    design_parts.append(z[:, kept])
-    design = np.hstack(design_parts)
-
-    b, summary = _irls(design, y, max_iter, tol, cap)
-
-    b0 = b[0] if use_intercept else 0.0
-    beta = b[1:] if use_intercept else b
-    intercept, weights = _raw_scale(b0, beta, kept, scaler, x.shape[1])
-
-    return LinearCoefficients(family="binomial", intercept=intercept, weights=weights), summary
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -283,12 +243,11 @@ def fit_elastic_net(
     With lambda = 0 this is unpenalized regression, so exactly-collinear
     columns are dropped first (the penalized problem handles them on its
     own and keeping them is the point of the penalty).  Binomial then runs
-    the IRLS loop of ``fit_logistic`` and gaussian is one linear solve of
-    the normal equations; lambda > 0 runs ``_penalized``.
+    ``_irls``, which is how ``logistic`` is fit, and gaussian is one linear
+    solve of the normal equations; lambda > 0 runs ``_penalized``.
     """
     family = hyper["family"]
     lam = float(hyper["lambda"])
-    alpha = float(hyper["alpha"])
     max_iter = int(hyper["max_iter"])
     tol = float(hyper["tol"])
 
@@ -302,9 +261,10 @@ def fit_elastic_net(
     design = np.hstack([np.ones((n, 1)), z_full[:, kept]])
 
     if lam > 0.0:
+        alpha = float(hyper["alpha"])
         b, summary = _penalized(design, y, family, lam, alpha, max_iter, tol)
     elif family == "binomial":
-        b, summary = _irls(design, y, max_iter, tol, COEFFICIENT_CAP)
+        b, summary = _irls(design, y, max_iter, tol)
     else:
         b = _solve(design.T @ design / n, design.T @ y / n)
         loss = 0.5 * float(np.mean((y - design @ b) ** 2))

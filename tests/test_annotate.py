@@ -199,6 +199,8 @@ def http_service():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _Handler
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 class TestRemoteAnnotator:

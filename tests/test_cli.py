@@ -895,6 +895,14 @@ class TestConfigShapes:
             "error: unknown config key(s) seeed, topk; valid keys: seed, output_dir, domain,"
         )
 
+    # logistic regression is the binomial elastic net at lambda = 0, so the
+    # intercept, column dropping and coefficient cap are not settings
+    @pytest.mark.parametrize("key", ["remove_collinear", "intercept", "coefficient_cap"])
+    def test_fixed_logistic_key_fails(self, pipeline, tmp_path, capsys, key):
+        payload = {"models": {"logistic": {key: True}}}
+        err = self._fail(pipeline, tmp_path, capsys, "benchmark", payload)
+        assert err.startswith(f"error: config models.logistic: unknown hyperparameters ['{key}']")
+
     @pytest.mark.parametrize("payload, flags", [({}, ["--top-k", "-1"]), ({"top_k": 0}, [])])
     def test_top_k_below_one_fails(self, pipeline, tmp_path, capsys, payload, flags):
         err = self._fail(pipeline, tmp_path, capsys, "features", payload, flags=flags)

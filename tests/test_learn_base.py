@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from domcred.learn import ConstantModel, ModelSpec, decode_labels, encode_labels, train, train_xy
-from domcred.learn.base import Standardizer, independent_columns
+from domcred.learn.base import Standardizer, _halving_step, independent_columns
 from domcred.corpus.types import INFLUENCER, NON_INFLUENCER
 from domcred.features import FeatureMatrix
 from helpers import blob_data
@@ -21,6 +21,12 @@ class TestModelSpec:
         # the split criterion is fixed to gain ratio, not a setting
         with pytest.raises(ValueError, match="unknown hyperparameters"):
             ModelSpec(algorithm="decision_tree", hyperparameters={"criterion": "gain_ratio"})
+        # logistic is the binomial elastic net at lambda = 0: it always fits an
+        # intercept, drops dependent columns and caps its coefficients
+        fixed = {"remove_collinear": False, "intercept": False, "coefficient_cap": 5.0}
+        for key, value in fixed.items():
+            with pytest.raises(ValueError, match="unknown hyperparameters"):
+                ModelSpec(algorithm="logistic", hyperparameters={key: value})
 
     def test_defaults_merged_and_overrides_stick(self):
         spec = ModelSpec(algorithm="random_forest", hyperparameters={"n_trees": 7})
@@ -133,6 +139,49 @@ class TestIndependentColumns:
     def test_zero_column_dropped(self):
         x = np.column_stack([np.zeros(10), np.arange(10.0)])
         assert independent_columns(x) == [1]
+
+
+class TestHalvingStep:
+    def test_takes_the_first_step_that_does_not_raise_the_loss(self):
+        tried = []
+
+        def objective(c):
+            tried.append(c.tolist())
+            return abs(c[0] - 1.0)
+
+        point, loss = _halving_step(np.zeros(1), np.array([8.0]), 1.0, objective)
+        # steps 1 and 1/2 overshoot; 1/4 ties the starting loss and is taken
+        assert tried == [[8.0], [4.0], [2.0]]
+        assert point.tolist() == [2.0] and loss == 1.0
+
+    def test_a_rise_up_to_1e_12_is_accepted(self):
+        point, loss = _halving_step(0.0, 3.0, 1.0, lambda c: 1.0 + 5e-13)
+        assert point == 3.0 and loss == 1.0 + 5e-13
+
+    def test_candidates_are_clipped_to_the_cap(self):
+        tried = []
+
+        def objective(c):
+            tried.append(c.tolist())
+            return 0.0
+
+        point, loss = _halving_step(
+            np.array([1.0, -1.0, 2.0]), np.array([50.0, -50.0, 1.0]), 0.0, objective, cap=30.0
+        )
+        assert tried == [[30.0, -30.0, 3.0]]
+        assert point.tolist() == [30.0, -30.0, 3.0] and loss == 0.0
+
+    def test_keeps_the_point_after_30_failed_tries(self):
+        tried = []
+
+        def objective(c):
+            tried.append(float(c[0]))
+            return 1.0 + 2e-12
+
+        b = np.array([0.5])
+        point, loss = _halving_step(b, np.array([1.0]), 1.0, objective)
+        assert tried == [0.5 + 0.5**k for k in range(30)]
+        assert point is b and loss == 1.0
 
 
 class TestConstantModel:

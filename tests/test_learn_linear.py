@@ -142,7 +142,8 @@ class TestElasticNetSolver:
         assert net.summary == irls.summary
 
     @pytest.mark.parametrize("family", ["binomial", "gaussian"])
-    @pytest.mark.parametrize("lam, alpha", [(0.03, 1.0), (0.05, 0.5), (0.1, 0.0)])
+    # lambda = 0 checks the unpenalized fits against their score equations
+    @pytest.mark.parametrize("lam, alpha", [(0.03, 1.0), (0.05, 0.5), (0.1, 0.0), (0.0, 0.5)])
     def test_penalized_fit_meets_kkt_conditions(self, family, lam, alpha):
         rng = np.random.default_rng(22)
         n = 300
