@@ -103,9 +103,6 @@ class Dataset:
                 raise ValueError(f"duplicate reply_id {r.reply_id!r}")
             seen.add(r.reply_id)
 
-    def tweets_by_id(self) -> dict[str, TweetRecord]:
-        return {t.tweet_id: t for t in self.tweets}
-
 
 @dataclass(frozen=True)
 class PeriodSlice:

@@ -166,8 +166,8 @@ def _halving_step(
     """First of the steps 1, 1/2, ... (30 tries) along delta not raising the loss.
 
     Each candidate is clipped to [-cap, cap]; when every try raises the
-    objective by more than 1e-12, the point stays at b.  The linear solvers
-    step a coefficient vector, the boosting line search a scalar.
+    objective by more than 1e-12, the point stays at b.  The linear Newton
+    loop steps a coefficient vector, the boosting line search a scalar.
     """
     step = 1.0
     for _ in range(30):

@@ -662,3 +662,141 @@ def brute_neural_fit(x, y, hyper, seed):
         return _brute_net_forward(weights, biases, activation, (x_new - mean) / std)[0]
 
     return weights, biases, loss, predict_proba
+
+
+def _brute_sigmoid(eta):
+    import numpy as np
+
+    return 0.5 * (1.0 + np.tanh(0.5 * eta))
+
+
+def _brute_binomial_nll(eta, y):
+    import numpy as np
+
+    return float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+
+
+def _brute_halving_step(b, delta, loss, objective, cap):
+    """First of the steps 1, 1/2, ... (30 tries) not raising the loss by
+    more than 1e-12, clipped to [-cap, cap]; else stay at b."""
+    import numpy as np
+
+    step = 1.0
+    for _ in range(30):
+        candidate = np.clip(b + step * delta, -cap, cap)
+        new_loss = objective(candidate)
+        if new_loss <= loss + 1e-12:
+            return candidate, new_loss
+        step /= 2.0
+    return b, loss
+
+
+def brute_irls(design, y, max_iter, tol, cap=30.0):
+    """Newton / IRLS with step halving on the mean binomial loss, every
+    coefficient clipped to [-cap, cap]: the unpenalized binomial solver as a
+    loop of its own.
+
+    Returns (coefficients, iterations, converged, final_loss); a fit that
+    ends on the cap is not converged.
+    """
+    import numpy as np
+
+    def solve(matrix, rhs):
+        try:
+            return np.linalg.solve(matrix + 1e-12 * np.eye(len(rhs)), rhs)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+
+    n, k = design.shape
+    b = np.zeros(k)
+    nll = _brute_binomial_nll(design @ b, y)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        eta = design @ b
+        p = _brute_sigmoid(eta)
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        grad = design.T @ (y - p) / n
+        hessian = (design.T * w) @ design / n
+        candidate, new_nll = _brute_halving_step(
+            b, solve(hessian, grad), nll, lambda c: _brute_binomial_nll(design @ c, y), cap
+        )
+        shift = float(np.max(np.abs(candidate - b), initial=0.0))
+        b, nll = candidate, new_nll
+        if shift < tol:
+            converged = True
+            break
+    capped = bool(np.any(np.abs(b) >= cap - 1e-12))
+    return b, iterations, converged and not capped, nll
+
+
+def brute_penalized(design, y, family, lam, alpha, max_iter, tol):
+    """Proximal Newton around covariance-update coordinate descent, as a
+    loop of its own: each outer step solves the penalized quadratic in the
+    working response eta + (y - p)/w (the label itself for gaussian) for
+    the new coefficients, warm-started at the current ones.
+
+    Returns (coefficients, iterations, converged, final_loss).
+    """
+    import numpy as np
+
+    n = len(y)
+    l1, l2 = lam * alpha, lam * (1.0 - alpha)
+
+    def objective(b):
+        eta = design @ b
+        if family == "binomial":
+            loss = _brute_binomial_nll(eta, y)
+        else:
+            loss = 0.5 * float(np.mean((y - eta) ** 2))
+        beta = b[1:]
+        ridge, lasso = float(beta @ beta), float(np.abs(beta).sum())
+        return loss + lam * ((1.0 - alpha) / 2.0 * ridge + alpha * lasso)
+
+    def descend(gram, score, b):
+        diag = np.diag(gram).tolist()
+        grad = gram @ b - score
+        for _ in range(1000):
+            biggest = 0.0
+            for j, g_jj in enumerate(diag):
+                old = float(b[j])
+                if j == 0:
+                    new = old - float(grad[0]) / g_jj
+                else:
+                    rho = g_jj * old - float(grad[j])
+                    if rho > l1:
+                        shrunk = rho - l1
+                    elif rho < -l1:
+                        shrunk = rho + l1
+                    else:
+                        shrunk = 0.0
+                    new = shrunk / (g_jj + l2) if g_jj + l2 > 0 else 0.0
+                if new != old:
+                    grad += gram[:, j] * (new - old)
+                    b[j] = new
+                    biggest = max(biggest, abs(new - old))
+            if biggest < 1e-10:
+                break
+        return b
+
+    b = np.zeros(design.shape[1])
+    loss = objective(b)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if family == "binomial":
+            eta = design @ b
+            p = _brute_sigmoid(eta)
+            w = np.maximum(p * (1.0 - p), 1e-10)
+            target = eta + (y - p) / w
+        else:
+            w, target = np.ones(n), y
+        weighted = design.T * w
+        solution = descend(weighted @ design / n, weighted @ target / n, b.copy())
+        trial, new_loss = _brute_halving_step(b, solution - b, loss, objective, np.inf)
+        shift = float(np.max(np.abs(trial - b)))
+        b, loss = trial, new_loss
+        if shift < tol:
+            converged = True
+            break
+    return b, iterations, converged, loss

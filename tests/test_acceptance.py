@@ -338,16 +338,20 @@ def _kink_margin(net, x):
 
 
 def test_criterion_08_solver_cross_checks():
-    # 8a: the penalized solver at zero penalty agrees with the reweighted
-    # least squares fit on the raw coefficient scale
+    # 8a: the Newton step by coordinate descent, at a vanishing ridge
+    # penalty, agrees with the step by one linear solve (lambda = 0) on the
+    # raw coefficient scale
     rng = np.random.default_rng(17)
     x = rng.normal(size=(600, 4))
     eta = -0.4 + x @ np.array([1.0, -0.8, 0.5, 0.0])
     y = (rng.uniform(size=600) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    irls = train_xy(ModelSpec("logistic"), x, y)
-    glm = train_xy(ModelSpec("glm_elastic_net", hyperparameters={"lambda": 0.0}), x, y)
-    assert abs(irls.params.intercept - glm.params.intercept) < 1e-4
-    assert np.max(np.abs(irls.params.weights - glm.params.weights)) < 1e-4
+    direct = train_xy(ModelSpec("logistic"), x, y)
+    descent = train_xy(
+        ModelSpec("glm_elastic_net", hyperparameters={"lambda": 1e-9, "alpha": 0.0}), x, y
+    )
+    assert direct.summary.converged and descent.summary.converged
+    assert abs(direct.params.intercept - descent.params.intercept) < 1e-4
+    assert np.max(np.abs(direct.params.weights - descent.params.weights)) < 1e-4
 
     # 8b: one unbagged, unsubsampled member reduces the forest to the tree
     bx, by = blob_data(seed=31, n_per=25, n_features=5, gap=1.5)
@@ -413,7 +417,7 @@ def test_criterion_08_solver_cross_checks():
         for a, n in zip(analytic, _numeric_gradients(net, nx, ny, h=h)):
             scale = np.maximum(1.0, np.abs(a) + np.abs(n))
             assert np.max(np.abs(a - n) / scale) < 1e-4
-    _ok(8, "zero-penalty GLM = IRLS, 1-tree forest = tree, boosting invariants, gradients check")
+    _ok(8, "descent step = direct step, 1-tree forest = tree, boosting invariants, gradients check")
 
 
 def test_criterion_09_metric_and_roc_properties():

@@ -443,7 +443,7 @@ class TestSynthesize:
             lo, hi = level.tweets_per_period
             assert config.n_periods * lo <= n <= config.n_periods * hi
 
-        by_id = dataset.tweets_by_id()
+        by_id = {t.tweet_id: t for t in dataset.tweets}
         reply_ids = {t.tweet_id: [] for t in dataset.tweets}
         for r in dataset.replies:
             reply_ids[r.parent_tweet_id].append(r.reply_id)

@@ -7,7 +7,8 @@ import pytest
 
 from domcred.learn import ModelSpec, train_xy
 from domcred.learn.base import Standardizer
-from helpers import blob_data
+from domcred.learn.linear import _newton
+from helpers import blob_data, brute_irls, brute_penalized
 
 
 def sigmoid(eta):
@@ -49,9 +50,15 @@ class TestLogistic:
         assert np.array_equal(probs >= 0.5, y == 1.0)
 
     def test_wide_margin_separable_stays_finite(self):
+        # every row sits on its label's side long before the coefficients
+        # reach the cap, so the fit uses up max_iter and says why
         x, y = blob_data(seed=2, n_per=20, gap=8.0)
         model = train_xy(ModelSpec("logistic"), x, y)
         assert not model.summary.converged
+        assert model.summary.iterations == 100
+        assert model.summary.warnings == (
+            "separation suspected: max_iter=100 reached on separable data",
+        )
         probs = model.predict_proba(x)
         assert np.all(np.isfinite(probs))
         assert np.array_equal(probs >= 0.5, y == 1.0)
@@ -85,24 +92,45 @@ class TestLogistic:
 
 
 @pytest.mark.parametrize(
-    "algorithm, hyper",
+    "algorithm, hyper, warning",
     [
-        ("logistic", {"max_iter": 3}),
-        ("glm_elastic_net", {"max_iter": 3}),
-        ("glm_elastic_net", {"max_iter": 3, "lambda": 0.01}),
+        # blob_data() is separable: the unpenalized binomial fit names that,
+        # the penalized fits have a finite optimum and only ran out of steps
+        (
+            "logistic",
+            {"max_iter": 3},
+            "separation suspected: max_iter=3 reached on separable data",
+        ),
+        (
+            "glm_elastic_net",
+            {"max_iter": 3},
+            "separation suspected: max_iter=3 reached on separable data",
+        ),
+        (
+            "glm_elastic_net",
+            {"max_iter": 3, "lambda": 0.01},
+            "iteration cap reached: max_iter=3 without convergence",
+        ),
         # the gaussian quadratic is solved within one outer iteration, and
         # the second confirms it, so only a cap of 1 stops it short
-        ("glm_elastic_net", {"max_iter": 1, "lambda": 0.01, "family": "gaussian"}),
+        (
+            "glm_elastic_net",
+            {"max_iter": 1, "lambda": 0.01, "family": "gaussian"},
+            "iteration cap reached: max_iter=1 without convergence",
+        ),
+        (
+            "glm_elastic_net",
+            {"max_iter": 1, "family": "gaussian"},
+            "iteration cap reached: max_iter=1 without convergence",
+        ),
     ],
 )
-def test_iteration_cap_says_why(algorithm, hyper):
+def test_iteration_cap_says_why(algorithm, hyper, warning):
     x, y = blob_data()
     model = train_xy(ModelSpec(algorithm, hyperparameters=hyper), x, y)
     assert model.summary.iterations == hyper["max_iter"]
     assert not model.summary.converged
-    assert model.summary.warnings == (
-        f"iteration cap reached: max_iter={hyper['max_iter']} without convergence",
-    )
+    assert model.summary.warnings == (warning,)
 
 
 def _kkt_residuals(model, x, y, lam, alpha):
@@ -130,7 +158,7 @@ def _kkt_residuals(model, x, y, lam, alpha):
 
 class TestElasticNetSolver:
     def test_unpenalized_binomial_is_the_logistic_fit(self):
-        # lambda = 0 runs the same IRLS loop as logistic: identical bits
+        # lambda = 0 runs the same Newton loop as logistic: identical bits
         rng = np.random.default_rng(21)
         x = rng.normal(size=(300, 4))
         eta = 0.2 + x @ np.array([0.9, -0.6, 0.0, 0.3])
@@ -312,3 +340,96 @@ class TestElasticNetGaussian:
         beta, *_ = np.linalg.lstsq(design, target, rcond=None)
         assert model.params.intercept == pytest.approx(beta[0], abs=1e-6)
         np.testing.assert_allclose(model.params.weights, beta[1:], atol=1e-6)
+
+
+def _standardized_design(x):
+    z = Standardizer.fit(x).transform(x)
+    return np.column_stack([np.ones(len(x)), z])
+
+
+def _overlapping(seed, n=300):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 4))
+    eta = 0.2 + x @ np.array([0.9, -0.6, 0.0, 0.3])
+    return x, (rng.uniform(size=n) < sigmoid(eta)).astype(float)
+
+
+def _hugging_boundary():
+    x = np.concatenate([np.linspace(-1, -0.01, 10), np.linspace(0.01, 1, 10)])
+    return x.reshape(-1, 1), np.concatenate([np.zeros(10), np.ones(10)])
+
+
+def _collinear():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=100)
+    b = rng.normal(size=100)
+    y = (a > 0).astype(float) * (rng.uniform(size=100) < 0.9)
+    return np.column_stack([a, b, a + b]), y
+
+
+class TestOneNewtonLoop:
+    """The one loop against the separate solvers it replaced."""
+
+    @pytest.mark.parametrize(
+        "data, max_iter",
+        [
+            (_overlapping(21), 100),
+            (_overlapping(9, n=60), 100),
+            (_hugging_boundary(), 100),
+            (blob_data(seed=2, n_per=20, gap=8.0), 100),
+            (_collinear(), 100),
+            (blob_data(), 1),
+            (blob_data(), 2),
+            (blob_data(), 3),
+            (_overlapping(21), 1),
+        ],
+        ids=[
+            "overlapping", "overlapping-small", "capped", "separable", "collinear",
+            "max_iter-1", "max_iter-2", "max_iter-3", "overlapping-max_iter-1",
+        ],
+    )
+    def test_unpenalized_binomial_is_bit_identical(self, data, max_iter):
+        x, y = data
+        design = _standardized_design(x)
+        b, summary = _newton(design, y, "binomial", 0.0, 0.0, max_iter, 1e-8)
+        ref_b, ref_iterations, ref_converged, ref_loss = brute_irls(design, y, max_iter, 1e-8)
+        assert np.array_equal(b, ref_b)
+        assert summary.iterations == ref_iterations
+        assert summary.converged == ref_converged
+        assert np.array_equal(summary.final_loss, ref_loss)
+
+    @pytest.mark.parametrize("family", ["binomial", "gaussian"])
+    @pytest.mark.parametrize(
+        "data, lam, alpha, max_iter",
+        [
+            (_overlapping(22), 0.03, 1.0, 100),
+            (_overlapping(22), 0.05, 0.5, 100),
+            (_overlapping(22), 0.1, 0.0, 100),
+            (_collinear(), 0.05, 0.5, 100),
+            (blob_data(), 0.01, 0.5, 100),
+            (blob_data(), 0.01, 0.5, 3),
+        ],
+    )
+    def test_penalized_matches_the_proximal_newton_loop(self, family, data, lam, alpha, max_iter):
+        x, y = data
+        design = _standardized_design(x)
+        b, summary = _newton(design, y, family, lam, alpha, max_iter, 1e-8)
+        ref_b, ref_iterations, ref_converged, ref_loss = brute_penalized(
+            design, y, family, lam, alpha, max_iter, 1e-8
+        )
+        assert np.max(np.abs(b - ref_b)) <= 1e-12
+        assert summary.iterations == ref_iterations
+        assert summary.converged == ref_converged
+        assert abs(summary.final_loss - ref_loss) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "data", [_overlapping(23), _hugging_boundary(), blob_data(seed=4, gap=1.0)]
+    )
+    def test_unpenalized_gaussian_is_least_squares(self, data):
+        x, y = data
+        design = _standardized_design(x)
+        b, summary = _newton(design, y, "gaussian", 0.0, 0.0, 100, 1e-8)
+        assert np.max(np.abs(b - np.linalg.lstsq(design, y, rcond=None)[0])) <= 1e-9
+        # the first step solves the quadratic, the second confirms it
+        assert summary.converged and summary.iterations == 2
+        assert summary.warnings == ()
