@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import TrainingSummary, _halving_step, binomial_nll, sigmoid
-from .tree import Node, Tree, _best_regression_split, _mean_leaf, grow
+from .tree import SquaredError, Tree, grow, presort
 
 _MAX_STEP = 1000.0
 
@@ -39,14 +39,6 @@ def _line_search(scores: np.ndarray, h: np.ndarray, y: np.ndarray) -> float:
         0.0, rho, binomial_nll(scores, y), lambda r: binomial_nll(scores + r * h, y)
     )
     return float(rho)
-
-
-def _scale_leaves(node: Node, factor: float) -> None:
-    if node.is_leaf:
-        node.value *= factor
-    else:
-        _scale_leaves(node.left, factor)
-        _scale_leaves(node.right, factor)
 
 
 @dataclass
@@ -81,9 +73,11 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[GradientBoostin
     multipliers: list[float] = []
     losses = [binomial_nll(scores, y)]
 
+    data = presort(x)
     for _ in range(n_trees):
         residual = y - sigmoid(scores)
-        tree = Tree(grow(x, residual, max_depth, _best_regression_split, _mean_leaf))
+        (root,) = grow(data, SquaredError(residual), max_depth)
+        tree = Tree(root)
         h = tree.predict(x)
         rho = _line_search(scores, h, y)
         multiplier = learning_rate * rho
@@ -100,7 +94,9 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[GradientBoostin
         weights = np.full(n_trees, 1.0 / n_trees) if n_trees else np.array([])
         total = 0.0
     for tree in trees:
-        _scale_leaves(tree.root, total)
+        for node in tree.root.preorder():
+            if node.is_leaf:
+                node.value *= total
 
     model = GradientBoosting(
         base_score=base_score,

@@ -1,8 +1,12 @@
 """Random forest: bagged gain-ratio trees with per-split feature subsampling.
 
-Member seeds are spawned from the master seed, so the forest is reproducible
-independent of training parallelism.  The ensemble probability is the
-fraction of member votes for the positive class; member weights are uniform.
+Member seeds are spawned from the master seed.  Each member's generator
+first draws its bootstrap sample (Breiman, Machine Learning 45, 2001), kept
+as a count per training row, then its candidate features at every node it
+tries to split, in its own preorder.  All members grow together from one
+presort of the training columns (see tree.grow), and each grows the tree it
+would grow alone.  The ensemble probability is the fraction of member votes
+for the positive class; member weights are uniform.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import TrainingSummary
-from .tree import Tree, _best_classification_split, _class_leaf, grow
+from .tree import GainRatio, Tree, grow, presort
 
 
 @dataclass
@@ -42,19 +46,18 @@ def fit(x: np.ndarray, y: np.ndarray, hyper, seed: int) -> tuple[RandomForest, T
     bootstrap = bool(hyper["bootstrap"])
     k = _subsample_size(hyper["feature_subsample"], x.shape[1])
 
-    members = []
-    for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(child_seed)
-        if bootstrap:
-            idx = rng.integers(0, len(y), size=len(y))
-            bx, by = x[idx], y[idx]
-        else:
-            bx, by = x, y
-        root = grow(
-            bx, by, max_depth, _best_classification_split, _class_leaf,
-            minimal_gain=minimal_gain, rng=rng, n_feature_subsample=k,
-        )
-        members.append(Tree(root))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
+    if bootstrap:
+        # each member's sample as a count per row, drawn first from its generator
+        draws = [rng.integers(0, len(y), size=len(y)) for rng in rngs]
+        weights = np.array([np.bincount(draw, minlength=len(y)) for draw in draws])
+    else:
+        weights = np.ones((n_trees, len(y)), dtype=np.int64)
+    roots = grow(
+        presort(x), GainRatio(y, weights), max_depth,
+        minimal_gain=minimal_gain, rngs=rngs, n_feature_subsample=k,
+    )
+    members = [Tree(root) for root in roots]
 
     forest = RandomForest(members=members)
     train_error = float(np.mean((forest.predict_proba(x) >= 0.5) != (y == 1.0)))

@@ -442,6 +442,18 @@ def _brute_entropy(counts):
     return float(-(p * np.log2(p)).sum())
 
 
+def separating_threshold(a, b):
+    """A threshold t with a <= t < b for neighbouring values a < b: the
+    midpoint where it lies there, else a/2 + b/2, else a."""
+    a, b = float(a), float(b)
+    t = (a + b) / 2.0
+    if not a <= t < b:
+        t = a / 2.0 + b / 2.0
+        if not a <= t < b:
+            t = a
+    return t
+
+
 def brute_classification_split(x, y, features, eps_gain=1e-12):
     """Best (gain ratio, feature, threshold), one candidate cut at a time.
 
@@ -475,7 +487,7 @@ def brute_classification_split(x, y, features, eps_gain=1e-12):
             pl, pr = nl / n, nr / n
             ratio = gain / -(pl * np.log2(pl) + pr * np.log2(pr))
             if best is None or ratio > best[0]:
-                best = (ratio, j, (xv[i] + xv[i + 1]) / 2.0)
+                best = (ratio, j, separating_threshold(xv[i], xv[i + 1]))
     return best
 
 
@@ -505,8 +517,189 @@ def brute_regression_split(x, y, eps_gain=1e-12):
             if reduction <= eps_gain:
                 continue
             if best is None or reduction > best[0]:
-                best = (reduction, j, (xv[i] + xv[i + 1]) / 2.0)
+                best = (reduction, j, separating_threshold(xv[i], xv[i + 1]))
     return best
+
+
+# The recursive grower that the presorted one replaced: every node sorts its
+# own rows and copies them into its children, one node at a time.
+
+
+def _reference_plogp(count, total):
+    import numpy as np
+
+    p = np.divide(count, total)
+    return p * np.log2(p, out=np.zeros_like(p), where=count > 0)
+
+
+def _reference_entropy(neg, pos):
+    total = neg + pos
+    return -(_reference_plogp(neg, total) + _reference_plogp(pos, total))
+
+
+def _reference_sorted_columns(x, features):
+    import numpy as np
+
+    cols = x[:, features].T
+    order = np.argsort(cols, axis=1, kind="stable")
+    xv = np.take_along_axis(cols, order, axis=1)
+    return order, xv, xv[:, :-1] != xv[:, 1:]
+
+
+def _reference_first_best(score, xv, features):
+    import numpy as np
+
+    k, i = divmod(int(np.argmax(score)), score.shape[1])
+    if score[k, i] == -np.inf:
+        return None
+    return score[k, i], features[k], separating_threshold(xv[k, i], xv[k, i + 1])
+
+
+def reference_classification_split(x, y, features, eps_gain=1e-12):
+    """Highest gain-ratio (score, feature, threshold) of one node."""
+    import numpy as np
+
+    n = len(y)
+    if n < 2 or len(features) == 0:
+        return None
+    n_pos = float(np.sum(y == 1))
+    n_neg = float(np.sum(y == 0))
+    parent_entropy = float(_reference_entropy(n_neg, n_pos))
+    order, xv, distinct = _reference_sorted_columns(x, features)
+    left_pos = np.cumsum(y[order], axis=1)[:, :-1]
+    nl = np.arange(1, n, dtype=float)
+    left_neg = nl - left_pos
+    pl, pr = nl / n, (n - nl) / n
+    gain = (
+        parent_entropy
+        - pl * _reference_entropy(left_neg, left_pos)
+        - pr * _reference_entropy(n_neg - left_neg, n_pos - left_pos)
+    )
+    split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
+    ratio = np.where(distinct & (gain > eps_gain), gain / split_info, -np.inf)
+    return _reference_first_best(ratio, xv, features)
+
+
+def reference_regression_split(x, y, features, eps_gain=1e-12):
+    """Highest sum-of-squares reduction (score, feature, threshold) of one node."""
+    import numpy as np
+
+    n = len(y)
+    if n < 2 or len(features) == 0:
+        return None
+    total_sum = float(y.sum())
+    total_sq = float((y * y).sum())
+    parent_sse = total_sq - total_sum * total_sum / n
+    order, xv, distinct = _reference_sorted_columns(x, features)
+    yo = y[order]
+    ys = np.cumsum(yo, axis=1)[:, :-1]
+    y2s = np.cumsum(yo * yo, axis=1)[:, :-1]
+    nl = np.arange(1, n, dtype=float)
+    nr = n - nl
+    left_sse = y2s - np.float_power(ys, 2.0) / nl
+    right_sse = (total_sq - y2s) - np.float_power(total_sum - ys, 2.0) / nr
+    reduction = parent_sse - left_sse - right_sse
+    reduction = np.where(distinct & (reduction > eps_gain), reduction, -np.inf)
+    return _reference_first_best(reduction, xv, features)
+
+
+def reference_class_leaf(y):
+    import numpy as np
+
+    from domcred.learn.tree import Node
+
+    neg = int(np.sum(y == 0))
+    pos = int(np.sum(y == 1))
+    total = neg + pos
+    return Node(n=total, value=pos / total if total else 0.5, counts=(neg, pos))
+
+
+def reference_mean_leaf(y):
+    from domcred.learn.tree import Node
+
+    return Node(n=len(y), value=float(y.mean()) if len(y) else 0.0)
+
+
+def reference_grow(
+    x, y, max_depth, split, leaf, minimal_gain=0.0, rng=None, n_feature_subsample=None
+):
+    """Recursive splitting, left subtree first; the forest passes an rng to
+    draw the candidate features of every node it tries to split."""
+    import numpy as np
+
+    if len(y) < 2 or max_depth == 0 or np.all(y == y[0]):
+        return leaf(y)
+    if rng is not None and n_feature_subsample is not None:
+        features = np.sort(
+            rng.choice(x.shape[1], size=min(n_feature_subsample, x.shape[1]), replace=False)
+        )
+    else:
+        features = range(x.shape[1])
+    best = split(x, y, features)
+    if best is None or best[0] < minimal_gain:
+        return leaf(y)
+    _, feature, threshold = best
+    mask = x[:, feature] <= threshold
+    node = leaf(y)
+    node.feature = int(feature)
+    node.threshold = float(threshold)
+    args = (max_depth - 1, split, leaf, minimal_gain, rng, n_feature_subsample)
+    node.left = reference_grow(x[mask], y[mask], *args)
+    node.right = reference_grow(x[~mask], y[~mask], *args)
+    return node
+
+
+def reference_prune(node, confidence):
+    """Recursive bottom-up subtree replacement by pessimistic error."""
+    from statistics import NormalDist
+
+    from domcred.learn.tree import _pessimistic_errors
+
+    z = NormalDist().inv_cdf(1.0 - confidence)
+
+    def walk(nd):
+        neg, pos = nd.counts
+        leaf_errors = _pessimistic_errors(nd.n, min(neg, pos), z)
+        if nd.is_leaf:
+            return leaf_errors
+        subtree_errors = walk(nd.left) + walk(nd.right)
+        if leaf_errors <= subtree_errors + 1e-12:
+            nd.feature = None
+            nd.left = nd.right = None
+            return leaf_errors
+        return subtree_errors
+
+    walk(node)
+    return node
+
+
+def reference_forest_roots(x, y, hyper, seed):
+    """The member roots of a random forest, each member grown alone from a
+    copied bootstrap sample."""
+    import math
+
+    import numpy as np
+
+    setting = hyper["feature_subsample"]
+    if setting is None:
+        k = None
+    elif setting == "sqrt":
+        k = math.ceil(math.sqrt(x.shape[1]))
+    else:
+        k = min(int(setting), x.shape[1])
+    roots = []
+    for child_seed in np.random.SeedSequence(seed).spawn(int(hyper["n_trees"])):
+        rng = np.random.default_rng(child_seed)
+        if hyper["bootstrap"]:
+            idx = rng.integers(0, len(y), size=len(y))
+            bx, by = x[idx], y[idx]
+        else:
+            bx, by = x, y
+        roots.append(reference_grow(
+            bx, by, int(hyper["max_depth"]), reference_classification_split, reference_class_leaf,
+            minimal_gain=float(hyper["minimal_gain"]), rng=rng, n_feature_subsample=k,
+        ))
+    return roots
 
 
 def walk_tree(root, x):

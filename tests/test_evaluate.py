@@ -510,3 +510,46 @@ class TestRenderTable:
         row = [line for line in text.splitlines() if line.startswith("neural_net")]
         assert len(row) == 1
         assert "skipped (RuntimeError" in row[0]
+
+
+class TestTreeReportDigests:
+    """The report entries of the three tree learners, pinned byte for byte.
+
+    The trees use no BLAS, so their entries hold on every platform the
+    suite runs on, with one exception: the boosting entry's final loss
+    passes through tanh and logaddexp, whose last bit may differ between
+    the vector code of two CPUs, so it enters the digest to 10 significant
+    digits.  A change that moves a tree moves a digest; it re-pins them and
+    says why.
+    """
+
+    PINNED = {
+        "decision_tree": "7b9f02475695f7137d53ba7d315cd98f2907782a4d27460649336768842b5d14",
+        "random_forest": "ccd7cf6cc17b09cbe73cedff6a62248579c0215264f09a95bd568c5a3c164fda",
+        "gradient_boosted_trees": (
+            "89fb929614db611467edd5a9cc933e643d1aafd2b5ecaa1585472b8a8728559c"
+        ),
+    }
+
+    def test_default_specs_on_overlapping_blobs(self):
+        import hashlib
+
+        from helpers import blob_data
+
+        x, y = blob_data(seed=11, n_per=60, n_features=len(FEATURE_COLUMNS), gap=0.6)
+        matrix = FeatureMatrix(
+            domain="Technology and Computing",
+            period=0,
+            user_ids=tuple(f"u{i:03d}" for i in range(len(y))),
+            x=x,
+            labels=tuple(I if v else N for v in y),
+        )
+        report = benchmark(matrix, SplitSpec(train_fraction=0.6, seed=4, stratified=True))
+        digests = {}
+        for algorithm in self.PINNED:
+            entry = report.entry(algorithm).to_dict()
+            if algorithm == "gradient_boosted_trees":
+                entry["summary"]["final_loss"] = f"{entry['summary']['final_loss']:.10g}"
+            payload = json.dumps(entry, sort_keys=True).encode()
+            digests[algorithm] = hashlib.sha256(payload).hexdigest()
+        assert digests == self.PINNED

@@ -8,17 +8,58 @@ from hypothesis.extra.numpy import arrays
 
 from domcred.learn import ModelSpec, TrainedModel, TrainingSummary, train_xy
 from domcred.learn.tree import (
+    GainRatio,
     Node,
+    SquaredError,
     Tree,
-    _best_classification_split,
-    _best_regression_split,
-    _class_leaf,
-    _mean_leaf,
     grow,
+    presort,
     prune_pessimistic,
 )
 
-from helpers import brute_classification_split, brute_regression_split, walk_tree
+from helpers import (
+    blob_data,
+    brute_classification_split,
+    brute_regression_split,
+    reference_class_leaf,
+    reference_classification_split,
+    reference_forest_roots,
+    reference_grow,
+    reference_mean_leaf,
+    reference_prune,
+    reference_regression_split,
+    walk_tree,
+)
+
+
+def grow_one(x, y, max_depth, regression=False, minimal_gain=0.0):
+    """One unweighted tree from the presorted grower."""
+    if regression:
+        criterion = SquaredError(y)
+    else:
+        criterion = GainRatio(y, np.ones((1, len(y)), dtype=np.int64))
+    (root,) = grow(presort(x), criterion, max_depth, minimal_gain=minimal_gain)
+    return root
+
+
+def assert_stump_split(x, y, expected, features=None, regression=False):
+    """The root split of a stump is ``expected`` = (score, feature,
+    threshold), or the stump is a leaf when ``expected`` is None.
+
+    The grower does not report scores, so the score is pinned through
+    minimal_gain: the stump must split at minimal_gain = score and be a leaf
+    at the next float above it.
+    """
+    features = list(range(x.shape[1]) if features is None else features)
+    sub = x[:, features]
+    if expected is None:
+        assert grow_one(sub, y, 1, regression).is_leaf
+        return
+    score, feature, threshold = expected
+    root = grow_one(sub, y, 1, regression, minimal_gain=score)
+    assert (features[root.feature], root.threshold) == (feature, threshold)
+    assert grow_one(sub, y, 1, regression, minimal_gain=np.nextafter(score, np.inf)).is_leaf
+
 
 # asymmetric corner counts give the root split positive gain, unlike the
 # perfectly symmetric version whose every axis split has gain zero
@@ -122,11 +163,10 @@ class TestGainRatioSelection:
         ).astype(float)
         y = np.array([1, 1, 1, 0, 1, 0, 0, 0], dtype=float)
 
-        best = _best_classification_split(x, y, range(2))
-        ratio, feature, threshold = best
-        assert feature == 0
-        assert threshold == 0.5
-        assert ratio == pytest.approx(0.25375, abs=1e-4)
+        expected = brute_classification_split(x, y, range(2))
+        assert expected[1:] == (0, 0.5)
+        assert expected[0] == pytest.approx(0.25375, abs=1e-4)
+        assert_stump_split(x, y, expected)
 
     def test_stump_follows_the_ratio(self):
         x = np.column_stack(
@@ -218,7 +258,7 @@ class TestRegressionTree:
     def test_step_function_recovered(self):
         x = np.arange(1.0, 9.0).reshape(-1, 1)
         y = np.array([1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0])
-        root = grow(x, y, 4, _best_regression_split, _mean_leaf)
+        root = grow_one(x, y, 4, regression=True)
         assert root.feature == 0
         assert root.threshold == 4.5
         assert root.left.is_leaf and root.left.value == 1.0
@@ -226,14 +266,14 @@ class TestRegressionTree:
 
     def test_constant_target_is_leaf(self):
         x = np.arange(5.0).reshape(-1, 1)
-        root = grow(x, np.full(5, 2.5), 3, _best_regression_split, _mean_leaf)
+        root = grow_one(x, np.full(5, 2.5), 3, regression=True)
         assert root.is_leaf
         assert root.value == 2.5
 
     def test_depth_zero_returns_mean_leaf(self):
         x = np.arange(4.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        root = grow(x, y, 0, _best_regression_split, _mean_leaf)
+        root = grow_one(x, y, 0, regression=True)
         assert root.is_leaf
         assert root.value == 1.5
 
@@ -241,7 +281,7 @@ class TestRegressionTree:
         rng = np.random.default_rng(24)
         x = rng.uniform(size=(50, 2))
         y = np.where(x[:, 0] > 0.5, 2.0, -1.0) + 0.1 * rng.normal(size=50)
-        root = grow(x, y, 3, _best_regression_split, _mean_leaf)
+        root = grow_one(x, y, 3, regression=True)
         fitted = Tree(root)
         sse_tree = float(np.sum((fitted.predict(x) - y) ** 2))
         sse_mean = float(np.sum((y - y.mean()) ** 2))
@@ -283,9 +323,7 @@ class TestSplitSearchOracle:
     @settings(max_examples=200, deadline=None)
     def test_classification_split_matches_loop(self, problem):
         x, y, features = problem
-        assert _best_classification_split(x, y, features) == brute_classification_split(
-            x, y, features
-        )
+        assert_stump_split(x, y, brute_classification_split(x, y, features), features)
 
     @given(
         split_problems(),
@@ -298,11 +336,14 @@ class TestSplitSearchOracle:
     def test_regression_split_matches_loop(self, problem, targets):
         x, _, _ = problem
         y = targets[: len(x)]
-        assert _best_regression_split(x, y, range(x.shape[1])) == brute_regression_split(x, y)
+        # equal targets make a leaf before any search; the loop would report
+        # a rounding residue of their sum of squares as a reduction
+        expected = None if np.all(y == y[0]) else brute_regression_split(x, y)
+        assert_stump_split(x, y, expected, regression=True)
 
     def test_tie_keeps_the_earliest_feature(self):
-        ratio, feature, threshold = _best_classification_split(_TIE_X, _TIE_Y, range(3))
-        assert (feature, threshold) == (1, 2.5)
+        root = grow_one(_TIE_X, _TIE_Y, 1)
+        assert (root.feature, root.threshold) == (1, 2.5)
 
 
 def _thresholds(node: Node) -> list[tuple[int, float]]:
@@ -334,8 +375,8 @@ class TestVectorisedPredict:
     def test_matches_per_row_walk(self, problem, targets, max_depth):
         x, y, _ = problem
         roots = [
-            grow(x, y, max_depth, _best_classification_split, _class_leaf),
-            grow(x, targets[: len(x)], max_depth, _best_regression_split, _mean_leaf),
+            grow_one(x, y, max_depth),
+            grow_one(x, targets[: len(x)], max_depth, regression=True),
         ]
         for root in roots:
             for rows in (_query_rows(x, root), x[:0]):
@@ -387,3 +428,201 @@ class TestPinnedTree:
         )
         assert model.predict_proba(QUERY).tolist() == PREDICTED
         assert model.classify(QUERY)[:2] == ["NonInfluencer", "Influencer"]
+
+
+# ties, duplicate rows and constant columns from the small cells; n = 2 and
+# one-class samples from the short label vectors
+@st.composite
+def learning_problems(draw):
+    n = draw(st.integers(2, 24))
+    p = draw(st.integers(1, 5))
+    x = draw(arrays(np.float64, (n, p), elements=_CELLS))
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    return x, y
+
+
+def _forest_roots(x, y, hyper, seed):
+    from domcred.learn import forest
+
+    fitted, _ = forest.fit(x, y, ModelSpec("random_forest", hyperparameters=hyper).hyper, seed)
+    return [member.root for member in fitted.members]
+
+
+def _boosting_stages(x, y, hyper):
+    """Each stage's residual and its tree as grown, before the leaves are scaled."""
+    import copy
+    from unittest import mock
+
+    from domcred.learn import boosting
+
+    stages = []
+
+    def recording_grow(data, criterion, max_depth, **kwargs):
+        roots = grow(data, criterion, max_depth, **kwargs)
+        stages.append((criterion._y.copy(), copy.deepcopy(roots[0])))
+        return roots
+
+    with mock.patch.object(boosting, "grow", recording_grow):
+        boosting.fit(x, y, ModelSpec("gradient_boosted_trees", hyperparameters=hyper).hyper, 0)
+    return stages
+
+
+class TestGrowerOracle:
+    """The presorted lockstep grower builds the trees of the recursive one
+    (tests/helpers.py), node for node and bit for bit."""
+
+    @given(
+        learning_problems(),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([None, "sqrt", 1, 2, 7]),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 0.05]),
+        st.integers(0, 2**32 - 1),
+    )
+    # n = 2 with bootstrap: some members draw one row twice, a one-class sample
+    @example((np.array([[0.0], [1.0]]), np.array([0.0, 1.0])), 4, True, "sqrt", 3, 0.0, 0)
+    # a constant column beside tied ones
+    @example((_TIE_X, _TIE_Y), 3, True, 2, 5, 0.05, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_random_forest(self, problem, n_trees, bootstrap, subsample, max_depth, gain, seed):
+        x, y = problem
+        hyper = {
+            "n_trees": n_trees, "bootstrap": bootstrap, "feature_subsample": subsample,
+            "max_depth": max_depth, "minimal_gain": gain,
+        }
+        spec = ModelSpec("random_forest", hyperparameters=hyper)
+        want = reference_forest_roots(x, y, spec.hyper, seed)
+        assert _forest_roots(x, y, hyper, seed) == want
+
+    @given(
+        learning_problems(),
+        st.integers(1, 6),
+        st.sampled_from([None, 0.1, 0.25]),
+        st.sampled_from([0.0, 0.05]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_decision_tree(self, problem, max_depth, confidence, gain):
+        x, y = problem
+        hyper = {"max_depth": max_depth, "confidence": confidence, "minimal_gain": gain}
+        want = reference_grow(
+            x, y, max_depth, reference_classification_split, reference_class_leaf,
+            minimal_gain=gain,
+        )
+        if confidence is not None:
+            want = reference_prune(want, confidence)
+        from domcred.learn import tree as tree_module
+
+        spec = ModelSpec("decision_tree", hyperparameters=hyper)
+        assert tree_module.fit(x, y, spec.hyper, 0)[0].root == want
+
+    @given(learning_problems(), st.integers(1, 3), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_every_boosting_stage(self, problem, n_trees, max_depth):
+        x, y = problem
+        stages = _boosting_stages(x, y, {"n_trees": n_trees, "max_depth": max_depth})
+        assert len(stages) == n_trees
+        for residual, root in stages:
+            want = reference_grow(
+                x, residual, max_depth, reference_regression_split, reference_mean_leaf
+            )
+            assert root == want
+
+    def test_a_step_across_several_batches(self, monkeypatch):
+        from domcred.learn import tree as tree_module
+
+        x, y = blob_data(seed=38, n_per=30, n_features=5, gap=0.7)
+        hyper = {"n_trees": 12, "feature_subsample": 2, "max_depth": 6, "minimal_gain": 0.0}
+        spec_hyper = ModelSpec("random_forest", hyperparameters=hyper).hyper
+        want = reference_forest_roots(x, y, spec_hyper, 5)
+        batches = []
+        split = tree_module._Growth.split
+
+        def counting_split(self, batch):
+            batches.append(len(batch))
+            return split(self, batch)
+
+        # 6 lists of at most 60 rows: 40 columns hold one or two nodes
+        monkeypatch.setattr(tree_module, "_BATCH_ENTRIES", 6 * 40)
+        monkeypatch.setattr(tree_module._Growth, "split", counting_split)
+        assert _forest_roots(x, y, hyper, 5) == want
+        assert max(batches) > 1 and min(batches) == 1
+        assert len(batches) > 2 * max(root.depth() for root in want)
+        tree = train_xy(ModelSpec("decision_tree", hyperparameters={"max_depth": 6}), x, y)
+        wide = reference_prune(
+            reference_grow(x, y, 6, reference_classification_split, reference_class_leaf, 0.05),
+            0.1,
+        )
+        assert tree.params.root == wide
+
+
+# neighbouring values whose midpoint leaves [a, b): the sum overflows, or the
+# midpoint rounds up to b
+_HUGE = np.linspace(1.6e308, 1.79e308, 20)
+_NEXT = np.array([1 + 2.0**-52] * 6 + [np.nextafter(1 + 2.0**-52, 2.0)] * 6)
+
+
+class TestThresholdSeparatesNeighbours:
+    @pytest.mark.parametrize("column", [_HUGE, _NEXT], ids=["overflow", "rounding"])
+    @pytest.mark.parametrize(
+        "algorithm", ["decision_tree", "random_forest", "gradient_boosted_trees"]
+    )
+    def test_separable_rows_are_learned(self, algorithm, column):
+        import warnings
+
+        x = column.reshape(-1, 1)
+        y = (np.arange(len(column)) >= len(column) // 2).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_xy(ModelSpec(algorithm), x, y)
+            predicted = model.predict_proba(x) >= 0.5
+        assert np.array_equal(predicted, y == 1.0)
+        # every threshold lies between two training values, below the larger
+        for member in getattr(model.params, "members", [model.params]):
+            for node in member.root.preorder():
+                assert node.is_leaf or column[0] <= node.threshold < column[-1]
+
+    def test_threshold_rule(self):
+        from domcred.learn.tree import _threshold
+
+        a = 1 + 2.0**-52
+        assert _threshold(a, np.nextafter(a, 2.0)) == a
+        assert _threshold(1.7e308, 1.79e308) == 1.7e308 / 2 + 1.79e308 / 2
+        assert _threshold(1.0, 3.0) == 2.0
+        assert _threshold(-1.0, 0.0) == -0.5
+
+
+class TestDeepTrees:
+    """2400 alternating labels at max_depth 5000: growth, pruning, depth,
+    leaf count and prediction run without recursion."""
+
+    X = np.arange(2400.0).reshape(-1, 1)
+    Y = (np.arange(2400) % 2).astype(float)
+
+    def test_decision_tree(self):
+        import sys
+
+        grown = train_xy(
+            ModelSpec("decision_tree", hyperparameters={"max_depth": 5000, "confidence": None}),
+            self.X, self.Y,
+        )
+        assert grown.params.root.depth() > sys.getrecursionlimit()
+        assert grown.params.n_leaves() == len(self.Y)
+        assert np.array_equal(grown.predict_proba(self.X), self.Y)
+        pruned = train_xy(
+            ModelSpec("decision_tree", hyperparameters={"max_depth": 5000}), self.X, self.Y
+        )
+        assert pruned.params.n_leaves() < grown.params.n_leaves()
+
+    def test_random_forest(self):
+        import sys
+
+        model = train_xy(
+            ModelSpec(
+                "random_forest",
+                hyperparameters={"max_depth": 5000, "n_trees": 3, "bootstrap": False},
+            ),
+            self.X, self.Y,
+        )
+        assert max(m.root.depth() for m in model.params.members) > sys.getrecursionlimit()
+        assert np.array_equal(model.predict_proba(self.X) >= 0.5, self.Y == 1.0)
