@@ -43,8 +43,8 @@ import numpy as np
 from .base import TrainingSummary
 
 _EPS_GAIN = 1e-12
-# node rows x features that one batch of a growth step gathers; a batch holds
-# whole nodes, at least one
+# list entries (rows of its nodes times lists per member) that one batch of a
+# growth step holds; a batch holds whole nodes, at least one
 _BATCH_ENTRIES = 1 << 17
 
 
