@@ -210,7 +210,7 @@ def _top_k_section(title: str, scaled: dict, top_k: int) -> list[str]:
 
 
 def _render_period_report(domain: str, slices, cells, top_k: int) -> str:
-    from .features import normalize_l, normalize_p, normalize_r, normalize_s
+    from .features import RANKINGS
 
     # the domain's cells by period, users in cell order, grouped in one pass
     by_period: dict[int, dict] = {}
@@ -227,14 +227,9 @@ def _render_period_report(domain: str, slices, cells, top_k: int) -> str:
             lines.append("  (no activity)")
             lines.append("")
             continue
-        r = {u: f.r for u, f in in_domain.items()}
-        likes = {u: f.l for u, f in in_domain.items()}
-        p = {u: f.p for u, f in in_domain.items()}
-        s = {u: f.s for u, f in in_domain.items()}
-        lines.extend(_top_k_section("normalized retweets (R')", normalize_r(r), top_k))
-        lines.extend(_top_k_section("normalized favorites (L')", normalize_l(likes), top_k))
-        lines.extend(_top_k_section("normalized replies (P')", normalize_p(p), top_k))
-        lines.extend(_top_k_section("normalized sentiment (S')", normalize_s(s), top_k))
+        for title, measure, scale in RANKINGS:
+            scaled = scale({u: getattr(f, measure) for u, f in in_domain.items()})
+            lines.extend(_top_k_section(title, scaled, top_k))
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
@@ -358,6 +353,10 @@ def cmd_benchmark(args, config, out_dir: Path, seed: int) -> int:
                 "matrix has no label column; pass --labels FILE with ground truth"
             )
         labels = load_labels(args.labels)
+        if labels.domain != matrix.domain:
+            raise ValueError(
+                f"labels file is for domain {labels.domain!r}, not {matrix.domain!r}"
+            )
         missing = [u for u in matrix.user_ids if u not in labels.labels]
         if missing:
             raise ValueError(
@@ -432,12 +431,11 @@ def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
 
 
 def cmd_verify(args, config, out_dir: Path, seed: int) -> int:
-    from .verify import fixture_descriptions, fixture_names, report_fixtures
+    from .verify import FIXTURES, report_fixtures
 
     if args.list:
-        descriptions = fixture_descriptions()
-        for name in fixture_names():
-            print(f"{name}: {descriptions[name]}")
+        for name, (description, _) in FIXTURES.items():
+            print(f"{name}: {description}")
         return 0
     ok = report_fixtures(sys.stdout, names=args.fixtures or None)
     return 0 if ok else 1

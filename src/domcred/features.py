@@ -3,9 +3,9 @@
 Engagement on a tweet (retweets, favorites, replies, reply sentiment) is
 split across the tweet's inferred domains in proportion to their annotation
 scores, accumulated per (user, domain, period) cell in one pass over the
-corpus (period ``POOLED`` is the whole timeline), then min-max or max
-normalized for ranking.  The 12-column matrix feeds the classifiers; the
-normalized columns feed the per-period credibility tables.
+corpus (period ``POOLED`` is the whole timeline).  The 12-column matrix
+feeds the classifiers; the per-period credibility tables rank the cells'
+masses scaled by ``scale_by_max`` or ``min_max``, as ``RANKINGS`` says.
 
 The module loads without numpy: ``matrix_rows`` and ``write_matrix_csv``
 give the ``features`` command its rows and CSV as plain Python values.  A
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
-from .corpus.types import Dataset, GroundTruthLabels, PeriodSlice, UserProfile
+from .corpus.types import LABELS, Dataset, GroundTruthLabels, PeriodSlice, UserProfile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,11 +72,6 @@ def relativeness_weights(
     if len(kept) < len(scored):
         total = sum(s for _, s in kept)
     return {label: score / total for label, score in kept}
-
-
-def distribute(value: float, weights: Mapping[str, float]) -> dict[str, float]:
-    """Split a value across domains by weight; masses sum back to the value."""
-    return {domain: value * w for domain, w in weights.items()}
 
 
 @dataclass(frozen=True)
@@ -248,7 +243,8 @@ def compute_global_features(
     return out
 
 
-def _scale_by_max(values: Mapping[str, float]) -> dict[str, float]:
+def scale_by_max(values: Mapping[str, float]) -> dict[str, float]:
+    """Each value over the maximum; a maximum of zero or less maps all to 0."""
     if not values:
         return {}
     top = max(values.values())
@@ -257,7 +253,9 @@ def _scale_by_max(values: Mapping[str, float]) -> dict[str, float]:
     return {k: v / top for k, v in values.items()}
 
 
-def _min_max(values: Mapping[str, float]) -> dict[str, float]:
+def min_max(values: Mapping[str, float]) -> dict[str, float]:
+    """Each value's place between the minimum and the maximum; a constant
+    column maps all to 1."""
     if not values:
         return {}
     lo, hi = min(values.values()), max(values.values())
@@ -266,29 +264,14 @@ def _min_max(values: Mapping[str, float]) -> dict[str, float]:
     return {k: (v - lo) / (hi - lo) for k, v in values.items()}
 
 
-def normalize_r(values: Mapping[str, float]) -> dict[str, float]:
-    """Per-domain retweet mass over the domain maximum; zero max maps to 0."""
-    return _scale_by_max(values)
-
-
-def normalize_l(values: Mapping[str, float]) -> dict[str, float]:
-    """Per-domain favorite mass over the domain maximum; zero max maps to 0."""
-    return _scale_by_max(values)
-
-
-def normalize_p(values: Mapping[str, float]) -> dict[str, float]:
-    """Per-domain reply mass over the domain maximum; zero max maps to 0."""
-    return _scale_by_max(values)
-
-
-def normalize_s(values: Mapping[str, float]) -> dict[str, float]:
-    """Min-max over the domain's sentiment totals; a constant column maps to 1."""
-    return _min_max(values)
-
-
-def normalize_ffr(values: Mapping[str, float]) -> dict[str, float]:
-    """Min-max over ALL users' ratios; a constant column maps to 1."""
-    return _min_max(values)
+# the per-period credibility rankings: section title, the UserDomainFeatures
+# measure ranked, and its scaling over the period's users in the domain
+RANKINGS = (
+    ("normalized retweets (R')", "r", scale_by_max),
+    ("normalized favorites (L')", "l", scale_by_max),
+    ("normalized replies (P')", "p", scale_by_max),
+    ("normalized sentiment (S')", "s", min_max),
+)
 
 
 @dataclass(frozen=True)
@@ -418,6 +401,7 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
 
     Every row must share one (domain, period): a stacked file holding
     several is rejected rather than read as the last row's selection.
+    Every feature cell must be finite and every label one of ``LABELS``.
     """
     import numpy as np
 
@@ -449,12 +433,25 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
                 )
             user_ids.append(row[0])
             if labeled:
+                if row[-1] not in LABELS:
+                    raise ValueError(
+                        f"{path}: data row {len(user_ids)}: unknown label {row[-1]!r};"
+                        f" labels are {' or '.join(LABELS)}"
+                    )
                 labels.append(row[-1])
+    x = np.array(values, dtype=float).reshape(len(user_ids), len(FEATURE_COLUMNS))
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(
+            f"{path}: data row {i + 1}: {FEATURE_COLUMNS[j]} is {float(x[i, j])!r},"
+            " not a finite number"
+        )
     domain, period = selection or ("", POOLED)
     return FeatureMatrix(
         domain=domain,
         period=period,
         user_ids=tuple(user_ids),
-        x=np.array(values, dtype=float).reshape(len(user_ids), len(FEATURE_COLUMNS)),
+        x=x,
         labels=tuple(labels) if labeled else None,
     )

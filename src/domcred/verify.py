@@ -7,52 +7,40 @@ the core formulas fails loudly here.  The CLI exposes these as `verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import timedelta
 from typing import Callable, TextIO
 
-from .annotate import DomainAnnotation
-from .corpus.types import UserProfile, parse_timestamp
+from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
+from .corpus.types import Dataset, ReplyRecord, TweetRecord, UserProfile, parse_timestamp
 from .evaluate import ConfusionTable, metrics
 from .features import (
     UserDomainFeatures,
+    accumulate_domain_features,
     compute_ffr,
-    distribute,
-    normalize_ffr,
-    normalize_p,
-    normalize_r,
-    relativeness_weights,
+    min_max,
+    scale_by_max,
 )
 
 
-@dataclass(frozen=True)
-class FixtureResult:
-    name: str
-    passed: bool
-    detail: str
-
-
 def _check_engagement_distribution() -> str:
-    annotations = (
-        DomainAnnotation("Sports", 1.0),
-        DomainAnnotation("Arts and Entertainment", 0.5),
-        DomainAnnotation("Education", 0.5),
-    )
-    weights = relativeness_weights(annotations)
-    expected_weights = {
-        "Sports": 0.5,
-        "Arts and Entertainment": 0.25,
-        "Education": 0.25,
+    # one tweet scored (1, 0.5, 0.5) with 10 retweets, 15 favorites and ten
+    # replies of sentiment -1, through the accumulator the pipeline runs
+    at = parse_timestamp("2016-01-01T00:00:00Z")
+    user = UserProfile("u", "u", followers_count=0, friends_count=0, created_at=at)
+    tweet = TweetRecord("t", "u", at, "", retweet_count=10, favorite_count=15)
+    replies = tuple(ReplyRecord(f"r{i}", "t", "u", at, "") for i in range(10))
+    dataset = Dataset((user,), (tweet,), replies, capture_at=at + timedelta(days=1))
+    scores = (("Sports", 1.0), ("Arts and Entertainment", 0.5), ("Education", 0.5))
+    annotated = AnnotatedTweet("t", tuple(DomainAnnotation(d, s) for d, s in scores))
+    sentiments = tuple(AnnotatedReply(r.reply_id, -1.0) for r in replies)
+    cells = accumulate_domain_features(dataset, (annotated,), sentiments)
+    got = {domain: (c.r, c.l, c.sn) for (_, domain, _), c in cells.items()}
+    expected = {
+        "Sports": (5.0, 7.5, -5.0),
+        "Arts and Entertainment": (2.5, 3.75, -2.5),
+        "Education": (2.5, 3.75, -2.5),
     }
-    assert weights == expected_weights, f"weights {weights}"
-    cases = (
-        (10.0, {"Sports": 5.0, "Arts and Entertainment": 2.5, "Education": 2.5}),
-        (15.0, {"Sports": 7.5, "Arts and Entertainment": 3.75, "Education": 3.75}),
-        (-10.0, {"Sports": -5.0, "Arts and Entertainment": -2.5, "Education": -2.5}),
-    )
-    for value, expected in cases:
-        got = distribute(value, weights)
-        assert got == expected, f"distributing {value} gave {got}"
+    assert got == expected, f"pooled (r, l, sn) cells {got}"
     return "scores (1, 0.5, 0.5): 10 -> (5, 2.5, 2.5); 15 -> (7.5, 3.75, 3.75); -10 -> (-5, -2.5, -2.5)"
 
 
@@ -83,11 +71,11 @@ def _check_scaling(rows, normalize) -> str:
 
 
 def _check_retweet_scaling() -> str:
-    return _check_scaling(_RETWEET_ROWS, normalize_r)
+    return _check_scaling(_RETWEET_ROWS, scale_by_max)
 
 
 def _check_reply_scaling() -> str:
-    return _check_scaling(_REPLY_ROWS, normalize_p)
+    return _check_scaling(_REPLY_ROWS, scale_by_max)
 
 
 _SENTIMENT_ROWS = (
@@ -144,7 +132,7 @@ def _check_follower_friend_rate() -> str:
     assert -280.0 < floor < -255.0, f"implied minimum {floor}"
     values = dict(rates)
     values["(dataset minimum)"] = floor
-    scaled = normalize_ffr(values)
+    scaled = min_max(values)
     for handle, _, _, _, published in _RATE_ROWS:
         got = round(scaled[handle], 3)
         assert got == published, f"{handle}: {got} != {published}"
@@ -170,74 +158,52 @@ def _check_confusion_rates() -> str:
     return "(1114, 9, 0, 75) -> 99.249/0.751/99.199/100.000/99.598%; all-positive table has precision = accuracy, recall 100%"
 
 
-_CHECKS: tuple[tuple[str, str, Callable[[], str]], ...] = (
-    (
-        "engagement-distribution",
+# name -> (description, check), in report order; a check returns its detail
+# line or raises AssertionError
+FIXTURES: dict[str, tuple[str, Callable[[], str]]] = {
+    "engagement-distribution": (
         "a tweet's engagement splits across its domains in proportion to score",
         _check_engagement_distribution,
     ),
-    (
-        "retweet-scaling",
+    "retweet-scaling": (
         "domain retweet masses scale by the domain maximum",
         _check_retweet_scaling,
     ),
-    (
-        "reply-scaling",
+    "reply-scaling": (
         "domain reply masses scale by the domain maximum",
         _check_reply_scaling,
     ),
-    (
-        "sentiment-difference",
+    "sentiment-difference": (
         "the sentiment score is the positive sum minus the negative magnitude",
         _check_sentiment_difference,
     ),
-    (
-        "follower-friend-rate",
+    "follower-friend-rate": (
         "followers minus friends over account age, min-max scaled",
         _check_follower_friend_rate,
     ),
-    (
-        "confusion-rates",
+    "confusion-rates": (
         "accuracy, error, precision, recall, and F from a confusion table",
         _check_confusion_rates,
     ),
-)
-
-
-def fixture_names() -> tuple[str, ...]:
-    return tuple(name for name, _, _ in _CHECKS)
-
-
-def fixture_descriptions() -> dict[str, str]:
-    return {name: description for name, description, _ in _CHECKS}
-
-
-def run_fixtures(names=None) -> tuple[FixtureResult, ...]:
-    if names is None:
-        selected = _CHECKS
-    else:
-        wanted = list(names)
-        unknown = sorted(set(wanted) - set(fixture_names()))
-        if unknown:
-            raise ValueError(f"unknown fixtures: {unknown}")
-        selected = tuple(c for c in _CHECKS if c[0] in wanted)
-    results = []
-    for name, _, check in selected:
-        try:
-            detail = check()
-        except AssertionError as exc:
-            results.append(FixtureResult(name=name, passed=False, detail=str(exc)))
-        else:
-            results.append(FixtureResult(name=name, passed=True, detail=detail))
-    return tuple(results)
+}
 
 
 def report_fixtures(stream: TextIO, names=None) -> bool:
-    """Run fixtures, print one PASS/FAIL line each, return overall success."""
-    results = run_fixtures(names)
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        stream.write(f"{status} {result.name}: {result.detail}\n")
-    passed = sum(r.passed for r in results)
-    stream.write(f"{passed}/{len(results)} fixtures passed\n")
-    return passed == len(results)
+    """Run fixtures (all, or the named ones in registry order), print one
+    PASS/FAIL line each, return overall success."""
+    if names is not None:
+        unknown = sorted(set(names) - set(FIXTURES))
+        if unknown:
+            raise ValueError(f"unknown fixtures: {unknown}")
+    selected = [name for name in FIXTURES if names is None or name in names]
+    passed = 0
+    for name in selected:
+        try:
+            detail = FIXTURES[name][1]()
+        except AssertionError as exc:
+            status, detail = "FAIL", str(exc)
+        else:
+            status, passed = "PASS", passed + 1
+        stream.write(f"{status} {name}: {detail}\n")
+    stream.write(f"{passed}/{len(selected)} fixtures passed\n")
+    return passed == len(selected)

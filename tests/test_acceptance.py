@@ -13,7 +13,13 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from domcred.annotate import DomainAnnotation, LexiconAnnotator, annotate_dataset
+from domcred.annotate import (
+    AnnotatedReply,
+    AnnotatedTweet,
+    DomainAnnotation,
+    LexiconAnnotator,
+    annotate_dataset,
+)
 from domcred.cli import main
 from domcred.corpus.cleanse import cleanse
 from domcred.corpus.periods import PeriodSpec, partition_periods
@@ -42,11 +48,10 @@ from domcred.features import (
     assemble_matrix,
     compute_ffr,
     compute_global_features,
-    distribute,
-    normalize_ffr,
-    normalize_r,
+    min_max,
     relativeness_weights,
     save_matrix,
+    scale_by_max,
 )
 from domcred.learn import ModelSpec, train, train_xy
 from domcred.learn.base import ALGORITHMS
@@ -56,6 +61,10 @@ from helpers import (
     brute_domain_cells,
     brute_global,
     brute_wilcoxon_auc,
+    make_dataset,
+    make_reply,
+    make_tweet,
+    make_user,
     random_micro_dataset,
 )
 
@@ -73,26 +82,28 @@ def test_criterion_01_engagement_distribution_is_exact():
         DomainAnnotation("Arts and Entertainment", 0.5),
         DomainAnnotation("Education", 0.5),
     )
-    weights = relativeness_weights(notes)
-    assert weights == {
+    assert relativeness_weights(notes) == {
         "Sports": 0.5,
         "Arts and Entertainment": 0.25,
         "Education": 0.25,
     }
-    assert distribute(10.0, weights) == {
-        "Sports": 5.0,
-        "Arts and Entertainment": 2.5,
-        "Education": 2.5,
-    }
-    assert distribute(15.0, weights) == {
-        "Sports": 7.5,
-        "Arts and Entertainment": 3.75,
-        "Education": 3.75,
-    }
-    assert distribute(-10.0, weights) == {
-        "Sports": -5.0,
-        "Arts and Entertainment": -2.5,
-        "Education": -2.5,
+    # one tweet with 10 retweets, 15 favorites and ten replies of sentiment
+    # -1, split by the accumulator the features stage runs
+    replies = [make_reply(f"r{i}", "t1", "bob") for i in range(10)]
+    dataset = make_dataset(
+        [make_user("alice"), make_user("bob")],
+        [make_tweet("t1", "alice", retweets=10, favorites=15)],
+        replies,
+    )
+    cells = accumulate_domain_features(
+        dataset,
+        (AnnotatedTweet("t1", notes),),
+        tuple(AnnotatedReply(r.reply_id, -1.0) for r in replies),
+    )
+    assert {domain: (c.r, c.l, c.sn) for (_, domain, _), c in cells.items()} == {
+        "Sports": (5.0, 7.5, -5.0),
+        "Arts and Entertainment": (2.5, 3.75, -2.5),
+        "Education": (2.5, 3.75, -2.5),
     }
     assert time.perf_counter() - started < 1.0
     _ok(1, "scores (1, 0.5, 0.5) split 10/+15/-10 exactly")
@@ -114,7 +125,7 @@ def test_criterion_02_retweet_normalization_reference_rows():
         "IvorCrotty": 0.158,
         "LocalJoost": 0.104,
     }
-    scaled = normalize_r(raw)
+    scaled = scale_by_max(raw)
     for handle, want in expected.items():
         assert round(scaled[handle], 3) == want
     assert time.perf_counter() - started < 1.0
@@ -174,7 +185,7 @@ def test_criterion_04_follower_friend_rate_and_inverted_minimum():
 
     values = dict(rates)
     values["(dataset minimum)"] = floor
-    scaled = normalize_ffr(values)
+    scaled = min_max(values)
     for handle, _, _, _, published in rows:
         assert round(scaled[handle], 3) == published
     _ok(4, "(4150 - 29)/7 = 588.714 and the inverted minimum rescales all rows")

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import shlex
@@ -13,6 +15,7 @@ import pytest
 import domcred.annotate
 import domcred.cli
 import domcred.features
+import domcred.verify
 from domcred.annotate import annotate_dataset, load_annotations, save_annotations
 from domcred.cli import main
 from domcred.corpus.archive import load_dataset, load_labels, save_dataset
@@ -26,7 +29,7 @@ from domcred.features import (
     save_matrix,
 )
 from domcred.learn.base import ALGORITHMS
-from domcred.verify import fixture_names
+from domcred.verify import FIXTURES
 from helpers import make_dataset, make_tweet, make_user
 
 TECH = "Technology and Computing"
@@ -445,6 +448,37 @@ class TestReportBytes:
         assert (tmp_path / "features_report.json").read_text(encoding="utf-8") == self.FEATURES
 
 
+class TestCorpusDigests:
+    """The corpus outputs of synth -> ingest -> annotate -> features, run as
+    the bench's featurize workload runs them, pinned by sha256."""
+
+    DIGESTS = {
+        "synth_archive.jsonl": "8ee6134cf92fab0ff6b7ca5a226b2e1e9355f415295cb4ecc3fdcf99fccba41b",
+        "dataset.jsonl": "e8225440b5c78b0ff9821575cb2f73ea23ed991650f13e5a9b059da2742fe1cb",
+        "annotations.jsonl": "037ed741a65edc7ea225e527f2c375c0eba7e3eabce72c015ade598c8076c1f1",
+        "features.csv": "723487f2519268f0ce0b961b4382fdf11efd6cb35ce7a311948fef08a8ee9c01",
+        "features_report.txt": "7d9aacc30b9f1243bf46b59fbc7d477039e1fdd0ff3492897525bced25c7109c",
+    }
+
+    def test_outputs_are_pinned(self, tmp_path):
+        out = ["--output-dir", str(tmp_path)]
+        assert main(["synth", "--n-users", "60", "--seed", "1", *out]) == 0
+        assert main(["ingest", str(tmp_path / "synth_archive.jsonl"), *out]) == 0
+        dataset = str(tmp_path / "dataset.jsonl")
+        assert main(["annotate", dataset, *out]) == 0
+        labels = tmp_path / "synth_labels.json"
+        domain = json.loads(labels.read_text(encoding="utf-8"))["domain"]
+        assert main(
+            ["features", dataset, "--domain", domain, "--labels", str(labels),
+             "--n-periods", "12", *out]
+        ) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert got == self.DIGESTS
+
+
 class TestFeatures:
     def test_labeled_matrix_written(self, pipeline):
         matrix = load_matrix(pipeline["matrix"])
@@ -667,6 +701,44 @@ class TestBenchmark:
         assert rc == 0
         report = json.loads((tmp_path / "benchmark_report.json").read_text())
         assert all(m["status"] == "trained" for m in report["models"])
+
+    def test_labels_for_another_domain_fail(self, pipeline, tmp_path, capsys):
+        payload = json.loads(pipeline["labels"].read_text())
+        other = tmp_path / "sports_labels.json"
+        other.write_text(json.dumps({**payload, "domain": "Sports"}))
+        rc = main(
+            ["benchmark", str(pipeline["bare_matrix"]), "--labels", str(other),
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: labels file is for domain 'Sports', not {TECH!r}\n"
+        assert not (tmp_path / "out" / "benchmark_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "column, value, problem",
+        [
+            (3, "nan", "domain_favorite_count is nan, not a finite number"),
+            (14, "-inf", "sum_domain_neg is -inf, not a finite number"),
+            (
+                15,
+                "Celebrity",
+                "unknown label 'Celebrity'; labels are Influencer or NonInfluencer",
+            ),
+        ],
+    )
+    def test_bad_matrix_cell_fails_naming_its_row(
+        self, pipeline, tmp_path, capsys, column, value, problem
+    ):
+        lines = pipeline["matrix"].read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = value
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+        out = tmp_path / "out"
+        assert main(["benchmark", str(bad), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: data row 2: {problem}\n"
+        assert not any(out.iterdir())
 
     def test_labels_rejected_for_labeled_matrix(self, pipeline, tmp_path, capsys):
         unread = tmp_path / "labels.json"
@@ -932,18 +1004,36 @@ class TestVerify:
     def test_all_fixtures_pass(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        names = fixture_names()
-        assert out.count("PASS") == len(names)
+        assert out.count("PASS") == len(FIXTURES)
         assert "FAIL" not in out
-        assert f"{len(names)}/{len(names)} fixtures passed" in out
+        assert f"{len(FIXTURES)}/{len(FIXTURES)} fixtures passed" in out
 
     def test_list_names_and_descriptions(self, capsys):
         assert main(["verify", "--list"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == len(fixture_names())
-        for name, line in zip(fixture_names(), lines):
+        assert len(lines) == len(FIXTURES)
+        for name, line in zip(FIXTURES, lines):
             assert line.startswith(f"{name}: ")
             assert len(line.split(": ", 1)[1]) > 0
+
+    def test_distribution_fixture_runs_the_accumulator(self, capsys, monkeypatch):
+        # a splitter that ignores the scores and weighs every domain alike
+        def even_split(dataset, tweets, replies, slices=()):
+            flat = [
+                dataclasses.replace(
+                    t, merged_domains=tuple(
+                        dataclasses.replace(d, score=1.0) for d in t.merged_domains
+                    )
+                )
+                for t in tweets
+            ]
+            return accumulate_domain_features(dataset, flat, replies, slices)
+
+        monkeypatch.setattr(domcred.verify, "accumulate_domain_features", even_split)
+        assert main(["verify", "engagement-distribution"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL engagement-distribution: pooled (r, l, sn) cells")
+        assert "0/1 fixtures passed" in out
 
     def test_single_fixture_selection(self, capsys):
         assert main(["verify", "confusion-rates"]) == 0

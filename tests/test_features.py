@@ -1,6 +1,7 @@
 """Feature distribution, accumulation, normalization, and matrix assembly."""
 
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -19,16 +20,12 @@ from domcred.features import (
     assemble_matrix,
     compute_ffr,
     compute_global_features,
-    distribute,
     load_matrix,
-    normalize_ffr,
-    normalize_l,
-    normalize_p,
-    normalize_r,
-    normalize_s,
+    min_max,
     profile_age_years,
     relativeness_weights,
     save_matrix,
+    scale_by_max,
 )
 from helpers import (
     annotated_reply,
@@ -36,6 +33,8 @@ from helpers import (
     annotation,
     brute_domain_cells,
     brute_global,
+    brute_max_scale,
+    brute_min_max,
     make_dataset,
     make_reply,
     make_tweet,
@@ -48,16 +47,26 @@ from helpers import (
 class TestRelativenessWeights:
     def test_three_domain_example(self):
         notes = [annotation("a", 1.0), annotation("b", 0.5), annotation("c", 0.5)]
-        weights = relativeness_weights(notes)
-        assert weights == {"a": 0.5, "b": 0.25, "c": 0.25}
-        assert distribute(10, weights) == {"a": 5.0, "b": 2.5, "c": 2.5}
+        assert relativeness_weights(notes) == {"a": 0.5, "b": 0.25, "c": 0.25}
 
     def test_reply_masses_keep_sign(self):
-        weights = relativeness_weights(
-            [annotation("a", 1.0), annotation("b", 0.5), annotation("c", 0.5)]
+        # the accumulator splits each count by the weights: 10 retweets,
+        # 15 favorites and ten replies of sentiment -1 over (1, 0.5, 0.5)
+        replies = [make_reply(f"r{i}", "t1", "bob") for i in range(10)]
+        dataset = make_dataset(
+            [make_user("alice"), make_user("bob")],
+            [make_tweet("t1", "alice", retweets=10, favorites=15)],
+            replies,
         )
-        assert distribute(15, weights) == {"a": 7.5, "b": 3.75, "c": 3.75}
-        assert distribute(-10, weights) == {"a": -5.0, "b": -2.5, "c": -2.5}
+        notes = (annotated_tweet("t1", {"a": 1.0, "b": 0.5, "c": 0.5}),)
+        sentiments = tuple(annotated_reply(r.reply_id, -1.0) for r in replies)
+        cells = accumulate_domain_features(dataset, notes, sentiments)
+        got = {d: (c.r, c.l, c.sn) for (_, d, _), c in cells.items()}
+        assert got == {
+            "a": (5.0, 7.5, -5.0),
+            "b": (2.5, 3.75, -2.5),
+            "c": (2.5, 3.75, -2.5),
+        }
 
     def test_zero_scores_dropped(self):
         weights = relativeness_weights([annotation("a", 0.8), annotation("b", 0.0)])
@@ -269,23 +278,21 @@ class TestGlobalFeatures:
 class TestNormalizations:
     def test_max_scaling(self):
         values = {"a": 8.0, "b": 4.0, "c": 2.0}
-        for fn in (normalize_r, normalize_l, normalize_p):
-            assert fn(values) == {"a": 1.0, "b": 0.5, "c": 0.25}
+        assert scale_by_max(values) == {"a": 1.0, "b": 0.5, "c": 0.25}
 
     def test_max_scaling_zero_peak(self):
-        assert normalize_r({"a": 0.0, "b": 0.0}) == {"a": 0.0, "b": 0.0}
+        assert scale_by_max({"a": 0.0, "b": 0.0}) == {"a": 0.0, "b": 0.0}
 
     def test_min_max(self):
         values = {"a": 2.0, "b": 6.0, "c": 10.0}
-        for fn in (normalize_s, normalize_ffr):
-            assert fn(values) == {"a": 0.0, "b": 0.5, "c": 1.0}
+        assert min_max(values) == {"a": 0.0, "b": 0.5, "c": 1.0}
 
     def test_min_max_constant_maps_to_one(self):
-        assert normalize_s({"a": 3.0, "b": 3.0}) == {"a": 1.0, "b": 1.0}
+        assert min_max({"a": 3.0, "b": 3.0}) == {"a": 1.0, "b": 1.0}
 
     def test_empty_inputs(self):
-        assert normalize_r({}) == {}
-        assert normalize_s({}) == {}
+        assert scale_by_max({}) == {}
+        assert min_max({}) == {}
 
     values = st.dictionaries(
         st.sampled_from("abcdef"),
@@ -296,9 +303,18 @@ class TestNormalizations:
 
     @given(values)
     def test_outputs_in_unit_interval(self, values):
-        for fn in (normalize_r, normalize_s):
-            out = fn(values)
+        for rule in (scale_by_max, min_max):
+            out = rule(values)
             assert all(0.0 <= v <= 1.0 for v in out.values())
+
+    @given(
+        st.dictionaries(
+            st.sampled_from("abcdef"), st.floats(-1e6, 1e6), min_size=0, max_size=6
+        )
+    )
+    def test_rules_match_brute_oracles(self, values):
+        assert scale_by_max(values) == brute_max_scale(values)
+        assert min_max(values) == brute_min_max(values)
 
     @given(values, st.floats(min_value=0.1, max_value=100.0))
     def test_max_scaling_ignores_positive_rescaling(self, values, factor):
@@ -307,8 +323,8 @@ class TestNormalizations:
         # float: 5e-324 * 0.5 rounds to 0.0, and a subnormal product keeps
         # too few significant bits to preserve the ratios.
         assume(all(rescaled[k] >= sys.float_info.min for k, v in values.items() if v > 0))
-        base = normalize_r(values)
-        scaled = normalize_r(rescaled)
+        base = scale_by_max(values)
+        scaled = scale_by_max(rescaled)
         for key in values:
             assert scaled[key] == pytest.approx(base[key], abs=1e-9)
 
@@ -379,7 +395,7 @@ class TestMatrixIO:
             period=2,
             user_ids=("a", "b", "c", "d"),
             x=x,
-            labels=("Influencer", "Non-Influencer", "Influencer", "Non-Influencer")
+            labels=("Influencer", "NonInfluencer", "Influencer", "NonInfluencer")
             if labeled
             else None,
         )
@@ -417,4 +433,26 @@ class TestMatrixIO:
         path = tmp_path / "matrix.csv"
         path.write_text("user,score\nu1,3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "matrix.csv"
+        save_matrix(self.matrix(), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[3].split(",")
+        fields[3 + 4] = cell  # friends_count
+        lines[3] = ",".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
+        want = f"{path}: data row 3: friends_count is {cell}, not a finite number"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_matrix(path)
+
+    def test_unknown_label_rejected(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        save_matrix(self.matrix(), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(",NonInfluencer\n", ",Celebrity\n", 1), encoding="utf-8")
+        want = f"{path}: data row 2: unknown label 'Celebrity'"
+        with pytest.raises(ValueError, match=re.escape(want)):
             load_matrix(path)

@@ -7,13 +7,13 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from domcred.annotate import DomainAnnotation
+from domcred.annotate import AnnotatedTweet, DomainAnnotation
 from domcred.corpus.archive import dataset_to_lines, load_dataset, save_dataset
 from domcred.corpus.cleanse import cleanse
 from domcred.corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
 from domcred.corpus.types import INFLUENCER, NON_INFLUENCER
 from domcred.evaluate import ConfusionTable, SplitSpec, metrics, roc, split_indices
-from domcred.features import distribute, relativeness_weights
+from domcred.features import accumulate_domain_features, relativeness_weights
 from domcred.learn import ModelSpec, train_xy
 from domcred.learn.base import ALGORITHMS
 from domcred.lexicon import builtin_sentiment_lexicon, tokenize
@@ -83,12 +83,13 @@ class TestRelativenessInvariants:
         assert all(w > 0 for w in weights.values())
         assert weights == brute_weights(a)
 
-    @given(a=annotation_lists(), value=st.floats(-1e6, 1e6))
-    def test_distribution_conserves_mass(self, a, value):
+    @given(a=annotation_lists(), retweets=st.integers(0, 10**6))
+    def test_distribution_conserves_mass(self, a, retweets):
         assume(any(d.score > 0 for d in a))
-        shares = distribute(value, relativeness_weights(a))
-        total = sum(shares.values())
-        assert abs(total - value) <= 1e-9 * max(1.0, abs(value))
+        dataset = make_dataset([make_user("u")], [make_tweet("t", "u", retweets=retweets)])
+        cells = accumulate_domain_features(dataset, (AnnotatedTweet("t", a),), ())
+        total = sum(c.r for c in cells.values())
+        assert abs(total - retweets) <= 1e-9 * max(1.0, retweets)
 
 
 class TestMetricsInvariants:
