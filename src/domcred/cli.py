@@ -260,9 +260,9 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     from .features import (
         POOLED,
         accumulate_domain_features,
+        assemble_matrix,
         compute_global_features,
-        matrix_rows,
-        write_matrix_csv,
+        save_matrix,
     )
 
     dataset = _load_canonical(args.dataset)
@@ -293,11 +293,9 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
     slices, partition_report = partition_periods(dataset, spec)
     domain_features = accumulate_domain_features(dataset, tweets, replies, slices)
     global_features = compute_global_features(dataset)
-    user_ids, rows, row_labels = matrix_rows(
-        domain, POOLED, domain_features, global_features, labels=labels
-    )
+    matrix = assemble_matrix(domain, POOLED, domain_features, global_features, labels=labels)
     matrix_path = out_dir / "features.csv"
-    write_matrix_csv(matrix_path, domain, POOLED, user_ids, rows, row_labels)
+    save_matrix(matrix, matrix_path)
 
     report_text = _render_period_report(domain, slices, domain_features, top_k)
     report_path = out_dir / "features_report.txt"
@@ -306,11 +304,11 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         out_dir / "features_report.json",
         {
             "domain": domain,
-            "rows": len(user_ids),
+            "rows": matrix.n_rows,
             "periods": asdict(partition_report),
         },
     )
-    print(f"wrote {matrix_path} ({len(user_ids)} rows)")
+    print(f"wrote {matrix_path} ({matrix.n_rows} rows)")
     print(f"wrote {report_path}")
     return 0
 

@@ -104,7 +104,7 @@ def _subset(matrix: FeatureMatrix, idx: np.ndarray) -> FeatureMatrix:
         domain=matrix.domain,
         period=matrix.period,
         user_ids=tuple(matrix.user_ids[i] for i in idx),
-        x=matrix.x[idx],
+        rows=tuple(matrix.rows[i] for i in idx),
         labels=tuple(matrix.labels[i] for i in idx),
     )
 

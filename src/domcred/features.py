@@ -7,20 +7,20 @@ corpus (period ``POOLED`` is the whole timeline).  The 12-column matrix
 feeds the classifiers; the per-period credibility tables rank the cells'
 masses scaled by ``scale_by_max`` or ``min_max``, as ``RANKINGS`` says.
 
-The module loads without numpy: ``matrix_rows`` and ``write_matrix_csv``
-give the ``features`` command its rows and CSV as plain Python values.  A
-``FeatureMatrix`` holds an ndarray, so ``assemble_matrix`` and
-``load_matrix``, which build one, import numpy inside the function;
-``save_matrix`` writes one through ``write_matrix_csv``.
+The module loads without numpy.  A ``FeatureMatrix`` holds plain rows, so
+``assemble_matrix``, ``save_matrix`` and ``load_matrix`` build, write and
+read one as Python values; only its ``x`` array imports numpy, on first use.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
 from .corpus.types import LABELS, Dataset, GroundTruthLabels, PeriodSlice, UserProfile
@@ -276,19 +276,31 @@ RANKINGS = (
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Rows of the 12 engineered columns for one domain and period selection."""
+    """Rows of the 12 engineered columns for one domain and period selection,
+    as plain numbers; ``x``, the ndarray the learners read, is built on first use."""
 
     domain: str
     period: int
     user_ids: tuple[str, ...]
-    x: np.ndarray
+    rows: tuple[tuple[float, ...], ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.x.shape != (len(self.user_ids), len(FEATURE_COLUMNS)):
-            raise ValueError(f"matrix shape {self.x.shape} does not match rows/columns")
+        if len(self.rows) != len(self.user_ids):
+            raise ValueError(f"matrix has {len(self.rows)} rows for {len(self.user_ids)} users")
+        if any(len(row) != len(FEATURE_COLUMNS) for row in self.rows):
+            raise ValueError(f"every matrix row must hold {len(FEATURE_COLUMNS)} cells")
         if self.labels is not None and len(self.labels) != len(self.user_ids):
             raise ValueError("labels length does not match rows")
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The rows as a read-only (n_rows, 12) float array."""
+        import numpy as np
+
+        x = np.array(self.rows, dtype=float).reshape(self.n_rows, len(FEATURE_COLUMNS))
+        x.flags.writeable = False
+        return x
 
     @property
     def n_rows(self) -> int:
@@ -298,21 +310,24 @@ class FeatureMatrix:
         return self.x[:, FEATURE_COLUMNS.index(name)]
 
 
-def matrix_rows(
+# the columns of a matrix file before the optional label column
+_HEADER = ("user_id", "domain", "period", *FEATURE_COLUMNS)
+
+
+def assemble_matrix(
     domain: str,
     period: int,
     domain_features: Mapping[tuple[str, str, int], UserDomainFeatures],
     global_features: Mapping[str, UserGlobalFeatures],
     labels: GroundTruthLabels | None = None,
-) -> tuple[list[str], list[tuple], list[str] | None]:
-    """The user ids, the 12-column rows and the row labels (or None) of the
-    matrix for one domain from the ``(user, domain, period)`` cells;
+) -> FeatureMatrix:
+    """The matrix for one domain from the ``(user, domain, period)`` cells;
     ``period`` picks the pooled cells (``POOLED``) or one slice's.
 
     Every selection-active user (one with global features) gets a row; users
     with no engagement attributed to the domain keep zeros in the domain
-    columns.  With labels the rows are restricted to labeled users and their
-    labels returned; without, all active users appear unlabeled.
+    columns.  With labels the rows are restricted to labeled users and carry
+    their labels; without, all active users appear unlabeled.
     """
     user_ids = sorted(global_features)
     if labels is not None:
@@ -340,118 +355,89 @@ def matrix_rows(
                 d.sn if d else 0.0,
             )
         )
-    row_labels = [labels.labels[u] for u in user_ids] if labels is not None else None
-    return user_ids, rows, row_labels
-
-
-def assemble_matrix(
-    domain: str,
-    period: int,
-    domain_features: Mapping[tuple[str, str, int], UserDomainFeatures],
-    global_features: Mapping[str, UserGlobalFeatures],
-    labels: GroundTruthLabels | None = None,
-) -> FeatureMatrix:
-    """The rows of ``matrix_rows`` as a FeatureMatrix."""
-    import numpy as np
-
-    user_ids, rows, row_labels = matrix_rows(
-        domain, period, domain_features, global_features, labels
-    )
     return FeatureMatrix(
         domain=domain,
         period=period,
         user_ids=tuple(user_ids),
-        x=np.array(rows, dtype=float),
-        labels=tuple(row_labels) if row_labels is not None else None,
+        rows=tuple(rows),
+        labels=tuple(labels.labels[u] for u in user_ids) if labels is not None else None,
     )
 
 
-def write_matrix_csv(
-    path: str | Path,
-    domain: str,
-    period: int,
-    user_ids: Sequence[str],
-    rows: Sequence[Sequence[float]],
-    labels: Sequence[str] | None = None,
-) -> None:
-    """Write matrix rows as CSV: user_id, domain, period, the 12 columns, label."""
+def save_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
+    """Write the matrix as CSV: user_id, domain, period, the 12 columns and,
+    when the matrix is labeled, label."""
+    labels = matrix.labels
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["user_id", "domain", "period", *FEATURE_COLUMNS]
-        if labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i, (user_id, values) in enumerate(zip(user_ids, rows)):
-            row = [user_id, domain, period]
+        writer.writerow([*_HEADER, "label"] if labels is not None else _HEADER)
+        for i, (user_id, values) in enumerate(zip(matrix.user_ids, matrix.rows)):
+            row = [user_id, matrix.domain, matrix.period]
             row += [repr(float(v)) for v in values]
             if labels is not None:
                 row.append(labels[i])
             writer.writerow(row)
 
 
-def save_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    """Write the matrix as CSV with ``write_matrix_csv``."""
-    write_matrix_csv(
-        path, matrix.domain, matrix.period, matrix.user_ids, matrix.x.tolist(), matrix.labels
-    )
-
-
 def load_matrix(path: str | Path) -> FeatureMatrix:
     """Read a matrix written by save_matrix; values round-trip exactly.
 
-    Every row must share one (domain, period): a stacked file holding
-    several is rejected rather than read as the last row's selection.
-    Every feature cell must be finite and every label one of ``LABELS``.
+    The header must be save_matrix's: user_id, domain, period and the 12
+    columns in order, then optionally label.  A file with any other column
+    is rejected rather than read without it.  Every row must share one
+    (domain, period): a stacked file holding several is rejected rather than
+    read as the last row's selection.  Every feature cell must be finite and
+    every label one of ``LABELS``.
     """
-    import numpy as np
-
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        expected = ["user_id", "domain", "period", *FEATURE_COLUMNS]
-        if header[: len(expected)] != expected:
-            raise ValueError(f"{path}: unexpected header {header!r}")
+        if header not in (list(_HEADER), [*_HEADER, "label"]):
+            extra = [c for c in header if c not in _HEADER and c != "label"]
+            raise ValueError(
+                f"{path}: unexpected header (extra columns: {', '.join(extra) or 'none'});"
+                f" a matrix has the columns {','.join(_HEADER)}, then optionally label"
+            )
         labeled = header[-1] == "label"
-        user_ids, values, labels = [], [], []
+        user_ids, rows, labels = [], [], []
         selection = None
-        for row in reader:
+        for n, row in enumerate(reader, 1):
             if len(row) != len(header):
                 raise ValueError(
-                    f"{path}: data row {len(user_ids) + 1} has {len(row)} cells"
+                    f"{path}: data row {n} has {len(row)} cells"
                     f" but the header has {len(header)}"
                 )
             try:
                 key = (row[1], int(row[2]))
-                values.append([float(v) for v in row[3 : 3 + len(FEATURE_COLUMNS)]])
+                values = tuple(float(v) for v in row[3 : 3 + len(FEATURE_COLUMNS)])
             except ValueError as exc:
-                raise ValueError(f"{path}: data row {len(user_ids) + 1}: {exc}") from exc
+                raise ValueError(f"{path}: data row {n}: {exc}") from exc
+            for name, v in zip(FEATURE_COLUMNS, values):
+                if not math.isfinite(v):
+                    raise ValueError(
+                        f"{path}: data row {n}: {name} is {v!r},"
+                        " not a finite number"
+                    )
             selection = selection or key
             if key != selection:
                 raise ValueError(
-                    f"{path}: data row {len(user_ids) + 1} has (domain, period) {key!r}"
+                    f"{path}: data row {n} has (domain, period) {key!r}"
                     f" but row 1 has {selection!r}; a matrix holds one of each"
                 )
             user_ids.append(row[0])
+            rows.append(values)
             if labeled:
                 if row[-1] not in LABELS:
                     raise ValueError(
-                        f"{path}: data row {len(user_ids)}: unknown label {row[-1]!r};"
+                        f"{path}: data row {n}: unknown label {row[-1]!r};"
                         f" labels are {' or '.join(LABELS)}"
                     )
                 labels.append(row[-1])
-    x = np.array(values, dtype=float).reshape(len(user_ids), len(FEATURE_COLUMNS))
-    bad = np.argwhere(~np.isfinite(x))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(
-            f"{path}: data row {i + 1}: {FEATURE_COLUMNS[j]} is {float(x[i, j])!r},"
-            " not a finite number"
-        )
     domain, period = selection or ("", POOLED)
     return FeatureMatrix(
         domain=domain,
         period=period,
         user_ids=tuple(user_ids),
-        x=x,
+        rows=tuple(rows),
         labels=tuple(labels) if labeled else None,
     )

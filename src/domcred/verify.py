@@ -22,6 +22,16 @@ from .features import (
 )
 
 
+class FixtureFailure(Exception):
+    """A fixture's result differs from its reference value."""
+
+
+def _check(ok: bool, message: str) -> None:
+    """Fail the fixture unless ok; unlike ``assert``, kept under ``python -O``."""
+    if not ok:
+        raise FixtureFailure(message)
+
+
 def _check_engagement_distribution() -> str:
     # one tweet scored (1, 0.5, 0.5) with 10 retweets, 15 favorites and ten
     # replies of sentiment -1, through the accumulator the pipeline runs
@@ -40,7 +50,7 @@ def _check_engagement_distribution() -> str:
         "Arts and Entertainment": (2.5, 3.75, -2.5),
         "Education": (2.5, 3.75, -2.5),
     }
-    assert got == expected, f"pooled (r, l, sn) cells {got}"
+    _check(got == expected, f"pooled (r, l, sn) cells {got}")
     return "scores (1, 0.5, 0.5): 10 -> (5, 2.5, 2.5); 15 -> (7.5, 3.75, 3.75); -10 -> (-5, -2.5, -2.5)"
 
 
@@ -66,7 +76,7 @@ def _check_scaling(rows, normalize) -> str:
     scaled = normalize(values)
     for handle, _, expected in rows:
         got = round(scaled[handle], 3)
-        assert got == expected, f"{handle}: {got} != {expected}"
+        _check(got == expected, f"{handle}: {got} != {expected}")
     return "; ".join(f"{raw:g} -> {expected:g}" for _, raw, expected in rows)
 
 
@@ -91,7 +101,7 @@ def _check_sentiment_difference() -> str:
     for handle, sp, sn, expected in _SENTIMENT_ROWS:
         row = UserDomainFeatures(user_id=handle, domain="d", period=1, sp=sp, sn=sn)
         got = round(row.s, 3)
-        assert got == expected, f"{handle}: {got} != {expected}"
+        _check(got == expected, f"{handle}: {got} != {expected}")
     return "; ".join(f"{sp:g} - {abs(sn):g} = {s:g}" for _, sp, sn, s in _SENTIMENT_ROWS)
 
 
@@ -117,7 +127,7 @@ def _check_follower_friend_rate() -> str:
         )
         rates[handle] = compute_ffr(profile, capture)
     top = rates["michaelfrisby"]
-    assert round(top, 3) == 588.714, f"top rate {top}"
+    _check(round(top, 3) == 588.714, f"top rate {top}")
 
     # The published table normalizes against an unseen dataset minimum; the
     # non-top rows pin it, so recover it by least squares and check that it
@@ -129,13 +139,13 @@ def _check_follower_friend_rate() -> str:
         num += a * b
         den += b * b
     floor = num / den
-    assert -280.0 < floor < -255.0, f"implied minimum {floor}"
+    _check(-280.0 < floor < -255.0, f"implied minimum {floor}")
     values = dict(rates)
     values["(dataset minimum)"] = floor
     scaled = min_max(values)
     for handle, _, _, _, published in _RATE_ROWS:
         got = round(scaled[handle], 3)
-        assert got == published, f"{handle}: {got} != {published}"
+        _check(got == published, f"{handle}: {got} != {published}")
     return f"(4150 - 29) / 7 = 588.714; implied minimum {floor:.1f} reproduces all five scaled rates"
 
 
@@ -149,17 +159,17 @@ def _check_confusion_rates() -> str:
         round(report.f_score * 100, 3),
     )
     expected = (99.249, 0.751, 99.199, 100.0, 99.598)
-    assert got == expected, f"rates {got} != {expected}"
-    assert report.classification_error + report.accuracy == 1.0, "error + accuracy != 1"
+    _check(got == expected, f"rates {got} != {expected}")
+    _check(report.classification_error + report.accuracy == 1.0, "error + accuracy != 1")
 
     all_positive = metrics(ConfusionTable(tp=1113, fp=85, fn=0, tn=0))
-    assert all_positive.precision == all_positive.accuracy, "all-positive: precision != accuracy"
-    assert all_positive.recall == 1.0, "all-positive: recall != 100%"
+    _check(all_positive.precision == all_positive.accuracy, "all-positive: precision != accuracy")
+    _check(all_positive.recall == 1.0, "all-positive: recall != 100%")
     return "(1114, 9, 0, 75) -> 99.249/0.751/99.199/100.000/99.598%; all-positive table has precision = accuracy, recall 100%"
 
 
 # name -> (description, check), in report order; a check returns its detail
-# line or raises AssertionError
+# line or raises FixtureFailure
 FIXTURES: dict[str, tuple[str, Callable[[], str]]] = {
     "engagement-distribution": (
         "a tweet's engagement splits across its domains in proportion to score",
@@ -200,7 +210,7 @@ def report_fixtures(stream: TextIO, names=None) -> bool:
     for name in selected:
         try:
             detail = FIXTURES[name][1]()
-        except AssertionError as exc:
+        except FixtureFailure as exc:
             status, detail = "FAIL", str(exc)
         else:
             status, passed = "PASS", passed + 1

@@ -500,7 +500,7 @@ def test_criterion_11_external_matrix_mode_is_shape_only(tmp_path):
         domain="External Topic",
         period=POOLED,
         user_ids=tuple(f"ext{i:02d}" for i in range(n)),
-        x=rng.normal(size=(n, len(FEATURE_COLUMNS))),
+        rows=tuple(map(tuple, rng.normal(size=(n, len(FEATURE_COLUMNS))).tolist())),
         labels=labels,
     )
     path = tmp_path / "external.csv"

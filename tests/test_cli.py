@@ -878,6 +878,19 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_matrix_with_an_extra_column_fails_naming_it(self, pipeline, tmp_path, capsys):
+        # a column docs/formats.md does not list is refused, not ignored
+        rows = [line.split(",") for line in pipeline["matrix"].read_text().splitlines()]
+        for i, fields in enumerate(rows):
+            fields.insert(-1, "ffr" if i == 0 else "0.5")
+        bad = tmp_path / "features.csv"
+        bad.write_text("".join(",".join(fields) + "\n" for fields in rows), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["benchmark", str(bad), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: unexpected header (extra columns: ffr)")
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestConfigShapes:
     """A config value of the wrong JSON shape or type exits 1 naming its key."""
@@ -1059,6 +1072,29 @@ class TestVerify:
         )
         assert result.returncode == 0, result.stderr
         assert "6/6 fixtures passed" in result.stdout
+
+    def test_a_failing_fixture_fails_under_python_O(self):
+        # -O strips assert statements, so the checks must raise on their own
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        code = (
+            "import sys, domcred.verify\n"
+            "from domcred.cli import main\n"
+            "domcred.verify.scale_by_max = lambda values: {k: 0.5 for k in values}\n"
+            "sys.exit(main(['verify', 'retweet-scaling']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stdout.startswith("FAIL retweet-scaling: ")
+        assert "0/1 fixtures passed" in result.stdout
 
 
 def _readme_commands():

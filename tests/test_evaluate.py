@@ -44,7 +44,7 @@ def labeled_matrix(seed=0, n_pos=20, n_neg=40, shift=4.0):
         domain="Technology and Computing",
         period=0,
         user_ids=tuple(f"u{i:03d}" for i in range(n_pos + n_neg)),
-        x=x[order],
+        rows=tuple(map(tuple, x[order].tolist())),
         labels=tuple(labels[i] for i in order),
     )
 
@@ -164,7 +164,7 @@ class TestSplitMatrix:
             domain=matrix.domain,
             period=matrix.period,
             user_ids=matrix.user_ids,
-            x=matrix.x,
+            rows=matrix.rows,
         )
         with pytest.raises(ValueError, match="no labels"):
             split(bare, SplitSpec())
@@ -389,7 +389,7 @@ class TestBenchmark:
     def test_unlabeled_matrix_rejected(self):
         matrix = labeled_matrix(seed=36)
         bare = FeatureMatrix(
-            domain=matrix.domain, period=0, user_ids=matrix.user_ids, x=matrix.x
+            domain=matrix.domain, period=0, user_ids=matrix.user_ids, rows=matrix.rows
         )
         with pytest.raises(ValueError, match="labeled"):
             benchmark(bare, SplitSpec())
@@ -428,7 +428,7 @@ class TestFingerprint:
                 domain=base.domain,
                 period=base.period,
                 user_ids=base.user_ids,
-                x=bumped,
+                rows=tuple(map(tuple, bumped.tolist())),
                 labels=base.labels,
             )
         ) != digest
@@ -439,7 +439,7 @@ class TestFingerprint:
                 domain=base.domain,
                 period=base.period,
                 user_ids=renamed,
-                x=base.x,
+                rows=base.rows,
                 labels=base.labels,
             )
         ) != digest
@@ -450,7 +450,7 @@ class TestFingerprint:
                 domain=base.domain,
                 period=base.period,
                 user_ids=base.user_ids,
-                x=base.x,
+                rows=base.rows,
                 labels=flipped,
             )
         ) != digest
@@ -541,7 +541,7 @@ class TestTreeReportDigests:
             domain="Technology and Computing",
             period=0,
             user_ids=tuple(f"u{i:03d}" for i in range(len(y))),
-            x=x,
+            rows=tuple(map(tuple, x.tolist())),
             labels=tuple(I if v else N for v in y),
         )
         report = benchmark(matrix, SplitSpec(train_fraction=0.6, seed=4, stratified=True))

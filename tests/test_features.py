@@ -9,8 +9,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from domcred.annotate import LexiconAnnotator, annotate_dataset
 from domcred.corpus.periods import PeriodSpec, partition_periods
+from domcred.corpus.synth import SynthConfig, synthesize
 from domcred.corpus.types import GroundTruthLabels
+from domcred.evaluate import SplitSpec, benchmark, matrix_fingerprint
 from domcred.features import (
     FEATURE_COLUMNS,
     POOLED,
@@ -42,6 +45,8 @@ from helpers import (
     random_micro_dataset,
     ts,
 )
+
+TECH = "Technology and Computing"
 
 
 class TestRelativenessWeights:
@@ -369,16 +374,29 @@ class TestAssembleMatrix:
             assemble_matrix("tech", 0, cells, globals_, labels=labels)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            FeatureMatrix(domain="d", period=0, user_ids=("u",), x=np.zeros((2, 12)))
+        row = (0.0,) * 12
+        with pytest.raises(ValueError, match="2 rows for 1 users"):
+            FeatureMatrix(domain="d", period=0, user_ids=("u",), rows=(row, row))
+        with pytest.raises(ValueError, match="must hold 12 cells"):
+            FeatureMatrix(domain="d", period=0, user_ids=("u", "v"), rows=(row, row[:11]))
+        with pytest.raises(ValueError, match="must hold 12 cells"):
+            FeatureMatrix(domain="d", period=0, user_ids=("u",), rows=((*row, 0.0),))
         with pytest.raises(ValueError, match="labels length"):
             FeatureMatrix(
                 domain="d",
                 period=0,
                 user_ids=("u",),
-                x=np.zeros((1, 12)),
+                rows=(row,),
                 labels=("a", "b"),
             )
+
+    def test_x_is_a_read_only_view_of_the_rows(self):
+        cells, globals_ = self.features()
+        matrix = assemble_matrix("tech", 0, cells, globals_)
+        np.testing.assert_array_equal(matrix.x, np.array(matrix.rows, dtype=float))
+        assert matrix.x is matrix.x
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.x[0, 0] = 1.0
 
     def test_column_names_cover_matrix(self):
         assert len(FEATURE_COLUMNS) == 12
@@ -394,7 +412,7 @@ class TestMatrixIO:
             domain="tech",
             period=2,
             user_ids=("a", "b", "c", "d"),
-            x=x,
+            rows=tuple(map(tuple, x.tolist())),
             labels=("Influencer", "NonInfluencer", "Influencer", "NonInfluencer")
             if labeled
             else None,
@@ -409,7 +427,24 @@ class TestMatrixIO:
         assert loaded.period == 2
         assert loaded.user_ids == matrix.user_ids
         assert loaded.labels == matrix.labels
-        np.testing.assert_array_equal(loaded.x, matrix.x)
+        assert loaded.rows == matrix.rows
+
+    def test_assembled_matrix_round_trips(self, tmp_path):
+        # the pipeline's own matrix: what benchmark reads back from the file
+        # is what assemble_matrix built, down to the report
+        dataset, labels = synthesize(SynthConfig(n_users=60, domains=(TECH,)), seed=3)
+        tweets, replies, _ = annotate_dataset(dataset, LexiconAnnotator())
+        cells = accumulate_domain_features(dataset, tweets, replies)
+        matrix = assemble_matrix(
+            TECH, POOLED, cells, compute_global_features(dataset), labels=labels
+        )
+        path = tmp_path / "features.csv"
+        save_matrix(matrix, path)
+        loaded = load_matrix(path)
+        assert loaded == matrix
+        assert matrix_fingerprint(loaded) == matrix_fingerprint(matrix)
+        spec = SplitSpec(train_fraction=0.6, seed=7)
+        assert benchmark(loaded, spec).to_dict() == benchmark(matrix, spec).to_dict()
 
     def test_unlabeled_round_trip(self, tmp_path):
         matrix = self.matrix(labeled=False)
@@ -417,7 +452,7 @@ class TestMatrixIO:
         save_matrix(matrix, path)
         loaded = load_matrix(path)
         assert loaded.labels is None
-        np.testing.assert_array_equal(loaded.x, matrix.x)
+        assert loaded.rows == matrix.rows
 
     def test_stacked_selections_rejected(self, tmp_path):
         path = tmp_path / "matrix.csv"
@@ -433,6 +468,37 @@ class TestMatrixIO:
         path = tmp_path / "matrix.csv"
         path.write_text("user,score\nu1,3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_extra_column_rejected(self, tmp_path, labeled):
+        # a column the format does not list is refused, not read without it
+        path = tmp_path / "matrix.csv"
+        save_matrix(self.matrix(labeled=labeled), path)
+        widened = []
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            fields = line.split(",")
+            # before the label column, or last in an unlabeled file
+            fields.insert(len(fields) - labeled, "ffr" if i == 0 else "0.5")
+            widened.append(",".join(fields) + "\n")
+        path.write_text("".join(widened), encoding="utf-8")
+        want = f"{path}: unexpected header (extra columns: ffr)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            ["user_id", "domain", "period", *FEATURE_COLUMNS[:-1]],
+            ["user_id", "domain", "period", *reversed(FEATURE_COLUMNS)],
+            ["user_id", "domain", "period", *FEATURE_COLUMNS, "label", "label"],
+            ["user_id", "domain", "period", "label", *FEATURE_COLUMNS],
+        ],
+    )
+    def test_missing_or_reordered_columns_rejected(self, tmp_path, header):
+        path = tmp_path / "matrix.csv"
+        path.write_text(",".join(header) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape("(extra columns: none)")):
             load_matrix(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

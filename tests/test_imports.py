@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from domcred.cli import main
 from domcred.corpus.archive import save_dataset
 from domcred.features import FEATURE_COLUMNS
 from helpers import make_dataset, make_reply, make_tweet, make_user
@@ -110,22 +111,40 @@ def test_corpus_commands_load_no_numpy(tmp_path, command):
     assert out.splitlines()[-1] == "False"
 
 
+def _traced_counts(tmp_path, *argv) -> dict:
+    """The counters of one CLI call run under bench/tracer.py."""
+    spans = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(spans), argv[0], *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(spans.read_text(encoding="utf-8"))["counts"]
+
+
 def test_traced_stage_still_runs(tmp_path):
     """bench/tracer.py rebinds names across the loaded domcred modules."""
     dataset = make_dataset(
         [make_user("a"), make_user("b")], [make_tweet("t1", "a")], [make_reply("r1", "t1", "b")]
     )
     save_dataset(dataset, tmp_path / "archive.jsonl")
-    spans = tmp_path / "spans.json"
-    result = subprocess.run(
-        [
-            sys.executable, str(ROOT / "bench" / "tracer.py"), str(spans), "ingest",
-            "ingest", str(tmp_path / "archive.jsonl"), "--output-dir", str(tmp_path / "out"),
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
+    counts = _traced_counts(
+        tmp_path, "ingest", str(tmp_path / "archive.jsonl"), "--output-dir", str(tmp_path / "out")
     )
-    assert result.returncode == 0, result.stderr
-    counts = json.loads(spans.read_text(encoding="utf-8"))["counts"]
     assert counts["archive.load_dataset_calls"] == 1
+
+
+def test_traced_features_times_the_matrix_work(tmp_path):
+    """The features command builds and writes its matrix through the two
+    functions the tracer times."""
+    dataset = make_dataset(
+        [make_user("a"), make_user("b")], [make_tweet("t1", "a")], [make_reply("r1", "t1", "b")]
+    )
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(dataset, path)
+    assert main(["annotate", str(path), "--output-dir", str(tmp_path)]) == 0
+    counts = _traced_counts(tmp_path, "features", str(path), "--output-dir", str(tmp_path / "out"))
+    assert counts["features.assemble_matrix_calls"] == 1
+    assert counts["features.save_matrix_calls"] == 1

@@ -218,7 +218,7 @@ class TestTrainValidation:
 
     def test_matrix_training_needs_labels(self):
         matrix = FeatureMatrix(
-            domain="d", period=0, user_ids=("a", "b"), x=np.zeros((2, 12))
+            domain="d", period=0, user_ids=("a", "b"), rows=((0.0,) * 12,) * 2
         )
         with pytest.raises(ValueError, match="no labels"):
             train(ModelSpec("naive_bayes"), matrix)
