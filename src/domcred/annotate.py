@@ -332,10 +332,12 @@ def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedR
     replies: list[AnnotatedReply] = []
     interned: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: annotations file is not UTF-8: {exc}") from exc
-    for line_no, line in enumerate(text.splitlines(), 1):
+    # lines end at "\n" alone: a string may hold U+2028 or U+0085 raw, which
+    # str.splitlines would break at, and a lone "\r" is JSON whitespace
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:

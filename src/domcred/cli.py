@@ -32,6 +32,7 @@ from .annotate import (
 from .corpus.archive import (
     ArchiveFormatError,
     json_value,
+    load_columns,
     load_dataset,
     load_labels,
     read_json,
@@ -175,11 +176,12 @@ def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
     return 0
 
 
-def _load_canonical(path: str):
-    """The dataset `ingest` wrote, which loads with nothing skipped or dropped."""
+def _load_canonical(path: str, load):
+    """The dataset `ingest` wrote, which loads with nothing skipped or dropped,
+    as ``load`` (load_dataset or load_columns) reads it."""
     rerun = "; write it again with `domcred ingest`"
     try:
-        dataset, report = load_dataset(path, fail_fast=True)
+        dataset, report = load(path, fail_fast=True)
     except ArchiveFormatError as exc:
         raise ValueError(f"{path}: {exc}{rerun}") from exc
     dropped = {k: v for k, v in asdict(report).items() if v}
@@ -190,7 +192,7 @@ def _load_canonical(path: str):
 
 
 def cmd_annotate(args, config, out_dir: Path, seed: int) -> int:
-    dataset = _load_canonical(args.dataset)
+    dataset = _load_canonical(args.dataset, load_dataset)
     annotator = _build_annotator(args, config)
     tweets, replies, report = annotate_dataset(dataset, annotator, fail_fast=args.fail_fast)
     annotations_path = out_dir / "annotations.jsonl"
@@ -234,8 +236,9 @@ def _render_period_report(domain: str, slices, cells, top_k: int) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _read_annotations(dataset_path: str, dataset):
-    """The annotations `annotate` wrote beside the dataset, checked id for id."""
+def _read_annotations(dataset_path: str, columns):
+    """The annotations `annotate` wrote beside the dataset, checked id for id
+    against its columns."""
     path = Path(dataset_path).parent / "annotations.jsonl"
     if not path.is_file():
         raise ValueError(
@@ -244,8 +247,8 @@ def _read_annotations(dataset_path: str, dataset):
         )
     tweets, replies = load_annotations(path)
     for kind, got, want in (
-        ("tweet", [t.tweet_id for t in tweets], [t.tweet_id for t in dataset.tweets]),
-        ("reply", [r.reply_id for r in replies], [r.reply_id for r in dataset.replies]),
+        ("tweet", tuple(t.tweet_id for t in tweets), columns.tweet_ids),
+        ("reply", tuple(r.reply_id for r in replies), columns.reply_ids),
     ):
         if got != want:
             examples = sorted(set(got) ^ set(want)) or [a for a, b in zip(got, want) if a != b]
@@ -265,20 +268,21 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         save_matrix,
     )
 
-    dataset = _load_canonical(args.dataset)
-    tweets, replies = _read_annotations(args.dataset, dataset)
+    # the stage reads the dataset as columns, with no record per user, tweet or reply
+    columns = _load_canonical(args.dataset, load_columns)
+    tweets, replies = _read_annotations(args.dataset, columns)
     known_domains = sorted({d.label for t in tweets for d in t.merged_domains})
     if not known_domains:
         raise ValueError(
             f"no annotated tweet carries a domain ({args.dataset} holds"
-            f" {len(dataset.tweets)} tweets); there is no domain to analyze"
+            f" {len(columns.tweet_ids)} tweets); there is no domain to analyze"
         )
     domain = args.domain or config.get("domain") or known_domains[0]
     labels = load_labels(args.labels) if args.labels else None
     if labels is not None:
         if labels.domain != domain:
             raise ValueError(f"labels file is for domain {labels.domain!r}, not {domain!r}")
-        labels.validate_against(dataset)
+        labels.validate_against(columns)
     if domain not in known_domains:
         raise ValueError(f"unknown domain {domain!r}; annotations carry {known_domains}")
 
@@ -290,9 +294,9 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         start=parse_timestamp(args.start) if args.start else None,
         granularity=_resolve(args, config, "granularity", "month"),
     )
-    slices, partition_report = partition_periods(dataset, spec)
-    domain_features = accumulate_domain_features(dataset, tweets, replies, slices)
-    global_features = compute_global_features(dataset)
+    slices, partition_report = partition_periods(columns, spec)
+    domain_features = accumulate_domain_features(columns, tweets, replies, slices)
+    global_features = compute_global_features(columns)
     matrix = assemble_matrix(domain, POOLED, domain_features, global_features, labels=labels)
     matrix_path = out_dir / "features.csv"
     save_matrix(matrix, matrix_path)

@@ -10,19 +10,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import re
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .types import (
     Dataset,
+    DatasetColumns,
     GroundTruthLabels,
     ReplyRecord,
     TweetRecord,
     UserProfile,
+    check_unique,
     format_timestamp,
     parse_timestamp,
+    reply_row,
+    tweet_row,
+    user_row,
 )
 
 KINDS = ("user", "tweet", "reply", "dataset")
@@ -164,6 +171,204 @@ def _reply_from_body(body: dict) -> ReplyRecord:
     )
 
 
+# The inverse of each record template: a line that template writes, split by
+# one pattern into its fields.  A group takes only text that json.loads reads
+# as the same value: a string with nothing escaped (no '"', '\' or control
+# character), a count without sign, fraction or exponent.
+_CHARS = r'[^"\\\x00-\x1f]*'
+_STRING = f'"({_CHARS})"'
+# a timestamp as format_timestamp writes it, inside the template's own
+# quotes; the group holds it without its Z
+_STAMP = r"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{6})?)Z"
+_COUNT = "(0|[1-9][0-9]*)"
+_FLAG = "(true|false)"
+_LANGUAGE = f'(?:null|"({_CHARS})")'  # no group text for null
+
+
+def _inverse(template: str, *groups: str) -> str:
+    """The pattern of the lines ``template`` writes, one group per placeholder;
+    a reader compiles it on first use, so importing the module compiles none."""
+    fill = iter(groups)
+    return re.sub("%[sd]", lambda _: next(fill), re.escape(template))
+
+
+_USER_PATTERN = _inverse(_USER_LINE, _STAMP, _COUNT, _COUNT, _STRING, _STRING)
+_TWEET_PATTERN = _inverse(
+    _TWEET_LINE, _STRING, _COUNT, _FLAG, _LANGUAGE, _STAMP, _COUNT, _COUNT, _STRING, _STRING
+)
+_REPLY_PATTERN = _inverse(_REPLY_LINE, _STRING, _STRING, _STAMP, _STRING, _STRING)
+
+
+def _utc(stamp: str) -> datetime:
+    """``parse_timestamp(stamp + "Z")`` for a stamp _STAMP took: the same
+    call to fromisoformat, whose UTC result needs no conversion."""
+    return datetime.fromisoformat(stamp + "+00:00")
+
+
+def _user_fields(created, followers, friends, handle, user_id) -> tuple:
+    return (user_id, handle, int(followers), int(friends), _utc(created))
+
+
+def _tweet_fields(
+    author, favorites, is_retweet, language, posted, replies, retweets, text, tweet_id
+) -> tuple:
+    return (
+        tweet_id,
+        author,
+        _utc(posted),
+        text,
+        int(retweets),
+        int(favorites),
+        int(replies),
+        is_retweet == "true",
+        language,
+    )
+
+
+def _reply_fields(author, parent, posted, reply_id, text) -> tuple:
+    return (reply_id, parent, author, _utc(posted), text)
+
+
+# per record kind: its record class and row, the canonical line's pattern
+# and the fields its groups give in record field order, and the record read
+# from any JSON body
+_RECORD_KINDS = (
+    ("reply", ReplyRecord, reply_row, _REPLY_PATTERN, _reply_fields, _reply_from_body),
+    ("tweet", TweetRecord, tweet_row, _TWEET_PATTERN, _tweet_fields, _tweet_from_body),
+    ("user", UserProfile, user_row, _USER_PATTERN, _user_fields, _user_from_body),
+)
+# the start every record template shares, which a line must have to match one
+_CANONICAL_START = '{"body":{"'
+
+
+def _read_records(
+    path: Path, fail_fast: bool, report: LoadReport, rows: bool
+) -> tuple[dict[str, list], datetime | None, str]:
+    """The records of an archive file by kind, in file order, as rows (each
+    record's fields in field order) with ``rows``, else as records; then the
+    meta line's capture timestamp and provenance.
+
+    A line written as ``dataset_to_lines`` writes it is split by its kind's
+    pattern.  Any other line is decoded as JSON and read field by field into
+    a record, which checks it, so both give the same fields, and a line
+    either way gives the same error.  With ``fail_fast`` a malformed line
+    raises ArchiveFormatError; otherwise it is skipped and counted in
+    ``report``.
+    """
+    records: dict[str, list] = {}
+    canonical, from_body = [], {}
+    for kind, record, row, pattern, split, build in _RECORD_KINDS:
+        append = records.setdefault(kind, []).append
+        match = re.compile(pattern).fullmatch
+        canonical.append((match, split, None if rows else record, append))
+        from_body[kind] = (build, row if rows else None, append)
+    meta_capture: datetime | None = None
+    provenance = ""
+    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
+    # so a bad line is found, and counted, on its own; lines end at "\n" alone,
+    # since a lone "\r" is JSON whitespace inside a line
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                if not line.isascii():
+                    _check_utf8(line)
+                # a line that starts as no template does goes straight to JSON
+                tries = canonical if line.startswith(_CANONICAL_START) else ()
+                for match, split, record, append in tries:
+                    m = match(line)
+                    if m:
+                        values = split(*m.groups())
+                        append(record(*values) if record else values)
+                        break
+                else:
+                    envelope = decode_line(line)
+                    if not isinstance(envelope, dict):
+                        raise ValueError("envelope is not an object")
+                    kind = envelope.get("kind")
+                    if kind not in KINDS:
+                        raise ValueError(f"unknown kind {kind!r}")
+                    if kind == "dataset":
+                        capture = _field(envelope, "capture_at", str, None)
+                        if capture is not None:
+                            meta_capture = parse_timestamp(capture)
+                        provenance = _field(envelope, "provenance", str, "")
+                        continue
+                    body = envelope.get("body")
+                    if not isinstance(body, dict):
+                        raise ValueError("missing body object")
+                    build, row, append = from_body[kind]
+                    append(row(build(body)) if row else build(body))
+            except ArchiveFormatError:
+                raise
+            except (KeyError, ValueError, TypeError) as exc:
+                if fail_fast:
+                    raise ArchiveFormatError(line_no, str(exc)) from exc
+                report.malformed_lines += 1
+                report.malformed_line_numbers.append(line_no)
+    return records, meta_capture, provenance
+
+
+def _getters(record_class, rows: bool, *names: str):
+    """One getter per field name, for rows (by position) or for records."""
+    if not rows:
+        return [attrgetter(name) for name in names]
+    position = {f.name: i for i, f in enumerate(fields(record_class))}
+    return [itemgetter(position[name]) for name in names]
+
+
+def _load(
+    path: str | Path,
+    fail_fast: bool,
+    capture_at: datetime | None,
+    max_friends: int | None,
+    rows: bool,
+) -> tuple[list, list, list, datetime, str, LoadReport]:
+    """The users, tweets and replies that load, as rows with ``rows``, else
+    as records, then the capture timestamp, the provenance and the report:
+    the rules of load_dataset."""
+    if max_friends is not None and max_friends < 1:
+        raise ValueError(f"max_friends must be at least 1, got {max_friends}")
+    report = LoadReport()
+    records, meta_capture, provenance = _read_records(Path(path), fail_fast, report, rows)
+    users, tweets, replies = records["user"], records["tweet"], records["reply"]
+    user_id, friends, created = _getters(
+        UserProfile, rows, "user_id", "friends_count", "created_at"
+    )
+    tweet_id, author, posted = _getters(TweetRecord, rows, "tweet_id", "author_id", "posted_at")
+    parent, replier, replied = _getters(
+        ReplyRecord, rows, "parent_tweet_id", "author_id", "posted_at"
+    )
+
+    if max_friends is not None:
+        kept = [u for u in users if friends(u) < max_friends]
+        report.filtered_users = len(users) - len(kept)
+        users = kept
+
+    if capture_at is None:
+        capture_at = meta_capture
+    if capture_at is None:
+        stamps = [posted(t) for t in tweets] + [replied(r) for r in replies]
+        stamps += [created(u) for u in users]
+        if stamps:
+            capture_at = max(stamps) + timedelta(days=1)
+        else:
+            capture_at = parse_timestamp("1970-01-01T00:00:00Z")
+
+    alive = [u for u in users if created(u) < capture_at]
+    report.quarantined_users = len(users) - len(alive)
+
+    user_ids = {user_id(u) for u in alive}
+    resolved_tweets = [t for t in tweets if author(t) in user_ids]
+    report.quarantined_tweets = len(tweets) - len(resolved_tweets)
+    tweet_ids = {tweet_id(t) for t in resolved_tweets}
+    resolved_replies = [r for r in replies if parent(r) in tweet_ids and replier(r) in user_ids]
+    report.quarantined_replies = len(replies) - len(resolved_replies)
+    return alive, resolved_tweets, resolved_replies, capture_at, provenance, report
+
+
 def load_dataset(
     path: str | Path,
     fail_fast: bool = False,
@@ -179,91 +384,31 @@ def load_dataset(
     ``max_friends`` optionally drops users at or above the given friends count
     (off by default), together with their records; it must be at least 1.
     """
-    if max_friends is not None and max_friends < 1:
-        raise ValueError(f"max_friends must be at least 1, got {max_friends}")
-    path = Path(path)
-    report = LoadReport()
-    users: list[UserProfile] = []
-    tweets: list[TweetRecord] = []
-    replies: list[ReplyRecord] = []
-    meta_capture: datetime | None = None
-    provenance = ""
-
-    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
-    # so a bad line is found, and counted, on its own
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                if not line.isascii():
-                    _check_utf8(line)
-                envelope = decode_line(line)
-                if not isinstance(envelope, dict):
-                    raise ValueError("envelope is not an object")
-                kind = envelope.get("kind")
-                if kind not in KINDS:
-                    raise ValueError(f"unknown kind {kind!r}")
-                if kind == "dataset":
-                    capture = _field(envelope, "capture_at", str, None)
-                    if capture is not None:
-                        meta_capture = parse_timestamp(capture)
-                    provenance = _field(envelope, "provenance", str, "")
-                    continue
-                body = envelope.get("body")
-                if not isinstance(body, dict):
-                    raise ValueError("missing body object")
-                if kind == "user":
-                    users.append(_user_from_body(body))
-                elif kind == "tweet":
-                    tweets.append(_tweet_from_body(body))
-                else:
-                    replies.append(_reply_from_body(body))
-            except ArchiveFormatError:
-                raise
-            except (KeyError, ValueError, TypeError) as exc:
-                if fail_fast:
-                    raise ArchiveFormatError(line_no, str(exc)) from exc
-                report.malformed_lines += 1
-                report.malformed_line_numbers.append(line_no)
-
-    if max_friends is not None:
-        kept = [u for u in users if u.friends_count < max_friends]
-        report.filtered_users = len(users) - len(kept)
-        users = kept
-
-    if capture_at is None:
-        capture_at = meta_capture
-    if capture_at is None:
-        stamps = [t.posted_at for t in tweets] + [r.posted_at for r in replies]
-        stamps += [u.created_at for u in users]
-        if stamps:
-            capture_at = max(stamps) + timedelta(days=1)
-        else:
-            capture_at = parse_timestamp("1970-01-01T00:00:00Z")
-
-    alive = [u for u in users if u.created_at < capture_at]
-    report.quarantined_users = len(users) - len(alive)
-    users = alive
-
-    user_ids = {u.user_id for u in users}
-    resolved_tweets = [t for t in tweets if t.author_id in user_ids]
-    report.quarantined_tweets = len(tweets) - len(resolved_tweets)
-    tweet_ids = {t.tweet_id for t in resolved_tweets}
-    resolved_replies = [
-        r for r in replies if r.parent_tweet_id in tweet_ids and r.author_id in user_ids
-    ]
-    report.quarantined_replies = len(replies) - len(resolved_replies)
-
+    users, tweets, replies, capture_at, provenance, report = _load(
+        path, fail_fast, capture_at, max_friends, rows=False
+    )
     dataset = Dataset(
         users=tuple(users),
-        tweets=tuple(resolved_tweets),
-        replies=tuple(resolved_replies),
+        tweets=tuple(tweets),
+        replies=tuple(replies),
         capture_at=capture_at,
         provenance=provenance,
     )
     return dataset, report
+
+
+def load_columns(path: str | Path, fail_fast: bool = False) -> tuple[DatasetColumns, LoadReport]:
+    """The columns of ``load_dataset(path, fail_fast)``'s Dataset, read
+    without building a record: the same lines load, are quarantined or fail,
+    with the same report and the same errors."""
+    users, tweets, replies, capture_at, _, report = _load(path, fail_fast, None, None, rows=True)
+    by_id = itemgetter(0)
+    columns = DatasetColumns.from_rows(
+        sorted(users, key=by_id), sorted(tweets, key=by_id), sorted(replies, key=by_id), capture_at
+    )
+    check_unique("tweet", columns.tweet_ids)
+    check_unique("reply", columns.reply_ids)
+    return columns, report
 
 
 def dataset_to_lines(dataset: Dataset) -> list[str]:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .types import Dataset, PeriodSlice
+from .types import Dataset, DatasetColumns, PeriodSlice, columns_of
 
 GRANULARITIES = ("month", "quarter", "year")
 _MONTHS_PER = {"month": 1, "quarter": 3, "year": 12}
@@ -65,7 +65,7 @@ def _add_months(dt: datetime, months: int) -> datetime:
 
 
 def partition_periods(
-    dataset: Dataset, spec: PeriodSpec
+    dataset: Dataset | DatasetColumns, spec: PeriodSpec
 ) -> tuple[tuple[PeriodSlice, ...], PartitionReport]:
     """Slice the dataset timeline into consecutive periods (spec.n_periods, or
     just enough to reach the last record when that is None).
@@ -74,13 +74,14 @@ def partition_periods(
     posted_at to at most one slice; anything before the range start or at or
     after the range end is out of range.
     """
-    stamps = [t.posted_at for t in dataset.tweets] + [r.posted_at for r in dataset.replies]
+    columns = columns_of(dataset)
+    stamps = [*columns.tweet_posted, *columns.reply_posted]
     if spec.start is not None:
         first = spec.start.astimezone(timezone.utc)
     elif stamps:
         first = _floor_boundary(min(stamps), spec.granularity)
     else:
-        first = _floor_boundary(dataset.capture_at, spec.granularity)
+        first = _floor_boundary(columns.capture_at, spec.granularity)
 
     step = _MONTHS_PER[spec.granularity]
     n_periods = spec.n_periods
@@ -95,8 +96,8 @@ def partition_periods(
     tweet_ids = [set() for _ in range(n_periods)]
     reply_ids = [set() for _ in range(n_periods)]
     for ids, pairs in (
-        (tweet_ids, ((t.tweet_id, t.posted_at) for t in dataset.tweets)),
-        (reply_ids, ((r.reply_id, r.posted_at) for r in dataset.replies)),
+        (tweet_ids, zip(columns.tweet_ids, columns.tweet_posted)),
+        (reply_ids, zip(columns.reply_ids, columns.reply_posted)),
     ):
         for record_id, posted_at in pairs:
             i = bisect_right(edges, posted_at) - 1
@@ -114,7 +115,7 @@ def partition_periods(
         empty_periods=sum(1 for a, b in zip(tweets_per, replies_per) if a == 0 and b == 0),
         tweets_per_period=tweets_per,
         replies_per_period=replies_per,
-        out_of_range_tweets=len(dataset.tweets) - sum(tweets_per),
-        out_of_range_replies=len(dataset.replies) - sum(replies_per),
+        out_of_range_tweets=len(columns.tweet_ids) - sum(tweets_per),
+        out_of_range_replies=len(columns.reply_ids) - sum(replies_per),
     )
     return tuple(slices), report

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
 
 INFLUENCER = "Influencer"
 NON_INFLUENCER = "NonInfluencer"
@@ -75,6 +78,66 @@ class ReplyRecord:
     text: str
 
 
+def _row_of(record_class):
+    """A record's fields as a tuple in field order: ``record_class(*row)`` rebuilds it."""
+    return attrgetter(*(f.name for f in fields(record_class)))
+
+
+user_row, tweet_row, reply_row = map(_row_of, (UserProfile, TweetRecord, ReplyRecord))
+
+
+def check_unique(kind: str, ids) -> None:
+    """ValueError naming the first repeated id; ``ids`` are sorted."""
+    if len(set(ids)) < len(ids):
+        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise ValueError(f"duplicate {kind}_id {repeated!r}")
+
+
+class DatasetColumns(NamedTuple):
+    """The fields that ``features`` reads, one tuple per field, each record
+    kind in the dataset's id order; no texts and no records.  It is a named
+    tuple because every command imports this module, and a named tuple costs
+    that import a fraction of what a frozen dataclass does."""
+
+    user_ids: tuple[str, ...]
+    followers: tuple[int, ...]
+    friends: tuple[int, ...]
+    tweet_ids: tuple[str, ...]
+    tweet_authors: tuple[str, ...]
+    tweet_posted: tuple[datetime, ...]
+    retweets: tuple[int, ...]
+    favorites: tuple[int, ...]
+    tweet_replies: tuple[int, ...]
+    reply_ids: tuple[str, ...]
+    reply_parents: tuple[str, ...]
+    reply_posted: tuple[datetime, ...]
+    capture_at: datetime
+
+    @classmethod
+    def from_rows(cls, users, tweets, replies, capture_at: datetime) -> DatasetColumns:
+        """The columns of record rows (``user_row`` and its kin), sorted by id."""
+        user_ids, _, followers, friends, _ = _transpose(users, 5)
+        tweet_ids, authors, posted, _, retweets, favorites, tweet_replies, _, _ = _transpose(
+            tweets, 9
+        )
+        reply_ids, parents, _, reply_posted, _ = _transpose(replies, 5)
+        return cls(
+            *(user_ids, followers, friends),
+            *(tweet_ids, authors, posted, retweets, favorites, tweet_replies),
+            *(reply_ids, parents, reply_posted, capture_at),
+        )
+
+    def tweet_engagement(self):
+        """(tweet id, author, retweets, favorites, replies) per tweet, in id order."""
+        return zip(
+            self.tweet_ids, self.tweet_authors, self.retweets, self.favorites, self.tweet_replies
+        )
+
+
+def _transpose(rows, width: int) -> tuple[tuple, ...]:
+    return tuple(zip(*rows)) or ((),) * width
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable snapshot of an archive; record tuples are sorted by id."""
@@ -92,16 +155,23 @@ class Dataset:
         for u in self.users:
             if u.created_at >= self.capture_at:
                 raise ValueError(f"user {u.user_id} created at or after capture_at")
-        seen: set[str] = set()
-        for t in self.tweets:
-            if t.tweet_id in seen:
-                raise ValueError(f"duplicate tweet_id {t.tweet_id!r}")
-            seen.add(t.tweet_id)
-        seen = set()
-        for r in self.replies:
-            if r.reply_id in seen:
-                raise ValueError(f"duplicate reply_id {r.reply_id!r}")
-            seen.add(r.reply_id)
+        check_unique("tweet", [t.tweet_id for t in self.tweets])
+        check_unique("reply", [r.reply_id for r in self.replies])
+
+    @cached_property
+    def columns(self) -> DatasetColumns:
+        """The columns view that ``features`` reads, built on first use."""
+        return DatasetColumns.from_rows(
+            map(user_row, self.users),
+            map(tweet_row, self.tweets),
+            map(reply_row, self.replies),
+            self.capture_at,
+        )
+
+
+def columns_of(data: Dataset | DatasetColumns) -> DatasetColumns:
+    """The columns view of a dataset; columns are their own view."""
+    return data.columns if isinstance(data, Dataset) else data
 
 
 @dataclass(frozen=True)
@@ -129,8 +199,8 @@ class GroundTruthLabels:
         if bad:
             raise ValueError(f"unknown label values: {sorted(bad)}")
 
-    def validate_against(self, dataset: Dataset) -> None:
-        known = {u.user_id for u in dataset.users}
+    def validate_against(self, dataset: Dataset | DatasetColumns) -> None:
+        known = set(columns_of(dataset).user_ids)
         missing = sorted(set(self.labels) - known)
         if missing:
             raise ValueError(

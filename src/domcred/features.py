@@ -23,7 +23,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
-from .corpus.types import LABELS, Dataset, GroundTruthLabels, PeriodSlice, UserProfile
+from .corpus.types import (
+    LABELS,
+    Dataset,
+    DatasetColumns,
+    GroundTruthLabels,
+    PeriodSlice,
+    UserProfile,
+    columns_of,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -132,7 +140,7 @@ def compute_ffr(profile: UserProfile, capture_at: datetime) -> float:
 
 
 def accumulate_domain_features(
-    dataset: Dataset,
+    dataset: Dataset | DatasetColumns,
     annotated_tweets: Iterable[AnnotatedTweet],
     annotated_replies: Iterable[AnnotatedReply],
     slices: Iterable[PeriodSlice] = (),
@@ -150,8 +158,9 @@ def accumulate_domain_features(
     sentiment to the parent tweet's author, split by the parent's weights.
     A reply belongs to a slice by its own timestamp, so late replies to an
     earlier tweet count in the period they were written.  Tweets with no
-    usable annotation contribute nothing.
+    usable annotation contribute nothing.  Only the dataset's columns are read.
     """
+    columns = columns_of(dataset)
     weights_by_tweet = {
         t.tweet_id: relativeness_weights(t.merged_domains) for t in annotated_tweets
     }
@@ -169,13 +178,12 @@ def accumulate_domain_features(
     cells: dict[tuple[str, str, int], list] = {}
     cell = cells.get
 
-    for tweet in dataset.tweets:
-        weights = weights_by_tweet.get(tweet.tweet_id)
+    for tweet_id, author, rt, fav, rep in columns.tweet_engagement():
+        weights = weights_by_tweet.get(tweet_id)
         if not weights:
             continue
-        author = author_of[tweet.tweet_id] = tweet.author_id
-        periods = periods_of[tweet_slice.get(tweet.tweet_id)]
-        rt, fav, rep = tweet.retweet_count, tweet.favorite_count, tweet.replies_count
+        author_of[tweet_id] = author
+        periods = periods_of[tweet_slice.get(tweet_id)]
         for domain, w in weights.items():
             r, l, p = rt * w, fav * w, rep * w
             for period in periods:
@@ -188,17 +196,17 @@ def accumulate_domain_features(
                 acc[2] += p
                 acc[7] += 1
 
-    for reply in dataset.replies:
-        sentiment = sentiment_by_reply.get(reply.reply_id, 0.0)
+    for reply_id, parent in zip(columns.reply_ids, columns.reply_parents):
+        sentiment = sentiment_by_reply.get(reply_id, 0.0)
         if sentiment == 0.0:
             continue
-        author = author_of.get(reply.parent_tweet_id)
+        author = author_of.get(parent)
         if author is None:
             continue
-        periods = periods_of[reply_slice.get(reply.reply_id)]
+        periods = periods_of[reply_slice.get(reply_id)]
         # positive replies fill sp and count_pos, the rest sn and count_neg
         total, count = (3, 5) if sentiment > 0 else (4, 6)
-        for domain, w in weights_by_tweet[reply.parent_tweet_id].items():
+        for domain, w in weights_by_tweet[parent].items():
             s = sentiment * w
             for period in periods:
                 key = (author, domain, period)
@@ -212,30 +220,32 @@ def accumulate_domain_features(
 
 
 def compute_global_features(
-    dataset: Dataset, period: PeriodSlice | None = None
+    dataset: Dataset | DatasetColumns, period: PeriodSlice | None = None
 ) -> dict[str, UserGlobalFeatures]:
     """Profile features plus in-selection engagement totals, per active user.
 
     A user is active when they have at least one tweet in the selection.
+    Only the dataset's columns are read.
     """
+    columns = columns_of(dataset)
     totals: dict[str, list[int]] = {}
-    for tweet in dataset.tweets:
-        if period is not None and tweet.tweet_id not in period.tweet_ids:
+    for tweet_id, author, rt, fav, rep in columns.tweet_engagement():
+        if period is not None and tweet_id not in period.tweet_ids:
             continue
-        entry = totals.setdefault(tweet.author_id, [0, 0, 0])
-        entry[0] += tweet.retweet_count
-        entry[1] += tweet.favorite_count
-        entry[2] += tweet.replies_count
+        entry = totals.setdefault(author, [0, 0, 0])
+        entry[0] += rt
+        entry[1] += fav
+        entry[2] += rep
 
     out: dict[str, UserGlobalFeatures] = {}
-    for user in dataset.users:
-        if user.user_id not in totals:
+    for user_id, followers, friends in zip(columns.user_ids, columns.followers, columns.friends):
+        if user_id not in totals:
             continue
-        rt, fav, rep = totals[user.user_id]
-        out[user.user_id] = UserGlobalFeatures(
-            user_id=user.user_id,
-            followers_count=user.followers_count,
-            friends_count=user.friends_count,
+        rt, fav, rep = totals[user_id]
+        out[user_id] = UserGlobalFeatures(
+            user_id=user_id,
+            followers_count=followers,
+            friends_count=friends,
             retweet_total=rt,
             favorite_total=fav,
             replies_total=rep,
@@ -387,7 +397,7 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
     is rejected rather than read without it.  Every row must share one
     (domain, period): a stacked file holding several is rejected rather than
     read as the last row's selection.  Every feature cell must be finite and
-    every label one of ``LABELS``.
+    every label one of ``LABELS``, and a file with no data rows is rejected.
     """
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -433,7 +443,9 @@ def load_matrix(path: str | Path) -> FeatureMatrix:
                         f" labels are {' or '.join(LABELS)}"
                     )
                 labels.append(row[-1])
-    domain, period = selection or ("", POOLED)
+    if selection is None:
+        raise ValueError(f"{path}: no data rows")
+    domain, period = selection
     return FeatureMatrix(
         domain=domain,
         period=period,

@@ -20,6 +20,7 @@ from domcred.annotate import annotate_dataset, load_annotations, save_annotation
 from domcred.cli import main
 from domcred.corpus.archive import load_dataset, load_labels, save_dataset
 from domcred.corpus.periods import PeriodSpec, partition_periods
+from domcred.corpus.types import ReplyRecord, TweetRecord, UserProfile
 from domcred.features import (
     POOLED,
     accumulate_domain_features,
@@ -365,6 +366,18 @@ class TestCanonicalDataset:
         assert "`domcred ingest`" in err
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("command", ["annotate", "features"])
+    def test_duplicate_tweet_fails(self, pipeline, tmp_path, capsys, command):
+        dataset = tmp_path / "dataset.jsonl"
+        lines = pipeline["dataset"].read_text(encoding="utf-8").split("\n")
+        tweet = next(line for line in lines if line.endswith('"kind":"tweet"}'))
+        dataset.write_text("\n".join([*lines, tweet]) + "\n", encoding="utf-8")
+        tweet_id = json.loads(tweet)["body"]["tweet_id"]
+        argv = [command, str(dataset), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + (["--domain", TECH] if command == "features" else [])) == 1
+        assert capsys.readouterr().err == f"error: duplicate tweet_id {tweet_id!r}\n"
+        assert not any((tmp_path / "out").iterdir())
+
 
 class TestReportBytes:
     """The corpus-side reports of one small fixed pipeline, byte for byte."""
@@ -503,6 +516,37 @@ class TestFeatures:
         payload = json.loads(pipeline["report_json"].read_text())
         assert payload["domain"] == TECH
         assert payload["rows"] >= 50
+
+    def test_reads_the_dataset_as_columns(self, pipeline, tmp_path, monkeypatch):
+        built = []
+        for record in (UserProfile, TweetRecord, ReplyRecord):
+
+            def counted(self, *args, init=record.__init__, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(record, "__init__", counted)
+        argv = ["features", str(pipeline["dataset"]), "--domain", TECH, "--labels"]
+        argv += [str(pipeline["labels"]), "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert built == []
+        assert (tmp_path / "features.csv").read_bytes() == pipeline["matrix"].read_bytes()
+
+    def test_respelled_dataset_gives_the_same_bytes(self, pipeline, tmp_path):
+        # every line re-spelled as json.dumps writes it reads as JSON, not by pattern
+        respelled = tmp_path / "dataset.jsonl"
+        with pipeline["dataset"].open(encoding="utf-8") as lines:
+            respelled.write_text(
+                "".join(json.dumps(json.loads(line)) + "\n" for line in lines), encoding="utf-8"
+            )
+        assert respelled.read_bytes() != pipeline["dataset"].read_bytes()
+        shutil.copy(pipeline["dataset"].parent / "annotations.jsonl", tmp_path)
+        argv = ["features", str(respelled), "--domain", TECH, "--labels"]
+        argv += [str(pipeline["labels"]), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        for name in ("matrix", "report_txt", "report_json"):
+            got = tmp_path / "out" / pipeline[name].name
+            assert got.read_bytes() == pipeline[name].read_bytes(), name
 
     def test_unknown_domain_fails(self, pipeline, tmp_path, capsys):
         rc = main(
@@ -851,6 +895,7 @@ class TestMalformedInputs:
             ("features", "annotations.jsonl", '{"kind": "report", "n_tweets": 0}'),
             ("features", "annotations.jsonl", "not json"),
             ("features", "annotations.jsonl", "\xff{}"),
+            ("benchmark", "features.csv", "HEADER\n"),
         ],
     )
     def test_malformed_file_fails_naming_it(

@@ -16,10 +16,12 @@ from domcred.annotate import (
     load_annotations,
     save_annotations,
 )
+from domcred.corpus import archive
 from domcred.corpus.archive import (
     ArchiveFormatError,
     dataset_to_lines,
     decode_line,
+    load_columns,
     load_dataset,
     save_dataset,
 )
@@ -79,9 +81,10 @@ class TestTimestamps:
             parse_timestamp(text)
 
 
-def datasets():
-    text = st.text(max_size=12)
-    ids = st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True)
+def datasets(chars=st.characters(codec="utf-8")):
+    """Datasets whose ids, handles, texts and languages draw from chars."""
+    text = st.text(chars, max_size=12)
+    ids = st.lists(st.text(chars, min_size=1, max_size=6), min_size=1, max_size=4, unique=True)
     counts = st.integers(0, 10**12)
 
     @st.composite
@@ -106,7 +109,7 @@ def datasets():
                 favorite_count=draw(counts),
                 replies_count=draw(counts),
                 is_retweet=draw(st.booleans()),
-                language=draw(st.none() | st.text(max_size=3)),
+                language=draw(st.none() | st.text(chars, max_size=3)),
             )
             for tid in draw(ids)
         )
@@ -328,6 +331,21 @@ class TestLineSeparatorsInText:
         assert loaded == dataset
         assert loaded.tweets[0].text == self.TEXT == loaded.replies[0].text
 
+    def test_annotation_ids_keep_them_raw(self, tmp_path):
+        # annotate writes ASCII, but a legal line may hold them raw, and a
+        # lone carriage return as whitespace
+        path = tmp_path / "annotations.jsonl"
+        path.write_text(
+            '{"kind": "tweet", "merged_domains": [], "tweet_id": "t\u20281"}\n'
+            '{"kind": "reply",\r "reply_id": "r\x851", "sentiment": 0.5}\n',
+            encoding="utf-8",
+        )
+        assert path.read_bytes().count(b"\n") == 2
+        assert load_annotations(path) == (
+            (AnnotatedTweet("t\u20281"),),
+            (AnnotatedReply("r\x851", 0.5),),
+        )
+
 
 class TestAnnotationNumbers:
     @pytest.mark.parametrize(
@@ -501,3 +519,150 @@ class TestArchiveFieldTypes:
         assert report.warning_count == 0
         assert dataset.provenance == ""
         assert dataset.capture_at == parse_timestamp("2020-01-02T00:00:00Z")
+
+
+# the characters a string must escape, and others json writes raw
+HOSTILE = st.sampled_from('"\\\x00\x1f\n\t\x7f\xe9\u2028\u2029\x85\U0001f600a0 ') | st.characters(
+    codec="utf-8"
+)
+_SPLITS = {
+    kind: (pattern, split, build, row)
+    for kind, _, row, pattern, split, build in archive._RECORD_KINDS
+}
+
+
+def _both_ways(line):
+    """A record line's fields split by its kind's pattern (None when the
+    pattern does not match) and read as JSON through the record builder."""
+    envelope = decode_line(line)
+    pattern, split, build, row = _SPLITS[envelope["kind"]]
+    m = re.fullmatch(pattern, line)
+    return (split(*m.groups()) if m else None), row(build(envelope["body"]))
+
+
+class TestCanonicalSplit:
+    """A canonical line is split by its kind's pattern, any other line is
+    read as JSON, and both give the same fields and the same errors."""
+
+    @given(dataset=datasets(HOSTILE))
+    @settings(max_examples=80, deadline=None)
+    def test_pattern_gives_the_json_fields(self, dataset):
+        for line in dataset_to_lines(dataset)[1:]:
+            split, read = _both_ways(line)
+            strings = [v for v in read if isinstance(v, str)]
+            # a line matches exactly when no string in it needed escaping
+            raw = all(json.dumps(v, ensure_ascii=False)[1:-1] == v for v in strings)
+            assert (split is not None) == raw
+            if split is not None:
+                assert split == read
+
+    @given(dataset=datasets(HOSTILE))
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_columns_are_the_datasets(self, tmp_path, dataset):
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(dataset, path)
+        loaded, report = load_dataset(path)
+        columns, column_report = load_columns(path)
+        assert column_report == report
+        assert columns == loaded.columns
+
+    USER = (
+        '{"body":{"created_at":"2020-01-01T00:00:00Z","followers_count":10,"friends_count":5,'
+        '"handle":"ha","user_id":"a"},"kind":"user"}'
+    )
+    TWEET = (
+        '{"body":{"author_id":"a","favorite_count":3,"is_retweet":false,"language":"en",'
+        '"posted_at":"2024-02-01T00:00:00Z","replies_count":1,"retweet_count":2,'
+        '"text":"python code","tweet_id":"t1"},"kind":"tweet"}'
+    )
+    REPLY = (
+        '{"body":{"author_id":"a","parent_tweet_id":"t1","posted_at":"2024-02-02T00:00:00Z",'
+        '"reply_id":"r1","text":"great"},"kind":"reply"}'
+    )
+
+    def test_lines_above_are_canonical(self):
+        dataset = make_dataset(
+            [make_user("a", handle="ha")],
+            [make_tweet("t1", "a", text="python code", retweets=2, favorites=3, replies=1)],
+            [make_reply("r1", "t1", "a", text="great")],
+        )
+        assert dataset_to_lines(dataset)[1:] == [self.USER, self.TWEET, self.REPLY]
+
+    def test_raw_non_ascii_is_split_by_the_pattern(self):
+        line = self.TWEET.replace("python code", "caf\xe9 \u2028 \x85 \U0001f600")
+        split, read = _both_ways(line)
+        assert split == read
+        assert read[3] == "caf\xe9 \u2028 \x85 \U0001f600"
+
+    @pytest.mark.parametrize(
+        "line, old, new, field, value",
+        [
+            (1, ',"', ', "', "retweet_count", 2),  # a space after each separator
+            (1, '"body":', '"body": ', "text", "python code"),
+            (1, "{", '{"kind":"tweet",', "tweet_id", "t1"),  # kind first: a duplicate key too
+            (1, '"retweet_count":2', '"retweet_count":-0', "retweet_count", 0),
+            (1, '"retweet_count":2', '"retweet_count":2,"retweet_count":7', "retweet_count", 7),
+            (1, '"text":"python code"', '"text":null', "text", ""),
+            # null is the canonical spelling of no language; spaced, it is not
+            (1, '"language":"en"', '"language": null', "language", None),
+            (1, '"text":"python code"', r'"text":"python \"code\""', "text", 'python "code"'),
+            (0, '"handle":"ha"', '"handle":null', "handle", "a"),
+            (2, '"text":"great"', '"text":null', "text", ""),
+            (2, "00:00:00Z", "01:00:00+01:00", "posted_at", datetime(2024, 2, 2, tzinfo=UTC)),
+            (2, "00:00:00Z", "00:00:00z", "posted_at", datetime(2024, 2, 2, tzinfo=UTC)),
+            # a lone carriage return is whitespace, not the end of the line
+            (0, ',"followers_count"', ',\r"followers_count"', "followers_count", 10),
+        ],
+    )
+    def test_respelled_line_reads_as_json(self, tmp_path, line, old, new, field, value):
+        lines = [self.USER, self.TWEET, self.REPLY]
+        assert old in lines[line]
+        lines[line] = lines[line].replace(old, new, 1)
+        assert _both_ways(lines[line])[0] is None
+        path = tmp_path / "archive.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        dataset, report = load_dataset(path, fail_fast=True)
+        assert report.warning_count == 0
+        record = (dataset.users + dataset.tweets + dataset.replies)[line]
+        assert getattr(record, field) == value
+        columns, column_report = load_columns(path, fail_fast=True)
+        assert column_report == report
+        assert columns == dataset.columns
+
+    @pytest.mark.parametrize(
+        "line, old, new, message",
+        [
+            (1, "2,", "1.0,", "retweet_count must be an integer, got 1.0"),
+            (1, "2,", "1e0,", "retweet_count must be an integer, got 1.0"),
+            (1, "2,", "-2,", "tweet t1: retweet_count < 0"),
+            (0, ":10,", ":-10,", "user a: followers_count < 0"),
+            (1, '"a"', "null", "author_id must be a string, got None"),
+            (2, "2024-02-02", "2024-13-02", "month must be in 1..12"),  # split by pattern
+            (
+                2,
+                "2024-02-02T00:00:00Z",
+                "2024-02-02",
+                "timestamp '2024-02-02' has no timezone; UTC offset required",
+            ),
+        ],
+    )
+    def test_bad_line_fails_alike_either_way(self, tmp_path, line, old, new, message):
+        lines = [self.USER, self.TWEET, self.REPLY]
+        lines[line] = lines[line].replace(old, new, 1)
+        path = tmp_path / "archive.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for load in (load_dataset, load_columns):
+            want = rf"^line {line + 1}: {re.escape(message)}$"
+            with pytest.raises(ArchiveFormatError, match=want):
+                load(path, fail_fast=True)
+            _, report = load(path)
+            assert report.malformed_line_numbers == [line + 1]
+
+    def test_duplicate_ids_fail_alike(self, tmp_path):
+        path = tmp_path / "archive.jsonl"
+        path.write_text("\n".join([self.USER, self.TWEET, self.TWEET]) + "\n", encoding="utf-8")
+        for load in (load_dataset, load_columns):
+            with pytest.raises(ValueError, match=r"^duplicate tweet_id 't1'$"):
+                load(path)

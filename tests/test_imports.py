@@ -148,3 +148,7 @@ def test_traced_features_times_the_matrix_work(tmp_path):
     counts = _traced_counts(tmp_path, "features", str(path), "--output-dir", str(tmp_path / "out"))
     assert counts["features.assemble_matrix_calls"] == 1
     assert counts["features.save_matrix_calls"] == 1
+    assert counts["features.accumulate_domain_features_calls"] == 1
+    assert counts["features.relativeness_weights_calls"] == 1  # once per tweet
+    # the stage reads the dataset as columns, not through load_dataset
+    assert "archive.load_dataset_calls" not in counts
