@@ -277,7 +277,9 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
             f"no annotated tweet carries a domain ({args.dataset} holds"
             f" {len(columns.tweet_ids)} tweets); there is no domain to analyze"
         )
-    domain = args.domain or config.get("domain") or known_domains[0]
+    domain = _resolve(args, config, "domain", None, str)
+    if domain is None:
+        domain = known_domains[0]
     labels = load_labels(args.labels) if args.labels else None
     if labels is not None:
         if labels.domain != domain:

@@ -24,7 +24,6 @@ from .types import (
     ReplyRecord,
     TweetRecord,
     UserProfile,
-    check_unique,
     format_timestamp,
     parse_timestamp,
     reply_row,
@@ -262,6 +261,7 @@ def _read_records(
         match = re.compile(pattern).fullmatch
         canonical.append((match, split, None if rows else record, append))
         from_body[kind] = (build, row if rows else None, append)
+    meta_seen = False  # apart from meta_capture: a meta line may omit capture_at
     meta_capture: datetime | None = None
     provenance = ""
     # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
@@ -291,10 +291,14 @@ def _read_records(
                     if kind not in KINDS:
                         raise ValueError(f"unknown kind {kind!r}")
                     if kind == "dataset":
+                        if meta_seen:
+                            raise ValueError("a second dataset line; an archive holds at most one")
+                        # a malformed meta line sets nothing
                         capture = _field(envelope, "capture_at", str, None)
                         if capture is not None:
-                            meta_capture = parse_timestamp(capture)
+                            capture = parse_timestamp(capture)
                         provenance = _field(envelope, "provenance", str, "")
+                        meta_capture, meta_seen = capture, True
                         continue
                     body = envelope.get("body")
                     if not isinstance(body, dict):
@@ -402,13 +406,7 @@ def load_columns(path: str | Path, fail_fast: bool = False) -> tuple[DatasetColu
     without building a record: the same lines load, are quarantined or fail,
     with the same report and the same errors."""
     users, tweets, replies, capture_at, _, report = _load(path, fail_fast, None, None, rows=True)
-    by_id = itemgetter(0)
-    columns = DatasetColumns.from_rows(
-        sorted(users, key=by_id), sorted(tweets, key=by_id), sorted(replies, key=by_id), capture_at
-    )
-    check_unique("tweet", columns.tweet_ids)
-    check_unique("reply", columns.reply_ids)
-    return columns, report
+    return DatasetColumns.from_rows(users, tweets, replies, capture_at), report
 
 
 def dataset_to_lines(dataset: Dataset) -> list[str]:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .types import Dataset, DatasetColumns, PeriodSlice, columns_of
+from .types import DatasetColumns, PeriodSlice
 
 GRANULARITIES = ("month", "quarter", "year")
 _MONTHS_PER = {"month": 1, "quarter": 3, "year": 12}
@@ -65,7 +65,7 @@ def _add_months(dt: datetime, months: int) -> datetime:
 
 
 def partition_periods(
-    dataset: Dataset | DatasetColumns, spec: PeriodSpec
+    columns: DatasetColumns, spec: PeriodSpec
 ) -> tuple[tuple[PeriodSlice, ...], PartitionReport]:
     """Slice the dataset timeline into consecutive periods (spec.n_periods, or
     just enough to reach the last record when that is None).
@@ -74,7 +74,6 @@ def partition_periods(
     posted_at to at most one slice; anything before the range start or at or
     after the range end is out of range.
     """
-    columns = columns_of(dataset)
     stamps = [*columns.tweet_posted, *columns.reply_posted]
     if spec.start is not None:
         first = spec.start.astimezone(timezone.utc)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 INFLUENCER = "Influencer"
@@ -86,11 +86,15 @@ def _row_of(record_class):
 user_row, tweet_row, reply_row = map(_row_of, (UserProfile, TweetRecord, ReplyRecord))
 
 
-def check_unique(kind: str, ids) -> None:
-    """ValueError naming the first repeated id; ``ids`` are sorted."""
+def sorted_by_id(kind: str, items, key) -> list:
+    """``items`` (records, or rows) of one kind sorted by their ids, which
+    ``key`` reads; ValueError naming the first id that repeats."""
+    ordered = sorted(items, key=key)
+    ids = list(map(key, ordered))
     if len(set(ids)) < len(ids):
         repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
         raise ValueError(f"duplicate {kind}_id {repeated!r}")
+    return ordered
 
 
 class DatasetColumns(NamedTuple):
@@ -115,12 +119,13 @@ class DatasetColumns(NamedTuple):
 
     @classmethod
     def from_rows(cls, users, tweets, replies, capture_at: datetime) -> DatasetColumns:
-        """The columns of record rows (``user_row`` and its kin), sorted by id."""
-        user_ids, _, followers, friends, _ = _transpose(users, 5)
+        """The columns of record rows (``user_row`` and its kin), sorted by id;
+        ValueError when an id repeats."""
+        user_ids, _, followers, friends, _ = _transpose("user", users, 5)
         tweet_ids, authors, posted, _, retweets, favorites, tweet_replies, _, _ = _transpose(
-            tweets, 9
+            "tweet", tweets, 9
         )
-        reply_ids, parents, _, reply_posted, _ = _transpose(replies, 5)
+        reply_ids, parents, _, reply_posted, _ = _transpose("reply", replies, 5)
         return cls(
             *(user_ids, followers, friends),
             *(tweet_ids, authors, posted, retweets, favorites, tweet_replies),
@@ -134,8 +139,9 @@ class DatasetColumns(NamedTuple):
         )
 
 
-def _transpose(rows, width: int) -> tuple[tuple, ...]:
-    return tuple(zip(*rows)) or ((),) * width
+def _transpose(kind: str, rows, width: int) -> tuple[tuple, ...]:
+    """The columns of a kind's rows in id order; a row's id is its first field."""
+    return tuple(zip(*sorted_by_id(kind, rows, itemgetter(0)))) or ((),) * width
 
 
 @dataclass(frozen=True)
@@ -149,14 +155,12 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(sorted(self.users, key=lambda u: u.user_id)))
-        object.__setattr__(self, "tweets", tuple(sorted(self.tweets, key=lambda t: t.tweet_id)))
-        object.__setattr__(self, "replies", tuple(sorted(self.replies, key=lambda r: r.reply_id)))
+        for name, kind in (("users", "user"), ("tweets", "tweet"), ("replies", "reply")):
+            records = sorted_by_id(kind, getattr(self, name), attrgetter(f"{kind}_id"))
+            object.__setattr__(self, name, tuple(records))
         for u in self.users:
             if u.created_at >= self.capture_at:
                 raise ValueError(f"user {u.user_id} created at or after capture_at")
-        check_unique("tweet", [t.tweet_id for t in self.tweets])
-        check_unique("reply", [r.reply_id for r in self.replies])
 
     @cached_property
     def columns(self) -> DatasetColumns:
@@ -167,11 +171,6 @@ class Dataset:
             map(reply_row, self.replies),
             self.capture_at,
         )
-
-
-def columns_of(data: Dataset | DatasetColumns) -> DatasetColumns:
-    """The columns view of a dataset; columns are their own view."""
-    return data.columns if isinstance(data, Dataset) else data
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,8 @@ class GroundTruthLabels:
         if bad:
             raise ValueError(f"unknown label values: {sorted(bad)}")
 
-    def validate_against(self, dataset: Dataset | DatasetColumns) -> None:
-        known = set(columns_of(dataset).user_ids)
+    def validate_against(self, columns: DatasetColumns) -> None:
+        known = set(columns.user_ids)
         missing = sorted(set(self.labels) - known)
         if missing:
             raise ValueError(

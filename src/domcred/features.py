@@ -25,12 +25,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
 from .corpus.types import (
     LABELS,
-    Dataset,
     DatasetColumns,
     GroundTruthLabels,
     PeriodSlice,
     UserProfile,
-    columns_of,
 )
 
 if TYPE_CHECKING:
@@ -140,7 +138,7 @@ def compute_ffr(profile: UserProfile, capture_at: datetime) -> float:
 
 
 def accumulate_domain_features(
-    dataset: Dataset | DatasetColumns,
+    columns: DatasetColumns,
     annotated_tweets: Iterable[AnnotatedTweet],
     annotated_replies: Iterable[AnnotatedReply],
     slices: Iterable[PeriodSlice] = (),
@@ -158,9 +156,8 @@ def accumulate_domain_features(
     sentiment to the parent tweet's author, split by the parent's weights.
     A reply belongs to a slice by its own timestamp, so late replies to an
     earlier tweet count in the period they were written.  Tweets with no
-    usable annotation contribute nothing.  Only the dataset's columns are read.
+    usable annotation contribute nothing.
     """
-    columns = columns_of(dataset)
     weights_by_tweet = {
         t.tweet_id: relativeness_weights(t.merged_domains) for t in annotated_tweets
     }
@@ -220,14 +217,12 @@ def accumulate_domain_features(
 
 
 def compute_global_features(
-    dataset: Dataset | DatasetColumns, period: PeriodSlice | None = None
+    columns: DatasetColumns, period: PeriodSlice | None = None
 ) -> dict[str, UserGlobalFeatures]:
     """Profile features plus in-selection engagement totals, per active user.
 
     A user is active when they have at least one tweet in the selection.
-    Only the dataset's columns are read.
     """
-    columns = columns_of(dataset)
     totals: dict[str, list[int]] = {}
     for tweet_id, author, rt, fav, rep in columns.tweet_engagement():
         if period is not None and tweet_id not in period.tweet_ids:

@@ -96,7 +96,7 @@ def test_criterion_01_engagement_distribution_is_exact():
         replies,
     )
     cells = accumulate_domain_features(
-        dataset,
+        dataset.columns,
         (AnnotatedTweet("t1", notes),),
         tuple(AnnotatedReply(r.reply_id, -1.0) for r in replies),
     )
@@ -267,15 +267,15 @@ def test_criterion_06_feature_pipeline_equals_brute_force():
     for _ in range(200):
         dataset, notes, sentiments = random_micro_dataset(rng)
         slices, _ = partition_periods(
-            dataset, PeriodSpec(n_periods=int(rng.integers(1, 7)))
+            dataset.columns, PeriodSpec(n_periods=int(rng.integers(1, 7)))
         )
-        cells = accumulate_domain_features(dataset, notes, sentiments, slices)
+        cells = accumulate_domain_features(dataset.columns, notes, sentiments, slices)
         assert {k for _, _, k in cells} <= {POOLED} | {sl.index for sl in slices}
         _compare_cells(
             _period_cells(cells, POOLED),
             brute_domain_cells(dataset, notes, sentiments),
         )
-        _compare_global(compute_global_features(dataset), brute_global(dataset))
+        _compare_global(compute_global_features(dataset.columns), brute_global(dataset))
 
         for sl in slices:
             interval = (sl.start, sl.end)
@@ -283,7 +283,7 @@ def test_criterion_06_feature_pipeline_equals_brute_force():
                 _period_cells(cells, sl.index),
                 brute_domain_cells(dataset, notes, sentiments, interval=interval),
             )
-            got = compute_global_features(dataset, period=sl)
+            got = compute_global_features(dataset.columns, period=sl)
             want = brute_global(dataset, interval=interval)
             _compare_global(got, want)
     elapsed = time.perf_counter() - started
@@ -296,8 +296,8 @@ def _synthetic_matrix(n_users: int, seed: int) -> FeatureMatrix:
     dataset, labels = synthesize(config, seed)
     clean, _ = cleanse(dataset)
     tweets, replies, _ = annotate_dataset(clean, LexiconAnnotator())
-    cells = accumulate_domain_features(clean, tweets, replies)
-    global_features = compute_global_features(clean)
+    cells = accumulate_domain_features(clean.columns, tweets, replies)
+    global_features = compute_global_features(clean.columns)
     return assemble_matrix(TECH, POOLED, cells, global_features, labels=labels)
 
 

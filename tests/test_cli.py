@@ -366,16 +366,27 @@ class TestCanonicalDataset:
         assert "`domcred ingest`" in err
         assert not any((tmp_path / "out").iterdir())
 
-    @pytest.mark.parametrize("command", ["annotate", "features"])
-    def test_duplicate_tweet_fails(self, pipeline, tmp_path, capsys, command):
+    # a repeated user fails as a repeated tweet does; ingest reads the archive
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            pytest.param("annotate", "tweet", id="annotate"),
+            pytest.param("features", "tweet", id="features"),
+            pytest.param("ingest", "user", id="ingest-user"),
+            pytest.param("annotate", "user", id="annotate-user"),
+            pytest.param("features", "user", id="features-user"),
+        ],
+    )
+    def test_duplicate_tweet_fails(self, pipeline, tmp_path, capsys, command, kind):
         dataset = tmp_path / "dataset.jsonl"
-        lines = pipeline["dataset"].read_text(encoding="utf-8").split("\n")
-        tweet = next(line for line in lines if line.endswith('"kind":"tweet"}'))
-        dataset.write_text("\n".join([*lines, tweet]) + "\n", encoding="utf-8")
-        tweet_id = json.loads(tweet)["body"]["tweet_id"]
+        source = pipeline["archive" if command == "ingest" else "dataset"]
+        lines = source.read_text(encoding="utf-8").split("\n")
+        record = next(line for line in lines if line.endswith(f'"kind":"{kind}"}}'))
+        dataset.write_text("\n".join([*lines, record]) + "\n", encoding="utf-8")
+        record_id = json.loads(record)["body"][f"{kind}_id"]
         argv = [command, str(dataset), "--output-dir", str(tmp_path / "out")]
         assert main(argv + (["--domain", TECH] if command == "features" else [])) == 1
-        assert capsys.readouterr().err == f"error: duplicate tweet_id {tweet_id!r}\n"
+        assert capsys.readouterr().err == f"error: duplicate {kind}_id {record_id!r}\n"
         assert not any((tmp_path / "out").iterdir())
 
 
@@ -556,6 +567,26 @@ class TestFeatures:
         assert rc == 1
         assert "unknown domain" in capsys.readouterr().err
 
+    def test_empty_domain_fails(self, pipeline, tmp_path, capsys):
+        rc = main(
+            ["features", str(pipeline["dataset"]), "--domain", "",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: unknown domain ''; annotations carry")
+        assert not (tmp_path / "features.csv").exists()
+
+    def test_config_domain_must_be_a_string(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"domain": 5}))
+        rc = main(
+            ["features", str(pipeline["dataset"]), "--config", str(config),
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: config domain must be a string, got 5\n"
+        assert not any((tmp_path / "out").iterdir())
+
     def test_label_domain_mismatch_fails(self, pipeline, tmp_path, capsys):
         rc = main(
             ["features", str(pipeline["dataset"]), "--domain", "Sports",
@@ -611,9 +642,9 @@ class TestFeatures:
         """The plain rows `features` writes match save_matrix(assemble_matrix(...))."""
         dataset, _ = load_dataset(pipeline["dataset"])
         tweets, replies = load_annotations(pipeline["dataset"].parent / "annotations.jsonl")
-        slices, _ = partition_periods(dataset, PeriodSpec())
-        cells = accumulate_domain_features(dataset, tweets, replies, slices)
-        active = compute_global_features(dataset)
+        slices, _ = partition_periods(dataset.columns, PeriodSpec())
+        cells = accumulate_domain_features(dataset.columns, tweets, replies, slices)
+        active = compute_global_features(dataset.columns)
         for labels, written in (
             (load_labels(pipeline["labels"]), pipeline["matrix"]),
             (None, pipeline["bare_matrix"]),

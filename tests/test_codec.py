@@ -27,11 +27,15 @@ from domcred.corpus.archive import (
 )
 from domcred.corpus.types import (
     Dataset,
+    DatasetColumns,
     ReplyRecord,
     TweetRecord,
     UserProfile,
     format_timestamp,
     parse_timestamp,
+    reply_row,
+    tweet_row,
+    user_row,
 )
 
 from helpers import (
@@ -496,7 +500,11 @@ class TestArchiveFieldTypes:
     @pytest.mark.parametrize(
         "meta, message",
         [
-            ({"provenance": 5}, "provenance must be a string"),
+            # a malformed meta line sets nothing, not even its valid capture_at
+            (
+                {"capture_at": "2024-03-01T00:00:00Z", "provenance": 5},
+                "provenance must be a string",
+            ),
             ({"capture_at": 1}, "capture_at must be a string"),
         ],
     )
@@ -506,8 +514,9 @@ class TestArchiveFieldTypes:
             json.dumps({"kind": "dataset", **meta}) + "\n" + _body_line("user") + "\n",
             encoding="utf-8",
         )
-        _, report = load_dataset(path)
+        dataset, report = load_dataset(path)
         assert report.malformed_line_numbers == [1]
+        assert dataset.capture_at == parse_timestamp("2020-01-02T00:00:00Z")
         with pytest.raises(ArchiveFormatError, match=f"line 1: {message}"):
             load_dataset(path, fail_fast=True)
 
@@ -519,6 +528,38 @@ class TestArchiveFieldTypes:
         assert report.warning_count == 0
         assert dataset.provenance == ""
         assert dataset.capture_at == parse_timestamp("2020-01-02T00:00:00Z")
+
+    @pytest.mark.parametrize(
+        "first, second, capture, provenance",
+        [
+            # the second line would override the first's provenance
+            (
+                {"capture_at": "2024-03-01T00:00:00Z", "provenance": "first"},
+                {"provenance": "second"},
+                "2024-03-01T00:00:00Z",
+                "first",
+            ),
+            # a first line without capture_at still counts as the one meta line
+            ({"provenance": "first"}, {"capture_at": "2024-03-01T00:00:00Z"}, None, "first"),
+        ],
+        ids=["second-provenance", "first-without-capture"],
+    )
+    def test_second_meta_line_is_malformed(self, tmp_path, first, second, capture, provenance):
+        lines = [{"kind": "dataset", **first}, {"kind": "dataset", **second}]
+        path = tmp_path / "archive.jsonl"
+        path.write_text(
+            "".join(json.dumps(m) + "\n" for m in lines) + _body_line("user") + "\n",
+            encoding="utf-8",
+        )
+        # without capture_at the loader falls back to a day after the newest record
+        want = parse_timestamp(capture or "2020-01-02T00:00:00Z")
+        for load in (load_dataset, load_columns):
+            loaded, report = load(path)
+            assert report.malformed_line_numbers == [2]
+            assert loaded.capture_at == want
+            with pytest.raises(ArchiveFormatError, match=r"^line 2: a second dataset line; "):
+                load(path, fail_fast=True)
+        assert load_dataset(path)[0].provenance == provenance
 
 
 # the characters a string must escape, and others json writes raw
@@ -661,8 +702,31 @@ class TestCanonicalSplit:
             assert report.malformed_line_numbers == [line + 1]
 
     def test_duplicate_ids_fail_alike(self, tmp_path):
+        # a repeated id of any kind fails the records and both loaders alike
+        lines = [self.USER, self.TWEET, self.REPLY]
+        records = [make_user("a"), make_tweet("t1", "a"), make_reply("r1", "t1", "a")]
         path = tmp_path / "archive.jsonl"
-        path.write_text("\n".join([self.USER, self.TWEET, self.TWEET]) + "\n", encoding="utf-8")
-        for load in (load_dataset, load_columns):
-            with pytest.raises(ValueError, match=r"^duplicate tweet_id 't1'$"):
-                load(path)
+        for i, (kind, record_id) in enumerate([("user", "a"), ("tweet", "t1"), ("reply", "r1")]):
+            path.write_text("\n".join([*lines, lines[i]]) + "\n", encoding="utf-8")
+            want = rf"^duplicate {kind}_id '{record_id}'$"
+            groups = [[r] for r in records]
+            groups[i] *= 2
+            with pytest.raises(ValueError, match=want):
+                make_dataset(*groups)
+            for load in (load_dataset, load_columns):
+                for fail_fast in (False, True):
+                    with pytest.raises(ValueError, match=want):
+                        load(path, fail_fast=fail_fast)
+
+    @given(dataset=datasets(HOSTILE), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_in_any_order_give_the_same_columns(self, dataset, data):
+        rows = [
+            data.draw(st.permutations([row(r) for r in records]))
+            for row, records in (
+                (user_row, dataset.users),
+                (tweet_row, dataset.tweets),
+                (reply_row, dataset.replies),
+            )
+        ]
+        assert DatasetColumns.from_rows(*rows, dataset.capture_at) == dataset.columns

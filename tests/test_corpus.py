@@ -76,10 +76,10 @@ class TestDataset:
     def test_labels_validate_against_dataset(self):
         ds = make_dataset([make_user("a")])
         labels = GroundTruthLabels(domain="d", labels={"a": "Influencer"})
-        labels.validate_against(ds)
+        labels.validate_against(ds.columns)
         bad = GroundTruthLabels(domain="d", labels={"ghost": "Influencer"})
         with pytest.raises(ValueError):
-            bad.validate_against(ds)
+            bad.validate_against(ds.columns)
 
     def test_unknown_label_value_rejected(self):
         with pytest.raises(ValueError):
@@ -285,7 +285,7 @@ class TestPeriods:
         ds = self._dataset(
             ["2024-01-15T00:00:00Z", "2024-02-01T00:00:00Z", "2024-02-29T23:59:59Z"]
         )
-        slices, report = partition_periods(ds, PeriodSpec(n_periods=2))
+        slices, report = partition_periods(ds.columns, PeriodSpec(n_periods=2))
         assert [s.index for s in slices] == [1, 2]
         assert slices[0].start == ts("2024-01-01T00:00:00Z")
         assert slices[0].end == ts("2024-02-01T00:00:00Z")
@@ -295,25 +295,25 @@ class TestPeriods:
 
     def test_out_of_range_counted_not_assigned(self):
         ds = self._dataset(["2024-01-15T00:00:00Z", "2024-06-01T00:00:00Z"])
-        slices, report = partition_periods(ds, PeriodSpec(n_periods=2))
+        slices, report = partition_periods(ds.columns, PeriodSpec(n_periods=2))
         assert report.out_of_range_tweets == 1
         assert sum(len(s.tweet_ids) for s in slices) == 1
 
     def test_explicit_start_before_data_gives_empty_leading_periods(self):
         ds = self._dataset(["2024-03-10T00:00:00Z"])
         spec = PeriodSpec(n_periods=3, start=ts("2024-01-01T00:00:00Z"))
-        slices, report = partition_periods(ds, spec)
+        slices, report = partition_periods(ds.columns, spec)
         assert report.empty_periods == 2
         assert len(slices[2].tweet_ids) == 1
 
     def test_quarter_and_year_granularity(self):
         ds = self._dataset(["2024-02-10T00:00:00Z", "2024-05-10T00:00:00Z"])
         quarters, _ = partition_periods(
-            ds, PeriodSpec(n_periods=2, granularity="quarter")
+            ds.columns, PeriodSpec(n_periods=2, granularity="quarter")
         )
         assert quarters[0].start == ts("2024-01-01T00:00:00Z")
         assert quarters[1].end == ts("2024-07-01T00:00:00Z")
-        years, _ = partition_periods(ds, PeriodSpec(n_periods=1, granularity="year"))
+        years, _ = partition_periods(ds.columns, PeriodSpec(n_periods=1, granularity="year"))
         assert years[0].start == ts("2024-01-01T00:00:00Z")
         assert years[0].end == ts("2025-01-01T00:00:00Z")
 
@@ -323,7 +323,7 @@ class TestPeriods:
             [make_tweet("t1", "a", posted="2024-01-05T00:00:00Z")],
             [make_reply("r1", "t1", "b", posted="2024-02-20T00:00:00Z")],
         )
-        slices, _ = partition_periods(ds, PeriodSpec(n_periods=2))
+        slices, _ = partition_periods(ds.columns, PeriodSpec(n_periods=2))
         assert "r1" in slices[1].reply_ids
         assert "r1" not in slices[0].reply_ids
 
@@ -334,16 +334,16 @@ class TestPeriods:
             # a reply exactly on the April boundary needs a fourth month
             [make_reply("r1", "t1", "b", posted="2024-04-01T00:00:00Z")],
         )
-        slices, report = partition_periods(ds, PeriodSpec())
+        slices, report = partition_periods(ds.columns, PeriodSpec())
         assert report.n_periods == 4 and len(slices) == 4
         assert "r1" in slices[3].reply_ids
         assert report.out_of_range_tweets == report.out_of_range_replies == 0
-        quarters, _ = partition_periods(ds, PeriodSpec(granularity="quarter"))
+        quarters, _ = partition_periods(ds.columns, PeriodSpec(granularity="quarter"))
         assert [q.end for q in quarters] == [
             ts("2024-04-01T00:00:00Z"), ts("2024-07-01T00:00:00Z")
         ]
         # a start after every record still gives one (empty) period
-        late, report = partition_periods(ds, PeriodSpec(start=ts("2024-06-01T00:00:00Z")))
+        late, report = partition_periods(ds.columns, PeriodSpec(start=ts("2024-06-01T00:00:00Z")))
         assert len(late) == 1 and report.out_of_range_tweets == 1
 
     def test_invalid_specs_rejected(self):
@@ -370,7 +370,7 @@ class TestSynthesize:
 
     def test_labels_cover_every_user(self):
         dataset, labels = synthesize(SynthConfig(n_users=20), seed=5)
-        labels.validate_against(dataset)
+        labels.validate_against(dataset.columns)
         assert set(labels.labels) == {u.user_id for u in dataset.users}
 
     def test_capture_is_after_every_record(self):
@@ -455,7 +455,7 @@ class TestSynthesize:
 
     def test_edge_configs_behave_as_named(self):
         two, labels = synthesize(GOLDEN_STREAM["two_users"][0], seed=7)
-        labels.validate_against(two)
+        labels.validate_against(two.columns)
         assert len(two.users) == 2 and two.tweets
 
         silent, _ = synthesize(GOLDEN_STREAM["no_tweets"][0], seed=7)

@@ -65,7 +65,7 @@ class TestRelativenessWeights:
         )
         notes = (annotated_tweet("t1", {"a": 1.0, "b": 0.5, "c": 0.5}),)
         sentiments = tuple(annotated_reply(r.reply_id, -1.0) for r in replies)
-        cells = accumulate_domain_features(dataset, notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
         got = {d: (c.r, c.l, c.sn) for (_, d, _), c in cells.items()}
         assert got == {
             "a": (5.0, 7.5, -5.0),
@@ -138,7 +138,7 @@ class TestAccumulate:
 
     def test_tweet_masses_split_by_weight(self):
         dataset, notes, sentiments = self.small()
-        cells = accumulate_domain_features(dataset, notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
         tech = cells[("alice", "tech", POOLED)]
         food = cells[("alice", "food", POOLED)]
         assert tech.r == pytest.approx(6.0)
@@ -150,7 +150,7 @@ class TestAccumulate:
 
     def test_reply_sentiment_credits_parent_author(self):
         dataset, notes, sentiments = self.small()
-        cells = accumulate_domain_features(dataset, notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
         tech = cells[("alice", "tech", POOLED)]
         assert tech.sp == pytest.approx(0.9 * 2 / 3)
         assert tech.sn == pytest.approx(-0.6 * 2 / 3)
@@ -162,7 +162,7 @@ class TestAccumulate:
 
     def test_unannotated_tweet_invisible(self):
         dataset, notes, sentiments = self.small()
-        cells = accumulate_domain_features(dataset, notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
         assert all(key[1] in ("tech", "food") for key in cells)
 
     def test_underflowing_domain_gets_no_cell(self):
@@ -172,7 +172,7 @@ class TestAccumulate:
         dataset = make_dataset(users, tweets, replies)
         notes = (annotated_tweet("t1", {"tech": 1.0, "food": 1.0, "art": 5e-324}),)
         sentiments = (annotated_reply("r1", 0.5),)
-        cells = accumulate_domain_features(dataset, notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
         assert set(cells) == {("alice", "food", POOLED), ("alice", "tech", POOLED)}
         for key in cells:
             assert cells[key].domain_tweet_count == 1
@@ -185,11 +185,11 @@ class TestAccumulate:
         # reply lands a month after the tweet
         replies = [make_reply("r1", "t1", "bob", posted="2024-02-20T00:00:00Z")]
         dataset = make_dataset(users, tweets, replies)
-        slices, _ = partition_periods(dataset, PeriodSpec(n_periods=2))
+        slices, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=2))
         notes = (annotated_tweet("t1", {"tech": 1.0}),)
         sentiments = (annotated_reply("r1", 1.0),)
 
-        cells = accumulate_domain_features(dataset, notes, sentiments, slices)
+        cells = accumulate_domain_features(dataset.columns, notes, sentiments, slices)
         first = cells[("alice", "tech", slices[0].index)]
         second = cells[("alice", "tech", slices[1].index)]
         assert first.r == 8.0
@@ -202,16 +202,16 @@ class TestAccumulate:
 
     def test_pooled_index_is_not_a_slice(self):
         dataset, notes, sentiments = self.small()
-        slices, _ = partition_periods(dataset, PeriodSpec(n_periods=1))
+        slices, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=1))
         clash = dataclasses.replace(slices[0], index=POOLED)
         with pytest.raises(ValueError, match="reserved"):
-            accumulate_domain_features(dataset, notes, sentiments, [clash])
+            accumulate_domain_features(dataset.columns, notes, sentiments, [clash])
 
     def test_matches_brute_oracle_on_random_data(self):
         rng = np.random.default_rng(1234)
         for _ in range(25):
             dataset, notes, sentiments = random_micro_dataset(rng)
-            cells = accumulate_domain_features(dataset, notes, sentiments)
+            cells = accumulate_domain_features(dataset.columns, notes, sentiments)
             got = {(u, d): f for (u, d, _), f in cells.items()}
             expected = brute_domain_cells(dataset, notes, sentiments)
             expected = {k: v for k, v in expected.items() if any(v.values())}
@@ -237,7 +237,7 @@ class TestGlobalFeatures:
         users = [make_user("alice"), make_user("idle")]
         tweets = [make_tweet("t1", "alice", retweets=3, favorites=1, replies=2)]
         dataset = make_dataset(users, tweets)
-        out = compute_global_features(dataset)
+        out = compute_global_features(dataset.columns)
         assert set(out) == {"alice"}
         g = out["alice"]
         assert (g.retweet_total, g.favorite_total, g.replies_total) == (3, 1, 2)
@@ -272,7 +272,7 @@ class TestGlobalFeatures:
         rng = np.random.default_rng(99)
         for _ in range(10):
             dataset, _, _ = random_micro_dataset(rng)
-            got = compute_global_features(dataset)
+            got = compute_global_features(dataset.columns)
             expected = brute_global(dataset)
             assert set(got) == set(expected)
             for uid, want in expected.items():
@@ -343,8 +343,8 @@ class TestAssembleMatrix:
         ]
         dataset = make_dataset(users, tweets)
         notes = (annotated_tweet("t1", {"tech": 1.0, "food": 0.5}),)
-        cells = accumulate_domain_features(dataset, notes, ())
-        globals_ = compute_global_features(dataset)
+        cells = accumulate_domain_features(dataset.columns, notes, ())
+        globals_ = compute_global_features(dataset.columns)
         return cells, globals_
 
     def test_rows_sorted_and_zero_filled(self):
@@ -434,9 +434,9 @@ class TestMatrixIO:
         # is what assemble_matrix built, down to the report
         dataset, labels = synthesize(SynthConfig(n_users=60, domains=(TECH,)), seed=3)
         tweets, replies, _ = annotate_dataset(dataset, LexiconAnnotator())
-        cells = accumulate_domain_features(dataset, tweets, replies)
+        cells = accumulate_domain_features(dataset.columns, tweets, replies)
         matrix = assemble_matrix(
-            TECH, POOLED, cells, compute_global_features(dataset), labels=labels
+            TECH, POOLED, cells, compute_global_features(dataset.columns), labels=labels
         )
         path = tmp_path / "features.csv"
         save_matrix(matrix, path)

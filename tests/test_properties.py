@@ -87,7 +87,7 @@ class TestRelativenessInvariants:
     def test_distribution_conserves_mass(self, a, retweets):
         assume(any(d.score > 0 for d in a))
         dataset = make_dataset([make_user("u")], [make_tweet("t", "u", retweets=retweets)])
-        cells = accumulate_domain_features(dataset, (AnnotatedTweet("t", a),), ())
+        cells = accumulate_domain_features(dataset.columns, (AnnotatedTweet("t", a),), ())
         total = sum(c.r for c in cells.values())
         assert abs(total - retweets) <= 1e-9 * max(1.0, retweets)
 
@@ -260,7 +260,7 @@ class TestPartitionInvariants:
             [make_user("a", created="2000-01-01T00:00:00Z")], tweets, replies,
             capture="2030-01-01T00:00:00Z",
         )
-        assert partition_periods(dataset, spec) == brute_partition(
+        assert partition_periods(dataset.columns, spec) == brute_partition(
             dataset, spec.start, spec.n_periods, MONTHS_PER[spec.granularity]
         )
 
