@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Protocol
 
-from .corpus.archive import decode_line
+from .corpus.archive import decode_line, json_value
 from .corpus.types import Dataset
 from .lexicon import (
     DomainLexicon,
@@ -100,9 +100,11 @@ class RemoteAnnotator:
     """Adapter for an HTTP annotation service with the same surface.
 
     POSTs {"text": ...} as JSON to ``url`` and expects
-    {"domains": [{"label", "score", "confident"}], "sentiment": float}.
-    An auth token is read from the environment variable named by
-    ``token_env`` at call time.  Failures raise AnnotatorError.
+    {"domains": [{"label", "score", "confident"}], "sentiment"}: a label is a
+    string, a score or a sentiment a finite number, and ``confident`` true or
+    false (false when missing).  An auth token is read from the environment
+    variable named by ``token_env`` at call time.  Failures, and a payload
+    value of any other type, raise AnnotatorError.
     """
 
     def __init__(self, url: str, token_env: str = "", timeout: float = 10.0):
@@ -138,21 +140,21 @@ class RemoteAnnotator:
         try:
             ranked = _rank(
                 DomainAnnotation(
-                    label=str(d["label"]),
-                    score=float(d["score"]),
-                    confident=bool(d.get("confident", False)),
+                    label=json_value(d["label"], str, "label"),
+                    score=float(json_value(d["score"], float, "score")),
+                    confident=json_value(d.get("confident", False), bool, "confident"),
                 )
                 for d in body.get("domains", [])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise AnnotatorError(f"bad taxonomy payload: {exc}") from exc
         return tuple(ranked[:MAX_DOMAINS_PER_TEXT])
 
     def score_sentiment(self, text: str) -> float:
         body = self._call(text)
         try:
-            value = float(body["sentiment"])
-        except (KeyError, TypeError, ValueError) as exc:
+            value = float(json_value(body["sentiment"], float, "sentiment"))
+        except (KeyError, ValueError, OverflowError) as exc:
             raise AnnotatorError(f"bad sentiment payload: {exc}") from exc
         return max(-1.0, min(1.0, value))
 

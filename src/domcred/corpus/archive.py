@@ -13,8 +13,9 @@ import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta
+from itertools import starmap
 from json.encoder import encode_basestring
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from .types import (
@@ -228,24 +229,23 @@ def _reply_fields(author, parent, posted, reply_id, text) -> tuple:
     return (reply_id, parent, author, _utc(posted), text)
 
 
-# per record kind: its record class and row, the canonical line's pattern
-# and the fields its groups give in record field order, and the record read
-# from any JSON body
+# per record kind: its row, the canonical line's pattern and the fields its
+# groups give in record field order, and the record read from any JSON body
 _RECORD_KINDS = (
-    ("reply", ReplyRecord, reply_row, _REPLY_PATTERN, _reply_fields, _reply_from_body),
-    ("tweet", TweetRecord, tweet_row, _TWEET_PATTERN, _tweet_fields, _tweet_from_body),
-    ("user", UserProfile, user_row, _USER_PATTERN, _user_fields, _user_from_body),
+    ("reply", reply_row, _REPLY_PATTERN, _reply_fields, _reply_from_body),
+    ("tweet", tweet_row, _TWEET_PATTERN, _tweet_fields, _tweet_from_body),
+    ("user", user_row, _USER_PATTERN, _user_fields, _user_from_body),
 )
 # the start every record template shares, which a line must have to match one
 _CANONICAL_START = '{"body":{"'
 
 
 def _read_records(
-    path: Path, fail_fast: bool, report: LoadReport, rows: bool
+    path: Path, fail_fast: bool, report: LoadReport
 ) -> tuple[dict[str, list], datetime | None, str]:
     """The records of an archive file by kind, in file order, as rows (each
-    record's fields in field order) with ``rows``, else as records; then the
-    meta line's capture timestamp and provenance.
+    record's fields in field order), then the meta line's capture timestamp
+    and provenance.
 
     A line written as ``dataset_to_lines`` writes it is split by its kind's
     pattern.  Any other line is decoded as JSON and read field by field into
@@ -256,11 +256,10 @@ def _read_records(
     """
     records: dict[str, list] = {}
     canonical, from_body = [], {}
-    for kind, record, row, pattern, split, build in _RECORD_KINDS:
+    for kind, row, pattern, split, build in _RECORD_KINDS:
         append = records.setdefault(kind, []).append
-        match = re.compile(pattern).fullmatch
-        canonical.append((match, split, None if rows else record, append))
-        from_body[kind] = (build, row if rows else None, append)
+        canonical.append((re.compile(pattern).fullmatch, split, append))
+        from_body[kind] = (build, row, append)
     meta_seen = False  # apart from meta_capture: a meta line may omit capture_at
     meta_capture: datetime | None = None
     provenance = ""
@@ -277,11 +276,10 @@ def _read_records(
                     _check_utf8(line)
                 # a line that starts as no template does goes straight to JSON
                 tries = canonical if line.startswith(_CANONICAL_START) else ()
-                for match, split, record, append in tries:
+                for match, split, append in tries:
                     m = match(line)
                     if m:
-                        values = split(*m.groups())
-                        append(record(*values) if record else values)
+                        append(split(*m.groups()))
                         break
                 else:
                     envelope = decode_line(line)
@@ -304,7 +302,7 @@ def _read_records(
                     if not isinstance(body, dict):
                         raise ValueError("missing body object")
                     build, row, append = from_body[kind]
-                    append(row(build(body)) if row else build(body))
+                    append(row(build(body)))
             except ArchiveFormatError:
                 raise
             except (KeyError, ValueError, TypeError) as exc:
@@ -315,10 +313,8 @@ def _read_records(
     return records, meta_capture, provenance
 
 
-def _getters(record_class, rows: bool, *names: str):
-    """One getter per field name, for rows (by position) or for records."""
-    if not rows:
-        return [attrgetter(name) for name in names]
+def _getters(record_class, *names: str):
+    """One getter per field name, for the class's rows."""
     position = {f.name: i for i, f in enumerate(fields(record_class))}
     return [itemgetter(position[name]) for name in names]
 
@@ -328,23 +324,17 @@ def _load(
     fail_fast: bool,
     capture_at: datetime | None,
     max_friends: int | None,
-    rows: bool,
 ) -> tuple[list, list, list, datetime, str, LoadReport]:
-    """The users, tweets and replies that load, as rows with ``rows``, else
-    as records, then the capture timestamp, the provenance and the report:
-    the rules of load_dataset."""
+    """The rows of the users, tweets and replies that load, then the capture
+    timestamp, the provenance and the report: the rules of load_dataset."""
     if max_friends is not None and max_friends < 1:
         raise ValueError(f"max_friends must be at least 1, got {max_friends}")
     report = LoadReport()
-    records, meta_capture, provenance = _read_records(Path(path), fail_fast, report, rows)
+    records, meta_capture, provenance = _read_records(Path(path), fail_fast, report)
     users, tweets, replies = records["user"], records["tweet"], records["reply"]
-    user_id, friends, created = _getters(
-        UserProfile, rows, "user_id", "friends_count", "created_at"
-    )
-    tweet_id, author, posted = _getters(TweetRecord, rows, "tweet_id", "author_id", "posted_at")
-    parent, replier, replied = _getters(
-        ReplyRecord, rows, "parent_tweet_id", "author_id", "posted_at"
-    )
+    user_id, friends, created = _getters(UserProfile, "user_id", "friends_count", "created_at")
+    tweet_id, author, posted = _getters(TweetRecord, "tweet_id", "author_id", "posted_at")
+    parent, replier, replied = _getters(ReplyRecord, "parent_tweet_id", "author_id", "posted_at")
 
     if max_friends is not None:
         kept = [u for u in users if friends(u) < max_friends]
@@ -357,7 +347,15 @@ def _load(
         stamps = [posted(t) for t in tweets] + [replied(r) for r in replies]
         stamps += [created(u) for u in users]
         if stamps:
-            capture_at = max(stamps) + timedelta(days=1)
+            newest = max(stamps)
+            try:
+                capture_at = newest + timedelta(days=1)
+            except OverflowError:
+                raise ValueError(
+                    f"{path}: the default capture timestamp, a day after the newest record"
+                    f" ({format_timestamp(newest)}), falls after year 9999;"
+                    " pass one with --capture-at"
+                ) from None
         else:
             capture_at = parse_timestamp("1970-01-01T00:00:00Z")
 
@@ -389,12 +387,12 @@ def load_dataset(
     (off by default), together with their records; it must be at least 1.
     """
     users, tweets, replies, capture_at, provenance, report = _load(
-        path, fail_fast, capture_at, max_friends, rows=False
+        path, fail_fast, capture_at, max_friends
     )
     dataset = Dataset(
-        users=tuple(users),
-        tweets=tuple(tweets),
-        replies=tuple(replies),
+        users=tuple(starmap(UserProfile, users)),
+        tweets=tuple(starmap(TweetRecord, tweets)),
+        replies=tuple(starmap(ReplyRecord, replies)),
         capture_at=capture_at,
         provenance=provenance,
     )
@@ -405,7 +403,7 @@ def load_columns(path: str | Path, fail_fast: bool = False) -> tuple[DatasetColu
     """The columns of ``load_dataset(path, fail_fast)``'s Dataset, read
     without building a record: the same lines load, are quarantined or fail,
     with the same report and the same errors."""
-    users, tweets, replies, capture_at, _, report = _load(path, fail_fast, None, None, rows=True)
+    users, tweets, replies, capture_at, _, report = _load(path, fail_fast, None, None)
     return DatasetColumns.from_rows(users, tweets, replies, capture_at), report
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -164,7 +164,29 @@ class SynthConfig:
             raise ValueError("n_periods and period_days must be >= 1")
         if not isinstance(self.start, str):
             raise ValueError(f"start must be an RFC 3339 string, got {self.start!r}")
-        parse_timestamp(self.start)
+        start = parse_timestamp(self.start)
+        # the archive's dates run from its oldest account's creation to its capture
+        oldest = max(self.influencer.account_age_days[1], self.ordinary.account_age_days[1])
+        if not _in_calendar(start, -oldest):
+            raise ValueError(
+                f"start {self.start} minus account_age_days of up to {oldest} days"
+                " falls before year 1"
+            )
+        span = self.n_periods * self.period_days
+        if not _in_calendar(start, span):
+            raise ValueError(
+                f"start {self.start} plus n_periods * period_days ({span} days)"
+                " falls after year 9999"
+            )
+
+
+def _in_calendar(start: datetime, days: int) -> bool:
+    """Whether ``start`` moved by ``days`` days stays within years 1-9999."""
+    try:
+        start + timedelta(days=days)
+    except OverflowError:
+        return False
+    return True
 
 
 def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

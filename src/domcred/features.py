@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
 from .corpus.types import (
@@ -80,13 +80,10 @@ def relativeness_weights(
     return {label: score / total for label, score in kept}
 
 
-@dataclass(frozen=True)
-class UserDomainFeatures:
-    """Accumulated domain-attributed engagement for one (user, domain, period)."""
+class UserDomainFeatures(NamedTuple):
+    """Accumulated domain-attributed engagement for the (user, domain, period)
+    cell that keys it; ``UserDomainFeatures()`` is a cell with nothing in it."""
 
-    user_id: str
-    domain: str
-    period: int
     r: float = 0.0  # distributed retweet mass
     l: float = 0.0  # distributed favorite mass
     p: float = 0.0  # distributed reply mass
@@ -96,23 +93,15 @@ class UserDomainFeatures:
     count_neg: float = 0.0  # distributed count of negative replies
     domain_tweet_count: int = 0
 
-    def __post_init__(self):
-        for name in ("r", "l", "p", "sp", "count_pos", "count_neg"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.sn > 0:
-            raise ValueError("sn must be <= 0")
-
     @property
     def s(self) -> float:
         return self.sp - abs(self.sn)
 
 
-@dataclass(frozen=True)
-class UserGlobalFeatures:
-    """Domain-independent features: profile counts and engagement totals."""
+class UserGlobalFeatures(NamedTuple):
+    """Domain-independent features of the user that keys them: profile counts
+    and engagement totals, in ``FEATURE_COLUMNS`` order."""
 
-    user_id: str
     followers_count: int
     friends_count: int
     retweet_total: int = 0
@@ -171,7 +160,7 @@ def accumulate_domain_features(
     periods_of = {None: (POOLED,), **{sl.index: (POOLED, sl.index) for sl in slices}}
     # the authors of the tweets that carry weights, for their replies' cells
     author_of: dict[str, str] = {}
-    # a cell holds r, l, p, sp, sn, count_pos, count_neg, domain_tweet_count
+    # a cell holds the UserDomainFeatures fields in order
     cells: dict[tuple[str, str, int], list] = {}
     cell = cells.get
 
@@ -213,7 +202,7 @@ def accumulate_domain_features(
                 acc[total] += s
                 acc[count] += w
 
-    return {key: UserDomainFeatures(*key, *acc) for key, acc in sorted(cells.items())}
+    return {key: UserDomainFeatures._make(acc) for key, acc in sorted(cells.items())}
 
 
 def compute_global_features(
@@ -232,20 +221,12 @@ def compute_global_features(
         entry[1] += fav
         entry[2] += rep
 
-    out: dict[str, UserGlobalFeatures] = {}
-    for user_id, followers, friends in zip(columns.user_ids, columns.followers, columns.friends):
-        if user_id not in totals:
-            continue
-        rt, fav, rep = totals[user_id]
-        out[user_id] = UserGlobalFeatures(
-            user_id=user_id,
-            followers_count=followers,
-            friends_count=friends,
-            retweet_total=rt,
-            favorite_total=fav,
-            replies_total=rep,
-        )
-    return out
+    profiles = zip(columns.user_ids, columns.followers, columns.friends)
+    return {
+        user_id: UserGlobalFeatures(followers, friends, *totals[user_id])
+        for user_id, followers, friends in profiles
+        if user_id in totals
+    }
 
 
 def scale_by_max(values: Mapping[str, float]) -> dict[str, float]:
@@ -329,9 +310,9 @@ def assemble_matrix(
     """The matrix for one domain from the ``(user, domain, period)`` cells;
     ``period`` picks the pooled cells (``POOLED``) or one slice's.
 
-    Every selection-active user (one with global features) gets a row; users
-    with no engagement attributed to the domain keep zeros in the domain
-    columns.  With labels the rows are restricted to labeled users and carry
+    Every selection-active user (one with global features) gets a row; a
+    user with no cell in the domain reads as ``UserDomainFeatures()``, zeros
+    in the domain columns.  With labels the rows are restricted to labeled users and carry
     their labels; without, all active users appear unlabeled.
     """
     user_ids = sorted(global_features)
@@ -340,26 +321,12 @@ def assemble_matrix(
     if not user_ids:
         raise ValueError(f"no users to assemble for domain {domain!r}")
 
+    empty = UserDomainFeatures()
     rows = []
     for user_id in user_ids:
+        d = domain_features.get((user_id, domain, period), empty)
         g = global_features[user_id]
-        d = domain_features.get((user_id, domain, period))
-        rows.append(
-            (
-                d.l if d else 0.0,
-                d.p if d else 0.0,
-                d.r if d else 0.0,
-                g.followers_count,
-                g.friends_count,
-                g.retweet_total,
-                g.favorite_total,
-                g.replies_total,
-                d.count_pos if d else 0.0,
-                d.count_neg if d else 0.0,
-                d.sp if d else 0.0,
-                d.sn if d else 0.0,
-            )
-        )
+        rows.append((d.l, d.p, d.r, *g, d.count_pos, d.count_neg, d.sp, d.sn))
     return FeatureMatrix(
         domain=domain,
         period=period,

@@ -99,7 +99,7 @@ _SENTIMENT_ROWS = (
 
 def _check_sentiment_difference() -> str:
     for handle, sp, sn, expected in _SENTIMENT_ROWS:
-        row = UserDomainFeatures(user_id=handle, domain="d", period=1, sp=sp, sn=sn)
+        row = UserDomainFeatures(sp=sp, sn=sn)
         got = round(row.s, 3)
         _check(got == expected, f"{handle}: {got} != {expected}")
     return "; ".join(f"{sp:g} - {abs(sn):g} = {s:g}" for _, sp, sn, s in _SENTIMENT_ROWS)

@@ -142,7 +142,7 @@ def test_criterion_03_sentiment_difference_reference_rows():
         ("MLanghans410", 63.303, -16.022, 47.281),
     )
     for handle, sp, sn, want in rows:
-        row = UserDomainFeatures(user_id=handle, domain="d", period=1, sp=sp, sn=sn)
+        row = UserDomainFeatures(sp=sp, sn=sn)
         assert round(row.s, 3) == want
     assert time.perf_counter() - started < 1.0
     _ok(3, "S = SP - |SN| reproduces all five reference rows to 3 decimals")

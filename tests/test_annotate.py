@@ -241,9 +241,25 @@ class TestRemoteAnnotator:
             RemoteAnnotator(url).score_sentiment("x")
         handler.status = 200
 
-    def test_bad_payload_wrapped(self, http_service):
+    @pytest.mark.parametrize(
+        "domain, sentiment",
+        [
+            ({"score": 0.5}, "not a number"),
+            ({"label": None, "score": 0.5}, float("nan")),
+            ({"label": "Tech", "score": 0.5, "confident": "false"}, "nan"),
+            ({"label": "Tech", "score": "0.5"}, True),
+            ({"label": "Tech", "score": float("nan")}, "0.5"),
+            ({"label": "Tech", "score": True}, None),
+            ({"label": "Tech", "score": 10**400}, 10**400),
+        ],
+        ids=[
+            "missing", "null-nan", "string-false", "string-true", "nan-string", "true-null",
+            "huge-int",
+        ],
+    )
+    def test_bad_payload_wrapped(self, http_service, domain, sentiment):
         url, handler = http_service
-        handler.payload = {"domains": [{"score": 0.5}], "sentiment": "not a number"}
+        handler.payload = {"domains": [domain], "sentiment": sentiment}
         remote = RemoteAnnotator(url)
         with pytest.raises(AnnotatorError, match="bad taxonomy"):
             remote.infer_taxonomy("x")

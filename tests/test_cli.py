@@ -127,6 +127,17 @@ class TestSynth:
         assert len(planted) == 3
         assert (tmp_path / "synth_archive.jsonl").stat().st_size > 0
 
+    def test_capture_past_year_9999_fails(self, tmp_path, capsys):
+        rc = main(
+            ["synth", "--n-users", "5", "--n-periods", "40", "--period-days", "100000",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: start 2024-01-01T00:00:00Z plus n_periods * period_days" in err
+        assert "falls after year 9999" in err
+        assert not (tmp_path / "synth_archive.jsonl").exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         for name in ("a", "b"):
             assert main(
@@ -300,6 +311,18 @@ class TestIngest:
         rc = main(["ingest", str(archive), "--fail-fast", "--output-dir", str(tmp_path / "ff")])
         assert rc == 1
         assert "error: line 2: " in capsys.readouterr().err
+
+    def test_default_capture_past_year_9999_fails(self, tmp_path, capsys):
+        # no meta line: the capture would be a day after the newest record
+        body = {"user_id": "a", "followers_count": 1, "friends_count": 1}
+        user = {"kind": "user", "body": {**body, "created_at": "9999-12-31T12:00:00Z"}}
+        archive = tmp_path / "archive.jsonl"
+        archive.write_text(json.dumps(user) + "\n", encoding="utf-8")
+        rc = main(["ingest", str(archive), "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "falls after year 9999; pass one with --capture-at" in err
+        assert "Traceback" not in err
 
 
 class TestAnnotate:
@@ -482,6 +505,9 @@ class TestCorpusDigests:
         "annotations.jsonl": "037ed741a65edc7ea225e527f2c375c0eba7e3eabce72c015ade598c8076c1f1",
         "features.csv": "723487f2519268f0ce0b961b4382fdf11efd6cb35ce7a311948fef08a8ee9c01",
         "features_report.txt": "7d9aacc30b9f1243bf46b59fbc7d477039e1fdd0ff3492897525bced25c7109c",
+        "features_report.json": "e41fc454afcdf2865b990507c354f41a28df77d7fdf30c98381ab77698cd8dd5",
+        # the matrix of a features call without labels, in its own directory
+        "bare/features.csv": "13d20810e880ad3ab09ce071481e912ed948c550aa3fde9d0b5fae441221400d",
     }
 
     def test_outputs_are_pinned(self, tmp_path):
@@ -495,6 +521,10 @@ class TestCorpusDigests:
         assert main(
             ["features", dataset, "--domain", domain, "--labels", str(labels),
              "--n-periods", "12", *out]
+        ) == 0
+        assert main(
+            ["features", dataset, "--domain", domain, "--n-periods", "12",
+             "--output-dir", str(tmp_path / "bare")]
         ) == 0
         got = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

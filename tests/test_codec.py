@@ -568,7 +568,7 @@ HOSTILE = st.sampled_from('"\\\x00\x1f\n\t\x7f\xe9\u2028\u2029\x85\U0001f600a0 '
 )
 _SPLITS = {
     kind: (pattern, split, build, row)
-    for kind, _, row, pattern, split, build in archive._RECORD_KINDS
+    for kind, row, pattern, split, build in archive._RECORD_KINDS
 }
 
 

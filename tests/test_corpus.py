@@ -411,6 +411,10 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=field):
             SynthConfig(**kwargs)
 
+    def test_accounts_before_year_1_rejected(self):
+        with pytest.raises(ValueError, match="account_age_days of up to 3000 days"):
+            SynthConfig(n_users=5, start="0001-06-01T00:00:00Z")
+
     @pytest.mark.parametrize(
         "kwargs, field",
         [
