@@ -27,9 +27,6 @@ from .types import (
     UserProfile,
     format_timestamp,
     parse_timestamp,
-    reply_row,
-    tweet_row,
-    user_row,
 )
 
 KINDS = ("user", "tweet", "reply", "dataset")
@@ -134,35 +131,37 @@ def _field(body: dict, key: str, kind: type, default=_REQUIRED):
     return json_value(value, kind, key)
 
 
-# the builders pass the fields in record field order, by position, which
-# constructs a record faster than keywords do
-def _user_from_body(body: dict) -> UserProfile:
+# a JSON body's row: its record's fields in field order.  A record is built
+# only for a row with a count below zero, so that its own check raises.
+def _user_from_body(body: dict) -> tuple:
     user_id = _field(body, "user_id", str)
-    return UserProfile(
-        user_id,
-        _field(body, "handle", str, user_id),
-        _field(body, "followers_count", int),
-        _field(body, "friends_count", int),
-        parse_timestamp(_field(body, "created_at", str)),
-    )
+    handle = _field(body, "handle", str, user_id)
+    followers = _field(body, "followers_count", int)
+    friends = _field(body, "friends_count", int)
+    row = (user_id, handle, followers, friends, parse_timestamp(_field(body, "created_at", str)))
+    if followers < 0 or friends < 0:
+        UserProfile(*row)
+    return row
 
 
-def _tweet_from_body(body: dict) -> TweetRecord:
-    return TweetRecord(
-        _field(body, "tweet_id", str),
-        _field(body, "author_id", str),
-        parse_timestamp(_field(body, "posted_at", str)),
-        _field(body, "text", str, ""),
-        _field(body, "retweet_count", int, 0),
-        _field(body, "favorite_count", int, 0),
-        _field(body, "replies_count", int, 0),
-        _field(body, "is_retweet", bool, False),
-        _field(body, "language", str, None),
-    )
+def _tweet_from_body(body: dict) -> tuple:
+    tweet_id = _field(body, "tweet_id", str)
+    author = _field(body, "author_id", str)
+    posted = parse_timestamp(_field(body, "posted_at", str))
+    text = _field(body, "text", str, "")
+    retweets = _field(body, "retweet_count", int, 0)
+    favorites = _field(body, "favorite_count", int, 0)
+    replies = _field(body, "replies_count", int, 0)
+    is_retweet = _field(body, "is_retweet", bool, False)
+    language = _field(body, "language", str, None)
+    row = (tweet_id, author, posted, text, retweets, favorites, replies, is_retweet, language)
+    if min(retweets, favorites, replies) < 0:
+        TweetRecord(*row)
+    return row
 
 
-def _reply_from_body(body: dict) -> ReplyRecord:
-    return ReplyRecord(
+def _reply_from_body(body: dict) -> tuple:
+    return (
         _field(body, "reply_id", str),
         _field(body, "parent_tweet_id", str),
         _field(body, "author_id", str),
@@ -229,12 +228,12 @@ def _reply_fields(author, parent, posted, reply_id, text) -> tuple:
     return (reply_id, parent, author, _utc(posted), text)
 
 
-# per record kind: its row, the canonical line's pattern and the fields its
-# groups give in record field order, and the record read from any JSON body
+# per record kind: the canonical line's pattern and the row its groups give,
+# and the row read from any JSON body
 _RECORD_KINDS = (
-    ("reply", reply_row, _REPLY_PATTERN, _reply_fields, _reply_from_body),
-    ("tweet", tweet_row, _TWEET_PATTERN, _tweet_fields, _tweet_from_body),
-    ("user", user_row, _USER_PATTERN, _user_fields, _user_from_body),
+    ("reply", _REPLY_PATTERN, _reply_fields, _reply_from_body),
+    ("tweet", _TWEET_PATTERN, _tweet_fields, _tweet_from_body),
+    ("user", _USER_PATTERN, _user_fields, _user_from_body),
 )
 # the start every record template shares, which a line must have to match one
 _CANONICAL_START = '{"body":{"'
@@ -249,17 +248,17 @@ def _read_records(
 
     A line written as ``dataset_to_lines`` writes it is split by its kind's
     pattern.  Any other line is decoded as JSON and read field by field into
-    a record, which checks it, so both give the same fields, and a line
-    either way gives the same error.  With ``fail_fast`` a malformed line
-    raises ArchiveFormatError; otherwise it is skipped and counted in
-    ``report``.
+    a row, checked as its record checks itself, so both give the same fields,
+    and a line either way gives the same error.  With ``fail_fast`` a
+    malformed line raises ArchiveFormatError; otherwise it is skipped and
+    counted in ``report``.
     """
     records: dict[str, list] = {}
     canonical, from_body = [], {}
-    for kind, row, pattern, split, build in _RECORD_KINDS:
+    for kind, pattern, split, build in _RECORD_KINDS:
         append = records.setdefault(kind, []).append
         canonical.append((re.compile(pattern).fullmatch, split, append))
-        from_body[kind] = (build, row, append)
+        from_body[kind] = (build, append)
     meta_seen = False  # apart from meta_capture: a meta line may omit capture_at
     meta_capture: datetime | None = None
     provenance = ""
@@ -301,8 +300,8 @@ def _read_records(
                     body = envelope.get("body")
                     if not isinstance(body, dict):
                         raise ValueError("missing body object")
-                    build, row, append = from_body[kind]
-                    append(row(build(body)))
+                    build, append = from_body[kind]
+                    append(build(body))
             except ArchiveFormatError:
                 raise
             except (KeyError, ValueError, TypeError) as exc:

@@ -241,30 +241,50 @@ class TestRemoteAnnotator:
             RemoteAnnotator(url).score_sentiment("x")
         handler.status = 200
 
+    # one fault per case, beside a valid value on the other side of the payload
     @pytest.mark.parametrize(
-        "domain, sentiment",
+        "domain, sentiment, call, match",
         [
-            ({"score": 0.5}, "not a number"),
-            ({"label": None, "score": 0.5}, float("nan")),
-            ({"label": "Tech", "score": 0.5, "confident": "false"}, "nan"),
-            ({"label": "Tech", "score": "0.5"}, True),
-            ({"label": "Tech", "score": float("nan")}, "0.5"),
-            ({"label": "Tech", "score": True}, None),
-            ({"label": "Tech", "score": 10**400}, 10**400),
+            ({"score": 0.5}, 0.0, "infer_taxonomy", "bad taxonomy"),
+            ({"label": None, "score": 0.5}, 0.0, "infer_taxonomy", "bad taxonomy"),
+            (
+                {"label": "Tech", "score": 0.5, "confident": "false"},
+                0.0,
+                "infer_taxonomy",
+                "bad taxonomy",
+            ),
+            ({"label": "Tech", "score": "0.5"}, 0.0, "infer_taxonomy", "bad taxonomy"),
+            ({"label": "Tech", "score": float("nan")}, 0.0, "infer_taxonomy", "bad taxonomy"),
+            ({"label": "Tech", "score": True}, 0.0, "infer_taxonomy", "bad taxonomy"),
+            ({"label": "Tech", "score": 10**400}, 0.0, "infer_taxonomy", "bad taxonomy"),
+            ({"label": "Tech", "score": 0.5}, "not a number", "score_sentiment", "bad sentiment"),
+            ({"label": "Tech", "score": 0.5}, float("nan"), "score_sentiment", "bad sentiment"),
+            ({"label": "Tech", "score": 0.5}, "nan", "score_sentiment", "bad sentiment"),
+            ({"label": "Tech", "score": 0.5}, "0.5", "score_sentiment", "bad sentiment"),
+            ({"label": "Tech", "score": 0.5}, True, "score_sentiment", "bad sentiment"),
+            ({"label": "Tech", "score": 0.5}, 10**400, "score_sentiment", "bad sentiment"),
         ],
         ids=[
-            "missing", "null-nan", "string-false", "string-true", "nan-string", "true-null",
-            "huge-int",
+            "label-missing",
+            "label-null",
+            "confident-string",
+            "score-string",
+            "score-nan",
+            "score-true",
+            "score-huge-int",
+            "sentiment-word",
+            "sentiment-nan",
+            "sentiment-string-nan",
+            "sentiment-string-number",
+            "sentiment-true",
+            "sentiment-huge-int",
         ],
     )
-    def test_bad_payload_wrapped(self, http_service, domain, sentiment):
+    def test_bad_payload_wrapped(self, http_service, domain, sentiment, call, match):
         url, handler = http_service
         handler.payload = {"domains": [domain], "sentiment": sentiment}
-        remote = RemoteAnnotator(url)
-        with pytest.raises(AnnotatorError, match="bad taxonomy"):
-            remote.infer_taxonomy("x")
-        with pytest.raises(AnnotatorError, match="bad sentiment"):
-            remote.score_sentiment("x")
+        with pytest.raises(AnnotatorError, match=match):
+            getattr(RemoteAnnotator(url), call)("x")
 
     @pytest.mark.parametrize("timeout", [0, -1.0, float("inf"), float("nan")])
     def test_rejects_bad_timeout(self, timeout):

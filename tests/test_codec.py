@@ -566,19 +566,16 @@ class TestArchiveFieldTypes:
 HOSTILE = st.sampled_from('"\\\x00\x1f\n\t\x7f\xe9\u2028\u2029\x85\U0001f600a0 ') | st.characters(
     codec="utf-8"
 )
-_SPLITS = {
-    kind: (pattern, split, build, row)
-    for kind, row, pattern, split, build in archive._RECORD_KINDS
-}
+_SPLITS = {kind: (pattern, split, build) for kind, pattern, split, build in archive._RECORD_KINDS}
 
 
 def _both_ways(line):
     """A record line's fields split by its kind's pattern (None when the
-    pattern does not match) and read as JSON through the record builder."""
+    pattern does not match) and read as JSON through the row builder."""
     envelope = decode_line(line)
-    pattern, split, build, row = _SPLITS[envelope["kind"]]
+    pattern, split, build = _SPLITS[envelope["kind"]]
     m = re.fullmatch(pattern, line)
-    return (split(*m.groups()) if m else None), row(build(envelope["body"]))
+    return (split(*m.groups()) if m else None), build(envelope["body"])
 
 
 class TestCanonicalSplit:
