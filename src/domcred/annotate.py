@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
-from .corpus.archive import decode_line, json_value
+from .corpus.archive import _CHARS, _STRING, _inverse, decode_line, json_value
 from .corpus.types import Dataset
 from .lexicon import (
     DomainLexicon,
@@ -167,14 +168,41 @@ class AnnotatedTweet:
     merged_domains: tuple[DomainAnnotation, ...] = ()
 
 
+def _checked_sentiment(reply_id: str, sentiment):
+    """The sentiment, when it lies in [-1, 1]; else ValueError naming the reply."""
+    if not -1.0 <= sentiment <= 1.0:
+        raise ValueError(f"sentiment for {reply_id} outside [-1, 1]")
+    return sentiment
+
+
 @dataclass(frozen=True, slots=True)
 class AnnotatedReply:
     reply_id: str
     sentiment: float
 
     def __post_init__(self):
-        if not -1.0 <= self.sentiment <= 1.0:
-            raise ValueError(f"sentiment for {self.reply_id} outside [-1, 1]")
+        _checked_sentiment(self.reply_id, self.sentiment)
+
+
+class AnnotationColumns(NamedTuple):
+    """The annotations ``features`` reads, one tuple per field, each record
+    kind in file order: a domain list per tweet and a sentiment per reply.
+    Tweets whose lists are spelled alike in the file share one tuple."""
+
+    tweet_ids: tuple[str, ...]
+    merged_domains: tuple[tuple[DomainAnnotation, ...], ...]
+    reply_ids: tuple[str, ...]
+    sentiments: tuple[float, ...]
+
+    @classmethod
+    def from_records(cls, tweets, replies) -> AnnotationColumns:
+        """The columns of AnnotatedTweet and AnnotatedReply records, in their order."""
+        return cls(
+            tuple(t.tweet_id for t in tweets),
+            tuple(t.merged_domains for t in tweets),
+            tuple(r.reply_id for r in replies),
+            tuple(r.sentiment for r in replies),
+        )
 
 
 @dataclass
@@ -323,16 +351,40 @@ def save_annotations(tweets, replies, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedReply, ...]]:
-    """The tweet and reply records of an annotations file, in file order.
+# The inverse of each line template, as corpus/archive.py builds its own: a
+# canonical line split by one pattern.  A group takes only text that json.loads
+# reads as the same value: a string with nothing escaped, a number in JSON's
+# grammar, a flag spelled true or false.  The tweet's group holds its entries'
+# text whole, which reads as a JSON list once put in brackets.
+_JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_ENTRY = _inverse(_DOMAIN_ENTRY, f'"{_CHARS}"', _JSON_NUMBER, "(?:true|false)")
+_TWEET_PATTERN = _inverse(_TWEET_LINE, f"((?:{_ENTRY}(?:, {_ENTRY})*)?)", _STRING)
+_REPLY_PATTERN = _inverse(_REPLY_LINE, _STRING, f"({_JSON_NUMBER})")
+
+
+def load_annotation_columns(path) -> AnnotationColumns:
+    """The columns of an annotations file, read without building a record.
+
+    A line written as ``save_annotations`` writes it is split by its kind's
+    pattern; an entries text or a sentiment is decoded and checked once per
+    distinct spelling, and the tweets spelled alike share one domain tuple.
+    Any other line is decoded as JSON.  Both give the same values, and a
+    line either way gives the same error.
 
     Files written before a tweet carried one domain list hold two more lists
     per tweet; they still load, and only ``merged_domains`` is read.  A line
     that is not such a record raises ValueError naming the file and the line.
     """
-    tweets: list[AnnotatedTweet] = []
-    replies: list[AnnotatedReply] = []
+    tweet_ids: list[str] = []
+    merged: list[tuple[DomainAnnotation, ...]] = []
+    reply_ids: list[str] = []
+    sentiments: list[float] = []
     interned: dict = {}
+    # per distinct spelling: a tweet's entries text, a reply's sentiment
+    domains_of: dict[str, tuple[DomainAnnotation, ...]] = {}
+    sentiment_of: dict[str, float] = {}
+    tweet_match = re.compile(_TWEET_PATTERN).fullmatch
+    reply_match = re.compile(_REPLY_PATTERN).fullmatch
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -340,9 +392,29 @@ def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedR
     # lines end at "\n" alone: a string may hold U+2028 or U+0085 raw, which
     # str.splitlines would break at, and a lone "\r" is JSON whitespace
     for line_no, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
         try:
+            m = tweet_match(line)
+            if m:
+                entries, tweet_id = m.groups()
+                domains = domains_of.get(entries)
+                if domains is None:
+                    payload = decode_line(f"[{entries}]")
+                    domains = domains_of[entries] = _domains_from_payload(payload, interned)
+                tweet_ids.append(tweet_id)
+                merged.append(domains)
+                continue
+            m = reply_match(line)
+            if m:
+                reply_id, spelling = m.groups()
+                sentiment = sentiment_of.get(spelling)
+                if sentiment is None:
+                    sentiment = _checked_sentiment(reply_id, decode_line(spelling))
+                    sentiment_of[spelling] = sentiment
+                reply_ids.append(reply_id)
+                sentiments.append(sentiment)
+                continue
+            if not line.strip():
+                continue
             record = decode_line(line)
             if type(record) is not dict:
                 raise ValueError(f"a record must be a JSON object, got {record!r}")
@@ -351,8 +423,8 @@ def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedR
                 tweet_id = record["tweet_id"]
                 if type(tweet_id) is not str:
                     raise ValueError(f"tweet_id must be a string, got {tweet_id!r}")
-                domains = _domains_from_payload(record["merged_domains"], interned)
-                tweets.append(AnnotatedTweet(tweet_id, domains))
+                merged.append(_domains_from_payload(record["merged_domains"], interned))
+                tweet_ids.append(tweet_id)
             elif kind == "reply":
                 reply_id, sentiment = record["reply_id"], record["sentiment"]
                 if type(reply_id) is not str or type(sentiment) not in _NUMBERS:
@@ -360,11 +432,22 @@ def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedR
                         "a reply needs a string reply_id and a numeric sentiment,"
                         f" got {reply_id!r} and {sentiment!r}"
                     )
-                replies.append(AnnotatedReply(reply_id, sentiment))
+                sentiments.append(_checked_sentiment(reply_id, sentiment))
+                reply_ids.append(reply_id)
             else:
                 raise ValueError(f"unknown annotation record kind {kind!r}")
         except KeyError as exc:
             raise ValueError(f"{path}: line {line_no}: record has no {exc} key") from None
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    return tuple(tweets), tuple(replies)
+    return AnnotationColumns(tuple(tweet_ids), tuple(merged), tuple(reply_ids), tuple(sentiments))
+
+
+def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedReply, ...]]:
+    """The tweet and reply records of an annotations file, in file order, as
+    ``load_annotation_columns`` reads them."""
+    columns = load_annotation_columns(path)
+    return (
+        tuple(map(AnnotatedTweet, columns.tweet_ids, columns.merged_domains)),
+        tuple(map(AnnotatedReply, columns.reply_ids, columns.sentiments)),
+    )

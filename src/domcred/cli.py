@@ -26,7 +26,7 @@ from .annotate import (
     LexiconAnnotator,
     RemoteAnnotator,
     annotate_dataset,
-    load_annotations,
+    load_annotation_columns,
     save_annotations,
 )
 from .corpus.archive import (
@@ -245,10 +245,10 @@ def _read_annotations(dataset_path: str, columns):
             f"no annotations at {path}; write them first with "
             f"`domcred annotate {dataset_path} --output-dir {path.parent}`"
         )
-    tweets, replies = load_annotations(path)
+    annotations = load_annotation_columns(path)
     for kind, got, want in (
-        ("tweet", tuple(t.tweet_id for t in tweets), columns.tweet_ids),
-        ("reply", tuple(r.reply_id for r in replies), columns.reply_ids),
+        ("tweet", annotations.tweet_ids, columns.tweet_ids),
+        ("reply", annotations.reply_ids, columns.reply_ids),
     ):
         if got != want:
             examples = sorted(set(got) ^ set(want)) or [a for a, b in zip(got, want) if a != b]
@@ -256,7 +256,7 @@ def _read_annotations(dataset_path: str, columns):
                 f"annotations do not match {dataset_path}: {path} has {len(got)} {kind} ids, "
                 f"the dataset {len(want)} (e.g. {examples[:3]}); run `domcred annotate` again"
             )
-    return tweets, replies
+    return annotations
 
 
 def cmd_features(args, config, out_dir: Path, seed: int) -> int:
@@ -268,10 +268,10 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         save_matrix,
     )
 
-    # the stage reads the dataset as columns, with no record per user, tweet or reply
+    # the stage reads the dataset and its annotations as columns, with no record
     columns = _load_canonical(args.dataset, load_columns)
-    tweets, replies = _read_annotations(args.dataset, columns)
-    known_domains = sorted({d.label for t in tweets for d in t.merged_domains})
+    annotations = _read_annotations(args.dataset, columns)
+    known_domains = sorted({d.label for ds in set(annotations.merged_domains) for d in ds})
     if not known_domains:
         raise ValueError(
             f"no annotated tweet carries a domain ({args.dataset} holds"
@@ -297,7 +297,7 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         granularity=_resolve(args, config, "granularity", "month"),
     )
     slices, partition_report = partition_periods(columns, spec)
-    domain_features = accumulate_domain_features(columns, tweets, replies, slices)
+    domain_features = accumulate_domain_features(columns, annotations, slices)
     global_features = compute_global_features(columns)
     matrix = assemble_matrix(domain, POOLED, domain_features, global_features, labels=labels)
     matrix_path = out_dir / "features.csv"

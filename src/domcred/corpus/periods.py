@@ -4,14 +4,15 @@ Slices align to UTC calendar boundaries (month by default, quarter or year
 optionally), start at the configured range start or the month of the first
 activity, and are half-open [start, end).  Without a configured count there
 are just enough slices to reach the last record.  Records outside the range
-land in no slice and are counted.
+land in no slice and are counted.  A period that would end after year 9999
+is an error that names it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import MAXYEAR, datetime, timezone
 
 from .types import DatasetColumns, PeriodSlice
 
@@ -59,9 +60,17 @@ def _floor_boundary(dt: datetime, granularity: str) -> datetime:
     return datetime(dt.year, month, 1, tzinfo=timezone.utc)
 
 
-def _add_months(dt: datetime, months: int) -> datetime:
-    total = dt.year * 12 + (dt.month - 1) + months
-    return datetime(total // 12, total % 12 + 1, 1, tzinfo=timezone.utc)
+def _period_end(first: datetime, index: int, step: int) -> datetime:
+    """The end edge of period ``index``: the month boundary ``index * step``
+    months after first's month; ValueError naming the period and the edge
+    when that falls after year 9999."""
+    year, month = divmod(first.year * 12 + first.month - 1 + index * step, 12)
+    if year > MAXYEAR:
+        raise ValueError(
+            f"period {index} would end at {year}-{month + 1:02d}-01T00:00:00Z,"
+            f" after year {MAXYEAR}, the last year a timestamp can hold"
+        )
+    return datetime(year, month + 1, 1, tzinfo=timezone.utc)
 
 
 def partition_periods(
@@ -89,7 +98,7 @@ def partition_periods(
         last = max(stamps, default=first).astimezone(timezone.utc)
         months = (last.year - first.year) * 12 + last.month - first.month
         n_periods = max(1, months // step + 1)
-    edges = [_add_months(first, i * step) if i else first for i in range(n_periods + 1)]
+    edges = [first, *(_period_end(first, i, step) for i in range(1, n_periods + 1))]
 
     # each record's slice is one bisect over the strictly increasing edges
     tweet_ids = [set() for _ in range(n_periods)]

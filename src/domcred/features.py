@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
+from .annotate import AnnotationColumns, DomainAnnotation
 from .corpus.types import (
     LABELS,
     DatasetColumns,
@@ -128,18 +128,19 @@ def compute_ffr(profile: UserProfile, capture_at: datetime) -> float:
 
 def accumulate_domain_features(
     columns: DatasetColumns,
-    annotated_tweets: Iterable[AnnotatedTweet],
-    annotated_replies: Iterable[AnnotatedReply],
+    annotations: AnnotationColumns,
     slices: Iterable[PeriodSlice] = (),
 ) -> dict[tuple[str, str, int], UserDomainFeatures]:
     """Accumulate distributed engagement per (user, domain, period) in one pass.
 
     One pass over the tweets and one over the replies, in the dataset's id
-    order, computing each tweet's weights once.  Every record adds its mass
-    to the pooled cell ``(user, domain, POOLED)`` and, when a slice holds it,
-    to ``(user, domain, slice.index)``.  Each cell therefore sums the same
-    records in the same order as a separate scan of its selection would.
-    Slices must be disjoint, as ``partition_periods`` makes them.
+    order.  The weights are computed once per distinct domain list in
+    ``annotations``: they depend only on the entries' labels and scores, and
+    lists equal in value (1 and 1.0 alike) weigh alike.  Every record adds
+    its mass to the pooled cell ``(user, domain, POOLED)`` and, when a slice
+    holds it, to ``(user, domain, slice.index)``.  Each cell therefore sums
+    the same records in the same order as a separate scan of its selection
+    would.  Slices must be disjoint, as ``partition_periods`` makes them.
 
     Tweets contribute their own engagement counts; replies contribute their
     sentiment to the parent tweet's author, split by the parent's weights.
@@ -147,10 +148,18 @@ def accumulate_domain_features(
     earlier tweet count in the period they were written.  Tweets with no
     usable annotation contribute nothing.
     """
-    weights_by_tweet = {
-        t.tweet_id: relativeness_weights(t.merged_domains) for t in annotated_tweets
-    }
-    sentiment_by_reply = {r.reply_id: r.sentiment for r in annotated_replies}
+    weights_of: dict[tuple[DomainAnnotation, ...], dict[str, float]] = {}
+
+    def weights(domains: tuple[DomainAnnotation, ...]) -> dict[str, float]:
+        found = weights_of.get(domains)
+        if found is None:
+            found = weights_of[domains] = relativeness_weights(domains)
+        return found
+
+    weights_by_tweet = dict(
+        zip(annotations.tweet_ids, map(weights, annotations.merged_domains))
+    )
+    sentiment_by_reply = dict(zip(annotations.reply_ids, annotations.sentiments))
     slices = tuple(slices)
     if any(sl.index == POOLED for sl in slices):
         raise ValueError(f"slice index {POOLED} is reserved for the pooled cells")

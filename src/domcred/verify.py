@@ -10,7 +10,7 @@ from __future__ import annotations
 from datetime import timedelta
 from typing import Callable, TextIO
 
-from .annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
+from .annotate import AnnotatedReply, AnnotatedTweet, AnnotationColumns, DomainAnnotation
 from .corpus.types import Dataset, ReplyRecord, TweetRecord, UserProfile, parse_timestamp
 from .evaluate import ConfusionTable, metrics
 from .features import (
@@ -43,7 +43,8 @@ def _check_engagement_distribution() -> str:
     scores = (("Sports", 1.0), ("Arts and Entertainment", 0.5), ("Education", 0.5))
     annotated = AnnotatedTweet("t", tuple(DomainAnnotation(d, s) for d, s in scores))
     sentiments = tuple(AnnotatedReply(r.reply_id, -1.0) for r in replies)
-    cells = accumulate_domain_features(dataset.columns, (annotated,), sentiments)
+    annotations = AnnotationColumns.from_records((annotated,), sentiments)
+    cells = accumulate_domain_features(dataset.columns, annotations)
     got = {domain: (c.r, c.l, c.sn) for (_, domain, _), c in cells.items()}
     expected = {
         "Sports": (5.0, 7.5, -5.0),

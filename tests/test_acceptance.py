@@ -16,6 +16,7 @@ import pytest
 from domcred.annotate import (
     AnnotatedReply,
     AnnotatedTweet,
+    AnnotationColumns,
     DomainAnnotation,
     LexiconAnnotator,
     annotate_dataset,
@@ -97,8 +98,10 @@ def test_criterion_01_engagement_distribution_is_exact():
     )
     cells = accumulate_domain_features(
         dataset.columns,
-        (AnnotatedTweet("t1", notes),),
-        tuple(AnnotatedReply(r.reply_id, -1.0) for r in replies),
+        AnnotationColumns.from_records(
+            (AnnotatedTweet("t1", notes),),
+            tuple(AnnotatedReply(r.reply_id, -1.0) for r in replies),
+        ),
     )
     assert {domain: (c.r, c.l, c.sn) for (_, domain, _), c in cells.items()} == {
         "Sports": (5.0, 7.5, -5.0),
@@ -269,7 +272,8 @@ def test_criterion_06_feature_pipeline_equals_brute_force():
         slices, _ = partition_periods(
             dataset.columns, PeriodSpec(n_periods=int(rng.integers(1, 7)))
         )
-        cells = accumulate_domain_features(dataset.columns, notes, sentiments, slices)
+        annotations = AnnotationColumns.from_records(notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, annotations, slices)
         assert {k for _, _, k in cells} <= {POOLED} | {sl.index for sl in slices}
         _compare_cells(
             _period_cells(cells, POOLED),
@@ -296,7 +300,8 @@ def _synthetic_matrix(n_users: int, seed: int) -> FeatureMatrix:
     dataset, labels = synthesize(config, seed)
     clean, _ = cleanse(dataset)
     tweets, replies, _ = annotate_dataset(clean, LexiconAnnotator())
-    cells = accumulate_domain_features(clean.columns, tweets, replies)
+    annotations = AnnotationColumns.from_records(tweets, replies)
+    cells = accumulate_domain_features(clean.columns, annotations)
     global_features = compute_global_features(clean.columns)
     return assemble_matrix(TECH, POOLED, cells, global_features, labels=labels)
 

@@ -16,7 +16,7 @@ import domcred.annotate
 import domcred.cli
 import domcred.features
 import domcred.verify
-from domcred.annotate import annotate_dataset, load_annotations, save_annotations
+from domcred.annotate import annotate_dataset, load_annotation_columns, save_annotations
 from domcred.cli import main
 from domcred.corpus.archive import load_dataset, load_labels, save_dataset
 from domcred.corpus.periods import PeriodSpec, partition_periods
@@ -668,12 +668,34 @@ class TestFeatures:
         assert "no annotated tweet carries a domain" in err
         assert f"{path} holds 2 tweets" in err
 
+    @pytest.mark.parametrize(
+        "options, period",
+        [((), 1), (("--granularity", "year"), 1), (("--start", "9999-01-01T00:00:00Z"), 12)],
+    )
+    def test_period_ending_after_year_9999_fails(self, tmp_path, capsys, options, period):
+        dataset = make_dataset(
+            [make_user("a", created="9999-01-01T00:00:00Z")],
+            [make_tweet("t1", "a", posted="9999-12-01T00:00:00Z")],
+            capture="9999-12-31T00:00:00Z",
+        )
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(dataset, path)
+        assert main(["annotate", str(path), "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["features", str(path), *options, "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: period {period} would end at 10000-01-01T00:00:00Z,"
+            " after year 9999, the last year a timestamp can hold\n"
+        )
+        assert not (tmp_path / "out" / "features.csv").exists()
+
     def test_csv_equals_the_feature_matrix_path(self, pipeline, tmp_path):
         """The plain rows `features` writes match save_matrix(assemble_matrix(...))."""
         dataset, _ = load_dataset(pipeline["dataset"])
-        tweets, replies = load_annotations(pipeline["dataset"].parent / "annotations.jsonl")
+        annotations = load_annotation_columns(pipeline["dataset"].parent / "annotations.jsonl")
         slices, _ = partition_periods(dataset.columns, PeriodSpec())
-        cells = accumulate_domain_features(dataset.columns, tweets, replies, slices)
+        cells = accumulate_domain_features(dataset.columns, annotations, slices)
         active = compute_global_features(dataset.columns)
         for labels, written in (
             (load_labels(pipeline["labels"]), pipeline["matrix"]),
@@ -733,7 +755,9 @@ class TestFeatures:
         assert text.count("\nperiod ") == periods["n_periods"]
 
     def test_one_accumulation_pass(self, pipeline, tmp_path, monkeypatch):
-        calls = {"annotate": 0, "accumulate": 0, "weights": 0}
+        """One accumulation, the weights once per distinct domain list, and
+        no annotation record built on the way."""
+        calls = {"annotate": 0, "accumulate": 0, "weights": 0, "records": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -756,13 +780,19 @@ class TestFeatures:
             monkeypatch.setattr(
                 module, "annotate_dataset", counted("annotate", module.annotate_dataset)
             )
+        for record in ("AnnotatedTweet", "AnnotatedReply"):
+            monkeypatch.setattr(
+                domcred.annotate, record, counted("records", getattr(domcred.annotate, record))
+            )
         rc = main(
             ["features", str(pipeline["dataset"]), "--domain", TECH,
              "--n-periods", "3", "--output-dir", str(tmp_path)]
         )
         assert rc == 0
-        dataset, _ = load_dataset(pipeline["dataset"])
-        assert calls == {"annotate": 0, "accumulate": 1, "weights": len(dataset.tweets)}
+        annotations = load_annotation_columns(pipeline["dataset"].parent / "annotations.jsonl")
+        distinct = len(set(annotations.merged_domains))
+        assert distinct < len(annotations.tweet_ids)
+        assert calls == {"annotate": 0, "accumulate": 1, "weights": distinct, "records": 0}
 
 
 class TestBenchmark:
@@ -1137,16 +1167,14 @@ class TestVerify:
 
     def test_distribution_fixture_runs_the_accumulator(self, capsys, monkeypatch):
         # a splitter that ignores the scores and weighs every domain alike
-        def even_split(dataset, tweets, replies, slices=()):
-            flat = [
-                dataclasses.replace(
-                    t, merged_domains=tuple(
-                        dataclasses.replace(d, score=1.0) for d in t.merged_domains
-                    )
-                )
-                for t in tweets
-            ]
-            return accumulate_domain_features(dataset, flat, replies, slices)
+        def even_split(dataset, annotations, slices=()):
+            flat = tuple(
+                tuple(dataclasses.replace(d, score=1.0) for d in domains)
+                for domains in annotations.merged_domains
+            )
+            return accumulate_domain_features(
+                dataset, annotations._replace(merged_domains=flat), slices
+            )
 
         monkeypatch.setattr(domcred.verify, "accumulate_domain_features", even_split)
         assert main(["verify", "engagement-distribution"]) == 1

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import domcred.annotate
 from domcred.annotate import (
     AnnotatedReply,
     AnnotatedTweet,
+    AnnotationColumns,
     DomainAnnotation,
+    load_annotation_columns,
     load_annotations,
     save_annotations,
 )
@@ -310,6 +313,118 @@ class TestAnnotationLines:
         path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: .*0 or 1 flag"):
             load_annotations(path)
+
+
+# ids and labels from characters a canonical line escapes (a quote, a
+# backslash, control characters, non-ASCII, U+2028) and plain ones, so some
+# lines take the pattern and some the JSON path
+awkward_text = st.text(st.sampled_from('ab"\\\x00\x1f\x7f\xe9\u2028'), min_size=1, max_size=4)
+awkward_scores = st.one_of(st.sampled_from([0, 1, -0.0, 5e-324]), st.floats(0.0, 1.0))
+awkward_sentiments = st.one_of(st.sampled_from([0, 1, -1, -0.0, 5e-324]), st.floats(-1.0, 1.0))
+awkward_lists = st.lists(
+    st.builds(
+        DomainAnnotation,
+        label=awkward_text,
+        score=awkward_scores,
+        confident=st.sampled_from([True, False, 0, 1]),
+    ),
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def respelled_annotations(draw):
+    """Records whose domain lists and sentiments repeat, as a file's do."""
+    lists = draw(st.lists(awkward_lists, min_size=1, max_size=3))
+    sentiments = draw(st.lists(awkward_sentiments, min_size=1, max_size=3))
+    tweet_ids = draw(st.lists(awkward_text, max_size=6, unique=True))
+    reply_ids = draw(st.lists(awkward_text, max_size=6, unique=True))
+    tweets = tuple(AnnotatedTweet(t, draw(st.sampled_from(lists))) for t in tweet_ids)
+    replies = tuple(AnnotatedReply(r, draw(st.sampled_from(sentiments))) for r in reply_ids)
+    return tweets, replies
+
+
+def respell(line: str) -> str:
+    """The line as compact JSON with non-ASCII raw: no canonical pattern takes it."""
+    return json.dumps(json.loads(line), separators=(",", ":"), ensure_ascii=False)
+
+
+class TestAnnotationReaders:
+    """A canonical line split by its pattern reads as the same line read as JSON."""
+
+    def _both_spellings(self, tmp_path, lines):
+        """An annotations file of the lines in canonical/ and one of them
+        re-spelled in respelled/, both named annotations.jsonl."""
+        paths = []
+        for name, spell in (("canonical", str), ("respelled", respell)):
+            path = tmp_path / name / "annotations.jsonl"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("".join(spell(line) + "\n" for line in lines), encoding="utf-8")
+            paths.append(path)
+        return paths
+
+    @given(payload=respelled_annotations())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_pattern_path_equals_json_path(self, payload, tmp_path):
+        tweets, replies = payload
+        path = tmp_path / "annotations.jsonl"
+        save_annotations(tweets, replies, path)
+        lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
+        canonical, respelled = self._both_spellings(tmp_path, lines)
+        columns = load_annotation_columns(canonical)
+        # == cannot tell 1 from 1.0, -0.0 from 0.0 or True from 1; repr can
+        assert repr(load_annotation_columns(respelled)) == repr(columns)
+        assert repr(columns) == repr(AnnotationColumns.from_records(tweets, replies))
+        assert repr(load_annotations(canonical)) == repr((tweets, replies))
+
+    def test_each_spelling_is_decoded_once(self, tmp_path, monkeypatch):
+        tweet = '{"kind": "tweet", "merged_domains": [["Arts", 1.0, true]], "tweet_id": "t%d"}'
+        reply = '{"kind": "reply", "reply_id": "r%d", "sentiment": -0.5}'
+        lines = [tweet % i for i in range(3)] + [reply % i for i in range(3)]
+        canonical, respelled = self._both_spellings(tmp_path, lines)
+        decoded = []
+        decode = domcred.annotate.decode_line
+
+        def counted(text):
+            decoded.append(text)
+            return decode(text)
+
+        monkeypatch.setattr(domcred.annotate, "decode_line", counted)
+        columns = load_annotation_columns(canonical)
+        assert decoded == ['[["Arts", 1.0, true]]', "-0.5"]
+        assert len({id(domains) for domains in columns.merged_domains}) == 1
+        assert repr(load_annotation_columns(respelled)) == repr(columns)
+        assert len(decoded) == 2 + len(lines)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                '{"kind": "tweet", "merged_domains": [["Arts", 1.5, true]], "tweet_id": "t%d"}',
+                "score for 'Arts' outside [0, 1]: 1.5",
+            ),
+            (
+                '{"kind": "reply", "reply_id": "r%d", "sentiment": 2.0}',
+                "sentiment for r2 outside [-1, 1]",
+            ),
+        ],
+        ids=["score", "sentiment"],
+    )
+    def test_bad_value_fails_at_its_first_line_either_way(self, tmp_path, bad, message):
+        lines = [
+            '{"kind": "tweet", "merged_domains": [["Arts", 1.0, true]], "tweet_id": "t0"}',
+            '{"kind": "reply", "reply_id": "r1", "sentiment": 0.5}',
+            bad % 2,
+            bad % 3,
+        ]
+        for path in self._both_spellings(tmp_path, lines):
+            with pytest.raises(ValueError) as caught:
+                load_annotation_columns(path)
+            assert str(caught.value) == f"{path}: line 3: {message}"
 
 
 class TestLineSeparatorsInText:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from domcred.annotate import LexiconAnnotator, annotate_dataset
+from domcred.annotate import AnnotationColumns, LexiconAnnotator, annotate_dataset
 from domcred.corpus.periods import PeriodSpec, partition_periods
 from domcred.corpus.synth import SynthConfig, synthesize
 from domcred.corpus.types import GroundTruthLabels
@@ -65,7 +65,8 @@ class TestRelativenessWeights:
         )
         notes = (annotated_tweet("t1", {"a": 1.0, "b": 0.5, "c": 0.5}),)
         sentiments = tuple(annotated_reply(r.reply_id, -1.0) for r in replies)
-        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
+        annotations = AnnotationColumns.from_records(notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, annotations)
         got = {d: (c.r, c.l, c.sn) for (_, d, _), c in cells.items()}
         assert got == {
             "a": (5.0, 7.5, -5.0),
@@ -132,7 +133,8 @@ class TestAccumulate:
 
     def test_tweet_masses_split_by_weight(self):
         dataset, notes, sentiments = self.small()
-        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
+        annotations = AnnotationColumns.from_records(notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, annotations)
         tech = cells[("alice", "tech", POOLED)]
         food = cells[("alice", "food", POOLED)]
         assert tech.r == pytest.approx(6.0)
@@ -144,7 +146,8 @@ class TestAccumulate:
 
     def test_reply_sentiment_credits_parent_author(self):
         dataset, notes, sentiments = self.small()
-        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
+        annotations = AnnotationColumns.from_records(notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, annotations)
         tech = cells[("alice", "tech", POOLED)]
         assert tech.sp == pytest.approx(0.9 * 2 / 3)
         assert tech.sn == pytest.approx(-0.6 * 2 / 3)
@@ -156,7 +159,8 @@ class TestAccumulate:
 
     def test_unannotated_tweet_invisible(self):
         dataset, notes, sentiments = self.small()
-        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
+        annotations = AnnotationColumns.from_records(notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, annotations)
         assert all(key[1] in ("tech", "food") for key in cells)
 
     def test_underflowing_domain_gets_no_cell(self):
@@ -166,7 +170,8 @@ class TestAccumulate:
         dataset = make_dataset(users, tweets, replies)
         notes = (annotated_tweet("t1", {"tech": 1.0, "food": 1.0, "art": 5e-324}),)
         sentiments = (annotated_reply("r1", 0.5),)
-        cells = accumulate_domain_features(dataset.columns, notes, sentiments)
+        annotations = AnnotationColumns.from_records(notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, annotations)
         assert set(cells) == {("alice", "food", POOLED), ("alice", "tech", POOLED)}
         for key in cells:
             assert cells[key].domain_tweet_count == 1
@@ -183,7 +188,8 @@ class TestAccumulate:
         notes = (annotated_tweet("t1", {"tech": 1.0}),)
         sentiments = (annotated_reply("r1", 1.0),)
 
-        cells = accumulate_domain_features(dataset.columns, notes, sentiments, slices)
+        annotations = AnnotationColumns.from_records(notes, sentiments)
+        cells = accumulate_domain_features(dataset.columns, annotations, slices)
         first = cells[("alice", "tech", slices[0].index)]
         second = cells[("alice", "tech", slices[1].index)]
         assert first.r == 8.0
@@ -198,14 +204,16 @@ class TestAccumulate:
         dataset, notes, sentiments = self.small()
         slices, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=1))
         clash = dataclasses.replace(slices[0], index=POOLED)
+        annotations = AnnotationColumns.from_records(notes, sentiments)
         with pytest.raises(ValueError, match="reserved"):
-            accumulate_domain_features(dataset.columns, notes, sentiments, [clash])
+            accumulate_domain_features(dataset.columns, annotations, [clash])
 
     def test_matches_brute_oracle_on_random_data(self):
         rng = np.random.default_rng(1234)
         for _ in range(25):
             dataset, notes, sentiments = random_micro_dataset(rng)
-            cells = accumulate_domain_features(dataset.columns, notes, sentiments)
+            annotations = AnnotationColumns.from_records(notes, sentiments)
+            cells = accumulate_domain_features(dataset.columns, annotations)
             # the signs hold by construction: counts are >= 0, weights > 0,
             # and only a negative sentiment adds to sn
             for f in cells.values():
@@ -342,7 +350,8 @@ class TestAssembleMatrix:
         ]
         dataset = make_dataset(users, tweets)
         notes = (annotated_tweet("t1", {"tech": 1.0, "food": 0.5}),)
-        cells = accumulate_domain_features(dataset.columns, notes, ())
+        annotations = AnnotationColumns.from_records(notes, ())
+        cells = accumulate_domain_features(dataset.columns, annotations)
         globals_ = compute_global_features(dataset.columns)
         return cells, globals_
 
@@ -433,7 +442,8 @@ class TestMatrixIO:
         # is what assemble_matrix built, down to the report
         dataset, labels = synthesize(SynthConfig(n_users=60, domains=(TECH,)), seed=3)
         tweets, replies, _ = annotate_dataset(dataset, LexiconAnnotator())
-        cells = accumulate_domain_features(dataset.columns, tweets, replies)
+        annotations = AnnotationColumns.from_records(tweets, replies)
+        cells = accumulate_domain_features(dataset.columns, annotations)
         matrix = assemble_matrix(
             TECH, POOLED, cells, compute_global_features(dataset.columns), labels=labels
         )

@@ -49,6 +49,28 @@ def test_importing_the_cli_loads_no_numpy():
     assert _python("import sys, domcred.cli; print('numpy' in sys.modules)") == "False\n"
 
 
+def test_importing_annotate_compiles_no_line_pattern(tmp_path):
+    """The annotation line patterns compile on first read, not on import."""
+    path = tmp_path / "annotations.jsonl"
+    path.write_text("\n", encoding="utf-8")
+    out = _python(
+        f"""
+        import re
+        import domcred.annotate as annotate
+
+        def compiled():
+            patterns = {{annotate._TWEET_PATTERN, annotate._REPLY_PATTERN}}
+            cached = [*getattr(re, "_cache", ()), *getattr(re, "_cache2", ())]
+            return sum(key[1] in patterns for key in cached)
+
+        print(compiled())
+        annotate.load_annotation_columns({str(path)!r})
+        print(compiled())
+        """
+    )
+    assert out == "0\n2\n"
+
+
 @pytest.mark.parametrize("blas_threads, expected", [(None, "1"), ("2", "2")])
 def test_cli_runs_blas_single_threaded_unless_told_otherwise(blas_threads, expected):
     out = _python(
@@ -149,6 +171,6 @@ def test_traced_features_times_the_matrix_work(tmp_path):
     assert counts["features.assemble_matrix_calls"] == 1
     assert counts["features.save_matrix_calls"] == 1
     assert counts["features.accumulate_domain_features_calls"] == 1
-    assert counts["features.relativeness_weights_calls"] == 1  # once per tweet
+    assert counts["features.relativeness_weights_calls"] == 1  # once per distinct domain list
     # the stage reads the dataset as columns, not through load_dataset
     assert "archive.load_dataset_calls" not in counts
