@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
-from .corpus.archive import _CHARS, _STRING, _inverse, decode_line, json_value
+from .corpus.archive import CHARS, FLAG, NUMBER, STRING, decode_line, inverse, json_value
 from .corpus.types import Dataset
 from .lexicon import (
     DomainLexicon,
@@ -187,16 +187,24 @@ class AnnotatedReply:
 class AnnotationColumns(NamedTuple):
     """The annotations ``features`` reads, one tuple per field, each record
     kind in file order: a domain list per tweet and a sentiment per reply.
-    Tweets whose lists are spelled alike in the file share one tuple."""
+    Canonical tweet lines whose lists are spelled alike share one tuple."""
 
     tweet_ids: tuple[str, ...]
     merged_domains: tuple[tuple[DomainAnnotation, ...], ...]
     reply_ids: tuple[str, ...]
     sentiments: tuple[float, ...]
 
+    def domain_lists(self) -> dict[int, tuple[DomainAnnotation, ...]]:
+        """Each distinct domain list once, by the id of its tuple: lists are
+        told apart with no hash of their entries, which a list that appears
+        once would pay for and get nothing back."""
+        return dict(zip(map(id, self.merged_domains), self.merged_domains))
+
     @classmethod
     def from_records(cls, tweets, replies) -> AnnotationColumns:
-        """The columns of AnnotatedTweet and AnnotatedReply records, in their order."""
+        """The columns of AnnotatedTweet and AnnotatedReply records, in their
+        order; each argument may be any iterable, read once."""
+        tweets, replies = tuple(tweets), tuple(replies)
         return cls(
             tuple(t.tweet_id for t in tweets),
             tuple(t.merged_domains for t in tweets),
@@ -351,15 +359,13 @@ def save_annotations(tweets, replies, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# The inverse of each line template, as corpus/archive.py builds its own: a
-# canonical line split by one pattern.  A group takes only text that json.loads
-# reads as the same value: a string with nothing escaped, a number in JSON's
-# grammar, a flag spelled true or false.  The tweet's group holds its entries'
-# text whole, which reads as a JSON list once put in brackets.
-_JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_ENTRY = _inverse(_DOMAIN_ENTRY, f'"{_CHARS}"', _JSON_NUMBER, "(?:true|false)")
-_TWEET_PATTERN = _inverse(_TWEET_LINE, f"((?:{_ENTRY}(?:, {_ENTRY})*)?)", _STRING)
-_REPLY_PATTERN = _inverse(_REPLY_LINE, _STRING, f"({_JSON_NUMBER})")
+# The inverse of each line template, built from corpus/archive.py's pattern
+# pieces as its own are: a canonical line split by one pattern.  The tweet's
+# group holds its entries' text whole, which reads as a JSON list once put in
+# brackets.
+_ENTRY = inverse(_DOMAIN_ENTRY, f'"{CHARS}"', NUMBER, f"(?:{FLAG})")
+_TWEET_PATTERN = inverse(_TWEET_LINE, f"((?:{_ENTRY}(?:, {_ENTRY})*)?)", STRING)
+_REPLY_PATTERN = inverse(_REPLY_LINE, STRING, f"({NUMBER})")
 
 
 def load_annotation_columns(path) -> AnnotationColumns:

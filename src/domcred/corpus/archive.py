@@ -170,32 +170,39 @@ def _reply_from_body(body: dict) -> tuple:
     )
 
 
-# The inverse of each record template: a line that template writes, split by
-# one pattern into its fields.  A group takes only text that json.loads reads
-# as the same value: a string with nothing escaped (no '"', '\' or control
-# character), a count without sign, fraction or exponent.
-_CHARS = r'[^"\\\x00-\x1f]*'
-_STRING = f'"({_CHARS})"'
-# a timestamp as format_timestamp writes it, inside the template's own
-# quotes; the group holds it without its Z
-_STAMP = r"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{6})?)Z"
-_COUNT = "(0|[1-9][0-9]*)"
-_FLAG = "(true|false)"
-_LANGUAGE = f'(?:null|"({_CHARS})")'  # no group text for null
+# The pieces of a canonical line's pattern, shared by this module's reader
+# and the annotations reader.  Each takes only text that json.loads reads as
+# the same value: a string's text with nothing escaped (no '"', '\' or control
+# character), a number in JSON's grammar, a flag spelled true or false.  STRING
+# is a whole string whose group holds its text; the rest hold no group.
+CHARS = r'[^"\\\x00-\x1f]*'
+STRING = f'"({CHARS})"'
+NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+FLAG = "true|false"
 
 
-def _inverse(template: str, *groups: str) -> str:
-    """The pattern of the lines ``template`` writes, one group per placeholder;
-    a reader compiles it on first use, so importing the module compiles none."""
+def inverse(template: str, *groups: str) -> str:
+    """The pattern of the lines ``template`` writes, one pattern piece per
+    placeholder; a reader compiles it on first use, so importing its module
+    compiles none."""
     fill = iter(groups)
     return re.sub("%[sd]", lambda _: next(fill), re.escape(template))
 
 
-_USER_PATTERN = _inverse(_USER_LINE, _STAMP, _COUNT, _COUNT, _STRING, _STRING)
-_TWEET_PATTERN = _inverse(
-    _TWEET_LINE, _STRING, _COUNT, _FLAG, _LANGUAGE, _STAMP, _COUNT, _COUNT, _STRING, _STRING
+# The inverse of each record template: a line that template writes, split by
+# one pattern into its fields.  A count is a number without sign, fraction or
+# exponent; a timestamp is as format_timestamp writes it, inside the
+# template's own quotes, and its group holds it without its Z.
+_STAMP = r"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{6})?)Z"
+_COUNT = "(0|[1-9][0-9]*)"
+_FLAG = f"({FLAG})"
+_LANGUAGE = f'(?:null|{STRING})'  # no group text for null
+
+_USER_PATTERN = inverse(_USER_LINE, _STAMP, _COUNT, _COUNT, STRING, STRING)
+_TWEET_PATTERN = inverse(
+    _TWEET_LINE, STRING, _COUNT, _FLAG, _LANGUAGE, _STAMP, _COUNT, _COUNT, STRING, STRING
 )
-_REPLY_PATTERN = _inverse(_REPLY_LINE, _STRING, _STRING, _STAMP, _STRING, _STRING)
+_REPLY_PATTERN = inverse(_REPLY_LINE, STRING, STRING, _STAMP, STRING, STRING)
 
 
 def _utc(stamp: str) -> datetime:

@@ -134,13 +134,15 @@ def accumulate_domain_features(
     """Accumulate distributed engagement per (user, domain, period) in one pass.
 
     One pass over the tweets and one over the replies, in the dataset's id
-    order.  The weights are computed once per distinct domain list in
-    ``annotations``: they depend only on the entries' labels and scores, and
-    lists equal in value (1 and 1.0 alike) weigh alike.  Every record adds
-    its mass to the pooled cell ``(user, domain, POOLED)`` and, when a slice
-    holds it, to ``(user, domain, slice.index)``.  Each cell therefore sums
-    the same records in the same order as a separate scan of its selection
-    would.  Slices must be disjoint, as ``partition_periods`` makes them.
+    order.  The weights are computed once per distinct domain list, as
+    ``AnnotationColumns.domain_lists`` tells them apart: once per tuple.
+    ``load_annotation_columns`` gives the tweets whose lists are spelled
+    alike one shared tuple, so a file's lists are weighed once per spelling.
+    Every record adds its mass to the pooled cell ``(user, domain, POOLED)``
+    and, when a slice holds it, to ``(user, domain, slice.index)``.  Each
+    cell therefore sums the same records in the same order as a separate
+    scan of its selection would.  Slices must be disjoint, as
+    ``partition_periods`` makes them.
 
     Tweets contribute their own engagement counts; replies contribute their
     sentiment to the parent tweet's author, split by the parent's weights.
@@ -148,16 +150,13 @@ def accumulate_domain_features(
     earlier tweet count in the period they were written.  Tweets with no
     usable annotation contribute nothing.
     """
-    weights_of: dict[tuple[DomainAnnotation, ...], dict[str, float]] = {}
-
-    def weights(domains: tuple[DomainAnnotation, ...]) -> dict[str, float]:
-        found = weights_of.get(domains)
-        if found is None:
-            found = weights_of[domains] = relativeness_weights(domains)
-        return found
-
+    # each tuple lives in ``annotations`` for the whole call, so no id is reused
+    weights_of = {
+        key: relativeness_weights(domains)
+        for key, domains in annotations.domain_lists().items()
+    }
     weights_by_tweet = dict(
-        zip(annotations.tweet_ids, map(weights, annotations.merged_domains))
+        zip(annotations.tweet_ids, map(weights_of.__getitem__, map(id, annotations.merged_domains)))
     )
     sentiment_by_reply = dict(zip(annotations.reply_ids, annotations.sentiments))
     slices = tuple(slices)

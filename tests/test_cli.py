@@ -792,6 +792,8 @@ class TestFeatures:
         annotations = load_annotation_columns(pipeline["dataset"].parent / "annotations.jsonl")
         distinct = len(set(annotations.merged_domains))
         assert distinct < len(annotations.tweet_ids)
+        # the reader gives the lists equal in value one tuple each
+        assert len(annotations.domain_lists()) == distinct
         assert calls == {"annotate": 0, "accumulate": 1, "weights": distinct, "records": 0}
 
 

@@ -379,6 +379,8 @@ class TestAnnotationReaders:
         # == cannot tell 1 from 1.0, -0.0 from 0.0 or True from 1; repr can
         assert repr(load_annotation_columns(respelled)) == repr(columns)
         assert repr(columns) == repr(AnnotationColumns.from_records(tweets, replies))
+        # an iterator is read once, as the list it yields
+        assert repr(columns) == repr(AnnotationColumns.from_records(iter(tweets), iter(replies)))
         assert repr(load_annotations(canonical)) == repr((tweets, replies))
 
     def test_each_spelling_is_decoded_once(self, tmp_path, monkeypatch):
