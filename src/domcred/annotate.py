@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple, Protocol
 
 from .corpus.archive import CHARS, FLAG, NUMBER, STRING, decode_line, inverse, json_value
-from .corpus.types import Dataset
+from .corpus.types import DatasetColumns
 from .lexicon import (
     DomainLexicon,
     SentimentLexicon,
@@ -160,14 +160,6 @@ class RemoteAnnotator:
         return max(-1.0, min(1.0, value))
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedTweet:
-    """The domains inferred from one tweet's text, ranked by score."""
-
-    tweet_id: str
-    merged_domains: tuple[DomainAnnotation, ...] = ()
-
-
 def _checked_sentiment(reply_id: str, sentiment):
     """The sentiment, when it lies in [-1, 1]; else ValueError naming the reply."""
     if not -1.0 <= sentiment <= 1.0:
@@ -175,19 +167,11 @@ def _checked_sentiment(reply_id: str, sentiment):
     return sentiment
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedReply:
-    reply_id: str
-    sentiment: float
-
-    def __post_init__(self):
-        _checked_sentiment(self.reply_id, self.sentiment)
-
-
 class AnnotationColumns(NamedTuple):
-    """The annotations ``features`` reads, one tuple per field, each record
-    kind in file order: a domain list per tweet and a sentiment per reply.
-    Canonical tweet lines whose lists are spelled alike share one tuple."""
+    """The annotations ``annotate`` writes and ``features`` reads, one tuple
+    per field, each record kind in file order: a domain list per tweet and a
+    sentiment per reply.  Canonical tweet lines whose lists are spelled alike
+    share one tuple."""
 
     tweet_ids: tuple[str, ...]
     merged_domains: tuple[tuple[DomainAnnotation, ...], ...]
@@ -199,18 +183,6 @@ class AnnotationColumns(NamedTuple):
         told apart with no hash of their entries, which a list that appears
         once would pay for and get nothing back."""
         return dict(zip(map(id, self.merged_domains), self.merged_domains))
-
-    @classmethod
-    def from_records(cls, tweets, replies) -> AnnotationColumns:
-        """The columns of AnnotatedTweet and AnnotatedReply records, in their
-        order; each argument may be any iterable, read once."""
-        tweets, replies = tuple(tweets), tuple(replies)
-        return cls(
-            tuple(t.tweet_id for t in tweets),
-            tuple(t.merged_domains for t in tweets),
-            tuple(r.reply_id for r in replies),
-            tuple(r.sentiment for r in replies),
-        )
 
 
 @dataclass
@@ -231,48 +203,52 @@ class AnnotationReport:
 
 
 def annotate_dataset(
-    dataset: Dataset,
+    columns: DatasetColumns,
     annotator: Annotator | None = None,
     fail_fast: bool = False,
-) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedReply, ...], AnnotationReport]:
+) -> tuple[AnnotationColumns, AnnotationReport]:
     """Annotate every tweet (domains) and every reply (sentiment) independently.
 
     A provider failure on one item is recorded in the report and the item
-    gets an empty or neutral annotation, unless ``fail_fast`` re-raises.
-    Output order is canonical (by tweet/reply id, inherited from the dataset).
+    gets an empty or neutral annotation, unless ``fail_fast`` re-raises.  A
+    sentiment outside [-1, 1] raises ValueError naming its reply.  Output
+    order is canonical (by tweet/reply id, inherited from the dataset).
     """
     annotator = annotator or LexiconAnnotator()
-    report = AnnotationReport(n_tweets=len(dataset.tweets), n_replies=len(dataset.replies))
-    tweets: list[AnnotatedTweet] = []
-    replies: list[AnnotatedReply] = []
+    report = AnnotationReport(n_tweets=len(columns.tweet_ids), n_replies=len(columns.reply_ids))
+    merged: list[tuple[DomainAnnotation, ...]] = []
+    sentiments: list[float] = []
 
-    for tweet in dataset.tweets:
+    for tweet_id, text in zip(columns.tweet_ids, columns.tweet_texts):
         domains: tuple[DomainAnnotation, ...] = ()
         try:
-            domains = annotator.infer_taxonomy(tweet.text)
+            domains = annotator.infer_taxonomy(text)
         except AnnotatorError as exc:
             if fail_fast:
                 raise
-            report.failures.append((tweet.tweet_id, str(exc)))
-        tweets.append(AnnotatedTweet(tweet_id=tweet.tweet_id, merged_domains=domains))
+            report.failures.append((tweet_id, str(exc)))
+        merged.append(domains)
         if domains:
             report.n_annotatable += 1
             if not any(d.confident for d in domains):
                 report.n_unconfident += 1
 
-    for reply in dataset.replies:
+    for reply_id, text in zip(columns.reply_ids, columns.reply_texts):
         try:
-            value = annotator.score_sentiment(reply.text)
+            value = annotator.score_sentiment(text)
         except AnnotatorError as exc:
             if fail_fast:
                 raise
-            report.failures.append((reply.reply_id, str(exc)))
+            report.failures.append((reply_id, str(exc)))
             value = 0.0
-        replies.append(AnnotatedReply(reply_id=reply.reply_id, sentiment=value))
+        sentiments.append(_checked_sentiment(reply_id, value))
         if value == 0.0:
             report.n_neutral_replies += 1
 
-    return tuple(tweets), tuple(replies), report
+    annotations = AnnotationColumns(
+        columns.tweet_ids, tuple(merged), columns.reply_ids, tuple(sentiments)
+    )
+    return annotations, report
 
 
 # the JSON types a score or a sentiment takes; true is not a number
@@ -327,8 +303,9 @@ def _json_number(value) -> str:
     """A score, sentiment or confident flag as json writes it.
 
     A bool is true or false, an int keeps its integer form (1, not 1.0) and a
-    float its shortest repr; the range checks of the records keep out NaN and
-    the infinities, which json would write in its own way.
+    float its shortest repr; the range checks of DomainAnnotation and
+    annotate_dataset keep out NaN and the infinities, which json would write
+    in its own way.
     """
     if value is True:
         return "true"
@@ -339,8 +316,10 @@ def _json_number(value) -> str:
     return float.__repr__(value)
 
 
-def save_annotations(tweets, replies, path) -> None:
-    """Write annotations as one JSON record per line, tweets then replies."""
+def save_annotations(annotations: AnnotationColumns, path) -> None:
+    """Write annotations as one JSON record per line, tweets then replies;
+    ValueError, and nothing written, when an id column and its value column
+    differ in length."""
     quote, number = encode_basestring_ascii, _json_number
     lines = [
         _TWEET_LINE
@@ -348,14 +327,19 @@ def save_annotations(tweets, replies, path) -> None:
             ", ".join(
                 [
                     _DOMAIN_ENTRY % (quote(d.label), number(d.score), number(d.confident))
-                    for d in t.merged_domains
+                    for d in domains
                 ]
             ),
-            quote(t.tweet_id),
+            quote(tweet_id),
         )
-        for t in tweets
+        for tweet_id, domains in zip(
+            annotations.tweet_ids, annotations.merged_domains, strict=True
+        )
     ]
-    lines += [_REPLY_LINE % (quote(r.reply_id), number(r.sentiment)) for r in replies]
+    lines += [
+        _REPLY_LINE % (quote(reply_id), number(sentiment))
+        for reply_id, sentiment in zip(annotations.reply_ids, annotations.sentiments, strict=True)
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -447,13 +431,3 @@ def load_annotation_columns(path) -> AnnotationColumns:
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return AnnotationColumns(tuple(tweet_ids), tuple(merged), tuple(reply_ids), tuple(sentiments))
-
-
-def load_annotations(path) -> tuple[tuple[AnnotatedTweet, ...], tuple[AnnotatedReply, ...]]:
-    """The tweet and reply records of an annotations file, in file order, as
-    ``load_annotation_columns`` reads them."""
-    columns = load_annotation_columns(path)
-    return (
-        tuple(map(AnnotatedTweet, columns.tweet_ids, columns.merged_domains)),
-        tuple(map(AnnotatedReply, columns.reply_ids, columns.sentiments)),
-    )

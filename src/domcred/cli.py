@@ -176,27 +176,27 @@ def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
     return 0
 
 
-def _load_canonical(path: str, load):
-    """The dataset `ingest` wrote, which loads with nothing skipped or dropped,
-    as ``load`` (load_dataset or load_columns) reads it."""
+def _load_canonical(path: str):
+    """The columns of the dataset `ingest` wrote, which loads with nothing
+    skipped or dropped; `annotate` and `features` build no record from it."""
     rerun = "; write it again with `domcred ingest`"
     try:
-        dataset, report = load(path, fail_fast=True)
+        columns, report = load_columns(path, fail_fast=True)
     except ArchiveFormatError as exc:
         raise ValueError(f"{path}: {exc}{rerun}") from exc
     dropped = {k: v for k, v in asdict(report).items() if v}
     if dropped:
         counts = ", ".join(f"{k} {v}" for k, v in dropped.items())
         raise ValueError(f"{path}: not a canonical dataset ({counts}){rerun}")
-    return dataset
+    return columns
 
 
 def cmd_annotate(args, config, out_dir: Path, seed: int) -> int:
-    dataset = _load_canonical(args.dataset, load_dataset)
+    columns = _load_canonical(args.dataset)
     annotator = _build_annotator(args, config)
-    tweets, replies, report = annotate_dataset(dataset, annotator, fail_fast=args.fail_fast)
+    annotations, report = annotate_dataset(columns, annotator, fail_fast=args.fail_fast)
     annotations_path = out_dir / "annotations.jsonl"
-    save_annotations(tweets, replies, annotations_path)
+    save_annotations(annotations, annotations_path)
     write_json(out_dir / "annotate_report.json", report.to_dict())
     print(f"wrote {annotations_path}")
     print(f"{report.n_annotatable}/{report.n_tweets} tweets annotatable")
@@ -251,12 +251,21 @@ def _read_annotations(dataset_path: str, columns):
         ("reply", annotations.reply_ids, columns.reply_ids),
     ):
         if got != want:
-            examples = sorted(set(got) ^ set(want)) or [a for a, b in zip(got, want) if a != b]
             raise ValueError(
                 f"annotations do not match {dataset_path}: {path} has {len(got)} {kind} ids, "
-                f"the dataset {len(want)} (e.g. {examples[:3]}); run `domcred annotate` again"
+                f"the dataset {len(want)} ({_parting(got, want)}); run `domcred annotate` again"
             )
     return annotations
+
+
+def _parting(got: tuple, want: tuple) -> str:
+    """Where two unequal id lists part: the ids that only one holds, else the
+    first position whose ids differ or that only the longer list reaches."""
+    only = sorted(set(got) ^ set(want))
+    if only:
+        return f"e.g. {only[:3]}"
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return f"they part at position {at + 1}, {(got if at < len(got) else want)[at]!r}"
 
 
 def cmd_features(args, config, out_dir: Path, seed: int) -> int:
@@ -268,8 +277,7 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         save_matrix,
     )
 
-    # the stage reads the dataset and its annotations as columns, with no record
-    columns = _load_canonical(args.dataset, load_columns)
+    columns = _load_canonical(args.dataset)
     annotations = _read_annotations(args.dataset, columns)
     known_domains = sorted({d.label for ds in annotations.domain_lists().values() for d in ds})
     if not known_domains:

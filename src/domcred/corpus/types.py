@@ -98,10 +98,10 @@ def sorted_by_id(kind: str, items, key) -> list:
 
 
 class DatasetColumns(NamedTuple):
-    """The fields that ``features`` reads, one tuple per field, each record
-    kind in the dataset's id order; no texts and no records.  It is a named
-    tuple because every command imports this module, and a named tuple costs
-    that import a fraction of what a frozen dataclass does."""
+    """The fields that ``annotate`` and ``features`` read, one tuple per
+    field, each record kind in the dataset's id order; no records.  It is a
+    named tuple because every command imports this module, and a named tuple
+    costs that import a fraction of what a frozen dataclass does."""
 
     user_ids: tuple[str, ...]
     followers: tuple[int, ...]
@@ -109,12 +109,14 @@ class DatasetColumns(NamedTuple):
     tweet_ids: tuple[str, ...]
     tweet_authors: tuple[str, ...]
     tweet_posted: tuple[datetime, ...]
+    tweet_texts: tuple[str, ...]
     retweets: tuple[int, ...]
     favorites: tuple[int, ...]
     tweet_replies: tuple[int, ...]
     reply_ids: tuple[str, ...]
     reply_parents: tuple[str, ...]
     reply_posted: tuple[datetime, ...]
+    reply_texts: tuple[str, ...]
     capture_at: datetime
 
     @classmethod
@@ -122,14 +124,14 @@ class DatasetColumns(NamedTuple):
         """The columns of record rows (``user_row`` and its kin), sorted by id;
         ValueError when an id repeats."""
         user_ids, _, followers, friends, _ = _transpose("user", users, 5)
-        tweet_ids, authors, posted, _, retweets, favorites, tweet_replies, _, _ = _transpose(
+        tweet_ids, authors, posted, texts, retweets, favorites, tweet_replies, _, _ = _transpose(
             "tweet", tweets, 9
         )
-        reply_ids, parents, _, reply_posted, _ = _transpose("reply", replies, 5)
+        reply_ids, parents, _, reply_posted, reply_texts = _transpose("reply", replies, 5)
         return cls(
             *(user_ids, followers, friends),
-            *(tweet_ids, authors, posted, retweets, favorites, tweet_replies),
-            *(reply_ids, parents, reply_posted, capture_at),
+            *(tweet_ids, authors, posted, texts, retweets, favorites, tweet_replies),
+            *(reply_ids, parents, reply_posted, reply_texts, capture_at),
         )
 
     def tweet_engagement(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from datetime import timedelta
 from typing import Callable, TextIO
 
-from .annotate import AnnotatedReply, AnnotatedTweet, AnnotationColumns, DomainAnnotation
+from .annotate import AnnotationColumns, DomainAnnotation
 from .corpus.types import Dataset, ReplyRecord, TweetRecord, UserProfile, parse_timestamp
 from .evaluate import ConfusionTable, metrics
 from .features import (
@@ -41,9 +41,9 @@ def _check_engagement_distribution() -> str:
     replies = tuple(ReplyRecord(f"r{i}", "t", "u", at, "") for i in range(10))
     dataset = Dataset((user,), (tweet,), replies, capture_at=at + timedelta(days=1))
     scores = (("Sports", 1.0), ("Arts and Entertainment", 0.5), ("Education", 0.5))
-    annotated = AnnotatedTweet("t", tuple(DomainAnnotation(d, s) for d, s in scores))
-    sentiments = tuple(AnnotatedReply(r.reply_id, -1.0) for r in replies)
-    annotations = AnnotationColumns.from_records((annotated,), sentiments)
+    domains = tuple(DomainAnnotation(d, s) for d, s in scores)
+    reply_ids = tuple(r.reply_id for r in replies)
+    annotations = AnnotationColumns(("t",), (domains,), reply_ids, (-1.0,) * len(reply_ids))
     cells = accumulate_domain_features(dataset.columns, annotations)
     got = {domain: (c.r, c.l, c.sn) for (_, domain, _), c in cells.items()}
     expected = {

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timedelta, timezone
 
-from domcred.annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
+from domcred.annotate import AnnotationColumns, DomainAnnotation
 from domcred.corpus.periods import PartitionReport
 from domcred.corpus.types import Dataset, PeriodSlice, ReplyRecord, TweetRecord, UserProfile
 from domcred.lexicon import tokenize
@@ -80,16 +80,26 @@ def annotation(label, score, confident=False):
 
 
 def annotated_tweet(tweet_id, scores, confident=False):
-    """AnnotatedTweet whose domains carry the given label -> score map."""
+    """A tweet's column entry: its id and the domains, ranked by score, that
+    carry the given label -> score map."""
     merged = tuple(
         DomainAnnotation(label=label, score=score, confident=confident)
         for label, score in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     )
-    return AnnotatedTweet(tweet_id=tweet_id, merged_domains=merged)
+    return tweet_id, merged
 
 
 def annotated_reply(reply_id, sentiment):
-    return AnnotatedReply(reply_id=reply_id, sentiment=sentiment)
+    """A reply's column entry: its id and its sentiment."""
+    return reply_id, sentiment
+
+
+def annotation_columns(tweets=(), replies=()):
+    """The AnnotationColumns of (tweet id, domains) and (reply id, sentiment)
+    entries, in their order."""
+    tweet_ids, merged = tuple(zip(*tweets)) or ((), ())
+    reply_ids, sentiments = tuple(zip(*replies)) or ((), ())
+    return AnnotationColumns(tweet_ids, merged, reply_ids, sentiments)
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +164,18 @@ def brute_dataset_lines(dataset):
 
 
 def brute_annotation_lines(tweets, replies):
-    """Annotation lines with one json.dumps call per record."""
+    """Annotation lines of (tweet id, domains) and (reply id, sentiment)
+    entries, with one json.dumps call per record."""
 
     def payload(domains):
         return [[d.label, d.score, d.confident] for d in domains]
 
     lines = []
-    for t in tweets:
-        record = {
-            "kind": "tweet",
-            "tweet_id": t.tweet_id,
-            "merged_domains": payload(t.merged_domains),
-        }
+    for tweet_id, domains in tweets:
+        record = {"kind": "tweet", "tweet_id": tweet_id, "merged_domains": payload(domains)}
         lines.append(json.dumps(record, sort_keys=True))
-    for r in replies:
-        record = {"kind": "reply", "reply_id": r.reply_id, "sentiment": r.sentiment}
+    for reply_id, sentiment in replies:
+        record = {"kind": "reply", "reply_id": reply_id, "sentiment": sentiment}
         lines.append(json.dumps(record, sort_keys=True))
     return lines
 
@@ -221,11 +228,12 @@ def _in_interval(stamp, interval):
 def brute_domain_cells(dataset, annotated_tweets, annotated_replies, interval=None):
     """Per-(user, domain) engagement masses, recomputed with plain loops.
 
-    ``interval`` is an optional (start, end) pair; membership is the
-    half-open timestamp test on each record's own posted_at.
+    The annotations are (tweet id, domains) and (reply id, sentiment)
+    entries.  ``interval`` is an optional (start, end) pair; membership is
+    the half-open timestamp test on each record's own posted_at.
     """
-    weights = {t.tweet_id: brute_weights(t.merged_domains) for t in annotated_tweets}
-    sentiments = {r.reply_id: r.sentiment for r in annotated_replies}
+    weights = {tweet_id: brute_weights(domains) for tweet_id, domains in annotated_tweets}
+    sentiments = dict(annotated_replies)
     tweet_author = {t.tweet_id: t.author_id for t in dataset.tweets}
 
     cells = {}
@@ -364,7 +372,8 @@ def brute_wilcoxon_auc(scores, labels, positive="Influencer"):
 
 
 def random_micro_dataset(rng, max_users=5, max_tweets=20, max_domains=3):
-    """Small random dataset plus direct annotations for oracle comparison."""
+    """Small random dataset plus its annotations' tweet and reply column
+    entries, for oracle comparison."""
     n_users = int(rng.integers(1, max_users + 1))
     users = [
         make_user(

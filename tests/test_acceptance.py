@@ -13,14 +13,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from domcred.annotate import (
-    AnnotatedReply,
-    AnnotatedTweet,
-    AnnotationColumns,
-    DomainAnnotation,
-    LexiconAnnotator,
-    annotate_dataset,
-)
+from domcred.annotate import DomainAnnotation, LexiconAnnotator, annotate_dataset
 from domcred.cli import main
 from domcred.corpus.cleanse import cleanse
 from domcred.corpus.periods import PeriodSpec, partition_periods
@@ -58,6 +51,7 @@ from domcred.learn import ModelSpec, train, train_xy
 from domcred.learn.base import ALGORITHMS
 
 from helpers import (
+    annotation_columns,
     blob_data,
     brute_domain_cells,
     brute_global,
@@ -98,10 +92,7 @@ def test_criterion_01_engagement_distribution_is_exact():
     )
     cells = accumulate_domain_features(
         dataset.columns,
-        AnnotationColumns.from_records(
-            (AnnotatedTweet("t1", notes),),
-            tuple(AnnotatedReply(r.reply_id, -1.0) for r in replies),
-        ),
+        annotation_columns([("t1", notes)], [(r.reply_id, -1.0) for r in replies]),
     )
     assert {domain: (c.r, c.l, c.sn) for (_, domain, _), c in cells.items()} == {
         "Sports": (5.0, 7.5, -5.0),
@@ -272,7 +263,7 @@ def test_criterion_06_feature_pipeline_equals_brute_force():
         slices, _ = partition_periods(
             dataset.columns, PeriodSpec(n_periods=int(rng.integers(1, 7)))
         )
-        annotations = AnnotationColumns.from_records(notes, sentiments)
+        annotations = annotation_columns(notes, sentiments)
         cells = accumulate_domain_features(dataset.columns, annotations, slices)
         assert {k for _, _, k in cells} <= {POOLED} | {sl.index for sl in slices}
         _compare_cells(
@@ -299,8 +290,7 @@ def _synthetic_matrix(n_users: int, seed: int) -> FeatureMatrix:
     config = SynthConfig(n_users=n_users, domains=(TECH,))
     dataset, labels = synthesize(config, seed)
     clean, _ = cleanse(dataset)
-    tweets, replies, _ = annotate_dataset(clean, LexiconAnnotator())
-    annotations = AnnotationColumns.from_records(tweets, replies)
+    annotations, _ = annotate_dataset(clean.columns, LexiconAnnotator())
     cells = accumulate_domain_features(clean.columns, annotations)
     global_features = compute_global_features(clean.columns)
     return assemble_matrix(TECH, POOLED, cells, global_features, labels=labels)

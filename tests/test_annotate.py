@@ -7,17 +7,18 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from domcred.annotate import (
+    AnnotationColumns,
     AnnotatorError,
     DomainAnnotation,
     LexiconAnnotator,
     RemoteAnnotator,
     annotate_dataset,
-    load_annotations,
+    load_annotation_columns,
     save_annotations,
 )
 from domcred.lexicon import parse_domain_lexicon, parse_sentiment_lexicon
 
-from helpers import make_dataset, make_reply, make_tweet, make_user
+from helpers import annotation_columns, make_dataset, make_reply, make_tweet, make_user
 
 TECH = "Technology and Computing"
 
@@ -103,6 +104,19 @@ class FailingAnnotator:
         return self.inner.score_sentiment(text)
 
 
+class OutOfRangeAnnotator:
+    """Scores every reply with one value, outside the sentiment range [-1, 1]."""
+
+    def __init__(self, sentiment):
+        self.sentiment = sentiment
+
+    def infer_taxonomy(self, text):
+        return ()
+
+    def score_sentiment(self, text):
+        return self.sentiment
+
+
 class TestAnnotateDataset:
     def dataset(self):
         users = [make_user("u1"), make_user("u2")]
@@ -115,26 +129,49 @@ class TestAnnotateDataset:
             make_reply("r1", "t1", "u2", text="great work"),
             make_reply("r2", "t1", "u2", text="so so"),
         ]
-        return make_dataset(users, tweets, replies)
+        return make_dataset(users, tweets, replies).columns
 
     def test_annotates_in_dataset_order(self):
-        tweets, replies, report = annotate_dataset(self.dataset(), small_annotator())
-        assert [t.tweet_id for t in tweets] == ["t1", "t2", "t3"]
-        assert [r.reply_id for r in replies] == ["r1", "r2"]
+        annotations, report = annotate_dataset(self.dataset(), small_annotator())
+        assert annotations.tweet_ids == ("t1", "t2", "t3")
+        assert annotations.reply_ids == ("r1", "r2")
+        assert [[d.label for d in ds] for ds in annotations.merged_domains] == [
+            ["Tech"],
+            [],
+            ["Food"],
+        ]
+        assert annotations.sentiments == (0.5, 0.0)
         assert report.n_tweets == 3
         assert report.n_annotatable == 2
         assert report.n_not_annotatable == 1
         assert report.n_neutral_replies == 1
 
+    def test_provider_reads_each_text_once_in_id_order(self):
+        seen = []
+
+        class Recording:
+            def infer_taxonomy(self, text):
+                seen.append(text)
+                return ()
+
+            def score_sentiment(self, text):
+                seen.append(text)
+                return 0.0
+
+        users = [make_user("u1")]
+        tweets = [make_tweet(f"t{i}", "u1", text=f"tweet {i}") for i in (3, 1, 2)]
+        replies = [make_reply(f"r{i}", "t1", "u1", text=f"reply {i}") for i in (2, 1)]
+        annotate_dataset(make_dataset(users, tweets, replies).columns, Recording())
+        assert seen == ["tweet 1", "tweet 2", "tweet 3", "reply 1", "reply 2"]
+
     def test_failures_recorded_and_neutralized(self):
         users = [make_user("u1")]
         tweets = [make_tweet("t1", "u1", text="poison python")]
         replies = [make_reply("r1", "t1", "u1", text="poison reply")]
-        annotated, reps, report = annotate_dataset(
-            make_dataset(users, tweets, replies), FailingAnnotator()
+        annotations, report = annotate_dataset(
+            make_dataset(users, tweets, replies).columns, FailingAnnotator()
         )
-        assert annotated[0].merged_domains == ()
-        assert reps[0].sentiment == 0.0
+        assert annotations == annotation_columns([("t1", ())], [("r1", 0.0)])
         assert [f[0] for f in report.failures] == ["t1", "r1"]
 
     def test_fail_fast_raises(self):
@@ -142,11 +179,17 @@ class TestAnnotateDataset:
         tweets = [make_tweet("t1", "u1", text="poison")]
         with pytest.raises(AnnotatorError):
             annotate_dataset(
-                make_dataset(users, tweets), FailingAnnotator(), fail_fast=True
+                make_dataset(users, tweets).columns, FailingAnnotator(), fail_fast=True
             )
 
+    # NaN and the infinities too, which save_annotations could not write as JSON
+    @pytest.mark.parametrize("sentiment", [1.5, float("nan"), -float("inf")])
+    def test_sentiment_outside_its_range_fails_naming_the_reply(self, sentiment):
+        with pytest.raises(ValueError, match=r"^sentiment for r1 outside \[-1, 1\]$"):
+            annotate_dataset(self.dataset(), OutOfRangeAnnotator(sentiment))
+
     def test_report_round_trips_to_dict(self):
-        _, _, report = annotate_dataset(self.dataset(), small_annotator())
+        _, report = annotate_dataset(self.dataset(), small_annotator())
         payload = report.to_dict()
         assert payload["n_tweets"] == 3
         assert payload["n_annotatable"] + payload["n_not_annotatable"] == 3
@@ -154,23 +197,32 @@ class TestAnnotateDataset:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        tweets, replies, _ = annotate_dataset(TestAnnotateDataset().dataset(), small_annotator())
+        annotations, _ = annotate_dataset(TestAnnotateDataset().dataset(), small_annotator())
         path = tmp_path / "annotations.jsonl"
-        save_annotations(tweets, replies, path)
-        loaded_tweets, loaded_replies = load_annotations(path)
-        assert loaded_tweets == tweets
-        assert loaded_replies == replies
+        save_annotations(annotations, path)
+        assert load_annotation_columns(path) == annotations
 
     def test_report_line_optional(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
-        save_annotations((), (), path)
-        assert load_annotations(path) == ((), ())
+        save_annotations(annotation_columns(), path)
+        assert load_annotation_columns(path) == annotation_columns()
+
+    @pytest.mark.parametrize(
+        "tweets, replies",
+        [((("t1", "t2"), ((),)), ((), ())), ((("t1",), ((),)), (("r1",), ()))],
+        ids=["tweets", "replies"],
+    )
+    def test_ragged_columns_fail_and_write_nothing(self, tmp_path, tweets, replies):
+        path = tmp_path / "annotations.jsonl"
+        with pytest.raises(ValueError, match="shorter|longer"):
+            save_annotations(AnnotationColumns(*tweets, *replies), path)
+        assert not path.exists()
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
         path.write_text('{"kind": "mystery"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="mystery"):
-            load_annotations(path)
+            load_annotation_columns(path)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -20,7 +20,7 @@ from domcred.annotate import annotate_dataset, load_annotation_columns, save_ann
 from domcred.cli import main
 from domcred.corpus.archive import load_dataset, load_labels, save_dataset
 from domcred.corpus.periods import PeriodSpec, partition_periods
-from domcred.corpus.types import ReplyRecord, TweetRecord, UserProfile
+from domcred.corpus.types import Dataset, ReplyRecord, TweetRecord, UserProfile
 from domcred.features import (
     POOLED,
     accumulate_domain_features,
@@ -82,12 +82,45 @@ def pipeline(tmp_path_factory):
         "archive": archive,
         "labels": labels,
         "dataset": dataset,
+        "annotations": data_dir / "annotations.jsonl",
         "matrix": feat_dir / "features.csv",
         "report_txt": feat_dir / "features_report.txt",
         "report_json": feat_dir / "features_report.json",
         "ingest_report": data_dir / "ingest_report.json",
         "bare_matrix": bare_dir / "features.csv",
     }
+
+
+def _count_records(monkeypatch) -> dict[str, int]:
+    """The records built from here on, by class: each class's __init__ is
+    wrapped, so a record counts whichever module builds it."""
+    built: dict[str, int] = {}
+
+    def counted(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls in (UserProfile, TweetRecord, ReplyRecord, Dataset):
+        built[cls.__name__] = 0
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    return built
+
+
+NO_RECORDS = {"UserProfile": 0, "TweetRecord": 0, "ReplyRecord": 0, "Dataset": 0}
+
+
+def _respelled(dataset: Path, path: Path) -> Path:
+    """``dataset`` written to ``path`` with every line re-spelled as
+    json.dumps writes it, which the reader takes as JSON, not by pattern."""
+    with dataset.open(encoding="utf-8") as lines:
+        path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in lines), "utf-8")
+    assert path.read_bytes() != dataset.read_bytes()
+    return path
 
 
 class TestUsage:
@@ -338,6 +371,31 @@ class TestAnnotate:
         assert report["n_tweets"] > 0
         assert report["n_annotatable"] > 0
 
+    def test_reads_columns_and_builds_no_record(self, pipeline, tmp_path, monkeypatch):
+        """Only ingest builds records: annotate reads the dataset as columns."""
+        loads = []
+        monkeypatch.setattr(
+            domcred.cli, "load_dataset", lambda *a, **k: loads.append(a) or load_dataset(*a, **k)
+        )
+        built = _count_records(monkeypatch)
+        argv = ["annotate", str(pipeline["dataset"]), "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert (loads, built) == ([], NO_RECORDS)
+        assert (tmp_path / "annotations.jsonl").read_bytes() == (
+            pipeline["annotations"].read_bytes()
+        )
+        # the counters see the records ingest builds
+        assert main(["ingest", str(pipeline["archive"]), "--output-dir", str(tmp_path)]) == 0
+        assert len(loads) == 1
+        assert all(built.values()), built
+
+    def test_respelled_dataset_gives_the_same_bytes(self, pipeline, tmp_path):
+        respelled = _respelled(pipeline["dataset"], tmp_path / "dataset.jsonl")
+        assert main(["annotate", str(respelled), "--output-dir", str(tmp_path / "out")]) == 0
+        for name in ("annotations.jsonl", "annotate_report.json"):
+            got, want = tmp_path / "out" / name, pipeline["annotations"].parent / name
+            assert got.read_bytes() == want.read_bytes(), name
+
     def test_unknown_annotator_key_fails_naming_valid_keys(self, pipeline, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"annotator": {"min_hit": 5}}))
@@ -349,6 +407,21 @@ class TestAnnotate:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config annotator key(s) min_hit;")
         assert "min_hits" in err
+        assert not (tmp_path / "annotations.jsonl").exists()
+
+    def test_sentiment_outside_its_range_fails_and_writes_nothing(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        class OutOfRange(domcred.annotate.LexiconAnnotator):
+            def score_sentiment(self, text):
+                return 1.5
+
+        monkeypatch.setattr(domcred.cli, "_build_annotator", lambda args, config: OutOfRange())
+        rc = main(["annotate", str(pipeline["dataset"]), "--output-dir", str(tmp_path)])
+        assert rc == 1
+        first_reply = load_annotation_columns(pipeline["annotations"]).reply_ids[0]
+        err = capsys.readouterr().err
+        assert err == f"error: sentiment for {first_reply} outside [-1, 1]\n"
         assert not (tmp_path / "annotations.jsonl").exists()
 
     def test_remote_without_url_fails(self, pipeline, tmp_path, capsys):
@@ -380,8 +453,8 @@ class TestCanonicalDataset:
         dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
         # annotations that match what a lenient load keeps, so only the load can fail
         kept, _ = load_dataset(dataset)
-        tweets, replies, _ = annotate_dataset(kept)
-        save_annotations(tweets, replies, tmp_path / "annotations.jsonl")
+        annotations, _ = annotate_dataset(kept.columns)
+        save_annotations(annotations, tmp_path / "annotations.jsonl")
         argv = [command, str(dataset), "--output-dir", str(tmp_path / "out")]
         assert main(argv + (["--domain", TECH] if command == "features" else [])) == 1
         err = capsys.readouterr().err
@@ -559,29 +632,16 @@ class TestFeatures:
         assert payload["rows"] >= 50
 
     def test_reads_the_dataset_as_columns(self, pipeline, tmp_path, monkeypatch):
-        built = []
-        for record in (UserProfile, TweetRecord, ReplyRecord):
-
-            def counted(self, *args, init=record.__init__, **kwargs):
-                built.append(type(self).__name__)
-                init(self, *args, **kwargs)
-
-            monkeypatch.setattr(record, "__init__", counted)
+        built = _count_records(monkeypatch)
         argv = ["features", str(pipeline["dataset"]), "--domain", TECH, "--labels"]
         argv += [str(pipeline["labels"]), "--output-dir", str(tmp_path)]
         assert main(argv) == 0
-        assert built == []
+        assert built == NO_RECORDS
         assert (tmp_path / "features.csv").read_bytes() == pipeline["matrix"].read_bytes()
 
     def test_respelled_dataset_gives_the_same_bytes(self, pipeline, tmp_path):
-        # every line re-spelled as json.dumps writes it reads as JSON, not by pattern
-        respelled = tmp_path / "dataset.jsonl"
-        with pipeline["dataset"].open(encoding="utf-8") as lines:
-            respelled.write_text(
-                "".join(json.dumps(json.loads(line)) + "\n" for line in lines), encoding="utf-8"
-            )
-        assert respelled.read_bytes() != pipeline["dataset"].read_bytes()
-        shutil.copy(pipeline["dataset"].parent / "annotations.jsonl", tmp_path)
+        respelled = _respelled(pipeline["dataset"], tmp_path / "dataset.jsonl")
+        shutil.copy(pipeline["annotations"], tmp_path)
         argv = ["features", str(respelled), "--domain", TECH, "--labels"]
         argv += [str(pipeline["labels"]), "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 0
@@ -717,7 +777,10 @@ class TestFeatures:
         assert f"domcred annotate {dataset} --output-dir {tmp_path}" in err
         assert not (tmp_path / "features.csv").exists()
 
-    @pytest.mark.parametrize("damage", ["other dataset", "tweet line removed"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["other dataset", "tweet line removed", "tweet repeated", "replies swapped"],
+    )
     def test_mismatched_annotations_fail(self, pipeline, tmp_path, capsys, damage):
         data_dir = tmp_path / "data"
         data_dir.mkdir()
@@ -734,9 +797,17 @@ class TestFeatures:
                          "--output-dir", str(other)]) == 0
             shutil.copy(other / "annotations.jsonl", annotations)
         else:
-            lines = (pipeline["dataset"].parent / "annotations.jsonl").read_text().splitlines()
-            dropped = next(i for i, line in enumerate(lines) if '"kind": "tweet"' in line)
-            annotations.write_text("\n".join(lines[:dropped] + lines[dropped + 1:]) + "\n")
+            lines = pipeline["annotations"].read_text().splitlines()
+            tweets = [i for i, line in enumerate(lines) if '"kind": "tweet"' in line]
+            n = len(tweets)
+            # the last two cases keep the id sets: no id is in one list only
+            if damage == "tweet line removed":
+                del lines[tweets[0]]
+            elif damage == "tweet repeated":
+                lines.insert(n, lines[n - 1])
+            else:
+                lines[n], lines[n + 1] = lines[n + 1], lines[n]
+            annotations.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         rc = main(
             ["features", str(dataset), "--domain", TECH, "--output-dir", str(tmp_path)]
@@ -744,7 +815,17 @@ class TestFeatures:
         assert rc == 1
         err = capsys.readouterr().err
         assert "annotations do not match" in err
-        assert "tweet ids" in err
+        assert "(e.g. [])" not in err
+        if damage == "tweet repeated":
+            last = json.loads(lines[n])["tweet_id"]
+            part = f"(they part at position {n + 1}, {last!r})"
+            assert f"has {n + 1} tweet ids, the dataset {n} {part}" in err
+        elif damage == "replies swapped":
+            second = json.loads(lines[n])["reply_id"]
+            part = f"(they part at position 1, {second!r})"
+            assert f"reply ids, the dataset {len(lines) - n} {part}" in err
+        else:
+            assert "tweet ids" in err
         assert not (tmp_path / "features.csv").exists()
 
     def test_default_periods_cover_every_record(self, pipeline):
@@ -756,8 +837,8 @@ class TestFeatures:
 
     def test_one_accumulation_pass(self, pipeline, tmp_path, monkeypatch):
         """One accumulation, the weights once per distinct domain list, and
-        no annotation record built on the way."""
-        calls = {"annotate": 0, "accumulate": 0, "weights": 0, "records": 0}
+        no record built on the way."""
+        calls = {"annotate": 0, "accumulate": 0, "weights": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -780,10 +861,7 @@ class TestFeatures:
             monkeypatch.setattr(
                 module, "annotate_dataset", counted("annotate", module.annotate_dataset)
             )
-        for record in ("AnnotatedTweet", "AnnotatedReply"):
-            monkeypatch.setattr(
-                domcred.annotate, record, counted("records", getattr(domcred.annotate, record))
-            )
+        built = _count_records(monkeypatch)
         rc = main(
             ["features", str(pipeline["dataset"]), "--domain", TECH,
              "--n-periods", "3", "--output-dir", str(tmp_path)]
@@ -794,7 +872,8 @@ class TestFeatures:
         assert distinct < len(annotations.tweet_ids)
         # the reader gives the lists equal in value one tuple each
         assert len(annotations.domain_lists()) == distinct
-        assert calls == {"annotate": 0, "accumulate": 1, "weights": distinct, "records": 0}
+        assert calls == {"annotate": 0, "accumulate": 1, "weights": distinct}
+        assert built == NO_RECORDS
 
 
 class TestBenchmark:

@@ -10,15 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import domcred.annotate
-from domcred.annotate import (
-    AnnotatedReply,
-    AnnotatedTweet,
-    AnnotationColumns,
-    DomainAnnotation,
-    load_annotation_columns,
-    load_annotations,
-    save_annotations,
-)
+from domcred.annotate import DomainAnnotation, load_annotation_columns, save_annotations
 from domcred.corpus import archive
 from domcred.corpus.archive import (
     ArchiveFormatError,
@@ -42,6 +34,7 @@ from domcred.corpus.types import (
 )
 
 from helpers import (
+    annotation_columns,
     brute_annotation_lines,
     brute_dataset_lines,
     make_dataset,
@@ -230,13 +223,11 @@ domain_lists = st.lists(
 
 @st.composite
 def annotations(draw):
+    """(tweet id, domains) and (reply id, sentiment) column entries."""
     ids = draw(st.lists(st.text(min_size=1, max_size=6), max_size=5, unique=True))
-    tweets = tuple(
-        AnnotatedTweet(tid, draw(domain_lists))
-        for tid in ids
-    )
+    tweets = tuple((tid, draw(domain_lists)) for tid in ids)
     replies = tuple(
-        AnnotatedReply(rid, draw(st.floats(-1.0, 1.0)))
+        (rid, draw(st.floats(-1.0, 1.0)))
         for rid in draw(st.lists(st.text(min_size=1, max_size=6), max_size=5, unique=True))
     )
     return tweets, replies
@@ -251,12 +242,15 @@ class TestAnnotationLines:
     )
     def test_lines_equal_the_per_line_json_dumps_writer(self, payload, tmp_path):
         tweets, replies = payload
+        columns = annotation_columns(tweets, replies)
         path = tmp_path / "annotations.jsonl"
-        save_annotations(tweets, replies, path)
+        save_annotations(columns, path)
         text = path.read_text(encoding="utf-8")
         assert text == "\n".join(brute_annotation_lines(tweets, replies)) + "\n"
-        loaded_tweets, loaded_replies = load_annotations(path)
-        save_annotations(loaded_tweets, loaded_replies, path)
+        loaded = load_annotation_columns(path)
+        # == cannot tell 1 from 1.0 or -0.0 from 0.0; repr can
+        assert repr(loaded) == repr(columns)
+        save_annotations(loaded, path)
         assert path.read_text(encoding="utf-8") == text
 
     def test_load_equals_per_entry_construction(self, tmp_path):
@@ -282,21 +276,22 @@ class TestAnnotationLines:
         path = tmp_path / "annotations.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-        tweets, replies = load_annotations(path)
-        expected = [
+        columns = load_annotation_columns(path)
+        expected = tuple(
             tuple(DomainAnnotation(label=a, score=s, confident=c) for a, s, c in domains)
             for domains in entries
-        ]
-        assert [t.merged_domains for t in tweets] == expected
+        )
+        assert columns.merged_domains == expected
         # == cannot tell 1 from 1.0 or -0.0 from 0.0; repr can
-        assert [repr(t.merged_domains) for t in tweets] == [repr(e) for e in expected]
-        assert replies == (AnnotatedReply("r0", -0.25),)
+        assert repr(columns.merged_domains) == repr(expected)
+        assert (columns.reply_ids, columns.sentiments) == (("r0",), (-0.25,))
         # one instance per distinct entry in the file
-        assert tweets[0].merged_domains[0] is tweets[2].merged_domains[0]
-        assert tweets[0].merged_domains[1] is tweets[1].merged_domains[1]
-        assert tweets[0].merged_domains[0] is not tweets[1].merged_domains[0]
+        first, second, third = columns.merged_domains
+        assert first[0] is third[0]
+        assert first[1] is second[1]
+        assert first[0] is not second[0]
         # saving what was loaded writes the one-list layout
-        save_annotations(tweets, replies, path)
+        save_annotations(columns, path)
         assert path.read_text(encoding="utf-8").splitlines()[:3] == [
             json.dumps(
                 {"kind": "tweet", "merged_domains": domains, "tweet_id": f"t{i}"},
@@ -312,7 +307,7 @@ class TestAnnotationLines:
         bad = f'{{"kind": "tweet", "tweet_id": "t1", "merged_domains": [["Arts", 1.0, {flag}]]}}'
         path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: .*0 or 1 flag"):
-            load_annotations(path)
+            load_annotation_columns(path)
 
 
 # ids and labels from characters a canonical line escapes (a quote, a
@@ -334,13 +329,13 @@ awkward_lists = st.lists(
 
 @st.composite
 def respelled_annotations(draw):
-    """Records whose domain lists and sentiments repeat, as a file's do."""
+    """Column entries whose domain lists and sentiments repeat, as a file's do."""
     lists = draw(st.lists(awkward_lists, min_size=1, max_size=3))
     sentiments = draw(st.lists(awkward_sentiments, min_size=1, max_size=3))
     tweet_ids = draw(st.lists(awkward_text, max_size=6, unique=True))
     reply_ids = draw(st.lists(awkward_text, max_size=6, unique=True))
-    tweets = tuple(AnnotatedTweet(t, draw(st.sampled_from(lists))) for t in tweet_ids)
-    replies = tuple(AnnotatedReply(r, draw(st.sampled_from(sentiments))) for r in reply_ids)
+    tweets = tuple((t, draw(st.sampled_from(lists))) for t in tweet_ids)
+    replies = tuple((r, draw(st.sampled_from(sentiments))) for r in reply_ids)
     return tweets, replies
 
 
@@ -370,18 +365,16 @@ class TestAnnotationReaders:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_pattern_path_equals_json_path(self, payload, tmp_path):
-        tweets, replies = payload
+        saved = annotation_columns(*payload)
         path = tmp_path / "annotations.jsonl"
-        save_annotations(tweets, replies, path)
+        save_annotations(saved, path)
         lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
         canonical, respelled = self._both_spellings(tmp_path, lines)
         columns = load_annotation_columns(canonical)
         # == cannot tell 1 from 1.0, -0.0 from 0.0 or True from 1; repr can
+        assert columns == saved
+        assert repr(columns) == repr(saved)
         assert repr(load_annotation_columns(respelled)) == repr(columns)
-        assert repr(columns) == repr(AnnotationColumns.from_records(tweets, replies))
-        # an iterator is read once, as the list it yields
-        assert repr(columns) == repr(AnnotationColumns.from_records(iter(tweets), iter(replies)))
-        assert repr(load_annotations(canonical)) == repr((tweets, replies))
 
     def test_each_spelling_is_decoded_once(self, tmp_path, monkeypatch):
         tweet = '{"kind": "tweet", "merged_domains": [["Arts", 1.0, true]], "tweet_id": "t%d"}'
@@ -462,9 +455,8 @@ class TestLineSeparatorsInText:
             encoding="utf-8",
         )
         assert path.read_bytes().count(b"\n") == 2
-        assert load_annotations(path) == (
-            (AnnotatedTweet("t\u20281"),),
-            (AnnotatedReply("r\x851", 0.5),),
+        assert load_annotation_columns(path) == annotation_columns(
+            [("t\u20281", ())], [("r\x851", 0.5)]
         )
 
 
@@ -477,25 +469,25 @@ class TestAnnotationNumbers:
     def test_written_as_json_writes_them_and_stable_through_a_load(
         self, tmp_path, score, flag, sentiment
     ):
-        tweets = (AnnotatedTweet("té", (DomainAnnotation("Été", score, flag),)),)
-        replies = (AnnotatedReply("r1", sentiment),)
+        tweets = [("té", (DomainAnnotation("Été", score, flag),))]
+        replies = [("r1", sentiment)]
+        columns = annotation_columns(tweets, replies)
         path = tmp_path / "annotations.jsonl"
-        save_annotations(tweets, replies, path)
+        save_annotations(columns, path)
         text = path.read_text(encoding="utf-8")
         assert text == "\n".join(brute_annotation_lines(tweets, replies)) + "\n"
         assert text.isascii()
-        loaded_tweets, loaded_replies = load_annotations(path)
-        assert repr(loaded_tweets) == repr(tweets)
-        assert repr(loaded_replies) == repr(replies)
-        save_annotations(loaded_tweets, loaded_replies, path)
+        loaded = load_annotation_columns(path)
+        assert repr(loaded) == repr(columns)
+        save_annotations(loaded, path)
         assert path.read_text(encoding="utf-8") == text
 
     def test_empty_domain_list_and_no_records(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
-        tweets = (AnnotatedTweet("t1"),)
-        save_annotations(tweets, (), path)
+        tweets = [("t1", ())]
+        save_annotations(annotation_columns(tweets), path)
         assert path.read_text(encoding="utf-8") == brute_annotation_lines(tweets, ())[0] + "\n"
-        save_annotations((), (), path)
+        save_annotations(annotation_columns(), path)
         assert path.read_text(encoding="utf-8") == "\n"
 
 

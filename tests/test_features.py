@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from domcred.annotate import AnnotationColumns, LexiconAnnotator, annotate_dataset
+from domcred.annotate import LexiconAnnotator, annotate_dataset
 from domcred.corpus.periods import PeriodSpec, partition_periods
 from domcred.corpus.synth import SynthConfig, synthesize
 from domcred.corpus.types import GroundTruthLabels
@@ -34,6 +34,7 @@ from helpers import (
     annotated_reply,
     annotated_tweet,
     annotation,
+    annotation_columns,
     brute_domain_cells,
     brute_global,
     brute_max_scale,
@@ -65,7 +66,7 @@ class TestRelativenessWeights:
         )
         notes = (annotated_tweet("t1", {"a": 1.0, "b": 0.5, "c": 0.5}),)
         sentiments = tuple(annotated_reply(r.reply_id, -1.0) for r in replies)
-        annotations = AnnotationColumns.from_records(notes, sentiments)
+        annotations = annotation_columns(notes, sentiments)
         cells = accumulate_domain_features(dataset.columns, annotations)
         got = {d: (c.r, c.l, c.sn) for (_, d, _), c in cells.items()}
         assert got == {
@@ -133,7 +134,7 @@ class TestAccumulate:
 
     def test_tweet_masses_split_by_weight(self):
         dataset, notes, sentiments = self.small()
-        annotations = AnnotationColumns.from_records(notes, sentiments)
+        annotations = annotation_columns(notes, sentiments)
         cells = accumulate_domain_features(dataset.columns, annotations)
         tech = cells[("alice", "tech", POOLED)]
         food = cells[("alice", "food", POOLED)]
@@ -146,7 +147,7 @@ class TestAccumulate:
 
     def test_reply_sentiment_credits_parent_author(self):
         dataset, notes, sentiments = self.small()
-        annotations = AnnotationColumns.from_records(notes, sentiments)
+        annotations = annotation_columns(notes, sentiments)
         cells = accumulate_domain_features(dataset.columns, annotations)
         tech = cells[("alice", "tech", POOLED)]
         assert tech.sp == pytest.approx(0.9 * 2 / 3)
@@ -159,7 +160,7 @@ class TestAccumulate:
 
     def test_unannotated_tweet_invisible(self):
         dataset, notes, sentiments = self.small()
-        annotations = AnnotationColumns.from_records(notes, sentiments)
+        annotations = annotation_columns(notes, sentiments)
         cells = accumulate_domain_features(dataset.columns, annotations)
         assert all(key[1] in ("tech", "food") for key in cells)
 
@@ -170,7 +171,7 @@ class TestAccumulate:
         dataset = make_dataset(users, tweets, replies)
         notes = (annotated_tweet("t1", {"tech": 1.0, "food": 1.0, "art": 5e-324}),)
         sentiments = (annotated_reply("r1", 0.5),)
-        annotations = AnnotationColumns.from_records(notes, sentiments)
+        annotations = annotation_columns(notes, sentiments)
         cells = accumulate_domain_features(dataset.columns, annotations)
         assert set(cells) == {("alice", "food", POOLED), ("alice", "tech", POOLED)}
         for key in cells:
@@ -188,7 +189,7 @@ class TestAccumulate:
         notes = (annotated_tweet("t1", {"tech": 1.0}),)
         sentiments = (annotated_reply("r1", 1.0),)
 
-        annotations = AnnotationColumns.from_records(notes, sentiments)
+        annotations = annotation_columns(notes, sentiments)
         cells = accumulate_domain_features(dataset.columns, annotations, slices)
         first = cells[("alice", "tech", slices[0].index)]
         second = cells[("alice", "tech", slices[1].index)]
@@ -204,7 +205,7 @@ class TestAccumulate:
         dataset, notes, sentiments = self.small()
         slices, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=1))
         clash = dataclasses.replace(slices[0], index=POOLED)
-        annotations = AnnotationColumns.from_records(notes, sentiments)
+        annotations = annotation_columns(notes, sentiments)
         with pytest.raises(ValueError, match="reserved"):
             accumulate_domain_features(dataset.columns, annotations, [clash])
 
@@ -212,7 +213,7 @@ class TestAccumulate:
         rng = np.random.default_rng(1234)
         for _ in range(25):
             dataset, notes, sentiments = random_micro_dataset(rng)
-            annotations = AnnotationColumns.from_records(notes, sentiments)
+            annotations = annotation_columns(notes, sentiments)
             cells = accumulate_domain_features(dataset.columns, annotations)
             # the signs hold by construction: counts are >= 0, weights > 0,
             # and only a negative sentiment adds to sn
@@ -350,7 +351,7 @@ class TestAssembleMatrix:
         ]
         dataset = make_dataset(users, tweets)
         notes = (annotated_tweet("t1", {"tech": 1.0, "food": 0.5}),)
-        annotations = AnnotationColumns.from_records(notes, ())
+        annotations = annotation_columns(notes)
         cells = accumulate_domain_features(dataset.columns, annotations)
         globals_ = compute_global_features(dataset.columns)
         return cells, globals_
@@ -441,8 +442,7 @@ class TestMatrixIO:
         # the pipeline's own matrix: what benchmark reads back from the file
         # is what assemble_matrix built, down to the report
         dataset, labels = synthesize(SynthConfig(n_users=60, domains=(TECH,)), seed=3)
-        tweets, replies, _ = annotate_dataset(dataset, LexiconAnnotator())
-        annotations = AnnotationColumns.from_records(tweets, replies)
+        annotations, _ = annotate_dataset(dataset.columns, LexiconAnnotator())
         cells = accumulate_domain_features(dataset.columns, annotations)
         matrix = assemble_matrix(
             TECH, POOLED, cells, compute_global_features(dataset.columns), labels=labels

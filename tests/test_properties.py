@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from domcred.annotate import AnnotatedTweet, AnnotationColumns, DomainAnnotation
+from domcred.annotate import DomainAnnotation
 from domcred.corpus.archive import dataset_to_lines, load_dataset, save_dataset
 from domcred.corpus.cleanse import cleanse
 from domcred.corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
@@ -19,6 +19,7 @@ from domcred.learn.base import ALGORITHMS
 from domcred.lexicon import builtin_sentiment_lexicon, tokenize
 
 from helpers import (
+    annotation_columns,
     brute_partition,
     brute_weights,
     brute_wilcoxon_auc,
@@ -87,7 +88,7 @@ class TestRelativenessInvariants:
     def test_distribution_conserves_mass(self, a, retweets):
         assume(any(d.score > 0 for d in a))
         dataset = make_dataset([make_user("u")], [make_tweet("t", "u", retweets=retweets)])
-        annotations = AnnotationColumns.from_records((AnnotatedTweet("t", a),), ())
+        annotations = annotation_columns([("t", a)])
         cells = accumulate_domain_features(dataset.columns, annotations)
         total = sum(c.r for c in cells.values())
         assert abs(total - retweets) <= 1e-9 * max(1.0, retweets)

@@ -1,10 +1,10 @@
-"""The corpus and annotation records: frozen, slotted, hashable value objects."""
+"""The corpus records and domain annotations: frozen, slotted, hashable value objects."""
 
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import pytest
 
-from domcred.annotate import AnnotatedReply, AnnotatedTweet, DomainAnnotation
+from domcred.annotate import DomainAnnotation
 from domcred.corpus.types import ReplyRecord, TweetRecord, UserProfile
 
 from helpers import annotation, make_reply, make_tweet, make_user
@@ -17,8 +17,6 @@ def _records():
         (make_tweet("t1", "a"), "text", "other"),
         (make_reply("r1", "t1", "a"), "text", "other"),
         (annotation("Sports", 0.5, True), "score", 0.25),
-        (AnnotatedTweet("t1", (annotation("Sports", 1.0),)), "tweet_id", "t2"),
-        (AnnotatedReply("r1", 0.5), "sentiment", -0.5),
     ]
 
 
@@ -26,15 +24,8 @@ RECORDS = _records()
 IDS = [type(record).__name__ for record, _, _ in RECORDS]
 
 
-def test_the_six_record_classes_are_covered():
-    classes = {
-        UserProfile,
-        TweetRecord,
-        ReplyRecord,
-        DomainAnnotation,
-        AnnotatedTweet,
-        AnnotatedReply,
-    }
+def test_the_four_record_classes_are_covered():
+    classes = {UserProfile, TweetRecord, ReplyRecord, DomainAnnotation}
     assert {type(record) for record, _, _ in RECORDS} == classes
 
 
@@ -72,9 +63,8 @@ class TestSlottedRecords:
         (make_user("a"), "followers_count", -1),
         (make_tweet("t1", "a"), "retweet_count", -1),
         (annotation("Sports", 0.5), "score", 1.5),
-        (AnnotatedReply("r1", 0.5), "sentiment", 2.0),
     ],
-    ids=["UserProfile", "TweetRecord", "DomainAnnotation", "AnnotatedReply"],
+    ids=["UserProfile", "TweetRecord", "DomainAnnotation"],
 )
 def test_replace_still_runs_the_checks(record, name, bad):
     with pytest.raises(ValueError):
