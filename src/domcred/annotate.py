@@ -34,17 +34,27 @@ class AnnotatorError(RuntimeError):
     """Provider failure, distinct from a legitimate empty annotation."""
 
 
-@dataclass(frozen=True, slots=True)
-class DomainAnnotation:
-    """One inferred domain: taxonomy label, score in [0, 1], confident flag."""
+class DomainAnnotation(NamedTuple):
+    """One inferred domain: taxonomy label, score in [0, 1], confident flag.
+
+    It does not check its score; ``_checked_score`` does, where a score
+    enters: from a provider, a service payload or an annotations file.
+    """
 
     label: str
     score: float
     confident: bool = False
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score for {self.label!r} outside [0, 1]: {self.score}")
+
+def _checked_score(annotation: DomainAnnotation, tweet_id: str | None = None):
+    """The annotation, when its score lies in [0, 1]; else ValueError naming
+    its label, after the tweet when one is given."""
+    if not 0.0 <= annotation.score <= 1.0:
+        where = "" if tweet_id is None else f"tweet {tweet_id}: "
+        raise ValueError(
+            f"{where}score for {annotation.label!r} outside [0, 1]: {annotation.score}"
+        )
+    return annotation
 
 
 def _rank(annotations) -> list[DomainAnnotation]:
@@ -140,10 +150,12 @@ class RemoteAnnotator:
         body = self._call(text)
         try:
             ranked = _rank(
-                DomainAnnotation(
-                    label=json_value(d["label"], str, "label"),
-                    score=float(json_value(d["score"], float, "score")),
-                    confident=json_value(d.get("confident", False), bool, "confident"),
+                _checked_score(
+                    DomainAnnotation(
+                        label=json_value(d["label"], str, "label"),
+                        score=float(json_value(d["score"], float, "score")),
+                        confident=json_value(d.get("confident", False), bool, "confident"),
+                    )
                 )
                 for d in body.get("domains", [])
             )
@@ -170,19 +182,12 @@ def _checked_sentiment(reply_id: str, sentiment):
 class AnnotationColumns(NamedTuple):
     """The annotations ``annotate`` writes and ``features`` reads, one tuple
     per field, each record kind in file order: a domain list per tweet and a
-    sentiment per reply.  Canonical tweet lines whose lists are spelled alike
-    share one tuple."""
+    sentiment per reply."""
 
     tweet_ids: tuple[str, ...]
     merged_domains: tuple[tuple[DomainAnnotation, ...], ...]
     reply_ids: tuple[str, ...]
     sentiments: tuple[float, ...]
-
-    def domain_lists(self) -> dict[int, tuple[DomainAnnotation, ...]]:
-        """Each distinct domain list once, by the id of its tuple: lists are
-        told apart with no hash of their entries, which a list that appears
-        once would pay for and get nothing back."""
-        return dict(zip(map(id, self.merged_domains), self.merged_domains))
 
 
 @dataclass
@@ -211,8 +216,9 @@ def annotate_dataset(
 
     A provider failure on one item is recorded in the report and the item
     gets an empty or neutral annotation, unless ``fail_fast`` re-raises.  A
-    sentiment outside [-1, 1] raises ValueError naming its reply.  Output
-    order is canonical (by tweet/reply id, inherited from the dataset).
+    domain score outside [0, 1] raises ValueError naming its tweet, and a
+    sentiment outside [-1, 1] one naming its reply.  Output order is
+    canonical (by tweet/reply id, inherited from the dataset).
     """
     annotator = annotator or LexiconAnnotator()
     report = AnnotationReport(n_tweets=len(columns.tweet_ids), n_replies=len(columns.reply_ids))
@@ -227,6 +233,8 @@ def annotate_dataset(
             if fail_fast:
                 raise
             report.failures.append((tweet_id, str(exc)))
+        for d in domains:
+            _checked_score(d, tweet_id)
         merged.append(domains)
         if domains:
             report.n_annotatable += 1
@@ -255,14 +263,13 @@ def annotate_dataset(
 _NUMBERS = (int, float)
 
 
-def _domains_from_payload(payload, interned: dict) -> tuple[DomainAnnotation, ...]:
-    """The entries as DomainAnnotations, one shared instance per distinct entry.
+def _domains_from_payload(payload) -> tuple[DomainAnnotation, ...]:
+    """The entries as DomainAnnotations, their values as JSON reads them.
 
     Each entry is a [label, score, confident] list with a string label, a
-    numeric score and a flag that is a bool or the integer 0 or 1.  Sharing
-    is safe because the dataclass is frozen.  The key holds the score's
-    type, so 1 and 1.0 stay apart.  Zero scores (0.0 and -0.0 are equal but
-    written differently) and the integer flags are built afresh.
+    numeric score in [0, 1] and a flag that is a bool or the integer 0 or 1.
+    A value keeps its JSON type (1 stays 1, not 1.0), so saving what was
+    loaded writes each number as the file did.
     """
     if type(payload) is not list:
         raise ValueError(f"merged_domains must be a list, got {payload!r}")
@@ -279,15 +286,7 @@ def _domains_from_payload(payload, interned: dict) -> tuple[DomainAnnotation, ..
                 f"domain entry {entry!r} is not a [label, score, confident] triple"
                 " with a string label, a numeric score and a true, false, 0 or 1 flag"
             )
-        label, score, confident = entry
-        if score and type(confident) is bool:
-            key = (label, score, type(score), confident)
-            annotation = interned.get(key)
-            if annotation is None:
-                annotation = interned[key] = DomainAnnotation(label, score, confident)
-        else:
-            annotation = DomainAnnotation(label=label, score=score, confident=confident)
-        domains.append(annotation)
+        domains.append(_checked_score(DomainAnnotation(*entry)))
     return tuple(domains)
 
 
@@ -303,9 +302,9 @@ def _json_number(value) -> str:
     """A score, sentiment or confident flag as json writes it.
 
     A bool is true or false, an int keeps its integer form (1, not 1.0) and a
-    float its shortest repr; the range checks of DomainAnnotation and
-    annotate_dataset keep out NaN and the infinities, which json would write
-    in its own way.
+    float its shortest repr; the range checks where scores and sentiments
+    enter keep out NaN and the infinities, which json would write in its own
+    way.
     """
     if value is True:
         return "true"
@@ -369,7 +368,6 @@ def load_annotation_columns(path) -> AnnotationColumns:
     merged: list[tuple[DomainAnnotation, ...]] = []
     reply_ids: list[str] = []
     sentiments: list[float] = []
-    interned: dict = {}
     # per distinct spelling: a tweet's entries text, a reply's sentiment
     domains_of: dict[str, tuple[DomainAnnotation, ...]] = {}
     sentiment_of: dict[str, float] = {}
@@ -389,7 +387,7 @@ def load_annotation_columns(path) -> AnnotationColumns:
                 domains = domains_of.get(entries)
                 if domains is None:
                     payload = decode_line(f"[{entries}]")
-                    domains = domains_of[entries] = _domains_from_payload(payload, interned)
+                    domains = domains_of[entries] = _domains_from_payload(payload)
                 tweet_ids.append(tweet_id)
                 merged.append(domains)
                 continue
@@ -413,7 +411,7 @@ def load_annotation_columns(path) -> AnnotationColumns:
                 tweet_id = record["tweet_id"]
                 if type(tweet_id) is not str:
                     raise ValueError(f"tweet_id must be a string, got {tweet_id!r}")
-                merged.append(_domains_from_payload(record["merged_domains"], interned))
+                merged.append(_domains_from_payload(record["merged_domains"]))
                 tweet_ids.append(tweet_id)
             elif kind == "reply":
                 reply_id, sentiment = record["reply_id"], record["sentiment"]

@@ -279,7 +279,7 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
 
     columns = _load_canonical(args.dataset)
     annotations = _read_annotations(args.dataset, columns)
-    known_domains = sorted({d.label for ds in annotations.domain_lists().values() for d in ds})
+    known_domains = sorted({d.label for ds in set(annotations.merged_domains) for d in ds})
     if not known_domains:
         raise ValueError(
             f"no annotated tweet carries a domain ({args.dataset} holds"

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from itertools import starmap
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -131,16 +130,17 @@ def _field(body: dict, key: str, kind: type, default=_REQUIRED):
     return json_value(value, kind, key)
 
 
-# a JSON body's row: its record's fields in field order.  A record is built
-# only for a row with a count below zero, so that its own check raises.
+# a JSON body's row: its record's fields in field order, with every count
+# checked, since a record does not check itself
 def _user_from_body(body: dict) -> tuple:
     user_id = _field(body, "user_id", str)
     handle = _field(body, "handle", str, user_id)
     followers = _field(body, "followers_count", int)
     friends = _field(body, "friends_count", int)
     row = (user_id, handle, followers, friends, parse_timestamp(_field(body, "created_at", str)))
-    if followers < 0 or friends < 0:
-        UserProfile(*row)
+    for name, count in (("followers_count", followers), ("friends_count", friends)):
+        if count < 0:
+            raise ValueError(f"user {user_id}: {name} < 0")
     return row
 
 
@@ -154,10 +154,14 @@ def _tweet_from_body(body: dict) -> tuple:
     replies = _field(body, "replies_count", int, 0)
     is_retweet = _field(body, "is_retweet", bool, False)
     language = _field(body, "language", str, None)
-    row = (tweet_id, author, posted, text, retweets, favorites, replies, is_retweet, language)
-    if min(retweets, favorites, replies) < 0:
-        TweetRecord(*row)
-    return row
+    for name, count in (
+        ("retweet_count", retweets),
+        ("favorite_count", favorites),
+        ("replies_count", replies),
+    ):
+        if count < 0:
+            raise ValueError(f"tweet {tweet_id}: {name} < 0")
+    return (tweet_id, author, posted, text, retweets, favorites, replies, is_retweet, language)
 
 
 def _reply_from_body(body: dict) -> tuple:
@@ -255,10 +259,10 @@ def _read_records(
 
     A line written as ``dataset_to_lines`` writes it is split by its kind's
     pattern.  Any other line is decoded as JSON and read field by field into
-    a row, checked as its record checks itself, so both give the same fields,
-    and a line either way gives the same error.  With ``fail_fast`` a
-    malformed line raises ArchiveFormatError; otherwise it is skipped and
-    counted in ``report``.
+    a row and its counts checked, so both give the same fields, and a line
+    either way gives the same error.  With ``fail_fast`` a malformed line
+    raises ArchiveFormatError; otherwise it is skipped and counted in
+    ``report``.
     """
     records: dict[str, list] = {}
     canonical, from_body = [], {}
@@ -321,8 +325,7 @@ def _read_records(
 
 def _getters(record_class, *names: str):
     """One getter per field name, for the class's rows."""
-    position = {f.name: i for i, f in enumerate(fields(record_class))}
-    return [itemgetter(position[name]) for name in names]
+    return [itemgetter(record_class._fields.index(name)) for name in names]
 
 
 def _load(
@@ -396,9 +399,9 @@ def load_dataset(
         path, fail_fast, capture_at, max_friends
     )
     dataset = Dataset(
-        users=tuple(starmap(UserProfile, users)),
-        tweets=tuple(starmap(TweetRecord, tweets)),
-        replies=tuple(starmap(ReplyRecord, replies)),
+        users=tuple(map(UserProfile._make, users)),
+        tweets=tuple(map(TweetRecord._make, tweets)),
+        replies=tuple(map(ReplyRecord._make, replies)),
         capture_at=capture_at,
         provenance=provenance,
     )

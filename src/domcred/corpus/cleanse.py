@@ -5,7 +5,7 @@ Applying cleanse to its own output changes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .types import Dataset
 
@@ -44,7 +44,7 @@ def cleanse(
         if not is_english(t.language):
             continue
         if t.is_retweet and (t.retweet_count or t.favorite_count or t.replies_count):
-            t = replace(t, retweet_count=0, favorite_count=0, replies_count=0)
+            t = t._replace(retweet_count=0, favorite_count=0, replies_count=0)
             zeroed += 1
         kept_tweets.append(t)
     language_removed = len(dataset.tweets) - len(kept_tweets)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 INFLUENCER = "Influencer"
@@ -36,23 +36,15 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat()[:-6] + "Z"
 
 
-@dataclass(frozen=True, slots=True)
-class UserProfile:
+class UserProfile(NamedTuple):
     user_id: str
     handle: str
     followers_count: int
     friends_count: int
     created_at: datetime
 
-    def __post_init__(self):
-        if self.followers_count < 0:
-            raise ValueError(f"user {self.user_id}: followers_count < 0")
-        if self.friends_count < 0:
-            raise ValueError(f"user {self.user_id}: friends_count < 0")
 
-
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     tweet_id: str
     author_id: str
     posted_at: datetime
@@ -63,14 +55,8 @@ class TweetRecord:
     is_retweet: bool = False
     language: str | None = None
 
-    def __post_init__(self):
-        for name in ("retweet_count", "favorite_count", "replies_count"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"tweet {self.tweet_id}: {name} < 0")
 
-
-@dataclass(frozen=True, slots=True)
-class ReplyRecord:
+class ReplyRecord(NamedTuple):
     reply_id: str
     parent_tweet_id: str
     author_id: str
@@ -78,17 +64,9 @@ class ReplyRecord:
     text: str
 
 
-def _row_of(record_class):
-    """A record's fields as a tuple in field order: ``record_class(*row)`` rebuilds it."""
-    return attrgetter(*(f.name for f in fields(record_class)))
-
-
-user_row, tweet_row, reply_row = map(_row_of, (UserProfile, TweetRecord, ReplyRecord))
-
-
 def sorted_by_id(kind: str, items, key) -> list:
-    """``items`` (records, or rows) of one kind sorted by their ids, which
-    ``key`` reads; ValueError naming the first id that repeats."""
+    """``items`` of one kind sorted by their ids, which ``key`` reads;
+    ValueError naming the first id that repeats."""
     ordered = sorted(items, key=key)
     ids = list(map(key, ordered))
     if len(set(ids)) < len(ids):
@@ -121,8 +99,8 @@ class DatasetColumns(NamedTuple):
 
     @classmethod
     def from_rows(cls, users, tweets, replies, capture_at: datetime) -> DatasetColumns:
-        """The columns of record rows (``user_row`` and its kin), sorted by id;
-        ValueError when an id repeats."""
+        """The columns of records, or of plain tuples of their fields in field
+        order, sorted by id; ValueError when an id repeats."""
         user_ids, _, followers, friends, _ = _transpose("user", users, 5)
         tweet_ids, authors, posted, texts, retweets, favorites, tweet_replies, _, _ = _transpose(
             "tweet", tweets, 9
@@ -158,7 +136,7 @@ class Dataset:
 
     def __post_init__(self):
         for name, kind in (("users", "user"), ("tweets", "tweet"), ("replies", "reply")):
-            records = sorted_by_id(kind, getattr(self, name), attrgetter(f"{kind}_id"))
+            records = sorted_by_id(kind, getattr(self, name), itemgetter(0))
             object.__setattr__(self, name, tuple(records))
         for u in self.users:
             if u.created_at >= self.capture_at:
@@ -166,13 +144,9 @@ class Dataset:
 
     @cached_property
     def columns(self) -> DatasetColumns:
-        """The columns view that ``features`` reads, built on first use."""
-        return DatasetColumns.from_rows(
-            map(user_row, self.users),
-            map(tweet_row, self.tweets),
-            map(reply_row, self.replies),
-            self.capture_at,
-        )
+        """The columns view that ``features`` reads, built on first use from
+        the records themselves: a record is the row of its fields."""
+        return DatasetColumns.from_rows(self.users, self.tweets, self.replies, self.capture_at)
 
 
 @dataclass(frozen=True)

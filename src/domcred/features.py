@@ -134,12 +134,11 @@ def accumulate_domain_features(
     """Accumulate distributed engagement per (user, domain, period) in one pass.
 
     One pass over the tweets and one over the replies, in the dataset's id
-    order.  The weights are computed once per distinct domain list, as
-    ``AnnotationColumns.domain_lists`` tells them apart: once per tuple.
-    ``load_annotation_columns`` gives the tweets whose lists are spelled
-    alike one shared tuple, so a file's lists are weighed once per spelling.
-    Every record adds its mass to the pooled cell ``(user, domain, POOLED)``
-    and, when a slice holds it, to ``(user, domain, slice.index)``.  Each
+    order.  The weights are computed once per distinct domain list, told
+    apart by value: lists equal by value weigh alike, since a score that is
+    an integer is 0 or 1 and converts to float exactly.  Each id column must
+    be as long as its value column (ValueError otherwise).  Every record
+    adds its mass to the pooled cell ``(user, domain, POOLED)`` and, when a slice holds it, to ``(user, domain, slice.index)``.  Each
     cell therefore sums the same records in the same order as a separate
     scan of its selection would.  Slices must be disjoint, as
     ``partition_periods`` makes them.
@@ -150,15 +149,18 @@ def accumulate_domain_features(
     earlier tweet count in the period they were written.  Tweets with no
     usable annotation contribute nothing.
     """
-    # each tuple lives in ``annotations`` for the whole call, so no id is reused
     weights_of = {
-        key: relativeness_weights(domains)
-        for key, domains in annotations.domain_lists().items()
+        domains: relativeness_weights(domains)
+        for domains in dict.fromkeys(annotations.merged_domains)
     }
     weights_by_tweet = dict(
-        zip(annotations.tweet_ids, map(weights_of.__getitem__, map(id, annotations.merged_domains)))
+        zip(
+            annotations.tweet_ids,
+            map(weights_of.__getitem__, annotations.merged_domains),
+            strict=True,
+        )
     )
-    sentiment_by_reply = dict(zip(annotations.reply_ids, annotations.sentiments))
+    sentiment_by_reply = dict(zip(annotations.reply_ids, annotations.sentiments, strict=True))
     slices = tuple(slices)
     if any(sl.index == POOLED for sl in slices):
         raise ValueError(f"slice index {POOLED} is reserved for the pooled cells")

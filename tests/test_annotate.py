@@ -31,14 +31,6 @@ def small_annotator(min_hits=2, gain=1.0):
     return LexiconAnnotator(domains, sentiment, gain=gain, min_hits=min_hits)
 
 
-class TestDomainAnnotation:
-    def test_score_bounds_enforced(self):
-        with pytest.raises(ValueError, match="outside"):
-            DomainAnnotation(label="Tech", score=1.5)
-        with pytest.raises(ValueError):
-            DomainAnnotation(label="Tech", score=-0.1)
-
-
 class TestLexiconAnnotator:
     def test_top_domain_scores_one(self):
         ann = small_annotator()
@@ -105,13 +97,15 @@ class FailingAnnotator:
 
 
 class OutOfRangeAnnotator:
-    """Scores every reply with one value, outside the sentiment range [-1, 1]."""
+    """Scores every reply with one sentiment and, given a score, gives every
+    tweet one Tech domain with that score; either may lie outside its range."""
 
-    def __init__(self, sentiment):
+    def __init__(self, sentiment=0.0, score=None):
         self.sentiment = sentiment
+        self.score = score
 
     def infer_taxonomy(self, text):
-        return ()
+        return () if self.score is None else (DomainAnnotation("Tech", self.score),)
 
     def score_sentiment(self, text):
         return self.sentiment
@@ -187,6 +181,13 @@ class TestAnnotateDataset:
     def test_sentiment_outside_its_range_fails_naming_the_reply(self, sentiment):
         with pytest.raises(ValueError, match=r"^sentiment for r1 outside \[-1, 1\]$"):
             annotate_dataset(self.dataset(), OutOfRangeAnnotator(sentiment))
+
+    # a record does not check itself, so annotate_dataset checks what a provider gives
+    @pytest.mark.parametrize("score", [1.5, -0.1, float("nan")])
+    def test_score_outside_its_range_fails_naming_the_tweet(self, score):
+        want = rf"^tweet t1: score for 'Tech' outside \[0, 1\]: {score}$"
+        with pytest.raises(ValueError, match=want):
+            annotate_dataset(self.dataset(), OutOfRangeAnnotator(score=score))
 
     def test_report_round_trips_to_dict(self):
         _, report = annotate_dataset(self.dataset(), small_annotator())
@@ -309,6 +310,12 @@ class TestRemoteAnnotator:
             ({"label": "Tech", "score": float("nan")}, 0.0, "infer_taxonomy", "bad taxonomy"),
             ({"label": "Tech", "score": True}, 0.0, "infer_taxonomy", "bad taxonomy"),
             ({"label": "Tech", "score": 10**400}, 0.0, "infer_taxonomy", "bad taxonomy"),
+            (
+                {"label": "Tech", "score": 1.5},
+                0.0,
+                "infer_taxonomy",
+                r"bad taxonomy payload: score for 'Tech' outside \[0, 1\]: 1.5",
+            ),
             ({"label": "Tech", "score": 0.5}, "not a number", "score_sentiment", "bad sentiment"),
             ({"label": "Tech", "score": 0.5}, float("nan"), "score_sentiment", "bad sentiment"),
             ({"label": "Tech", "score": 0.5}, "nan", "score_sentiment", "bad sentiment"),
@@ -324,6 +331,7 @@ class TestRemoteAnnotator:
             "score-nan",
             "score-true",
             "score-huge-int",
+            "score-above-one",
             "sentiment-word",
             "sentiment-nan",
             "sentiment-string-nan",

@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -92,22 +91,24 @@ def pipeline(tmp_path_factory):
 
 
 def _count_records(monkeypatch) -> dict[str, int]:
-    """The records built from here on, by class: each class's __init__ is
-    wrapped, so a record counts whichever module builds it."""
+    """The records built from here on, by class, whichever module builds
+    them: a record class's __new__ and _make (which _replace calls, and which
+    skips __new__) are wrapped, and the Dataset's __init__."""
     built: dict[str, int] = {}
 
-    def counted(cls):
-        init = cls.__init__
-
-        def wrapper(self, *args, **kwargs):
+    def counted(cls, build):
+        def wrapper(*args, **kwargs):
             built[cls.__name__] += 1
-            init(self, *args, **kwargs)
+            return build(*args, **kwargs)
 
         return wrapper
 
-    for cls in (UserProfile, TweetRecord, ReplyRecord, Dataset):
+    for cls in (UserProfile, TweetRecord, ReplyRecord):
         built[cls.__name__] = 0
-        monkeypatch.setattr(cls, "__init__", counted(cls))
+        monkeypatch.setattr(cls, "__new__", counted(cls, cls.__new__))
+        monkeypatch.setattr(cls, "_make", classmethod(counted(cls, cls._make.__func__)))
+    built["Dataset"] = 0
+    monkeypatch.setattr(Dataset, "__init__", counted(Dataset, Dataset.__init__))
     return built
 
 
@@ -422,6 +423,21 @@ class TestAnnotate:
         first_reply = load_annotation_columns(pipeline["annotations"]).reply_ids[0]
         err = capsys.readouterr().err
         assert err == f"error: sentiment for {first_reply} outside [-1, 1]\n"
+        assert not (tmp_path / "annotations.jsonl").exists()
+
+    def test_score_outside_its_range_fails_and_writes_nothing(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        class OutOfRange(domcred.annotate.LexiconAnnotator):
+            def infer_taxonomy(self, text):
+                return (domcred.annotate.DomainAnnotation("Sports", 1.5),)
+
+        monkeypatch.setattr(domcred.cli, "_build_annotator", lambda args, config: OutOfRange())
+        rc = main(["annotate", str(pipeline["dataset"]), "--output-dir", str(tmp_path)])
+        assert rc == 1
+        first_tweet = load_annotation_columns(pipeline["annotations"]).tweet_ids[0]
+        err = capsys.readouterr().err
+        assert err == f"error: tweet {first_tweet}: score for 'Sports' outside [0, 1]: 1.5\n"
         assert not (tmp_path / "annotations.jsonl").exists()
 
     def test_remote_without_url_fails(self, pipeline, tmp_path, capsys):
@@ -835,9 +851,18 @@ class TestFeatures:
         text = pipeline["report_txt"].read_text()
         assert text.count("\nperiod ") == periods["n_periods"]
 
-    def test_one_accumulation_pass(self, pipeline, tmp_path, monkeypatch):
+    # a re-spelled annotations file is read as JSON, line by line, and shares
+    # no tuple between tweets; its lists are still weighed once per value
+    @pytest.mark.parametrize("spelling", ["canonical", "respelled"])
+    def test_one_accumulation_pass(self, pipeline, tmp_path, monkeypatch, spelling):
         """One accumulation, the weights once per distinct domain list, and
         no record built on the way."""
+        dataset = pipeline["dataset"]
+        if spelling == "respelled":
+            dataset = Path(shutil.copy(dataset, tmp_path / "dataset.jsonl"))
+            with (pipeline["dataset"].parent / "annotations.jsonl").open() as lines:
+                compact = [json.dumps(json.loads(line), separators=(",", ":")) for line in lines]
+            (tmp_path / "annotations.jsonl").write_text("\n".join(compact) + "\n")
         calls = {"annotate": 0, "accumulate": 0, "weights": 0}
 
         def counted(name, fn):
@@ -863,15 +888,13 @@ class TestFeatures:
             )
         built = _count_records(monkeypatch)
         rc = main(
-            ["features", str(pipeline["dataset"]), "--domain", TECH,
-             "--n-periods", "3", "--output-dir", str(tmp_path)]
+            ["features", str(dataset), "--domain", TECH,
+             "--n-periods", "3", "--output-dir", str(tmp_path / "out")]
         )
         assert rc == 0
-        annotations = load_annotation_columns(pipeline["dataset"].parent / "annotations.jsonl")
+        annotations = load_annotation_columns(dataset.parent / "annotations.jsonl")
         distinct = len(set(annotations.merged_domains))
         assert distinct < len(annotations.tweet_ids)
-        # the reader gives the lists equal in value one tuple each
-        assert len(annotations.domain_lists()) == distinct
         assert calls == {"annotate": 0, "accumulate": 1, "weights": distinct}
         assert built == NO_RECORDS
 
@@ -1250,7 +1273,7 @@ class TestVerify:
         # a splitter that ignores the scores and weighs every domain alike
         def even_split(dataset, annotations, slices=()):
             flat = tuple(
-                tuple(dataclasses.replace(d, score=1.0) for d in domains)
+                tuple(d._replace(score=1.0) for d in domains)
                 for domains in annotations.merged_domains
             )
             return accumulate_domain_features(

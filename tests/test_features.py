@@ -209,6 +209,22 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="reserved"):
             accumulate_domain_features(dataset.columns, annotations, [clash])
 
+    # unchecked, tweets t1 (3 retweets) and t2 (5) with one domain list gave
+    # a single cell with r=3.0: an id without its value was dropped unseen
+    @pytest.mark.parametrize("short", ["merged_domains", "sentiments"])
+    def test_ragged_columns_fail(self, short):
+        users = [make_user("alice"), make_user("bob")]
+        tweets = [make_tweet("t1", "alice", retweets=3), make_tweet("t2", "alice", retweets=5)]
+        replies = [make_reply("r1", "t1", "bob"), make_reply("r2", "t2", "bob")]
+        dataset = make_dataset(users, tweets, replies)
+        annotations = annotation_columns(
+            (annotated_tweet("t1", {"tech": 1.0}), annotated_tweet("t2", {"tech": 1.0})),
+            (annotated_reply("r1", 0.5), annotated_reply("r2", 0.5)),
+        )
+        ragged = annotations._replace(**{short: getattr(annotations, short)[:1]})
+        with pytest.raises(ValueError):
+            accumulate_domain_features(dataset.columns, ragged)
+
     def test_matches_brute_oracle_on_random_data(self):
         rng = np.random.default_rng(1234)
         for _ in range(25):
