@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
-from .corpus.archive import CHARS, FLAG, NUMBER, STRING, decode_line, inverse, json_value
+from .corpus.archive import CHARS, FLAG, NUMBER, STRING, inverse, json_value
 from .corpus.types import DatasetColumns
 from .lexicon import (
     DomainLexicon,
@@ -302,9 +302,8 @@ def _json_number(value) -> str:
     """A score, sentiment or confident flag as json writes it.
 
     A bool is true or false, an int keeps its integer form (1, not 1.0) and a
-    float its shortest repr; the range checks where scores and sentiments
-    enter keep out NaN and the infinities, which json would write in its own
-    way.
+    float its shortest repr; ``save_annotations`` refuses NaN and the
+    infinities, which json would write in its own way.
     """
     if value is True:
         return "true"
@@ -315,10 +314,25 @@ def _json_number(value) -> str:
     return float.__repr__(value)
 
 
+def _check_ranges(annotations: AnnotationColumns) -> None:
+    """The readers' ValueError for the first tweet with a score outside [0, 1],
+    else the first reply with a sentiment outside [-1, 1], NaN included;
+    each distinct domain list and sentiment is checked once."""
+    merged, sentiments = annotations.merged_domains, annotations.sentiments
+    for domains in dict.fromkeys(merged):
+        if not all(0.0 <= d.score <= 1.0 for d in domains):
+            tweet_id = annotations.tweet_ids[merged.index(domains)]
+            for d in domains:
+                _checked_score(d, tweet_id)
+    for sentiment in dict.fromkeys(sentiments):
+        if not -1.0 <= sentiment <= 1.0:
+            _checked_sentiment(annotations.reply_ids[sentiments.index(sentiment)], sentiment)
+
+
 def save_annotations(annotations: AnnotationColumns, path) -> None:
     """Write annotations as one JSON record per line, tweets then replies;
     ValueError, and nothing written, when an id column and its value column
-    differ in length."""
+    differ in length or a score or sentiment lies outside its range."""
     quote, number = encode_basestring_ascii, _json_number
     lines = [
         _TWEET_LINE
@@ -339,6 +353,7 @@ def save_annotations(annotations: AnnotationColumns, path) -> None:
         _REPLY_LINE % (quote(reply_id), number(sentiment))
         for reply_id, sentiment in zip(annotations.reply_ids, annotations.sentiments, strict=True)
     ]
+    _check_ranges(annotations)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -386,7 +401,7 @@ def load_annotation_columns(path) -> AnnotationColumns:
                 entries, tweet_id = m.groups()
                 domains = domains_of.get(entries)
                 if domains is None:
-                    payload = decode_line(f"[{entries}]")
+                    payload = json.loads(f"[{entries}]")
                     domains = domains_of[entries] = _domains_from_payload(payload)
                 tweet_ids.append(tweet_id)
                 merged.append(domains)
@@ -396,14 +411,14 @@ def load_annotation_columns(path) -> AnnotationColumns:
                 reply_id, spelling = m.groups()
                 sentiment = sentiment_of.get(spelling)
                 if sentiment is None:
-                    sentiment = _checked_sentiment(reply_id, decode_line(spelling))
+                    sentiment = _checked_sentiment(reply_id, json.loads(spelling))
                     sentiment_of[spelling] = sentiment
                 reply_ids.append(reply_id)
                 sentiments.append(sentiment)
                 continue
             if not line.strip():
                 continue
-            record = decode_line(line)
+            record = json.loads(line)
             if type(record) is not dict:
                 raise ValueError(f"a record must be a JSON object, got {record!r}")
             kind = record["kind"]

@@ -30,9 +30,6 @@ from .types import (
 
 KINDS = ("user", "tweet", "reply", "dataset")
 
-# one decoder for every line, instead of a json.loads call (and its set-up) per line
-_raw_decode = json.JSONDecoder().raw_decode
-
 # One template per line kind: the line json.dumps(record, sort_keys=True,
 # separators=(",", ":"), ensure_ascii=False) writes.  Strings are filled in
 # through encode_basestring, the quoting function of that encoder, and
@@ -51,22 +48,6 @@ _REPLY_LINE = (
     '{"body":{"author_id":%s,"parent_tweet_id":%s,"posted_at":"%s","reply_id":%s,'
     '"text":%s},"kind":"reply"}'
 )
-
-
-def decode_line(text: str):
-    """``json.loads(text)``, without its per-call set-up for a line it accepts.
-
-    A line the raw decoder does not take whole (surrounding whitespace,
-    trailing data, invalid JSON) goes to json.loads itself, so the accepted
-    lines, the values and the error messages are exactly json.loads's.
-    """
-    try:
-        value, end = _raw_decode(text)
-        if end == len(text):
-            return value
-    except ValueError:
-        pass
-    return json.loads(text)
 
 
 class ArchiveFormatError(ValueError):
@@ -292,7 +273,7 @@ def _read_records(
                         append(split(*m.groups()))
                         break
                 else:
-                    envelope = decode_line(line)
+                    envelope = json.loads(line)
                     if not isinstance(envelope, dict):
                         raise ValueError("envelope is not an object")
                     kind = envelope.get("kind")

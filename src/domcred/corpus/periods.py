@@ -11,8 +11,10 @@ is an error that names it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from datetime import MAXYEAR, datetime, timezone
+from typing import Iterable, Sequence
 
 from .types import DatasetColumns, PeriodSlice
 
@@ -73,15 +75,32 @@ def _period_end(first: datetime, index: int, step: int) -> datetime:
     return datetime(year, month + 1, 1, tzinfo=timezone.utc)
 
 
+def slice_indices(
+    slices: Sequence[PeriodSlice], stamps: Iterable[datetime]
+) -> list[int | None]:
+    """The index of the slice whose [start, end) holds each timestamp, or None
+    where none does, by one bisect over the slice starts; ValueError unless
+    the slices are disjoint and in time order, as ``partition_periods`` makes them."""
+    if any(a.end > b.start for a, b in zip(slices, slices[1:])):
+        raise ValueError("slices must be disjoint and in time order")
+    starts = [sl.start for sl in slices]
+    placed = []
+    for stamp in stamps:
+        i = bisect_right(starts, stamp) - 1
+        placed.append(slices[i].index if i >= 0 and stamp < slices[i].end else None)
+    return placed
+
+
 def partition_periods(
     columns: DatasetColumns, spec: PeriodSpec
 ) -> tuple[tuple[PeriodSlice, ...], PartitionReport]:
     """Slice the dataset timeline into consecutive periods (spec.n_periods, or
     just enough to reach the last record when that is None).
 
-    Periods are indexed 1..K.  Every tweet and reply is assigned by its own
-    posted_at to at most one slice; anything before the range start or at or
-    after the range end is out of range.
+    Periods are indexed 1..K, disjoint and in time order, each ending where
+    the next starts.  Every tweet and reply lies by its own posted_at in at
+    most one slice (``slice_indices``), which the report counts; anything
+    before the range start or at or after the range end is out of range.
     """
     stamps = [*columns.tweet_posted, *columns.reply_posted]
     if spec.start is not None:
@@ -100,24 +119,11 @@ def partition_periods(
         n_periods = max(1, months // step + 1)
     edges = [first, *(_period_end(first, i, step) for i in range(1, n_periods + 1))]
 
-    # each record's slice is one bisect over the strictly increasing edges
-    tweet_ids = [set() for _ in range(n_periods)]
-    reply_ids = [set() for _ in range(n_periods)]
-    for ids, pairs in (
-        (tweet_ids, zip(columns.tweet_ids, columns.tweet_posted)),
-        (reply_ids, zip(columns.reply_ids, columns.reply_posted)),
-    ):
-        for record_id, posted_at in pairs:
-            i = bisect_right(edges, posted_at) - 1
-            if 0 <= i < n_periods:
-                ids[i].add(record_id)
-    slices = [
-        PeriodSlice(i + 1, edges[i], edges[i + 1], frozenset(t_ids), frozenset(r_ids))
-        for i, (t_ids, r_ids) in enumerate(zip(tweet_ids, reply_ids))
-    ]
-
-    tweets_per = tuple(len(s.tweet_ids) for s in slices)
-    replies_per = tuple(len(s.reply_ids) for s in slices)
+    slices = tuple(PeriodSlice(i, edges[i - 1], edges[i]) for i in range(1, n_periods + 1))
+    tweets_in = Counter(slice_indices(slices, columns.tweet_posted))
+    replies_in = Counter(slice_indices(slices, columns.reply_posted))
+    tweets_per = tuple(tweets_in[sl.index] for sl in slices)
+    replies_per = tuple(replies_in[sl.index] for sl in slices)
     report = PartitionReport(
         n_periods=n_periods,
         empty_periods=sum(1 for a, b in zip(tweets_per, replies_per) if a == 0 and b == 0),
@@ -126,4 +132,4 @@ def partition_periods(
         out_of_range_tweets=len(columns.tweet_ids) - sum(tweets_per),
         out_of_range_replies=len(columns.reply_ids) - sum(replies_per),
     )
-    return tuple(slices), report
+    return slices, report

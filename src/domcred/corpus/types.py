@@ -151,17 +151,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PeriodSlice:
-    """One timeline chunk; the id sets are authoritative for membership.
-
-    The partitioner fills them with the records posted in the half-open
-    interval [start, end), the final period included.
-    """
+    """One timeline chunk, the half-open interval [start, end): a record lies in
+    the slice that holds its own posted_at, as ``periods.slice_indices`` places it."""
 
     index: int
     start: datetime
     end: datetime
-    tweet_ids: frozenset[str]
-    reply_ids: frozenset[str]
 
 
 @dataclass(frozen=True)

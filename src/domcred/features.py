@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .annotate import AnnotationColumns, DomainAnnotation
+from .corpus.periods import slice_indices
 from .corpus.types import (
     LABELS,
     DatasetColumns,
@@ -138,10 +139,11 @@ def accumulate_domain_features(
     apart by value: lists equal by value weigh alike, since a score that is
     an integer is 0 or 1 and converts to float exactly.  Each id column must
     be as long as its value column (ValueError otherwise).  Every record
-    adds its mass to the pooled cell ``(user, domain, POOLED)`` and, when a slice holds it, to ``(user, domain, slice.index)``.  Each
+    adds its mass to the pooled cell ``(user, domain, POOLED)`` and, when
+    its posted_at lies in a slice, to ``(user, domain, slice.index)``.  Each
     cell therefore sums the same records in the same order as a separate
-    scan of its selection would.  Slices must be disjoint, as
-    ``partition_periods`` makes them.
+    scan of its selection would.  Slices must be disjoint and in time order,
+    as ``partition_periods`` makes them (ValueError otherwise).
 
     Tweets contribute their own engagement counts; replies contribute their
     sentiment to the parent tweet's author, split by the parent's weights.
@@ -164,22 +166,21 @@ def accumulate_domain_features(
     slices = tuple(slices)
     if any(sl.index == POOLED for sl in slices):
         raise ValueError(f"slice index {POOLED} is reserved for the pooled cells")
-    # a record's slice index (absent when no slice holds it) picks its cells' periods
-    tweet_slice = {t: sl.index for sl in slices for t in sl.tweet_ids}
-    reply_slice = {r: sl.index for sl in slices for r in sl.reply_ids}
+    # a record's slice index (None when no slice holds it) picks its cells' periods
     periods_of = {None: (POOLED,), **{sl.index: (POOLED, sl.index) for sl in slices}}
+    tweet_periods = map(periods_of.__getitem__, slice_indices(slices, columns.tweet_posted))
+    reply_periods = map(periods_of.__getitem__, slice_indices(slices, columns.reply_posted))
     # the authors of the tweets that carry weights, for their replies' cells
     author_of: dict[str, str] = {}
     # a cell holds the UserDomainFeatures fields in order
     cells: dict[tuple[str, str, int], list] = {}
     cell = cells.get
 
-    for tweet_id, author, rt, fav, rep in columns.tweet_engagement():
+    for periods, (tweet_id, author, rt, fav, rep) in zip(tweet_periods, columns.tweet_engagement()):
         weights = weights_by_tweet.get(tweet_id)
         if not weights:
             continue
         author_of[tweet_id] = author
-        periods = periods_of[tweet_slice.get(tweet_id)]
         for domain, w in weights.items():
             r, l, p = rt * w, fav * w, rep * w
             for period in periods:
@@ -192,14 +193,13 @@ def accumulate_domain_features(
                 acc[2] += p
                 acc[7] += 1
 
-    for reply_id, parent in zip(columns.reply_ids, columns.reply_parents):
+    for periods, reply_id, parent in zip(reply_periods, columns.reply_ids, columns.reply_parents):
         sentiment = sentiment_by_reply.get(reply_id, 0.0)
         if sentiment == 0.0:
             continue
         author = author_of.get(parent)
         if author is None:
             continue
-        periods = periods_of[reply_slice.get(reply_id)]
         # positive replies fill sp and count_pos, the rest sn and count_neg
         total, count = (3, 5) if sentiment > 0 else (4, 6)
         for domain, w in weights_by_tweet[parent].items():
@@ -220,11 +220,12 @@ def compute_global_features(
 ) -> dict[str, UserGlobalFeatures]:
     """Profile features plus in-selection engagement totals, per active user.
 
-    A user is active when they have at least one tweet in the selection.
+    The selection is every tweet, or those posted in the period's [start,
+    end); a user is active when they have at least one tweet in it.
     """
     totals: dict[str, list[int]] = {}
-    for tweet_id, author, rt, fav, rep in columns.tweet_engagement():
-        if period is not None and tweet_id not in period.tweet_ids:
+    for posted, (_, author, rt, fav, rep) in zip(columns.tweet_posted, columns.tweet_engagement()):
+        if period is not None and not period.start <= posted < period.end:
             continue
         entry = totals.setdefault(author, [0, 0, 0])
         entry[0] += rt

@@ -78,7 +78,7 @@ def train_xy(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> TrainedModel:
             n_features=x.shape[1],
         )
 
-    params, summary = _FITTERS[spec.algorithm](x, y, spec.hyper, spec.seed)
+    params, summary = _FITTERS[spec.algorithm](x, y, spec.hyperparameters, spec.seed)
     return TrainedModel(spec=spec, params=params, summary=summary, n_features=x.shape[1])
 
 

@@ -136,10 +136,6 @@ class ModelSpec:
         _validate_hyper(self.algorithm, merged)
         object.__setattr__(self, "hyperparameters", MappingProxyType(merged))
 
-    @property
-    def hyper(self) -> Mapping:
-        return self.hyperparameters
-
 
 @dataclass(frozen=True)
 class TrainingSummary:

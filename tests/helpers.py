@@ -283,39 +283,39 @@ def brute_domain_cells(dataset, annotated_tweets, annotated_replies, interval=No
 
 
 def brute_partition(dataset, start, n_periods, months_per_period):
-    """Period slices and report by the per-slice rescan, one pass per period.
+    """Period slices, report and each record's slice by the per-slice rescan,
+    one pass per period.
 
     The edges are ``start`` and then the first instant of every
-    ``months_per_period``-th calendar month after it (UTC); each slice keeps
-    the records whose posted_at falls in its half-open [start, end).
+    ``months_per_period``-th calendar month after it (UTC); each slice holds
+    the records whose posted_at falls in its half-open [start, end).  The
+    last two values map each tweet id and each reply id to the index of the
+    slice that holds it; a record in no slice is absent.
     """
     edges = [start]
     for i in range(1, n_periods + 1):
         month = start.month - 1 + i * months_per_period
         edges.append(datetime(start.year + month // 12, month % 12 + 1, 1, tzinfo=UTC))
-    slices = []
+    slices, tweet_slice, reply_slice = [], {}, {}
+    tweets_per, replies_per = [], []
     for i in range(n_periods):
         lo, hi = edges[i], edges[i + 1]
-        slices.append(
-            PeriodSlice(
-                index=i + 1,
-                start=lo,
-                end=hi,
-                tweet_ids=frozenset(t.tweet_id for t in dataset.tweets if lo <= t.posted_at < hi),
-                reply_ids=frozenset(r.reply_id for r in dataset.replies if lo <= r.posted_at < hi),
-            )
-        )
-    tweets_per = tuple(len(s.tweet_ids) for s in slices)
-    replies_per = tuple(len(s.reply_ids) for s in slices)
+        slices.append(PeriodSlice(index=i + 1, start=lo, end=hi))
+        tweet_ids = [t.tweet_id for t in dataset.tweets if lo <= t.posted_at < hi]
+        reply_ids = [r.reply_id for r in dataset.replies if lo <= r.posted_at < hi]
+        tweet_slice.update(dict.fromkeys(tweet_ids, i + 1))
+        reply_slice.update(dict.fromkeys(reply_ids, i + 1))
+        tweets_per.append(len(tweet_ids))
+        replies_per.append(len(reply_ids))
     report = PartitionReport(
         n_periods=n_periods,
         empty_periods=sum(1 for a, b in zip(tweets_per, replies_per) if a == 0 and b == 0),
-        tweets_per_period=tweets_per,
-        replies_per_period=replies_per,
+        tweets_per_period=tuple(tweets_per),
+        replies_per_period=tuple(replies_per),
         out_of_range_tweets=len(dataset.tweets) - sum(tweets_per),
         out_of_range_replies=len(dataset.replies) - sum(replies_per),
     )
-    return tuple(slices), report
+    return tuple(slices), report, tweet_slice, reply_slice
 
 
 def brute_global(dataset, interval=None):

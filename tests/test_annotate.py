@@ -219,6 +219,34 @@ class TestPersistence:
             save_annotations(AnnotationColumns(*tweets, *replies), path)
         assert not path.exists()
 
+    # unchecked, nan and inf were written as such, and the reader then
+    # refused the writer's own file on line 1 with "Expecting value"
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, 1.5])
+    def test_score_outside_its_range_fails_naming_the_first_tweet(self, tmp_path, bad):
+        good = (DomainAnnotation("Arts", 1),)
+        worse = (DomainAnnotation("Arts", 0.5), DomainAnnotation("News", bad))
+        columns = AnnotationColumns(
+            ("t1", "t2", "t3", "t4"), (good, worse, (DomainAnnotation("Sports", 2.0),), worse),
+            (), (),
+        )
+        path = tmp_path / "annotations.jsonl"
+        with pytest.raises(ValueError) as caught:
+            save_annotations(columns, path)
+        assert str(caught.value) == f"tweet t2: score for 'News' outside [0, 1]: {bad}"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1.5])
+    def test_sentiment_outside_its_range_fails_naming_the_first_reply(self, tmp_path, bad):
+        columns = AnnotationColumns(
+            ("t1",), ((DomainAnnotation("Arts", 1.0),),),
+            ("r1", "r2", "r3", "r4"), (-0.0, bad, -2.0, bad),
+        )
+        path = tmp_path / "annotations.jsonl"
+        with pytest.raises(ValueError) as caught:
+            save_annotations(columns, path)
+        assert str(caught.value) == "sentiment for r2 outside [-1, 1]"
+        assert not path.exists()
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
         path.write_text('{"kind": "mystery"}\n', encoding="utf-8")

@@ -90,6 +90,19 @@ def pipeline(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def all_domains(tmp_path_factory):
+    """A dataset synthesized over every built-in domain, ingested and
+    annotated: unlike the pipeline's, its tweets hold many distinct domain
+    lists."""
+    root = tmp_path_factory.mktemp("all_domains")
+    assert main(["synth", "--n-users", "30", "--seed", "42", "--output-dir", str(root)]) == 0
+    assert main(["ingest", str(root / "synth_archive.jsonl"), "--output-dir", str(root)]) == 0
+    dataset = root / "dataset.jsonl"
+    assert main(["annotate", str(dataset), "--output-dir", str(root)]) == 0
+    return dataset
+
+
 def _count_records(monkeypatch) -> dict[str, int]:
     """The records built from here on, by class, whichever module builds
     them: a record class's __new__ and _make (which _replace calls, and which
@@ -852,15 +865,23 @@ class TestFeatures:
         assert text.count("\nperiod ") == periods["n_periods"]
 
     # a re-spelled annotations file is read as JSON, line by line, and shares
-    # no tuple between tweets; its lists are still weighed once per value
-    @pytest.mark.parametrize("spelling", ["canonical", "respelled"])
-    def test_one_accumulation_pass(self, pipeline, tmp_path, monkeypatch, spelling):
+    # no tuple between tweets; its lists are still weighed once per value.
+    # The pipeline's tweets all hold one list, so only the all-domains corpus
+    # tells "once per distinct list" from "once for the first list".
+    @pytest.mark.parametrize(
+        "spelling, corpus",
+        [("canonical", "one"), ("respelled", "one"), ("canonical", "all"), ("respelled", "all")],
+        ids=["canonical", "respelled", "canonical-all-domains", "respelled-all-domains"],
+    )
+    def test_one_accumulation_pass(
+        self, pipeline, all_domains, tmp_path, monkeypatch, spelling, corpus
+    ):
         """One accumulation, the weights once per distinct domain list, and
         no record built on the way."""
-        dataset = pipeline["dataset"]
+        dataset = source = pipeline["dataset"] if corpus == "one" else all_domains
         if spelling == "respelled":
-            dataset = Path(shutil.copy(dataset, tmp_path / "dataset.jsonl"))
-            with (pipeline["dataset"].parent / "annotations.jsonl").open() as lines:
+            dataset = Path(shutil.copy(source, tmp_path / "dataset.jsonl"))
+            with (source.parent / "annotations.jsonl").open() as lines:
                 compact = [json.dumps(json.loads(line), separators=(",", ":")) for line in lines]
             (tmp_path / "annotations.jsonl").write_text("\n".join(compact) + "\n")
         calls = {"annotate": 0, "accumulate": 0, "weights": 0}
@@ -895,6 +916,8 @@ class TestFeatures:
         annotations = load_annotation_columns(dataset.parent / "annotations.jsonl")
         distinct = len(set(annotations.merged_domains))
         assert distinct < len(annotations.tweet_ids)
+        if corpus == "all":
+            assert distinct > 1
         assert calls == {"annotate": 0, "accumulate": 1, "weights": distinct}
         assert built == NO_RECORDS
 

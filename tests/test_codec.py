@@ -15,7 +15,6 @@ from domcred.corpus import archive
 from domcred.corpus.archive import (
     ArchiveFormatError,
     dataset_to_lines,
-    decode_line,
     load_columns,
     load_dataset,
     save_dataset,
@@ -186,18 +185,6 @@ class TestDatasetLines:
         path = self._archive(tmp_path, [self._user("a"), "{} x"])
         with pytest.raises(ArchiveFormatError, match=r"line 2: Extra data: line 1 column 4"):
             load_dataset(path, fail_fast=True)
-
-    @pytest.mark.parametrize(
-        "text", ["{} x", "{}x", "[1]  2", "{", "", " {} ", "\t[1]\n", "\ufeff{}", "NaN", '"a"']
-    )
-    def test_decode_line_is_json_loads(self, text):
-        def outcome(decode):
-            try:
-                return "ok", decode(text)
-            except ValueError as exc:
-                return type(exc).__name__, str(exc)
-
-        assert outcome(decode_line) == outcome(json.loads)
 
     def test_out_of_range_timestamp_is_a_malformed_line(self, tmp_path):
         path = self._archive(
@@ -374,15 +361,18 @@ class TestAnnotationReaders:
         lines = [tweet % i for i in range(3)] + [reply % i for i in range(3)]
         canonical, respelled = self._both_spellings(tmp_path, lines)
         decoded = []
-        decode = domcred.annotate.decode_line
+        for name in ("_domains_from_payload", "_checked_sentiment"):
 
-        def counted(text):
-            decoded.append(text)
-            return decode(text)
+            def counted(*args, name=name, real=getattr(domcred.annotate, name)):
+                decoded.append((name, args[-1]))
+                return real(*args)
 
-        monkeypatch.setattr(domcred.annotate, "decode_line", counted)
+            monkeypatch.setattr(domcred.annotate, name, counted)
         columns = load_annotation_columns(canonical)
-        assert decoded == ['[["Arts", 1.0, true]]', "-0.5"]
+        assert decoded == [
+            ("_domains_from_payload", [["Arts", 1.0, True]]),
+            ("_checked_sentiment", -0.5),
+        ]
         assert len({id(domains) for domains in columns.merged_domains}) == 1
         assert repr(load_annotation_columns(respelled)) == repr(columns)
         assert len(decoded) == 2 + len(lines)
@@ -673,7 +663,7 @@ _SPLITS = {kind: (pattern, split, build) for kind, pattern, split, build in arch
 def _both_ways(line):
     """A record line's fields split by its kind's pattern (None when the
     pattern does not match) and read as JSON through the row builder."""
-    envelope = decode_line(line)
+    envelope = json.loads(line)
     pattern, split, build = _SPLITS[envelope["kind"]]
     m = re.fullmatch(pattern, line)
     return (split(*m.groups()) if m else None), build(envelope["body"])

@@ -16,7 +16,7 @@ from domcred.corpus.archive import (
     save_labels,
 )
 from domcred.corpus.cleanse import cleanse
-from domcred.corpus.periods import PeriodSpec, partition_periods
+from domcred.corpus.periods import PeriodSpec, partition_periods, slice_indices
 from domcred.corpus.synth import (
     INFLUENCER_LEVEL,
     ORDINARY_LEVEL,
@@ -28,6 +28,7 @@ from domcred.corpus.synth import (
 from domcred.corpus.types import (
     Dataset,
     GroundTruthLabels,
+    PeriodSlice,
     format_timestamp,
     parse_timestamp,
 )
@@ -289,22 +290,25 @@ class TestPeriods:
         assert [s.index for s in slices] == [1, 2]
         assert slices[0].start == ts("2024-01-01T00:00:00Z")
         assert slices[0].end == ts("2024-02-01T00:00:00Z")
-        # the boundary tweet belongs to the later period
-        assert "t1" in slices[1].tweet_ids and "t1" not in slices[0].tweet_ids
+        # the boundary tweet t1 belongs to the later period
+        assert slice_indices(slices, ds.columns.tweet_posted) == [1, 2, 2]
+        assert report.tweets_per_period == (1, 2)
         assert report.out_of_range_tweets == 0
 
     def test_out_of_range_counted_not_assigned(self):
         ds = self._dataset(["2024-01-15T00:00:00Z", "2024-06-01T00:00:00Z"])
         slices, report = partition_periods(ds.columns, PeriodSpec(n_periods=2))
         assert report.out_of_range_tweets == 1
-        assert sum(len(s.tweet_ids) for s in slices) == 1
+        assert slice_indices(slices, ds.columns.tweet_posted) == [1, None]
+        assert sum(report.tweets_per_period) == 1
 
     def test_explicit_start_before_data_gives_empty_leading_periods(self):
         ds = self._dataset(["2024-03-10T00:00:00Z"])
         spec = PeriodSpec(n_periods=3, start=ts("2024-01-01T00:00:00Z"))
         slices, report = partition_periods(ds.columns, spec)
         assert report.empty_periods == 2
-        assert len(slices[2].tweet_ids) == 1
+        assert slice_indices(slices, ds.columns.tweet_posted) == [3]
+        assert report.tweets_per_period == (0, 0, 1)
 
     def test_quarter_and_year_granularity(self):
         ds = self._dataset(["2024-02-10T00:00:00Z", "2024-05-10T00:00:00Z"])
@@ -323,9 +327,10 @@ class TestPeriods:
             [make_tweet("t1", "a", posted="2024-01-05T00:00:00Z")],
             [make_reply("r1", "t1", "b", posted="2024-02-20T00:00:00Z")],
         )
-        slices, _ = partition_periods(ds.columns, PeriodSpec(n_periods=2))
-        assert "r1" in slices[1].reply_ids
-        assert "r1" not in slices[0].reply_ids
+        slices, report = partition_periods(ds.columns, PeriodSpec(n_periods=2))
+        assert slice_indices(slices, ds.columns.tweet_posted) == [1]
+        assert slice_indices(slices, ds.columns.reply_posted) == [2]
+        assert report.replies_per_period == (0, 1)
 
     def test_default_count_reaches_the_last_record(self):
         ds = make_dataset(
@@ -336,7 +341,8 @@ class TestPeriods:
         )
         slices, report = partition_periods(ds.columns, PeriodSpec())
         assert report.n_periods == 4 and len(slices) == 4
-        assert "r1" in slices[3].reply_ids
+        assert slice_indices(slices, ds.columns.reply_posted) == [4]
+        assert report.replies_per_period == (0, 0, 0, 1)
         assert report.out_of_range_tweets == report.out_of_range_replies == 0
         quarters, _ = partition_periods(ds.columns, PeriodSpec(granularity="quarter"))
         assert [q.end for q in quarters] == [
@@ -345,6 +351,30 @@ class TestPeriods:
         # a start after every record still gives one (empty) period
         late, report = partition_periods(ds.columns, PeriodSpec(start=ts("2024-06-01T00:00:00Z")))
         assert len(late) == 1 and report.out_of_range_tweets == 1
+
+    def test_slice_indices_place_by_half_open_interval(self):
+        # two slices with a gap between them: a stamp in the gap, before the
+        # first start or at the last end lies in none
+        slices = (
+            PeriodSlice(1, ts("2024-01-01T00:00:00Z"), ts("2024-02-01T00:00:00Z")),
+            PeriodSlice(2, ts("2024-03-01T00:00:00Z"), ts("2024-04-01T00:00:00Z")),
+        )
+        stamps = [
+            "2023-12-31T23:59:59Z", "2024-01-01T00:00:00Z", "2024-02-01T00:00:00Z",
+            "2024-02-15T00:00:00Z", "2024-03-01T00:00:00Z", "2024-03-31T23:59:59Z",
+            "2024-04-01T00:00:00Z",
+        ]
+        placed = slice_indices(slices, map(ts, stamps))
+        assert placed == [None, 1, None, None, 2, 2, None]
+        assert slice_indices((), [ts("2024-01-01T00:00:00Z")]) == [None]
+
+    def test_slices_out_of_order_or_overlapping_rejected(self):
+        ds = self._dataset(["2024-01-15T00:00:00Z", "2024-02-15T00:00:00Z"])
+        slices, _ = partition_periods(ds.columns, PeriodSpec(n_periods=2))
+        overlapping = (slices[0], replace(slices[1], start=ts("2024-01-31T00:00:00Z")))
+        for bad in (slices[::-1], overlapping):
+            with pytest.raises(ValueError, match="disjoint and in time order"):
+                slice_indices(bad, ds.columns.tweet_posted)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

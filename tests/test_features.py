@@ -209,6 +209,14 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="reserved"):
             accumulate_domain_features(dataset.columns, annotations, [clash])
 
+    def test_slices_out_of_time_order_fail(self):
+        # a bisect over unordered starts would put records in the wrong cells
+        dataset, notes, sentiments = self.small()
+        slices, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=2))
+        annotations = annotation_columns(notes, sentiments)
+        with pytest.raises(ValueError, match="disjoint and in time order"):
+            accumulate_domain_features(dataset.columns, annotations, slices[::-1])
+
     # unchecked, tweets t1 (3 retweets) and t2 (5) with one domain list gave
     # a single cell with r=3.0: an id without its value was dropped unseen
     @pytest.mark.parametrize("short", ["merged_domains", "sentiments"])

@@ -30,18 +30,18 @@ class TestModelSpec:
 
     def test_defaults_merged_and_overrides_stick(self):
         spec = ModelSpec(algorithm="random_forest", hyperparameters={"n_trees": 7})
-        assert spec.hyper["n_trees"] == 7
-        assert spec.hyper["max_depth"] == 10
-        assert spec.hyper["bootstrap"] is True
+        assert spec.hyperparameters["n_trees"] == 7
+        assert spec.hyperparameters["max_depth"] == 10
+        assert spec.hyperparameters["bootstrap"] is True
 
     def test_hyperparameters_read_only(self):
         spec = ModelSpec(algorithm="naive_bayes")
         with pytest.raises(TypeError):
-            spec.hyper["laplace"] = False
+            spec.hyperparameters["laplace"] = False
 
     def test_zero_epochs_legal(self):
         spec = ModelSpec(algorithm="neural_net", hyperparameters={"epochs": 0})
-        assert spec.hyper["epochs"] == 0
+        assert spec.hyperparameters["epochs"] == 0
 
     def test_positive_constraints(self):
         with pytest.raises(ValueError, match="n_trees"):
@@ -59,7 +59,7 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="confidence"):
             ModelSpec(algorithm="decision_tree", hyperparameters={"confidence": 0.7})
         spec = ModelSpec(algorithm="decision_tree", hyperparameters={"confidence": None})
-        assert spec.hyper["confidence"] is None
+        assert spec.hyperparameters["confidence"] is None
 
     def test_hidden_validation(self):
         with pytest.raises(ValueError, match="hidden"):
@@ -67,7 +67,7 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="hidden"):
             ModelSpec(algorithm="neural_net", hyperparameters={"hidden": (8, 0)})
         spec = ModelSpec(algorithm="neural_net", hyperparameters={"hidden": [4, 4]})
-        assert spec.hyper["hidden"] == (4, 4)
+        assert spec.hyperparameters["hidden"] == (4, 4)
 
     @pytest.mark.parametrize("rho", [0, 0.0, 1, 1.0, 1.5, -0.2])
     def test_rho_range(self, rho):

@@ -204,7 +204,7 @@ class TestMatchesPerArrayLoop:
             seed=11,
         )
         model = train_xy(spec, x, y)
-        weights, biases, loss, predict_proba = brute_neural_fit(x, y, spec.hyper, spec.seed)
+        weights, biases, loss, predict_proba = brute_neural_fit(x, y, spec.hyperparameters, spec.seed)
         net = model.params
         for got, want in zip(net.weights + net.biases, weights + biases):
             assert np.array_equal(got, want)

@@ -92,7 +92,7 @@ class TestClassificationGrowth:
 
         spec = ModelSpec("decision_tree")
         x = np.arange(6.0).reshape(-1, 1)
-        fitted, _ = tree_mod.fit(x, np.ones(6), spec.hyper, seed=0)
+        fitted, _ = tree_mod.fit(x, np.ones(6), spec.hyperparameters, seed=0)
         assert fitted.root.is_leaf
         assert fitted.root.value == 1.0
 
@@ -110,7 +110,7 @@ class TestClassificationGrowth:
         spec = ModelSpec("decision_tree", hyperparameters={"confidence": None})
         from domcred.learn import tree as tree_mod
 
-        fitted, _ = tree_mod.fit(x, y, spec.hyper, seed=0)
+        fitted, _ = tree_mod.fit(x, y, spec.hyperparameters, seed=0)
         assert fitted.root.threshold == 2.0
         assert fitted.predict_proba(np.array([[2.0]]))[0] == 0.0
 
@@ -444,7 +444,8 @@ def learning_problems(draw):
 def _forest_roots(x, y, hyper, seed):
     from domcred.learn import forest
 
-    fitted, _ = forest.fit(x, y, ModelSpec("random_forest", hyperparameters=hyper).hyper, seed)
+    spec = ModelSpec("random_forest", hyperparameters=hyper)
+    fitted, _ = forest.fit(x, y, spec.hyperparameters, seed)
     return [member.root for member in fitted.members]
 
 
@@ -463,7 +464,8 @@ def _boosting_stages(x, y, hyper):
         return roots
 
     with mock.patch.object(boosting, "grow", recording_grow):
-        boosting.fit(x, y, ModelSpec("gradient_boosted_trees", hyperparameters=hyper).hyper, 0)
+        spec = ModelSpec("gradient_boosted_trees", hyperparameters=hyper)
+        boosting.fit(x, y, spec.hyperparameters, 0)
     return stages
 
 
@@ -492,7 +494,7 @@ class TestGrowerOracle:
             "max_depth": max_depth, "minimal_gain": gain,
         }
         spec = ModelSpec("random_forest", hyperparameters=hyper)
-        want = reference_forest_roots(x, y, spec.hyper, seed)
+        want = reference_forest_roots(x, y, spec.hyperparameters, seed)
         assert _forest_roots(x, y, hyper, seed) == want
 
     @given(
@@ -514,7 +516,7 @@ class TestGrowerOracle:
         from domcred.learn import tree as tree_module
 
         spec = ModelSpec("decision_tree", hyperparameters=hyper)
-        assert tree_module.fit(x, y, spec.hyper, 0)[0].root == want
+        assert tree_module.fit(x, y, spec.hyperparameters, 0)[0].root == want
 
     @given(learning_problems(), st.integers(1, 3), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
@@ -533,7 +535,7 @@ class TestGrowerOracle:
 
         x, y = blob_data(seed=38, n_per=30, n_features=5, gap=0.7)
         hyper = {"n_trees": 12, "feature_subsample": 2, "max_depth": 6, "minimal_gain": 0.0}
-        spec_hyper = ModelSpec("random_forest", hyperparameters=hyper).hyper
+        spec_hyper = ModelSpec("random_forest", hyperparameters=hyper).hyperparameters
         want = reference_forest_roots(x, y, spec_hyper, 5)
         batches = []
         split = tree_module._Growth.split

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from domcred.annotate import DomainAnnotation
 from domcred.corpus.archive import dataset_to_lines, load_dataset, save_dataset
 from domcred.corpus.cleanse import cleanse
-from domcred.corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
+from domcred.corpus.periods import GRANULARITIES, PeriodSpec, partition_periods, slice_indices
 from domcred.corpus.types import INFLUENCER, NON_INFLUENCER
 from domcred.evaluate import ConfusionTable, SplitSpec, metrics, roc, split_indices
 from domcred.features import accumulate_domain_features, relativeness_weights
@@ -231,7 +231,7 @@ def partition_inputs(draw):
     granularity = draw(st.sampled_from(GRANULARITIES))
     n_periods = draw(st.integers(1, 5))
     spec = PeriodSpec(n_periods=n_periods, start=start, granularity=granularity)
-    oracle_slices, _ = brute_partition(
+    oracle_slices, *_ = brute_partition(
         make_dataset([]), start, n_periods, MONTHS_PER[granularity]
     )
     edges = [start] + [s.end for s in oracle_slices]
@@ -262,9 +262,19 @@ class TestPartitionInvariants:
             [make_user("a", created="2000-01-01T00:00:00Z")], tweets, replies,
             capture="2030-01-01T00:00:00Z",
         )
-        assert partition_periods(dataset.columns, spec) == brute_partition(
+        slices, report = partition_periods(dataset.columns, spec)
+        oracle_slices, oracle_report, tweet_slice, reply_slice = brute_partition(
             dataset, spec.start, spec.n_periods, MONTHS_PER[spec.granularity]
         )
+        assert (slices, report) == (oracle_slices, oracle_report)
+        # each record in the slice the rescan found it in, not just equal counts
+        columns = dataset.columns
+        assert slice_indices(slices, columns.tweet_posted) == [
+            tweet_slice.get(t) for t in columns.tweet_ids
+        ]
+        assert slice_indices(slices, columns.reply_posted) == [
+            reply_slice.get(r) for r in columns.reply_ids
+        ]
 
 
 class TestModelInvariants:
