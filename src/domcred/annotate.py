@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
-from .corpus.archive import CHARS, FLAG, NUMBER, STRING, inverse, json_value
+from .corpus.archive import json_value, read_sidecar, write_jsonl
 from .corpus.types import DatasetColumns
 from .lexicon import (
     DomainLexicon,
@@ -263,6 +262,16 @@ def annotate_dataset(
 _NUMBERS = (int, float)
 
 
+def _is_entry(label, score, confident) -> bool:
+    """Whether a domain entry's values are as an annotations file holds them:
+    a string label, a numeric score, a flag that is a bool or the integer 0 or 1."""
+    return (
+        type(label) is str
+        and type(score) in _NUMBERS
+        and (type(confident) is bool or (type(confident) is int and confident in (0, 1)))
+    )
+
+
 def _domains_from_payload(payload) -> tuple[DomainAnnotation, ...]:
     """The entries as DomainAnnotations, their values as JSON reads them.
 
@@ -275,13 +284,7 @@ def _domains_from_payload(payload) -> tuple[DomainAnnotation, ...]:
         raise ValueError(f"merged_domains must be a list, got {payload!r}")
     domains = []
     for entry in payload:
-        if not (
-            type(entry) is list
-            and len(entry) == 3
-            and type(entry[0]) is str
-            and type(entry[1]) in _NUMBERS
-            and (type(entry[2]) is bool or (type(entry[2]) is int and entry[2] in (0, 1)))
-        ):
+        if not (type(entry) is list and len(entry) == 3 and _is_entry(*entry)):
             raise ValueError(
                 f"domain entry {entry!r} is not a [label, score, confident] triple"
                 " with a string label, a numeric score and a true, false, 0 or 1 flag"
@@ -330,64 +333,61 @@ def _check_ranges(annotations: AnnotationColumns) -> None:
 
 
 def save_annotations(annotations: AnnotationColumns, path) -> None:
-    """Write annotations as one JSON record per line, tweets then replies;
-    ValueError, and nothing written, when an id column and its value column
-    differ in length or a score or sentiment lies outside its range."""
+    """Write annotations as one JSON record per line, tweets then replies,
+    and their sidecar; ValueError, and nothing written, when an id column and
+    its value column differ in length or a score or sentiment lies outside
+    its range.  No sidecar when a value would not read back as it is."""
     quote, number = encode_basestring_ascii, _json_number
-    lines = [
-        _TWEET_LINE
-        % (
-            ", ".join(
-                [
-                    _DOMAIN_ENTRY % (quote(d.label), number(d.score), number(d.confident))
-                    for d in domains
-                ]
-            ),
-            quote(tweet_id),
+    distinct: dict[str, tuple] = {}  # per entries text: its list's index, and the list
+    index, lines = [], []
+    for tweet_id, domains in zip(annotations.tweet_ids, annotations.merged_domains, strict=True):
+        entries = ", ".join(
+            [_DOMAIN_ENTRY % (quote(d.label), number(d.score), number(d.confident))
+             for d in domains]
         )
-        for tweet_id, domains in zip(
-            annotations.tweet_ids, annotations.merged_domains, strict=True
-        )
-    ]
+        index.append(distinct.setdefault(entries, (len(distinct), domains))[0])
+        lines.append(_TWEET_LINE % (entries, quote(tweet_id)))
     lines += [
         _REPLY_LINE % (quote(reply_id), number(sentiment))
         for reply_id, sentiment in zip(annotations.reply_ids, annotations.sentiments, strict=True)
     ]
     _check_ranges(annotations)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lists = tuple(tuple(map(tuple, domains)) for _, domains in distinct.values())
+    reads_back = set(map(type, annotations.sentiments)) <= {int, float} and all(
+        _is_entry(*entry) for domains in lists for entry in domains
+    )
+    payload = (
+        annotations.tweet_ids, lists, tuple(index), annotations.reply_ids, annotations.sentiments
+    )
+    write_jsonl(path, lines or [""], payload if reads_back else None)  # no records: "\n"
 
 
-# The inverse of each line template, built from corpus/archive.py's pattern
-# pieces as its own are: a canonical line split by one pattern.  The tweet's
-# group holds its entries' text whole, which reads as a JSON list once put in
-# brackets.
-_ENTRY = inverse(_DOMAIN_ENTRY, f'"{CHARS}"', NUMBER, f"(?:{FLAG})")
-_TWEET_PATTERN = inverse(_TWEET_LINE, f"((?:{_ENTRY}(?:, {_ENTRY})*)?)", STRING)
-_REPLY_PATTERN = inverse(_REPLY_LINE, STRING, f"({NUMBER})")
+def _columns_from_payload(payload) -> AnnotationColumns:
+    """The columns of an annotations sidecar's payload; each distinct domain
+    list is one tuple, which its tweets share."""
+    tweet_ids, lists, index, reply_ids, sentiments = payload
+    domains = [tuple(map(DomainAnnotation._make, entries)) for entries in lists]
+    merged = tuple(map(domains.__getitem__, index))
+    return AnnotationColumns(tweet_ids, merged, reply_ids, sentiments)
 
 
 def load_annotation_columns(path) -> AnnotationColumns:
     """The columns of an annotations file, read without building a record.
 
-    A line written as ``save_annotations`` writes it is split by its kind's
-    pattern; an entries text or a sentiment is decoded and checked once per
-    distinct spelling, and the tweets spelled alike share one domain tuple.
-    Any other line is decoded as JSON.  Both give the same values, and a
-    line either way gives the same error.
+    They come from the file's sidecar when it mirrors the file's bytes;
+    otherwise each line is decoded as JSON.  Both give the same values.
 
     Files written before a tweet carried one domain list hold two more lists
     per tweet; they still load, and only ``merged_domains`` is read.  A line
     that is not such a record raises ValueError naming the file and the line.
     """
+    cached = read_sidecar(path, _columns_from_payload)
+    if cached is not None:
+        return cached
     tweet_ids: list[str] = []
     merged: list[tuple[DomainAnnotation, ...]] = []
     reply_ids: list[str] = []
     sentiments: list[float] = []
-    # per distinct spelling: a tweet's entries text, a reply's sentiment
-    domains_of: dict[str, tuple[DomainAnnotation, ...]] = {}
-    sentiment_of: dict[str, float] = {}
-    tweet_match = re.compile(_TWEET_PATTERN).fullmatch
-    reply_match = re.compile(_REPLY_PATTERN).fullmatch
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -395,29 +395,9 @@ def load_annotation_columns(path) -> AnnotationColumns:
     # lines end at "\n" alone: a string may hold U+2028 or U+0085 raw, which
     # str.splitlines would break at, and a lone "\r" is JSON whitespace
     for line_no, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
         try:
-            m = tweet_match(line)
-            if m:
-                entries, tweet_id = m.groups()
-                domains = domains_of.get(entries)
-                if domains is None:
-                    payload = json.loads(f"[{entries}]")
-                    domains = domains_of[entries] = _domains_from_payload(payload)
-                tweet_ids.append(tweet_id)
-                merged.append(domains)
-                continue
-            m = reply_match(line)
-            if m:
-                reply_id, spelling = m.groups()
-                sentiment = sentiment_of.get(spelling)
-                if sentiment is None:
-                    sentiment = _checked_sentiment(reply_id, json.loads(spelling))
-                    sentiment_of[spelling] = sentiment
-                reply_ids.append(reply_id)
-                sentiments.append(sentiment)
-                continue
-            if not line.strip():
-                continue
             record = json.loads(line)
             if type(record) is not dict:
                 raise ValueError(f"a record must be a JSON object, got {record!r}")

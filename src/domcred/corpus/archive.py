@@ -3,16 +3,20 @@
 Envelope: {"kind": "user" | "tweet" | "reply", "body": {...}} with timestamps
 in RFC 3339 UTC.  An optional single {"kind": "dataset", ...} line carries the
 capture timestamp and a provenance note; without it the capture timestamp
-defaults to one day after the newest record.  See docs/formats.md.
+defaults to one day after the newest record.  ``save_dataset`` also writes a
+columns sidecar beside the file, which the loaders read in place of the lines
+while it mirrors them.  See docs/formats.md.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
-import re
+import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
+from itertools import islice
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -155,80 +159,27 @@ def _reply_from_body(body: dict) -> tuple:
     )
 
 
-# The pieces of a canonical line's pattern, shared by this module's reader
-# and the annotations reader.  Each takes only text that json.loads reads as
-# the same value: a string's text with nothing escaped (no '"', '\' or control
-# character), a number in JSON's grammar, a flag spelled true or false.  STRING
-# is a whole string whose group holds its text; the rest hold no group.
-CHARS = r'[^"\\\x00-\x1f]*'
-STRING = f'"({CHARS})"'
-NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-FLAG = "true|false"
-
-
-def inverse(template: str, *groups: str) -> str:
-    """The pattern of the lines ``template`` writes, one pattern piece per
-    placeholder; a reader compiles it on first use, so importing its module
-    compiles none."""
-    fill = iter(groups)
-    return re.sub("%[sd]", lambda _: next(fill), re.escape(template))
-
-
-# The inverse of each record template: a line that template writes, split by
-# one pattern into its fields.  A count is a number without sign, fraction or
-# exponent; a timestamp is as format_timestamp writes it, inside the
-# template's own quotes, and its group holds it without its Z.
-_STAMP = r"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{6})?)Z"
-_COUNT = "(0|[1-9][0-9]*)"
-_FLAG = f"({FLAG})"
-_LANGUAGE = f'(?:null|{STRING})'  # no group text for null
-
-_USER_PATTERN = inverse(_USER_LINE, _STAMP, _COUNT, _COUNT, STRING, STRING)
-_TWEET_PATTERN = inverse(
-    _TWEET_LINE, STRING, _COUNT, _FLAG, _LANGUAGE, _STAMP, _COUNT, _COUNT, STRING, STRING
-)
-_REPLY_PATTERN = inverse(_REPLY_LINE, STRING, STRING, _STAMP, STRING, STRING)
-
-
-def _utc(stamp: str) -> datetime:
-    """``parse_timestamp(stamp + "Z")`` for a stamp _STAMP took: the same
-    call to fromisoformat, whose UTC result needs no conversion."""
-    return datetime.fromisoformat(stamp + "+00:00")
-
-
-def _user_fields(created, followers, friends, handle, user_id) -> tuple:
-    return (user_id, handle, int(followers), int(friends), _utc(created))
-
-
-def _tweet_fields(
-    author, favorites, is_retweet, language, posted, replies, retweets, text, tweet_id
-) -> tuple:
-    return (
-        tweet_id,
-        author,
-        _utc(posted),
-        text,
-        int(retweets),
-        int(favorites),
-        int(replies),
-        is_retweet == "true",
-        language,
-    )
-
-
-def _reply_fields(author, parent, posted, reply_id, text) -> tuple:
-    return (reply_id, parent, author, _utc(posted), text)
-
-
-# per record kind: the canonical line's pattern and the row its groups give,
-# and the row read from any JSON body
+# per record kind: its record class, the field that holds its timestamp, and
+# the row read from any JSON body
 _RECORD_KINDS = (
-    ("reply", _REPLY_PATTERN, _reply_fields, _reply_from_body),
-    ("tweet", _TWEET_PATTERN, _tweet_fields, _tweet_from_body),
-    ("user", _USER_PATTERN, _user_fields, _user_from_body),
+    ("user", UserProfile, "created_at", _user_from_body),
+    ("tweet", TweetRecord, "posted_at", _tweet_from_body),
+    ("reply", ReplyRecord, "posted_at", _reply_from_body),
 )
-# the start every record template shares, which a line must have to match one
-_CANONICAL_START = '{"body":{"'
+
+
+def _records_from_payload(payload) -> tuple[dict[str, list], datetime, str]:
+    """``_read_records``' result from an archive sidecar's payload."""
+    # parse_timestamp of format_timestamp's text, its Z spelled +00:00
+    utc = datetime.fromisoformat
+    capture, provenance, *kinds = payload
+    records = {}
+    for (kind, record_class, stamp, _), columns in zip(_RECORD_KINDS, kinds, strict=True):
+        columns = list(columns)
+        at = record_class._fields.index(stamp)
+        columns[at] = [utc(s[:-1] + "+00:00") for s in columns[at]]
+        records[kind] = list(zip(*columns, strict=True))
+    return records, utc(capture[:-1] + "+00:00"), provenance
 
 
 def _read_records(
@@ -238,19 +189,18 @@ def _read_records(
     record's fields in field order), then the meta line's capture timestamp
     and provenance.
 
-    A line written as ``dataset_to_lines`` writes it is split by its kind's
-    pattern.  Any other line is decoded as JSON and read field by field into
-    a row and its counts checked, so both give the same fields, and a line
-    either way gives the same error.  With ``fail_fast`` a malformed line
-    raises ArchiveFormatError; otherwise it is skipped and counted in
-    ``report``.
+    They come from the file's sidecar when it mirrors the file's bytes.
+    Otherwise each line is decoded as JSON and read field by field into a
+    row and its counts checked.  With ``fail_fast`` a malformed line raises
+    ArchiveFormatError; otherwise it is skipped and counted in ``report``.
     """
+    cached = read_sidecar(path, _records_from_payload)
+    if cached is not None:
+        return cached
     records: dict[str, list] = {}
-    canonical, from_body = [], {}
-    for kind, pattern, split, build in _RECORD_KINDS:
-        append = records.setdefault(kind, []).append
-        canonical.append((re.compile(pattern).fullmatch, split, append))
-        from_body[kind] = (build, append)
+    from_body = {
+        kind: (build, records.setdefault(kind, []).append) for kind, _, _, build in _RECORD_KINDS
+    }
     meta_seen = False  # apart from meta_capture: a meta line may omit capture_at
     meta_capture: datetime | None = None
     provenance = ""
@@ -265,35 +215,27 @@ def _read_records(
             try:
                 if not line.isascii():
                     _check_utf8(line)
-                # a line that starts as no template does goes straight to JSON
-                tries = canonical if line.startswith(_CANONICAL_START) else ()
-                for match, split, append in tries:
-                    m = match(line)
-                    if m:
-                        append(split(*m.groups()))
-                        break
-                else:
-                    envelope = json.loads(line)
-                    if not isinstance(envelope, dict):
-                        raise ValueError("envelope is not an object")
-                    kind = envelope.get("kind")
-                    if kind not in KINDS:
-                        raise ValueError(f"unknown kind {kind!r}")
-                    if kind == "dataset":
-                        if meta_seen:
-                            raise ValueError("a second dataset line; an archive holds at most one")
-                        # a malformed meta line sets nothing
-                        capture = _field(envelope, "capture_at", str, None)
-                        if capture is not None:
-                            capture = parse_timestamp(capture)
-                        provenance = _field(envelope, "provenance", str, "")
-                        meta_capture, meta_seen = capture, True
-                        continue
-                    body = envelope.get("body")
-                    if not isinstance(body, dict):
-                        raise ValueError("missing body object")
-                    build, append = from_body[kind]
-                    append(build(body))
+                envelope = json.loads(line)
+                if not isinstance(envelope, dict):
+                    raise ValueError("envelope is not an object")
+                kind = envelope.get("kind")
+                if kind not in KINDS:
+                    raise ValueError(f"unknown kind {kind!r}")
+                if kind == "dataset":
+                    if meta_seen:
+                        raise ValueError("a second dataset line; an archive holds at most one")
+                    # a malformed meta line sets nothing
+                    capture = _field(envelope, "capture_at", str, None)
+                    if capture is not None:
+                        capture = parse_timestamp(capture)
+                    provenance = _field(envelope, "provenance", str, "")
+                    meta_capture, meta_seen = capture, True
+                    continue
+                body = envelope.get("body")
+                if not isinstance(body, dict):
+                    raise ValueError("missing body object")
+                build, append = from_body[kind]
+                append(build(body))
             except ArchiveFormatError:
                 raise
             except (KeyError, ValueError, TypeError) as exc:
@@ -397,52 +339,128 @@ def load_columns(path: str | Path, fail_fast: bool = False) -> tuple[DatasetColu
     return DatasetColumns.from_rows(users, tweets, replies, capture_at), report
 
 
+def _archive_payload(dataset: Dataset) -> tuple:
+    """The sidecar payload of the dataset's lines: the capture timestamp and
+    the provenance, then each record kind's columns in field order and id
+    order, each timestamp as format_timestamp writes it."""
+    payload = [format_timestamp(dataset.capture_at), dataset.provenance]
+    kinds = (dataset.users, dataset.tweets, dataset.replies)
+    for (_, record_class, stamp, _), records in zip(_RECORD_KINDS, kinds):
+        columns = list(zip(*records)) or [()] * len(record_class._fields)
+        at = record_class._fields.index(stamp)
+        columns[at] = tuple(map(format_timestamp, columns[at]))
+        payload.append(tuple(columns))
+    return tuple(payload)
+
+
+def _archive_lines(payload: tuple):
+    """The canonical lines of an archive payload: the meta line, then users,
+    tweets and replies by id."""
+    capture, provenance, users, tweets, replies = payload
+    quote = encode_basestring
+    yield _META_LINE % (capture, quote(provenance))
+    for user_id, handle, followers, friends, created in zip(*users):
+        yield _USER_LINE % (created, followers, friends, quote(handle), quote(user_id))
+    for tweet_id, author, posted, text, retweets, favorites, n_replies, is_retweet, language in zip(
+        *tweets
+    ):
+        yield _TWEET_LINE % (
+            quote(author),
+            favorites,
+            "true" if is_retweet else "false",
+            "null" if language is None else quote(language),
+            posted,
+            n_replies,
+            retweets,
+            quote(text),
+            quote(tweet_id),
+        )
+    for reply_id, parent, author, posted, text in zip(*replies):
+        yield _REPLY_LINE % (quote(author), quote(parent), posted, quote(reply_id), quote(text))
+
+
 def dataset_to_lines(dataset: Dataset) -> list[str]:
     """Canonical serialization: meta line, then users, tweets, replies by id."""
-    quote, stamp = encode_basestring, format_timestamp
-    lines = [_META_LINE % (stamp(dataset.capture_at), quote(dataset.provenance))]
-    lines += [
-        _USER_LINE
-        % (
-            stamp(u.created_at),
-            u.followers_count,
-            u.friends_count,
-            quote(u.handle),
-            quote(u.user_id),
-        )
-        for u in dataset.users
-    ]
-    lines += [
-        _TWEET_LINE
-        % (
-            quote(t.author_id),
-            t.favorite_count,
-            "true" if t.is_retweet else "false",
-            "null" if t.language is None else quote(t.language),
-            stamp(t.posted_at),
-            t.replies_count,
-            t.retweet_count,
-            quote(t.text),
-            quote(t.tweet_id),
-        )
-        for t in dataset.tweets
-    ]
-    lines += [
-        _REPLY_LINE
-        % (
-            quote(r.author_id),
-            quote(r.parent_tweet_id),
-            stamp(r.posted_at),
-            quote(r.reply_id),
-            quote(r.text),
-        )
-        for r in dataset.replies
-    ]
-    return lines
+    return list(_archive_lines(_archive_payload(dataset)))
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    Path(path).write_text("\n".join(dataset_to_lines(dataset)) + "\n", encoding="utf-8")
+    """Write the dataset's canonical lines and their sidecar.  No sidecar
+    unless every count is an int of at least 0 and every retweet flag a bool,
+    which a record does not check: the lines would read back otherwise."""
+    payload = _archive_payload(dataset)
+    _, _, users, tweets, _ = payload
+    counts = (*users[2:4], *tweets[4:7])  # followers, friends; retweets, favorites, replies
+    reads_back = set(map(type, tweets[7])) <= {bool} and all(
+        set(map(type, c)) <= {int} and min(c, default=0) >= 0 for c in counts
+    )
+    write_jsonl(path, _archive_lines(payload), payload if reads_back else None)
+
+
+# The columns sidecar: a cache of what a JSONL file the program writes reads
+# as, written beside it as <file>.cols.  One ASCII header line names the
+# format, this Python's version and the sha256 of the file's bytes; the payload
+# follows as marshal version 2 writes it.  From version 3 on, marshal marks
+# each object that has more than one reference, so its bytes would depend on
+# how the values share objects; version 2's depend on the values alone.  See
+# docs/formats.md.
+SIDECAR_FORMAT = 1
+_SIDECAR_HEAD = b"domcred-cols %d %d.%d " % (SIDECAR_FORMAT, *sys.version_info[:2])
+_CHUNK_LINES = 4096
+_CHUNK_BYTES = 1 << 20
+
+
+def write_jsonl(path: str | Path, lines, payload) -> None:
+    """Write the lines, each ended by a newline, in chunks, then the sidecar
+    of the payload, which is what the file's reader gives for them; none for
+    None or a payload marshal cannot write.  A sidecar an earlier write left
+    names other bytes, or mirrors these same bytes."""
+    import hashlib  # imported here: it costs every command's start-up
+
+    digest = hashlib.sha256()
+    lines = iter(lines)
+    with open(path, "wb") as fh:
+        while batch := list(islice(lines, _CHUNK_LINES)):
+            data = ("\n".join(batch) + "\n").encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    if payload is None:
+        return
+    try:
+        blob = marshal.dumps(payload, 2)
+    except ValueError:  # a value of a type marshal does not write
+        return
+    with open(f"{path}.cols", "wb") as fh:
+        fh.write(_SIDECAR_HEAD + digest.hexdigest().encode("ascii") + b"\n")
+        fh.write(blob)
+
+
+def read_sidecar(path: str | Path, build):
+    """``build(payload)`` of the sidecar beside the file at ``path``; None when
+    there is no sidecar, or it names another format, Python or file content,
+    or its payload does not load or build."""
+    try:
+        blob = Path(f"{path}.cols").read_bytes()
+    except OSError:
+        return None
+    if not blob.startswith(_SIDECAR_HEAD):
+        return None
+    import hashlib  # imported here: it costs every command's start-up
+
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_CHUNK_BYTES):
+                digest.update(chunk)
+    except OSError:
+        return None
+    header = _SIDECAR_HEAD + digest.hexdigest().encode("ascii") + b"\n"
+    if not blob.startswith(header):
+        return None
+    try:
+        return build(marshal.loads(memoryview(blob)[len(header) :]))
+    except (EOFError, ValueError, TypeError, IndexError):
+        return None
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -1,9 +1,14 @@
 """Archive and annotation line codecs: byte-identity with the json.dumps and
 strftime writers, exact json.loads acceptance, and timestamp round trips."""
 
+import hashlib
 import json
+import random
 import re
+import shutil
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,12 +16,12 @@ from hypothesis import strategies as st
 
 import domcred.annotate
 from domcred.annotate import DomainAnnotation, load_annotation_columns, save_annotations
-from domcred.corpus import archive
 from domcred.corpus.archive import (
     ArchiveFormatError,
     dataset_to_lines,
     load_columns,
     load_dataset,
+    read_sidecar,
     save_dataset,
 )
 from domcred.corpus.types import (
@@ -290,8 +295,7 @@ class TestAnnotationLines:
 
 
 # ids and labels from characters a canonical line escapes (a quote, a
-# backslash, control characters, non-ASCII, U+2028) and plain ones, so some
-# lines take the pattern and some the JSON path
+# backslash, control characters, non-ASCII, U+2028) and plain ones
 awkward_text = st.text(st.sampled_from('ab"\\\x00\x1f\x7f\xe9\u2028'), min_size=1, max_size=4)
 awkward_scores = st.one_of(st.sampled_from([0, 1, -0.0, 5e-324]), st.floats(0.0, 1.0))
 awkward_sentiments = st.one_of(st.sampled_from([0, 1, -1, -0.0, 5e-324]), st.floats(-1.0, 1.0))
@@ -319,12 +323,12 @@ def respelled_annotations(draw):
 
 
 def respell(line: str) -> str:
-    """The line as compact JSON with non-ASCII raw: no canonical pattern takes it."""
+    """The line as compact JSON with non-ASCII raw, as annotate never writes it."""
     return json.dumps(json.loads(line), separators=(",", ":"), ensure_ascii=False)
 
 
 class TestAnnotationReaders:
-    """A canonical line split by its pattern reads as the same line read as JSON."""
+    """A sidecar gives the values its lines give read as JSON, however spelled."""
 
     def _both_spellings(self, tmp_path, lines):
         """An annotations file of the lines in canonical/ and one of them
@@ -343,39 +347,53 @@ class TestAnnotationReaders:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_pattern_path_equals_json_path(self, payload, tmp_path):
+    def test_sidecar_equals_json_path(self, payload, tmp_path):
         saved = annotation_columns(*payload)
         path = tmp_path / "annotations.jsonl"
         save_annotations(saved, path)
-        lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
-        canonical, respelled = self._both_spellings(tmp_path, lines)
-        columns = load_annotation_columns(canonical)
+        text = path.read_bytes()
+        columns = load_annotation_columns(path)
+        assert read_sidecar(path, lambda payload: True)
         # == cannot tell 1 from 1.0, -0.0 from 0.0 or True from 1; repr can
         assert columns == saved
         assert repr(columns) == repr(saved)
-        assert repr(load_annotation_columns(respelled)) == repr(columns)
+        save_annotations(columns, path)
+        assert path.read_bytes() == text
+        lines = [line for line in text.decode("utf-8").split("\n") if line]
+        for json_path in self._both_spellings(tmp_path, lines):
+            assert repr(load_annotation_columns(json_path)) == repr(columns)
 
-    def test_each_spelling_is_decoded_once(self, tmp_path, monkeypatch):
-        tweet = '{"kind": "tweet", "merged_domains": [["Arts", 1.0, true]], "tweet_id": "t%d"}'
-        reply = '{"kind": "reply", "reply_id": "r%d", "sentiment": -0.5}'
-        lines = [tweet % i for i in range(3)] + [reply % i for i in range(3)]
-        canonical, respelled = self._both_spellings(tmp_path, lines)
-        decoded = []
-        for name in ("_domains_from_payload", "_checked_sentiment"):
-
-            def counted(*args, name=name, real=getattr(domcred.annotate, name)):
-                decoded.append((name, args[-1]))
-                return real(*args)
-
-            monkeypatch.setattr(domcred.annotate, name, counted)
-        columns = load_annotation_columns(canonical)
-        assert decoded == [
-            ("_domains_from_payload", [["Arts", 1.0, True]]),
-            ("_checked_sentiment", -0.5),
+    def test_lists_equal_by_value_keep_their_json_types(self, tmp_path):
+        # 1 == 1.0 == True and -0.0 == 0 == False: one list each all the same
+        lists = [
+            (DomainAnnotation("Arts", 1, True),),
+            (DomainAnnotation("Arts", 1.0, 1),),
+            (DomainAnnotation("Arts", 1.0, True),),
+            (DomainAnnotation("Arts", -0.0, 0),),
+            (DomainAnnotation("Arts", 0, False),),
         ]
+        saved = annotation_columns([(f"t{i}", domains) for i, domains in enumerate(lists * 2)])
+        path = tmp_path / "annotations.jsonl"
+        save_annotations(saved, path)
+        assert repr(load_annotation_columns(path)) == repr(saved)
+
+    def test_sidecar_decodes_no_line(self, tmp_path, monkeypatch):
+        tweets = [(f"t{i}", (DomainAnnotation("Arts", 1.0, True),)) for i in range(3)]
+        replies = [(f"r{i}", -0.5) for i in range(3)]
+        path = tmp_path / "annotations.jsonl"
+        save_annotations(annotation_columns(tweets, replies), path)
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(
+            domcred.annotate.json, "loads", lambda text: decoded.append(text) or real(text)
+        )
+        columns = load_annotation_columns(path)
+        assert decoded == []
+        # the tweets with one list share one tuple
         assert len({id(domains) for domains in columns.merged_domains}) == 1
-        assert repr(load_annotation_columns(respelled)) == repr(columns)
-        assert len(decoded) == 2 + len(lines)
+        Path(f"{path}.cols").unlink()
+        assert repr(load_annotation_columns(path)) == repr(columns)
+        assert len(decoded) == 6
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -657,33 +675,11 @@ class TestArchiveFieldTypes:
 HOSTILE = st.sampled_from('"\\\x00\x1f\n\t\x7f\xe9\u2028\u2029\x85\U0001f600a0 ') | st.characters(
     codec="utf-8"
 )
-_SPLITS = {kind: (pattern, split, build) for kind, pattern, split, build in archive._RECORD_KINDS}
 
 
-def _both_ways(line):
-    """A record line's fields split by its kind's pattern (None when the
-    pattern does not match) and read as JSON through the row builder."""
-    envelope = json.loads(line)
-    pattern, split, build = _SPLITS[envelope["kind"]]
-    m = re.fullmatch(pattern, line)
-    return (split(*m.groups()) if m else None), build(envelope["body"])
-
-
-class TestCanonicalSplit:
-    """A canonical line is split by its kind's pattern, any other line is
-    read as JSON, and both give the same fields and the same errors."""
-
-    @given(dataset=datasets(HOSTILE))
-    @settings(max_examples=80, deadline=None)
-    def test_pattern_gives_the_json_fields(self, dataset):
-        for line in dataset_to_lines(dataset)[1:]:
-            split, read = _both_ways(line)
-            strings = [v for v in read if isinstance(v, str)]
-            # a line matches exactly when no string in it needed escaping
-            raw = all(json.dumps(v, ensure_ascii=False)[1:-1] == v for v in strings)
-            assert (split is not None) == raw
-            if split is not None:
-                assert split == read
+class TestArchiveReaders:
+    """Any spelling of a line reads as JSON, and load_dataset and load_columns
+    give the same records and the same errors."""
 
     @given(dataset=datasets(HOSTILE))
     @settings(
@@ -719,12 +715,6 @@ class TestCanonicalSplit:
         )
         assert dataset_to_lines(dataset)[1:] == [self.USER, self.TWEET, self.REPLY]
 
-    def test_raw_non_ascii_is_split_by_the_pattern(self):
-        line = self.TWEET.replace("python code", "caf\xe9 \u2028 \x85 \U0001f600")
-        split, read = _both_ways(line)
-        assert split == read
-        assert read[3] == "caf\xe9 \u2028 \x85 \U0001f600"
-
     @pytest.mark.parametrize(
         "line, old, new, field, value",
         [
@@ -749,7 +739,6 @@ class TestCanonicalSplit:
         lines = [self.USER, self.TWEET, self.REPLY]
         assert old in lines[line]
         lines[line] = lines[line].replace(old, new, 1)
-        assert _both_ways(lines[line])[0] is None
         path = tmp_path / "archive.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         dataset, report = load_dataset(path, fail_fast=True)
@@ -768,7 +757,7 @@ class TestCanonicalSplit:
             (1, "2,", "-2,", "tweet t1: retweet_count < 0"),
             (0, ":10,", ":-10,", "user a: followers_count < 0"),
             (1, '"a"', "null", "author_id must be a string, got None"),
-            (2, "2024-02-02", "2024-13-02", "month must be in 1..12"),  # split by pattern
+            (2, "2024-02-02", "2024-13-02", "month must be in 1..12"),
             (
                 2,
                 "2024-02-02T00:00:00Z",
@@ -815,3 +804,171 @@ class TestCanonicalSplit:
             for records in (dataset.users, dataset.tweets, dataset.replies)
         ]
         assert DatasetColumns.from_rows(*rows, dataset.capture_at) == dataset.columns
+
+
+def _json_path_result(path, load, tmp_path):
+    """load's result for a copy of the file at path with no sidecar beside it."""
+    copy = tmp_path / "json-path" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    shutil.copy(path, copy)
+    return load(copy)
+
+
+def _load_all(path):
+    """What load_dataset (records, capture time, provenance and report) and
+    load_columns give for an archive file."""
+    return load_dataset(path), load_columns(path)
+
+
+def _pipeline_files(tmp_path):
+    """A small dataset and its annotations, each saved with its sidecar."""
+    dataset = make_dataset(
+        [make_user("a", handle="ha"), make_user("b")],
+        [make_tweet("t1", "a", text="python code"), make_tweet("t2", "b", text="python code")],
+        [make_reply("r1", "t1", "b", text="great")],
+        provenance="twice",
+    )
+    domains = (DomainAnnotation("Arts", 1, True), DomainAnnotation("News", 0.5, 0))
+    annotations = annotation_columns([("t1", domains), ("t2", ())], [("r1", 0.5)])
+    paths = tmp_path / "dataset.jsonl", tmp_path / "annotations.jsonl"
+    save_dataset(dataset, paths[0])
+    save_annotations(annotations, paths[1])
+    return paths
+
+
+def _spoil(how, path, other):
+    """Make the sidecar of the file at path stale, foreign, truncated or
+    corrupt; other is another file's sidecar."""
+    if how == "one-byte-changed":
+        text = path.read_bytes().replace(b"python", b"pythom", 1)
+        path.write_bytes(text.replace(b'"sentiment": 0.5', b'"sentiment": 0.6'))
+        return
+    sidecar = Path(f"{path}.cols")
+    blob = sidecar.read_bytes()
+    major, minor = sys.version_info[:2]
+    spoiled = {
+        "other-python": blob.replace(b" %d.%d " % (major, minor), b" %d.%d " % (major, minor + 1)),
+        "other-format": blob.replace(b"domcred-cols 1 ", b"domcred-cols 2 ", 1),
+        "truncated": blob[: len(blob) // 2],
+        "payload-truncated": blob[: blob.index(b"\n") + 9],
+        "random-bytes": random.Random(5).randbytes(len(blob)),
+        "other-files": other,
+    }[how]
+    assert spoiled != blob
+    sidecar.write_bytes(spoiled)
+
+
+SPOILS = [
+    "one-byte-changed",
+    "other-python",
+    "other-format",
+    "truncated",
+    "payload-truncated",
+    "random-bytes",
+    "other-files",
+]
+
+
+class TestSidecars:
+    """A sidecar gives what its file's lines give, and one that does not
+    mirror its file's bytes is never read."""
+
+    @given(dataset=datasets(HOSTILE))
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_dataset_loads_alike_with_and_without_it(self, tmp_path, dataset):
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(dataset, path)
+        assert read_sidecar(path, lambda payload: True)
+        loaded = _load_all(path)
+        assert loaded == _json_path_result(path, _load_all, tmp_path)
+
+    def test_header_names_format_python_and_digest(self, tmp_path):
+        for path in _pipeline_files(tmp_path):
+            header = Path(f"{path}.cols").read_bytes().split(b"\n", 1)[0]
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert header == b"domcred-cols 1 %d.%d %s" % (*sys.version_info[:2], digest.encode())
+
+    @pytest.mark.parametrize("how", SPOILS)
+    def test_spoiled_sidecar_gives_the_json_path_result(self, tmp_path, how):
+        paths = _pipeline_files(tmp_path)
+        blobs = [Path(f"{path}.cols").read_bytes() for path in paths]
+        for path, other in zip(paths, blobs[::-1]):
+            _spoil(how, path, other)
+        dataset_path, annotations_path = paths
+        assert read_sidecar(dataset_path, lambda payload: True) is None
+        assert read_sidecar(annotations_path, lambda payload: True) is None
+        loaded = _load_all(dataset_path)
+        assert loaded == _json_path_result(dataset_path, _load_all, tmp_path)
+        columns = load_annotation_columns(annotations_path)
+        want = _json_path_result(annotations_path, load_annotation_columns, tmp_path)
+        assert repr(columns) == repr(want)
+        if how == "one-byte-changed":
+            assert loaded[0][0].tweets[0].text == "pythom code"
+            assert columns.sentiments == (0.6,)
+
+    def test_bytes_do_not_depend_on_shared_objects(self, tmp_path):
+        """Marshal version 2 writes a value the same way however many
+        references it has; version 3 and later mark shared objects."""
+
+        def copy(text):
+            return "".join(list(text))
+
+        def build(share):
+            fresh = (lambda text: text) if share else copy
+            users = [make_user(f"user{i}", handle=f"handle{i}") for i in range(3)]
+            tweets = [make_tweet(f"tweet{i}", fresh(users[i].user_id)) for i in range(3)]
+            replies = [
+                make_reply(f"reply{i}", fresh(tweets[i].tweet_id), fresh(users[0].user_id))
+                for i in range(3)
+            ]
+            arts = DomainAnnotation(fresh("Arts and Entertainment"), 1.0, True)
+            news = DomainAnnotation(fresh(arts.label), 0.5)
+            merged = [(t.tweet_id, (arts, news)) for t in tweets]
+            sentiments = [(r.reply_id, 0.25) for r in replies]
+            return make_dataset(users, tweets, replies), annotation_columns(merged, sentiments)
+
+        blobs = []
+        for share in (True, False):
+            dataset, annotations = build(share)
+            directory = tmp_path / str(share)
+            directory.mkdir()
+            save_dataset(dataset, directory / "dataset.jsonl")
+            save_annotations(annotations, directory / "annotations.jsonl")
+            names = ("dataset.jsonl.cols", "annotations.jsonl.cols")
+            blobs.append([(directory / name).read_bytes() for name in names])
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            (0, "followers_count", True),
+            (0, "followers_count", -1),
+            (0, "friends_count", 2.5),
+            (1, "retweet_count", False),
+            (1, "is_retweet", 1),
+        ],
+    )
+    def test_dataset_that_would_not_read_back_gets_none(self, tmp_path, kind, field, value):
+        records = [make_user("a"), make_tweet("t1", "a")]
+        records[kind] = records[kind]._replace(**{field: value})
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(make_dataset([records[0]], [records[1]]), path)
+        assert not Path(f"{path}.cols").exists()
+
+    @pytest.mark.parametrize(
+        "domains, sentiment",
+        [
+            ((DomainAnnotation("Arts", 1.0, 2),), 0.5),
+            ((DomainAnnotation("Arts", 1.0, 0.0),), 0.5),
+            ((), True),
+        ],
+        ids=["flag-2", "flag-0.0", "bool-sentiment"],
+    )
+    def test_annotations_that_would_not_read_back_get_none(self, tmp_path, domains, sentiment):
+        path = tmp_path / "annotations.jsonl"
+        save_annotations(annotation_columns([("t1", domains)], [("r1", sentiment)]), path)
+        assert not Path(f"{path}.cols").exists()
+        with pytest.raises(ValueError, match=r": line [12]: "):
+            load_annotation_columns(path)

@@ -49,31 +49,10 @@ def test_importing_the_cli_loads_no_numpy():
     assert _python("import sys, domcred.cli; print('numpy' in sys.modules)") == "False\n"
 
 
-def test_importing_annotate_compiles_no_line_pattern(tmp_path):
-    """The annotation line patterns compile on first read, not on import."""
-    path = tmp_path / "annotations.jsonl"
-    path.write_text("\n", encoding="utf-8")
-    out = _python(
-        f"""
-        import re
-
-        compiled = []
-        compile = re.compile
-        re.compile = lambda pattern, *args, **kwargs: (
-            compiled.append(pattern) or compile(pattern, *args, **kwargs)
-        )
-        import domcred.annotate as annotate
-
-        def line_patterns():
-            patterns = (annotate._TWEET_PATTERN, annotate._REPLY_PATTERN)
-            return sum(pattern in patterns for pattern in compiled)
-
-        print(line_patterns())
-        annotate.load_annotation_columns({str(path)!r})
-        print(line_patterns())
-        """
-    )
-    assert out == "0\n2\n"
+def test_importing_the_cli_loads_no_hashlib():
+    """The sidecar functions import hashlib when they run: its _hashlib
+    extension costs every command's start-up a few milliseconds."""
+    assert _python("import sys, domcred.cli; print('_hashlib' in sys.modules)") == "False\n"
 
 
 @pytest.mark.parametrize("blas_threads, expected", [(None, "1"), ("2", "2")])
