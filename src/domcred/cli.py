@@ -32,7 +32,6 @@ from .annotate import (
 from .corpus.archive import (
     ArchiveFormatError,
     json_value,
-    load_columns,
     load_dataset,
     load_labels,
     read_json,
@@ -144,44 +143,41 @@ def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
     if args.max_friends is not None and args.max_friends < 1:
         raise ValueError(f"--max-friends must be at least 1, got {args.max_friends}")
     capture = parse_timestamp(args.capture_at) if args.capture_at else None
-    dataset, load_report = load_dataset(
+    columns, load_report = load_dataset(
         args.archive,
         fail_fast=args.fail_fast,
         capture_at=capture,
         max_friends=args.max_friends,
     )
     cleansed, cleanse_report = cleanse(
-        dataset, keep_missing_language=args.keep_missing_language
+        columns, keep_missing_language=args.keep_missing_language
     )
     dataset_path = out_dir / "dataset.jsonl"
     save_dataset(cleansed, dataset_path)
+    counts = {
+        "users": len(cleansed.user_ids),
+        "tweets": len(cleansed.tweet_ids),
+        "replies": len(cleansed.reply_ids),
+    }
     write_json(
         out_dir / "ingest_report.json",
         {
             "source": str(args.archive),
             "load": load_report.to_dict(),
             "cleanse": asdict(cleanse_report),
-            "counts": {
-                "users": len(cleansed.users),
-                "tweets": len(cleansed.tweets),
-                "replies": len(cleansed.replies),
-            },
+            "counts": counts,
         },
     )
     print(f"wrote {dataset_path}")
-    print(
-        f"{len(cleansed.users)} users, {len(cleansed.tweets)} tweets, "
-        f"{len(cleansed.replies)} replies after cleansing"
-    )
+    print(", ".join(f"{n} {kind}" for kind, n in counts.items()) + " after cleansing")
     return 0
 
 
 def _load_canonical(path: str):
-    """The columns of the dataset `ingest` wrote, which loads with nothing
-    skipped or dropped; `annotate` and `features` build no record from it."""
+    """The columns of the dataset `ingest` wrote, which loads whole."""
     rerun = "; write it again with `domcred ingest`"
     try:
-        columns, report = load_columns(path, fail_fast=True)
+        columns, report = load_dataset(path, fail_fast=True)
     except ArchiveFormatError as exc:
         raise ValueError(f"{path}: {exc}{rerun}") from exc
     dropped = {k: v for k, v in asdict(report).items() if v}
@@ -430,7 +426,7 @@ def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
     dataset, labels = synthesize(synth_config, seed)
     archive_path = out_dir / "synth_archive.jsonl"
     labels_path = out_dir / "synth_labels.json"
-    save_dataset(dataset, archive_path)
+    save_dataset(dataset.columns, archive_path)
     save_labels(labels, labels_path)
     n_influencers = sum(1 for v in labels.labels.values() if v == "Influencer")
     print(f"wrote {archive_path}")

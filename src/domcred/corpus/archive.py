@@ -3,9 +3,10 @@
 Envelope: {"kind": "user" | "tweet" | "reply", "body": {...}} with timestamps
 in RFC 3339 UTC.  An optional single {"kind": "dataset", ...} line carries the
 capture timestamp and a provenance note; without it the capture timestamp
-defaults to one day after the newest record.  ``save_dataset`` also writes a
-columns sidecar beside the file, which the loaders read in place of the lines
-while it mirrors them.  See docs/formats.md.
+defaults to one day after the newest record.  A dataset is its columns:
+``save_dataset`` writes them and a columns sidecar beside the file, which
+``load_dataset`` reads in place of the lines while it mirrors them.  See
+docs/formats.md.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import islice
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import lt
 from pathlib import Path
 
 from .types import (
-    Dataset,
     DatasetColumns,
     GroundTruthLabels,
     ReplyRecord,
@@ -30,6 +30,7 @@ from .types import (
     UserProfile,
     format_timestamp,
     parse_timestamp,
+    sorted_by_id,
 )
 
 KINDS = ("user", "tweet", "reply", "dataset")
@@ -168,38 +169,40 @@ _RECORD_KINDS = (
 )
 
 
-def _records_from_payload(payload) -> tuple[dict[str, list], datetime, str]:
+def _kinds_from_payload(payload) -> tuple[list, datetime, str]:
     """``_read_records``' result from an archive sidecar's payload."""
     # parse_timestamp of format_timestamp's text, its Z spelled +00:00
     utc = datetime.fromisoformat
     capture, provenance, *kinds = payload
-    records = {}
-    for (kind, record_class, stamp, _), columns in zip(_RECORD_KINDS, kinds, strict=True):
+    read = []
+    for (_, record_class, stamp, _), columns in zip(_RECORD_KINDS, kinds, strict=True):
+        if len(columns) != len(record_class._fields) or len(set(map(len, columns))) > 1:
+            raise ValueError("a kind's columns differ in number or length")
         columns = list(columns)
         at = record_class._fields.index(stamp)
         columns[at] = [utc(s[:-1] + "+00:00") for s in columns[at]]
-        records[kind] = list(zip(*columns, strict=True))
-    return records, utc(capture[:-1] + "+00:00"), provenance
+        read.append(columns)
+    return read, utc(capture[:-1] + "+00:00"), provenance
 
 
 def _read_records(
     path: Path, fail_fast: bool, report: LoadReport
-) -> tuple[dict[str, list], datetime | None, str]:
-    """The records of an archive file by kind, in file order, as rows (each
-    record's fields in field order), then the meta line's capture timestamp
-    and provenance.
+) -> tuple[list, datetime | None, str]:
+    """The columns of an archive file's users, tweets and replies in field
+    order, records in file order, then the meta line's capture timestamp and
+    provenance.
 
     They come from the file's sidecar when it mirrors the file's bytes.
-    Otherwise each line is decoded as JSON and read field by field into a
-    row and its counts checked.  With ``fail_fast`` a malformed line raises
+    Otherwise each line is decoded as JSON into a row, its counts checked,
+    and the rows transposed.  With ``fail_fast`` a malformed line raises
     ArchiveFormatError; otherwise it is skipped and counted in ``report``.
     """
-    cached = read_sidecar(path, _records_from_payload)
+    cached = read_sidecar(path, _kinds_from_payload)
     if cached is not None:
         return cached
-    records: dict[str, list] = {}
+    rows: dict[str, list] = {}
     from_body = {
-        kind: (build, records.setdefault(kind, []).append) for kind, _, _, build in _RECORD_KINDS
+        kind: (build, rows.setdefault(kind, []).append) for kind, _, _, build in _RECORD_KINDS
     }
     meta_seen = False  # apart from meta_capture: a meta line may omit capture_at
     meta_capture: datetime | None = None
@@ -243,41 +246,46 @@ def _read_records(
                     raise ArchiveFormatError(line_no, str(exc)) from exc
                 report.malformed_lines += 1
                 report.malformed_line_numbers.append(line_no)
-    return records, meta_capture, provenance
+    kinds = [
+        list(zip(*rows[kind])) or [()] * len(record_class._fields)
+        for kind, record_class, _, _ in _RECORD_KINDS
+    ]
+    return kinds, meta_capture, provenance
 
 
-def _getters(record_class, *names: str):
-    """One getter per field name, for the class's rows."""
-    return [itemgetter(record_class._fields.index(name)) for name in names]
-
-
-def _load(
+def load_dataset(
     path: str | Path,
-    fail_fast: bool,
-    capture_at: datetime | None,
-    max_friends: int | None,
-) -> tuple[list, list, list, datetime, str, LoadReport]:
-    """The rows of the users, tweets and replies that load, then the capture
-    timestamp, the provenance and the report: the rules of load_dataset."""
+    fail_fast: bool = False,
+    capture_at: datetime | None = None,
+    max_friends: int | None = None,
+) -> tuple[DatasetColumns, LoadReport]:
+    """Load an archive-lines file into the columns of a dataset.
+
+    Records with unresolvable references (tweet author unknown, reply parent or
+    author unknown) are quarantined and counted, never loaded, as are users
+    created at or after the capture timestamp.  With ``fail_fast`` a malformed
+    line raises ArchiveFormatError; otherwise it is skipped and counted.
+    ``max_friends`` optionally drops users at or above the given friends count
+    (off by default), together with their records; it must be at least 1.  An
+    id that repeats among the records that load is a ValueError.
+    """
     if max_friends is not None and max_friends < 1:
         raise ValueError(f"max_friends must be at least 1, got {max_friends}")
     report = LoadReport()
-    records, meta_capture, provenance = _read_records(Path(path), fail_fast, report)
-    users, tweets, replies = records["user"], records["tweet"], records["reply"]
-    user_id, friends, created = _getters(UserProfile, "user_id", "friends_count", "created_at")
-    tweet_id, author, posted = _getters(TweetRecord, "tweet_id", "author_id", "posted_at")
-    parent, replier, replied = _getters(ReplyRecord, "parent_tweet_id", "author_id", "posted_at")
+    kinds, meta_capture, provenance = _read_records(Path(path), fail_fast, report)
+    (user_ids, _, _, friends, created), tweets, (_, parents, repliers, replied, _) = kinds
+    tweet_ids, authors, posted = tweets[:3]
 
+    # each rule keeps positions; the columns are gathered once, in id order
+    users_at = range(len(user_ids))
     if max_friends is not None:
-        kept = [u for u in users if friends(u) < max_friends]
-        report.filtered_users = len(users) - len(kept)
-        users = kept
+        users_at = [i for i in users_at if friends[i] < max_friends]
+        report.filtered_users = len(user_ids) - len(users_at)
 
     if capture_at is None:
         capture_at = meta_capture
     if capture_at is None:
-        stamps = [posted(t) for t in tweets] + [replied(r) for r in replies]
-        stamps += [created(u) for u in users]
+        stamps = [*posted, *replied, *map(created.__getitem__, users_at)]
         if stamps:
             newest = max(stamps)
             try:
@@ -291,65 +299,49 @@ def _load(
         else:
             capture_at = parse_timestamp("1970-01-01T00:00:00Z")
 
-    alive = [u for u in users if created(u) < capture_at]
-    report.quarantined_users = len(users) - len(alive)
+    alive = [i for i in users_at if created[i] < capture_at]
+    report.quarantined_users = len(users_at) - len(alive)
 
-    user_ids = {user_id(u) for u in alive}
-    resolved_tweets = [t for t in tweets if author(t) in user_ids]
-    report.quarantined_tweets = len(tweets) - len(resolved_tweets)
-    tweet_ids = {tweet_id(t) for t in resolved_tweets}
-    resolved_replies = [r for r in replies if parent(r) in tweet_ids and replier(r) in user_ids]
-    report.quarantined_replies = len(replies) - len(resolved_replies)
-    return alive, resolved_tweets, resolved_replies, capture_at, provenance, report
+    known_users = set(map(user_ids.__getitem__, alive))
+    tweets_at = [i for i, author in enumerate(authors) if author in known_users]
+    report.quarantined_tweets = len(authors) - len(tweets_at)
+    known_tweets = set(map(tweet_ids.__getitem__, tweets_at))
+    replies_at = [
+        i
+        for i, (parent, author) in enumerate(zip(parents, repliers))
+        if parent in known_tweets and author in known_users
+    ]
+    report.quarantined_replies = len(parents) - len(replies_at)
 
-
-def load_dataset(
-    path: str | Path,
-    fail_fast: bool = False,
-    capture_at: datetime | None = None,
-    max_friends: int | None = None,
-) -> tuple[Dataset, LoadReport]:
-    """Load an archive-lines file into a Dataset.
-
-    Records with unresolvable references (tweet author unknown, reply parent or
-    author unknown) are quarantined and counted, never loaded, as are users
-    created at or after the capture timestamp.  With ``fail_fast`` a malformed
-    line raises ArchiveFormatError; otherwise it is skipped and counted.
-    ``max_friends`` optionally drops users at or above the given friends count
-    (off by default), together with their records; it must be at least 1.
-    """
-    users, tweets, replies, capture_at, provenance, report = _load(
-        path, fail_fast, capture_at, max_friends
+    users, tweets, replies = (
+        _in_id_order(kind[0], columns, at)
+        for kind, columns, at in zip(_RECORD_KINDS, kinds, (alive, tweets_at, replies_at))
     )
-    dataset = Dataset(
-        users=tuple(map(UserProfile._make, users)),
-        tweets=tuple(map(TweetRecord._make, tweets)),
-        replies=tuple(map(ReplyRecord._make, replies)),
-        capture_at=capture_at,
-        provenance=provenance,
-    )
-    return dataset, report
+    return DatasetColumns(*users, *tweets, *replies, capture_at, provenance), report
 
 
-def load_columns(path: str | Path, fail_fast: bool = False) -> tuple[DatasetColumns, LoadReport]:
-    """The columns of ``load_dataset(path, fail_fast)``'s Dataset, read
-    without building a record: the same lines load, are quarantined or fail,
-    with the same report and the same errors."""
-    users, tweets, replies, capture_at, _, report = _load(path, fail_fast, None, None)
-    return DatasetColumns.from_rows(users, tweets, replies, capture_at), report
+def _in_id_order(kind: str, columns: list, at: list[int]) -> list[tuple]:
+    """A kind's columns at the positions ``at`` (ascending), in id order."""
+    ids = columns[0]
+    if len(at) == len(ids) and all(map(lt, ids, islice(ids, 1, None))):
+        return list(map(tuple, columns))  # every record, already in id order
+    order = sorted_by_id(kind, at, ids.__getitem__)
+    return [tuple(map(column.__getitem__, order)) for column in columns]
 
 
-def _archive_payload(dataset: Dataset) -> tuple:
+def _archive_payload(columns: DatasetColumns) -> tuple:
     """The sidecar payload of the dataset's lines: the capture timestamp and
     the provenance, then each record kind's columns in field order and id
-    order, each timestamp as format_timestamp writes it."""
-    payload = [format_timestamp(dataset.capture_at), dataset.provenance]
-    kinds = (dataset.users, dataset.tweets, dataset.replies)
-    for (_, record_class, stamp, _), records in zip(_RECORD_KINDS, kinds):
-        columns = list(zip(*records)) or [()] * len(record_class._fields)
+    order, each timestamp as format_timestamp writes it; ValueError when a
+    kind's columns differ in length, which would write a record short."""
+    payload = [format_timestamp(columns.capture_at), columns.provenance]
+    for (name, record_class, stamp, _), kind in zip(_RECORD_KINDS, columns.kinds()):
+        if len(set(map(len, kind))) > 1:
+            raise ValueError(f"the {name} columns differ in length")
+        kind = list(map(tuple, kind))
         at = record_class._fields.index(stamp)
-        columns[at] = tuple(map(format_timestamp, columns[at]))
-        payload.append(tuple(columns))
+        kind[at] = tuple(map(format_timestamp, kind[at]))
+        payload.append(tuple(kind))
     return tuple(payload)
 
 
@@ -379,16 +371,16 @@ def _archive_lines(payload: tuple):
         yield _REPLY_LINE % (quote(author), quote(parent), posted, quote(reply_id), quote(text))
 
 
-def dataset_to_lines(dataset: Dataset) -> list[str]:
+def dataset_to_lines(columns: DatasetColumns) -> list[str]:
     """Canonical serialization: meta line, then users, tweets, replies by id."""
-    return list(_archive_lines(_archive_payload(dataset)))
+    return list(_archive_lines(_archive_payload(columns)))
 
 
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
+def save_dataset(columns: DatasetColumns, path: str | Path) -> None:
     """Write the dataset's canonical lines and their sidecar.  No sidecar
     unless every count is an int of at least 0 and every retweet flag a bool,
-    which a record does not check: the lines would read back otherwise."""
-    payload = _archive_payload(dataset)
+    which the columns do not check: the lines would read back otherwise."""
+    payload = _archive_payload(columns)
     _, _, users, tweets, _ = payload
     counts = (*users[2:4], *tweets[4:7])  # followers, friends; retweets, favorites, replies
     reads_back = set(map(type, tweets[7])) <= {bool} and all(

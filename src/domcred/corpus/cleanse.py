@@ -6,8 +6,9 @@ Applying cleanse to its own output changes nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .types import Dataset
+from .types import DatasetColumns
 
 
 @dataclass(frozen=True)
@@ -19,10 +20,10 @@ class CleanseReport:
 
 
 def cleanse(
-    dataset: Dataset,
+    columns: DatasetColumns,
     keep_missing_language: bool = False,
-) -> tuple[Dataset, CleanseReport]:
-    """Return a cleansed copy of the dataset plus counts of what changed.
+) -> tuple[DatasetColumns, CleanseReport]:
+    """Return the cleansed columns of a dataset plus counts of what changed.
 
     Rules, in order:
       1. Tweets whose language is not "en" are removed along with their
@@ -32,48 +33,33 @@ def cleanse(
          counts are zeroed; the engagement belongs to the original author.
       3. Replies written by the tweet's own author are removed.
     """
-
-    def is_english(language: str | None) -> bool:
-        if language is None:
-            return keep_missing_language
-        return language == "en"
-
-    kept_tweets = []
-    zeroed = 0
-    for t in dataset.tweets:
-        if not is_english(t.language):
-            continue
-        if t.is_retweet and (t.retweet_count or t.favorite_count or t.replies_count):
-            t = t._replace(retweet_count=0, favorite_count=0, replies_count=0)
-            zeroed += 1
-        kept_tweets.append(t)
-    language_removed = len(dataset.tweets) - len(kept_tweets)
-
-    authors = {t.tweet_id: t.author_id for t in kept_tweets}
-    kept_replies = []
-    removed_orphans = 0
-    removed_owner = 0
-    for r in dataset.replies:
-        author = authors.get(r.parent_tweet_id)
-        if author is None:
-            removed_orphans += 1
-            continue
-        if r.author_id == author:
-            removed_owner += 1
-            continue
-        kept_replies.append(r)
-
-    cleaned = Dataset(
-        users=dataset.users,
-        tweets=tuple(kept_tweets),
-        replies=tuple(kept_replies),
-        capture_at=dataset.capture_at,
-        provenance=dataset.provenance,
+    users, tweets, replies = columns.kinds()
+    english = ("en", None) if keep_missing_language else ("en",)
+    kept = [language in english for language in columns.languages]
+    tweet_ids, authors, posted, texts, *engagement, is_retweet, languages = (
+        tuple(compress(column, kept)) for column in tweets
     )
+    engagement = list(map(list, engagement))
+    zeroed = [i for i, flag in enumerate(is_retweet) if flag and any(c[i] for c in engagement)]
+    for column in engagement:
+        for i in zeroed:
+            column[i] = 0
+
+    owner_of = dict(zip(tweet_ids, authors))
+    owners = [owner_of.get(parent) for parent in columns.reply_parents]
+    kept_replies = [
+        owner is not None and author != owner
+        for owner, author in zip(owners, columns.reply_authors)
+    ]
+
+    tweets = (tweet_ids, authors, posted, texts, *map(tuple, engagement), is_retweet, languages)
+    replies = (tuple(compress(column, kept_replies)) for column in replies)
+    cleaned = DatasetColumns(*users, *tweets, *replies, columns.capture_at, columns.provenance)
+    orphans = owners.count(None)
     report = CleanseReport(
-        language_removed=language_removed,
-        orphan_replies_removed=removed_orphans,
-        retweets_zeroed=zeroed,
-        owner_replies_removed=removed_owner,
+        language_removed=len(kept) - len(tweet_ids),
+        orphan_replies_removed=orphans,
+        retweets_zeroed=len(zeroed),
+        owner_replies_removed=len(owners) - orphans - sum(kept_replies),
     )
     return cleaned, report

@@ -76,14 +76,18 @@ def sorted_by_id(kind: str, items, key) -> list:
 
 
 class DatasetColumns(NamedTuple):
-    """The fields that ``annotate`` and ``features`` read, one tuple per
-    field, each record kind in the dataset's id order; no records.  It is a
-    named tuple because every command imports this module, and a named tuple
-    costs that import a fraction of what a frozen dataclass does."""
+    """A dataset: one tuple per field of its users, tweets and replies, each
+    kind in id order, then the capture timestamp and the provenance.  It is
+    a named tuple because every command imports this module, and a named
+    tuple costs that import a fraction of what a frozen dataclass does."""
 
+    # UserProfile's fields
     user_ids: tuple[str, ...]
+    handles: tuple[str, ...]
     followers: tuple[int, ...]
     friends: tuple[int, ...]
+    user_created: tuple[datetime, ...]
+    # TweetRecord's fields
     tweet_ids: tuple[str, ...]
     tweet_authors: tuple[str, ...]
     tweet_posted: tuple[datetime, ...]
@@ -91,37 +95,26 @@ class DatasetColumns(NamedTuple):
     retweets: tuple[int, ...]
     favorites: tuple[int, ...]
     tweet_replies: tuple[int, ...]
+    is_retweet: tuple[bool, ...]
+    languages: tuple[str | None, ...]
+    # ReplyRecord's fields
     reply_ids: tuple[str, ...]
     reply_parents: tuple[str, ...]
+    reply_authors: tuple[str, ...]
     reply_posted: tuple[datetime, ...]
     reply_texts: tuple[str, ...]
     capture_at: datetime
+    provenance: str = ""
 
-    @classmethod
-    def from_rows(cls, users, tweets, replies, capture_at: datetime) -> DatasetColumns:
-        """The columns of records, or of plain tuples of their fields in field
-        order, sorted by id; ValueError when an id repeats."""
-        user_ids, _, followers, friends, _ = _transpose("user", users, 5)
-        tweet_ids, authors, posted, texts, retweets, favorites, tweet_replies, _, _ = _transpose(
-            "tweet", tweets, 9
-        )
-        reply_ids, parents, _, reply_posted, reply_texts = _transpose("reply", replies, 5)
-        return cls(
-            *(user_ids, followers, friends),
-            *(tweet_ids, authors, posted, texts, retweets, favorites, tweet_replies),
-            *(reply_ids, parents, reply_posted, reply_texts, capture_at),
-        )
+    def kinds(self) -> tuple[tuple, tuple, tuple]:
+        """The users', the tweets' and the replies' columns."""
+        return self[:5], self[5:14], self[14:19]
 
     def tweet_engagement(self):
         """(tweet id, author, retweets, favorites, replies) per tweet, in id order."""
         return zip(
             self.tweet_ids, self.tweet_authors, self.retweets, self.favorites, self.tweet_replies
         )
-
-
-def _transpose(kind: str, rows, width: int) -> tuple[tuple, ...]:
-    """The columns of a kind's rows in id order; a row's id is its first field."""
-    return tuple(zip(*sorted_by_id(kind, rows, itemgetter(0)))) or ((),) * width
 
 
 @dataclass(frozen=True)
@@ -144,9 +137,12 @@ class Dataset:
 
     @cached_property
     def columns(self) -> DatasetColumns:
-        """The columns view that ``features`` reads, built on first use from
-        the records themselves: a record is the row of its fields."""
-        return DatasetColumns.from_rows(self.users, self.tweets, self.replies, self.capture_at)
+        """The records' columns, transposed on first use; records are in id order."""
+        users, tweets, replies = (
+            tuple(zip(*records)) or ((),) * width
+            for records, width in ((self.users, 5), (self.tweets, 9), (self.replies, 5))
+        )
+        return DatasetColumns(*users, *tweets, *replies, self.capture_at, self.provenance)
 
 
 @dataclass(frozen=True)

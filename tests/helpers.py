@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 from domcred.annotate import AnnotationColumns, DomainAnnotation
+from domcred.corpus.archive import LoadReport, _read_records
+from domcred.corpus.cleanse import CleanseReport
 from domcred.corpus.periods import PartitionReport
 from domcred.corpus.types import Dataset, PeriodSlice, ReplyRecord, TweetRecord, UserProfile
 from domcred.lexicon import tokenize
@@ -72,6 +75,18 @@ def make_dataset(users, tweets=(), replies=(), capture="2025-01-01T00:00:00Z", p
         replies=tuple(replies),
         capture_at=ts(capture) if isinstance(capture, str) else capture,
         provenance=provenance,
+    )
+
+
+def dataset_of(columns):
+    """The Dataset whose records are the rows of a dataset's columns."""
+    users, tweets, replies = columns.kinds()
+    return Dataset(
+        users=tuple(map(UserProfile._make, zip(*users))),
+        tweets=tuple(map(TweetRecord._make, zip(*tweets))),
+        replies=tuple(map(ReplyRecord._make, zip(*replies))),
+        capture_at=columns.capture_at,
+        provenance=columns.provenance,
     )
 
 
@@ -178,6 +193,95 @@ def brute_annotation_lines(tweets, replies):
         record = {"kind": "reply", "reply_id": reply_id, "sentiment": sentiment}
         lines.append(json.dumps(record, sort_keys=True))
     return lines
+
+
+def brute_load(path, fail_fast=False, capture_at=None, max_friends=None):
+    """load_dataset's rules, one record at a time: the Dataset of an archive
+    file's records, read as the loader reads its lines, and the report."""
+    if max_friends is not None and max_friends < 1:
+        raise ValueError(f"max_friends must be at least 1, got {max_friends}")
+    report = LoadReport()
+    kinds, meta_capture, provenance = _read_records(Path(path), fail_fast, report)
+    users, tweets, replies = (
+        [record_class._make(row) for row in zip(*columns)]
+        for record_class, columns in zip((UserProfile, TweetRecord, ReplyRecord), kinds)
+    )
+    if max_friends is not None:
+        kept = [u for u in users if u.friends_count < max_friends]
+        report.filtered_users = len(users) - len(kept)
+        users = kept
+    if capture_at is None:
+        capture_at = meta_capture
+    if capture_at is None:
+        stamps = [t.posted_at for t in tweets] + [r.posted_at for r in replies]
+        stamps += [u.created_at for u in users]
+        epoch = datetime(1970, 1, 1, tzinfo=UTC)
+        capture_at = max(stamps) + timedelta(days=1) if stamps else epoch
+
+    alive = [u for u in users if u.created_at < capture_at]
+    report.quarantined_users = len(users) - len(alive)
+    user_ids = {u.user_id for u in alive}
+    resolved_tweets = [t for t in tweets if t.author_id in user_ids]
+    report.quarantined_tweets = len(tweets) - len(resolved_tweets)
+    tweet_ids = {t.tweet_id for t in resolved_tweets}
+    resolved_replies = [
+        r for r in replies if r.parent_tweet_id in tweet_ids and r.author_id in user_ids
+    ]
+    report.quarantined_replies = len(replies) - len(resolved_replies)
+    dataset = Dataset(
+        users=tuple(alive),
+        tweets=tuple(resolved_tweets),
+        replies=tuple(resolved_replies),
+        capture_at=capture_at,
+        provenance=provenance,
+    )
+    return dataset, report
+
+
+def brute_cleanse(dataset, keep_missing_language=False):
+    """cleanse's three rules, one record at a time, on a Dataset."""
+
+    def is_english(language):
+        if language is None:
+            return keep_missing_language
+        return language == "en"
+
+    kept_tweets = []
+    zeroed = 0
+    for t in dataset.tweets:
+        if not is_english(t.language):
+            continue
+        if t.is_retweet and (t.retweet_count or t.favorite_count or t.replies_count):
+            t = t._replace(retweet_count=0, favorite_count=0, replies_count=0)
+            zeroed += 1
+        kept_tweets.append(t)
+
+    authors = {t.tweet_id: t.author_id for t in kept_tweets}
+    kept_replies = []
+    removed_orphans = removed_owner = 0
+    for r in dataset.replies:
+        author = authors.get(r.parent_tweet_id)
+        if author is None:
+            removed_orphans += 1
+        elif r.author_id == author:
+            removed_owner += 1
+        else:
+            kept_replies.append(r)
+
+    cleaned = Dataset(
+        users=dataset.users,
+        tweets=tuple(kept_tweets),
+        replies=tuple(kept_replies),
+        capture_at=dataset.capture_at,
+        provenance=dataset.provenance,
+    )
+    report = CleanseReport(
+        language_removed=len(dataset.tweets) - len(kept_tweets),
+        orphan_replies_removed=removed_orphans,
+        retweets_zeroed=zeroed,
+        owner_replies_removed=removed_owner,
+    )
+    return cleaned, report
 
 
 def brute_hit_counts(lexicon, text):

@@ -289,10 +289,10 @@ def test_criterion_06_feature_pipeline_equals_brute_force():
 def _synthetic_matrix(n_users: int, seed: int) -> FeatureMatrix:
     config = SynthConfig(n_users=n_users, domains=(TECH,))
     dataset, labels = synthesize(config, seed)
-    clean, _ = cleanse(dataset)
-    annotations, _ = annotate_dataset(clean.columns, LexiconAnnotator())
-    cells = accumulate_domain_features(clean.columns, annotations)
-    global_features = compute_global_features(clean.columns)
+    clean, _ = cleanse(dataset.columns)
+    annotations, _ = annotate_dataset(clean, LexiconAnnotator())
+    cells = accumulate_domain_features(clean, annotations)
+    global_features = compute_global_features(clean)
     return assemble_matrix(TECH, POOLED, cells, global_features, labels=labels)
 
 

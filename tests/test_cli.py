@@ -30,7 +30,7 @@ from domcred.features import (
 )
 from domcred.learn.base import ALGORITHMS
 from domcred.verify import FIXTURES
-from helpers import make_dataset, make_tweet, make_user
+from helpers import dataset_of, make_dataset, make_tweet, make_user
 
 TECH = "Technology and Computing"
 ROOT = Path(__file__).resolve().parent.parent
@@ -232,7 +232,7 @@ class TestSynth:
 
     def test_partial_level_override_keeps_other_defaults(self, tmp_path):
         assert self._synth_with(tmp_path, {"influencer": {"followers": [1, 2]}}) == 0
-        dataset, _ = load_dataset(tmp_path / "out/synth_archive.jsonl")
+        dataset = dataset_of(load_dataset(tmp_path / "out/synth_archive.jsonl")[0])
         labels = json.loads((tmp_path / "out/synth_labels.json").read_text())["labels"]
         influencers = [u for u in dataset.users if labels[u.user_id] == "Influencer"]
         assert influencers
@@ -289,6 +289,15 @@ class TestIngest:
         assert report["counts"]["tweets"] > 0
         assert "load" in report and "cleanse" in report
 
+    def test_reads_columns_and_builds_no_record(self, pipeline, tmp_path, monkeypatch):
+        built = _count_records(monkeypatch)
+        assert main(["ingest", str(pipeline["archive"]), "--output-dir", str(tmp_path)]) == 0
+        assert built == NO_RECORDS
+        assert (tmp_path / "dataset.jsonl").read_bytes() == pipeline["dataset"].read_bytes()
+        # the counters see the records synth builds
+        assert main(["synth", "--n-users", "5", "--output-dir", str(tmp_path / "synth")]) == 0
+        assert all(built.values()), built
+
     def test_malformed_line_skipped_and_counted(self, pipeline, tmp_path, capsys):
         broken = tmp_path / "broken.jsonl"
         shutil.copy(pipeline["archive"], broken)
@@ -341,10 +350,10 @@ class TestIngest:
     def test_year_below_1000_survives_the_next_stage(self, tmp_path):
         archive = self._archive(tmp_path / "archive.jsonl", "0999-06-01T00:00:00Z")
         assert main(["ingest", str(archive), "--output-dir", str(tmp_path)]) == 0
-        dataset, report = load_dataset(tmp_path / "dataset.jsonl")
+        columns, report = load_dataset(tmp_path / "dataset.jsonl")
         assert report.warning_count == 0
-        assert [u.user_id for u in dataset.users] == ["a", "b"]
-        assert [t.tweet_id for t in dataset.tweets] == ["t1"]
+        assert columns.user_ids == ("a", "b")
+        assert columns.tweet_ids == ("t1",)
         assert "0999-06-01T00:00:00Z" in (tmp_path / "dataset.jsonl").read_text()
 
     def test_out_of_range_timestamp_is_a_malformed_line(self, tmp_path, capsys):
@@ -386,22 +395,13 @@ class TestAnnotate:
         assert report["n_annotatable"] > 0
 
     def test_reads_columns_and_builds_no_record(self, pipeline, tmp_path, monkeypatch):
-        """Only ingest builds records: annotate reads the dataset as columns."""
-        loads = []
-        monkeypatch.setattr(
-            domcred.cli, "load_dataset", lambda *a, **k: loads.append(a) or load_dataset(*a, **k)
-        )
         built = _count_records(monkeypatch)
         argv = ["annotate", str(pipeline["dataset"]), "--output-dir", str(tmp_path)]
         assert main(argv) == 0
-        assert (loads, built) == ([], NO_RECORDS)
+        assert built == NO_RECORDS
         assert (tmp_path / "annotations.jsonl").read_bytes() == (
             pipeline["annotations"].read_bytes()
         )
-        # the counters see the records ingest builds
-        assert main(["ingest", str(pipeline["archive"]), "--output-dir", str(tmp_path)]) == 0
-        assert len(loads) == 1
-        assert all(built.values()), built
 
     def test_respelled_dataset_gives_the_same_bytes(self, pipeline, tmp_path):
         respelled = _respelled(pipeline["dataset"], tmp_path / "dataset.jsonl")
@@ -482,7 +482,7 @@ class TestCanonicalDataset:
         dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
         # annotations that match what a lenient load keeps, so only the load can fail
         kept, _ = load_dataset(dataset)
-        annotations, _ = annotate_dataset(kept.columns)
+        annotations, _ = annotate_dataset(kept)
         save_annotations(annotations, tmp_path / "annotations.jsonl")
         argv = [command, str(dataset), "--output-dir", str(tmp_path / "out")]
         assert main(argv + (["--domain", TECH] if command == "features" else [])) == 1
@@ -754,7 +754,7 @@ class TestFeatures:
             [make_tweet("t1", "a", text="hello there"), make_tweet("t2", "a", text="hi")],
         )
         path = tmp_path / "dataset.jsonl"
-        save_dataset(dataset, path)
+        save_dataset(dataset.columns, path)
         assert main(["annotate", str(path), "--output-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         rc = main(["features", str(path), "--output-dir", str(tmp_path / "out")])
@@ -774,7 +774,7 @@ class TestFeatures:
             capture="9999-12-31T00:00:00Z",
         )
         path = tmp_path / "dataset.jsonl"
-        save_dataset(dataset, path)
+        save_dataset(dataset.columns, path)
         assert main(["annotate", str(path), "--output-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         rc = main(["features", str(path), *options, "--output-dir", str(tmp_path / "out")])
@@ -787,11 +787,11 @@ class TestFeatures:
 
     def test_csv_equals_the_feature_matrix_path(self, pipeline, tmp_path):
         """The plain rows `features` writes match save_matrix(assemble_matrix(...))."""
-        dataset, _ = load_dataset(pipeline["dataset"])
+        columns, _ = load_dataset(pipeline["dataset"])
         annotations = load_annotation_columns(pipeline["dataset"].parent / "annotations.jsonl")
-        slices, _ = partition_periods(dataset.columns, PeriodSpec())
-        cells = accumulate_domain_features(dataset.columns, annotations, slices)
-        active = compute_global_features(dataset.columns)
+        slices, _ = partition_periods(columns, PeriodSpec())
+        cells = accumulate_domain_features(columns, annotations, slices)
+        active = compute_global_features(columns)
         for labels, written in (
             (load_labels(pipeline["labels"]), pipeline["matrix"]),
             (None, pipeline["bare_matrix"]),

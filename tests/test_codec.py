@@ -3,6 +3,7 @@ strftime writers, exact json.loads acceptance, and timestamp round trips."""
 
 import hashlib
 import json
+import marshal
 import random
 import re
 import shutil
@@ -19,14 +20,13 @@ from domcred.annotate import DomainAnnotation, load_annotation_columns, save_ann
 from domcred.corpus.archive import (
     ArchiveFormatError,
     dataset_to_lines,
-    load_columns,
     load_dataset,
     read_sidecar,
     save_dataset,
 )
+from domcred.corpus.cleanse import CleanseReport, cleanse
 from domcred.corpus.types import (
     Dataset,
-    DatasetColumns,
     ReplyRecord,
     TweetRecord,
     UserProfile,
@@ -37,7 +37,10 @@ from domcred.corpus.types import (
 from helpers import (
     annotation_columns,
     brute_annotation_lines,
+    brute_cleanse,
     brute_dataset_lines,
+    brute_load,
+    dataset_of,
     make_dataset,
     make_reply,
     make_tweet,
@@ -135,7 +138,7 @@ class TestDatasetLines:
     @given(dataset=datasets())
     @settings(max_examples=60, deadline=None)
     def test_lines_equal_the_per_line_json_dumps_writer(self, dataset):
-        assert dataset_to_lines(dataset) == brute_dataset_lines(dataset)
+        assert dataset_to_lines(dataset.columns) == brute_dataset_lines(dataset)
 
     def _archive(self, tmp_path, lines):
         path = tmp_path / "archive.jsonl"
@@ -180,9 +183,9 @@ class TestDatasetLines:
         path = tmp_path / "archive.jsonl"
         bad = self._user("b").replace('"b"', '"b\xff"').encode("latin-1")
         path.write_bytes(b"\n".join([self._user("a").encode(), bad, self._user("c").encode()]))
-        dataset, report = load_dataset(path)
+        columns, report = load_dataset(path)
         assert report.malformed_line_numbers == [2]
-        assert [u.user_id for u in dataset.users] == ["a", "c"]
+        assert columns.user_ids == ("a", "c")
         with pytest.raises(ArchiveFormatError, match="line 2: not UTF-8: byte 0xff at character"):
             load_dataset(path, fail_fast=True)
 
@@ -195,9 +198,9 @@ class TestDatasetLines:
         path = self._archive(
             tmp_path, [self._user("a"), self._user("b", "0001-01-01T00:00:00+01:00")]
         )
-        dataset, report = load_dataset(path)
+        columns, report = load_dataset(path)
         assert report.malformed_line_numbers == [2]
-        assert [u.user_id for u in dataset.users] == ["a"]
+        assert columns.user_ids == ("a",)
         with pytest.raises(ArchiveFormatError, match="line 2: .*outside years 1-9999"):
             load_dataset(path, fail_fast=True)
 
@@ -435,15 +438,15 @@ class TestLineSeparatorsInText:
             provenance="p\u2029p",
         )
         path = tmp_path / "dataset.jsonl"
-        save_dataset(dataset, path)
+        save_dataset(dataset.columns, path)
         data = path.read_bytes()
         assert data.count(b"\n") == 4
         for char in "\u2028\u2029\x85":
             assert char.encode() in data
         loaded, report = load_dataset(path)
         assert report.warning_count == 0
-        assert loaded == dataset
-        assert loaded.tweets[0].text == self.TEXT == loaded.replies[0].text
+        assert loaded == dataset.columns
+        assert loaded.tweet_texts[0] == self.TEXT == loaded.reply_texts[0]
 
     def test_annotation_ids_keep_them_raw(self, tmp_path):
         # annotate writes ASCII, but a legal line may hold them raw, and a
@@ -589,22 +592,22 @@ class TestArchiveFieldTypes:
             "is_retweet": value,
             "language": value,
         }
-        dataset, report = self._load(tmp_path, "tweet", override)
+        columns, report = self._load(tmp_path, "tweet", override)
         assert report.warning_count == 0
-        assert dataset.tweets == (
+        assert dataset_of(columns).tweets == (
             make_tweet("t1", "a", text="", language=None, posted="2024-02-01T00:00:00Z"),
         )
-        dataset, report = self._load(tmp_path, "user", {"handle": value})
-        assert dataset.users[0].handle == "a"
-        dataset, report = self._load(tmp_path, "reply", {"text": value})
-        assert dataset.replies[0].text == ""
+        columns, report = self._load(tmp_path, "user", {"handle": value})
+        assert columns.handles == ("a",)
+        columns, report = self._load(tmp_path, "reply", {"text": value})
+        assert columns.reply_texts == ("",)
 
     def test_string_false_is_not_a_retweet(self, tmp_path):
         # bool("false") is True: coercion would load a retweet and cleansing
         # would then zero its engagement
-        dataset, report = self._load(tmp_path, "tweet", {"is_retweet": "false"})
+        columns, report = self._load(tmp_path, "tweet", {"is_retweet": "false"})
         assert report.malformed_lines == 1
-        assert dataset.tweets == ()
+        assert columns.tweet_ids == ()
 
     @pytest.mark.parametrize(
         "meta, message",
@@ -662,13 +665,11 @@ class TestArchiveFieldTypes:
         )
         # without capture_at the loader falls back to a day after the newest record
         want = parse_timestamp(capture or "2020-01-02T00:00:00Z")
-        for load in (load_dataset, load_columns):
-            loaded, report = load(path)
-            assert report.malformed_line_numbers == [2]
-            assert loaded.capture_at == want
-            with pytest.raises(ArchiveFormatError, match=r"^line 2: a second dataset line; "):
-                load(path, fail_fast=True)
-        assert load_dataset(path)[0].provenance == provenance
+        loaded, report = load_dataset(path)
+        assert report.malformed_line_numbers == [2]
+        assert (loaded.capture_at, loaded.provenance) == (want, provenance)
+        with pytest.raises(ArchiveFormatError, match=r"^line 2: a second dataset line; "):
+            load_dataset(path, fail_fast=True)
 
 
 # the characters a string must escape, and others json writes raw
@@ -677,21 +678,90 @@ HOSTILE = st.sampled_from('"\\\x00\x1f\n\t\x7f\xe9\u2028\u2029\x85\U0001f600a0 '
 )
 
 
-class TestArchiveReaders:
-    """Any spelling of a line reads as JSON, and load_dataset and load_columns
-    give the same records and the same errors."""
+@st.composite
+def cleansable(draw):
+    """Datasets whose tweets are English, of no language or of another, with
+    small counts, and whose replies answer those tweets or none, some of them
+    written by the tweet's own author."""
+    dataset = draw(datasets(HOSTILE))
+    small = st.integers(0, 2)
+    tweets = [
+        t._replace(
+            retweet_count=draw(small),
+            favorite_count=draw(small),
+            replies_count=draw(small),
+            language=draw(st.sampled_from(["en", None, "fr"])),
+        )
+        for t in dataset.tweets
+    ]
+    user_ids = [u.user_id for u in dataset.users]
+    replies = [
+        r._replace(
+            parent_tweet_id=draw(st.sampled_from([t.tweet_id for t in tweets] + ["none"])),
+            author_id=draw(st.sampled_from(user_ids)),
+        )
+        for r in dataset.replies
+    ]
+    return make_dataset(dataset.users, tweets, replies, dataset.capture_at, dataset.provenance)
 
-    @given(dataset=datasets(HOSTILE))
+
+class TestRecordRules:
+    """load_dataset and cleanse give the columns of what the record oracles
+    give, rule for rule and count for count."""
+
+    @given(dataset=datasets(HOSTILE), data=st.data())
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_load_equals_the_record_oracle(self, tmp_path, dataset, data):
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(dataset.columns, path)
+        if data.draw(st.booleans(), label="no meta line"):
+            # the capture timestamp then defaults; the sidecar no longer mirrors the file
+            path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
+        created = [u.created_at for u in dataset.users]
+        friends = [max(1, u.friends_count + d) for u in dataset.users for d in (0, 1)]
+        options = {
+            "capture_at": data.draw(st.none() | st.sampled_from(created) | stamps(1000, 9998)),
+            "max_friends": data.draw(st.none() | st.sampled_from(friends) | st.integers(1, 10)),
+        }
+
+        def oracle(path):
+            loaded, report = brute_load(path, **options)
+            return loaded.columns, report
+
+        def load(path):
+            return load_dataset(path, **options)
+
+        want = oracle(path)
+        assert load(path) == want
+        assert _json_path_result(path, load, tmp_path) == want
+
+    @given(dataset=cleansable(), keep=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_cleanse_equals_the_record_oracle(self, dataset, keep):
+        cleaned, report = cleanse(dataset.columns, keep_missing_language=keep)
+        want, want_report = brute_cleanse(dataset, keep_missing_language=keep)
+        assert (cleaned, report) == (want.columns, want_report)
+        assert cleanse(cleaned, keep_missing_language=keep) == (cleaned, CleanseReport())
+
+
+class TestArchiveReaders:
+    """Any spelling of a line reads as JSON, in any order, with the values,
+    reports and errors the record oracle gives."""
+
+    @given(dataset=datasets(HOSTILE), data=st.data())
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    def test_columns_are_the_datasets(self, tmp_path, dataset):
+    def test_lines_in_any_order_give_the_same_columns(self, tmp_path, dataset, data):
         path = tmp_path / "dataset.jsonl"
-        save_dataset(dataset, path)
-        loaded, report = load_dataset(path)
-        columns, column_report = load_columns(path)
-        assert column_report == report
-        assert columns == loaded.columns
+        save_dataset(dataset.columns, path)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        shuffled = tmp_path / "shuffled" / "dataset.jsonl"
+        shuffled.parent.mkdir(exist_ok=True)
+        shuffled.write_text("\n".join(data.draw(st.permutations(lines))) + "\n", encoding="utf-8")
+        assert load_dataset(shuffled) == load_dataset(path)
 
     USER = (
         '{"body":{"created_at":"2020-01-01T00:00:00Z","followers_count":10,"friends_count":5,'
@@ -713,7 +783,7 @@ class TestArchiveReaders:
             [make_tweet("t1", "a", text="python code", retweets=2, favorites=3, replies=1)],
             [make_reply("r1", "t1", "a", text="great")],
         )
-        assert dataset_to_lines(dataset)[1:] == [self.USER, self.TWEET, self.REPLY]
+        assert dataset_to_lines(dataset.columns)[1:] == [self.USER, self.TWEET, self.REPLY]
 
     @pytest.mark.parametrize(
         "line, old, new, field, value",
@@ -741,13 +811,12 @@ class TestArchiveReaders:
         lines[line] = lines[line].replace(old, new, 1)
         path = tmp_path / "archive.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        dataset, report = load_dataset(path, fail_fast=True)
+        columns, report = load_dataset(path, fail_fast=True)
         assert report.warning_count == 0
+        dataset, oracle_report = brute_load(path, fail_fast=True)
         record = (dataset.users + dataset.tweets + dataset.replies)[line]
         assert getattr(record, field) == value
-        columns, column_report = load_columns(path, fail_fast=True)
-        assert column_report == report
-        assert columns == dataset.columns
+        assert (columns, report) == (dataset.columns, oracle_report)
 
     @pytest.mark.parametrize(
         "line, old, new, message",
@@ -771,7 +840,7 @@ class TestArchiveReaders:
         lines[line] = lines[line].replace(old, new, 1)
         path = tmp_path / "archive.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for load in (load_dataset, load_columns):
+        for load in (load_dataset, brute_load):
             want = rf"^line {line + 1}: {re.escape(message)}$"
             with pytest.raises(ArchiveFormatError, match=want):
                 load(path, fail_fast=True)
@@ -779,7 +848,7 @@ class TestArchiveReaders:
             assert report.malformed_line_numbers == [line + 1]
 
     def test_duplicate_ids_fail_alike(self, tmp_path):
-        # a repeated id of any kind fails the records and both loaders alike
+        # a repeated id of any kind fails the records, the loader and its oracle alike
         lines = [self.USER, self.TWEET, self.REPLY]
         records = [make_user("a"), make_tweet("t1", "a"), make_reply("r1", "t1", "a")]
         path = tmp_path / "archive.jsonl"
@@ -790,20 +859,10 @@ class TestArchiveReaders:
             groups[i] *= 2
             with pytest.raises(ValueError, match=want):
                 make_dataset(*groups)
-            for load in (load_dataset, load_columns):
+            for load in (load_dataset, brute_load):
                 for fail_fast in (False, True):
                     with pytest.raises(ValueError, match=want):
                         load(path, fail_fast=fail_fast)
-
-    @given(dataset=datasets(HOSTILE), data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_rows_in_any_order_give_the_same_columns(self, dataset, data):
-        # a record is its row; plain tuples of the same fields give the same columns
-        rows = [
-            data.draw(st.permutations(list(map(tuple, records))))
-            for records in (dataset.users, dataset.tweets, dataset.replies)
-        ]
-        assert DatasetColumns.from_rows(*rows, dataset.capture_at) == dataset.columns
 
 
 def _json_path_result(path, load, tmp_path):
@@ -812,12 +871,6 @@ def _json_path_result(path, load, tmp_path):
     copy.parent.mkdir(exist_ok=True)
     shutil.copy(path, copy)
     return load(copy)
-
-
-def _load_all(path):
-    """What load_dataset (records, capture time, provenance and report) and
-    load_columns give for an archive file."""
-    return load_dataset(path), load_columns(path)
 
 
 def _pipeline_files(tmp_path):
@@ -831,7 +884,7 @@ def _pipeline_files(tmp_path):
     domains = (DomainAnnotation("Arts", 1, True), DomainAnnotation("News", 0.5, 0))
     annotations = annotation_columns([("t1", domains), ("t2", ())], [("r1", 0.5)])
     paths = tmp_path / "dataset.jsonl", tmp_path / "annotations.jsonl"
-    save_dataset(dataset, paths[0])
+    save_dataset(dataset.columns, paths[0])
     save_annotations(annotations, paths[1])
     return paths
 
@@ -879,10 +932,10 @@ class TestSidecars:
     )
     def test_dataset_loads_alike_with_and_without_it(self, tmp_path, dataset):
         path = tmp_path / "dataset.jsonl"
-        save_dataset(dataset, path)
+        save_dataset(dataset.columns, path)
         assert read_sidecar(path, lambda payload: True)
-        loaded = _load_all(path)
-        assert loaded == _json_path_result(path, _load_all, tmp_path)
+        loaded = load_dataset(path)
+        assert loaded == _json_path_result(path, load_dataset, tmp_path)
 
     def test_header_names_format_python_and_digest(self, tmp_path):
         for path in _pipeline_files(tmp_path):
@@ -899,14 +952,33 @@ class TestSidecars:
         dataset_path, annotations_path = paths
         assert read_sidecar(dataset_path, lambda payload: True) is None
         assert read_sidecar(annotations_path, lambda payload: True) is None
-        loaded = _load_all(dataset_path)
-        assert loaded == _json_path_result(dataset_path, _load_all, tmp_path)
+        loaded = load_dataset(dataset_path)
+        assert loaded == _json_path_result(dataset_path, load_dataset, tmp_path)
         columns = load_annotation_columns(annotations_path)
         want = _json_path_result(annotations_path, load_annotation_columns, tmp_path)
         assert repr(columns) == repr(want)
         if how == "one-byte-changed":
-            assert loaded[0][0].tweets[0].text == "pythom code"
+            assert loaded[0].tweet_texts[0] == "pythom code"
             assert columns.sentiments == (0.6,)
+
+    @pytest.mark.parametrize("kind", [2, 3, 4], ids=["users", "tweets", "replies"])
+    @pytest.mark.parametrize("how", ["short-column", "column-missing"])
+    def test_payload_that_is_not_the_files_columns_is_not_used(self, tmp_path, kind, how):
+        path, _ = _pipeline_files(tmp_path)
+        sidecar = Path(f"{path}.cols")
+        header, blob = sidecar.read_bytes().split(b"\n", 1)
+        payload = list(marshal.loads(blob))
+        columns = list(payload[kind])
+        if how == "short-column":
+            columns[-1] = columns[-1][:-1]
+        else:
+            del columns[-1]
+        payload[kind] = tuple(columns)
+        sidecar.write_bytes(header + b"\n" + marshal.dumps(tuple(payload), 2))
+        assert read_sidecar(path, lambda payload: True)
+        loaded = load_dataset(path)
+        assert loaded == _json_path_result(path, load_dataset, tmp_path)
+        assert loaded[1].warning_count == 0
 
     def test_bytes_do_not_depend_on_shared_objects(self, tmp_path):
         """Marshal version 2 writes a value the same way however many
@@ -934,7 +1006,7 @@ class TestSidecars:
             dataset, annotations = build(share)
             directory = tmp_path / str(share)
             directory.mkdir()
-            save_dataset(dataset, directory / "dataset.jsonl")
+            save_dataset(dataset.columns, directory / "dataset.jsonl")
             save_annotations(annotations, directory / "annotations.jsonl")
             names = ("dataset.jsonl.cols", "annotations.jsonl.cols")
             blobs.append([(directory / name).read_bytes() for name in names])
@@ -954,8 +1026,21 @@ class TestSidecars:
         records = [make_user("a"), make_tweet("t1", "a")]
         records[kind] = records[kind]._replace(**{field: value})
         path = tmp_path / "dataset.jsonl"
-        save_dataset(make_dataset([records[0]], [records[1]]), path)
+        save_dataset(make_dataset([records[0]], [records[1]]).columns, path)
         assert not Path(f"{path}.cols").exists()
+
+    @pytest.mark.parametrize("field", ["handles", "languages", "reply_authors"])
+    def test_columns_that_differ_in_length_are_not_written(self, tmp_path, field):
+        columns = make_dataset(
+            [make_user("a"), make_user("b")],
+            [make_tweet("t1", "a"), make_tweet("t2", "b")],
+            [make_reply("r1", "t1", "b"), make_reply("r2", "t2", "a")],
+        ).columns
+        ragged = columns._replace(**{field: getattr(columns, field)[:-1]})
+        path = tmp_path / "dataset.jsonl"
+        with pytest.raises(ValueError, match=r"^the (user|tweet|reply) columns differ in length$"):
+            save_dataset(ragged, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "domains, sentiment",

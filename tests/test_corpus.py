@@ -121,7 +121,7 @@ class TestArchiveIO:
             [make_reply("r1", "t1", "b")],
         )
         path = tmp_path / "ds.jsonl"
-        save_dataset(ds, path)
+        save_dataset(ds.columns, path)
         first = path.read_bytes()
         loaded, report = load_dataset(path)
         assert report.warning_count == 0
@@ -130,12 +130,12 @@ class TestArchiveIO:
 
     def test_meta_line_carries_capture_and_provenance(self, tmp_path):
         ds = make_dataset([make_user("a")], provenance="unit test")
-        lines = dataset_to_lines(ds)
+        lines = dataset_to_lines(ds.columns)
         meta = json.loads(lines[0])
         assert meta["kind"] == "dataset"
         assert meta["provenance"] == "unit test"
         path = tmp_path / "ds.jsonl"
-        save_dataset(ds, path)
+        save_dataset(ds.columns, path)
         loaded, _ = load_dataset(path)
         assert loaded.capture_at == ds.capture_at
         assert loaded.provenance == "unit test"
@@ -147,7 +147,7 @@ class TestArchiveIO:
         ds, report = load_dataset(path)
         assert report.malformed_lines == 1
         assert report.malformed_line_numbers == [2]
-        assert len(ds.tweets) == 1
+        assert len(ds.tweet_ids) == 1
 
     def test_fail_fast_raises_with_line_number(self, tmp_path):
         path = self._archive(tmp_path, [self._user_line("a"), '{"kind": "mystery"}'])
@@ -160,7 +160,7 @@ class TestArchiveIO:
         )
         ds, report = load_dataset(path)
         assert report.quarantined_tweets == 1
-        assert ds.tweets == ()
+        assert ds.tweet_ids == ()
 
     def test_reply_needs_parent_and_author(self, tmp_path):
         reply = json.dumps(
@@ -178,7 +178,7 @@ class TestArchiveIO:
         path = self._archive(tmp_path, [self._user_line("a"), reply])
         ds, report = load_dataset(path)
         assert report.quarantined_replies == 1
-        assert ds.replies == ()
+        assert ds.reply_ids == ()
 
     def test_max_friends_filters_users_and_their_records(self, tmp_path):
         path = self._archive(
@@ -192,7 +192,7 @@ class TestArchiveIO:
         ds, report = load_dataset(path, max_friends=1000)
         assert report.filtered_users == 1
         assert report.quarantined_tweets == 1
-        assert [u.user_id for u in ds.users] == ["a"]
+        assert ds.user_ids == ("a",)
 
     @pytest.mark.parametrize("max_friends", [0, -5])
     def test_max_friends_below_one_rejected(self, tmp_path, max_friends):
@@ -224,28 +224,27 @@ class TestCleanse:
             [make_tweet("t1", "a", language="fr"), make_tweet("t2", "a")],
             [make_reply("r1", "t1", "b"), make_reply("r2", "t2", "b")],
         )
-        cleaned, report = cleanse(ds)
-        assert [t.tweet_id for t in cleaned.tweets] == ["t2"]
-        assert [r.reply_id for r in cleaned.replies] == ["r2"]
+        cleaned, report = cleanse(ds.columns)
+        assert cleaned.tweet_ids == ("t2",)
+        assert cleaned.reply_ids == ("r2",)
         assert report.language_removed == 1
         assert report.orphan_replies_removed == 1
 
     def test_missing_language_counts_as_non_english_by_default(self):
         ds = make_dataset([make_user("a")], [make_tweet("t1", "a", language=None)])
-        cleaned, _ = cleanse(ds)
-        assert cleaned.tweets == ()
-        kept, _ = cleanse(ds, keep_missing_language=True)
-        assert len(kept.tweets) == 1
+        cleaned, _ = cleanse(ds.columns)
+        assert cleaned.tweet_ids == ()
+        kept, _ = cleanse(ds.columns, keep_missing_language=True)
+        assert kept.tweet_ids == ("t1",)
 
     def test_retweet_counts_zeroed_text_kept(self):
         ds = make_dataset(
             [make_user("a")],
             [make_tweet("t1", "a", is_retweet=True, retweets=7, favorites=3, replies=2)],
         )
-        cleaned, report = cleanse(ds)
-        t = cleaned.tweets[0]
-        assert (t.retweet_count, t.favorite_count, t.replies_count) == (0, 0, 0)
-        assert t.text == "python code software"
+        cleaned, report = cleanse(ds.columns)
+        assert (cleaned.retweets, cleaned.favorites, cleaned.tweet_replies) == ((0,), (0,), (0,))
+        assert cleaned.tweet_texts == ("python code software",)
         assert report.retweets_zeroed == 1
 
     def test_owner_replies_removed(self):
@@ -254,8 +253,8 @@ class TestCleanse:
             [make_tweet("t1", "a")],
             [make_reply("r1", "t1", "a"), make_reply("r2", "t1", "b")],
         )
-        cleaned, report = cleanse(ds)
-        assert [r.reply_id for r in cleaned.replies] == ["r2"]
+        cleaned, report = cleanse(ds.columns)
+        assert cleaned.reply_ids == ("r2",)
         assert report.owner_replies_removed == 1
 
     def test_idempotent(self):
@@ -267,7 +266,7 @@ class TestCleanse:
             ],
             [make_reply("r1", "t2", "a"), make_reply("r2", "t2", "b")],
         )
-        once, _ = cleanse(ds)
+        once, _ = cleanse(ds.columns)
         twice, report = cleanse(once)
         assert twice == once
         assert report.language_removed == 0
@@ -418,10 +417,10 @@ class TestSynthesize:
     def test_round_trips_through_archive_io(self, tmp_path):
         dataset, _ = synthesize(SynthConfig(n_users=12), seed=2)
         path = tmp_path / "synth.jsonl"
-        save_dataset(dataset, path)
+        save_dataset(dataset.columns, path)
         loaded, report = load_dataset(path)
         assert report.warning_count == 0
-        assert loaded == dataset
+        assert loaded == dataset.columns
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -530,7 +529,7 @@ def _silent(level: EngagementLevel) -> EngagementLevel:
     return replace(level, tweets_per_period=(0, 0))
 
 
-# sha256 of "\n".join(dataset_to_lines(synthesize(config, seed=7))).  The
+# sha256 of "\n".join(dataset_to_lines(synthesize(config, seed=7)[0].columns)).  The
 # generator's draw order is its contract: a change that moves these digests
 # moves every synthetic archive and must say so.
 GOLDEN_STREAM = {
@@ -572,5 +571,5 @@ class TestSynthStream:
     def test_golden_digest(self, name):
         config, digest = GOLDEN_STREAM[name]
         dataset, _ = synthesize(config, seed=7)
-        lines = "\n".join(dataset_to_lines(dataset)).encode("utf-8")
+        lines = "\n".join(dataset_to_lines(dataset.columns)).encode("utf-8")
         assert hashlib.sha256(lines).hexdigest() == digest

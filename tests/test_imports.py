@@ -99,7 +99,7 @@ def test_corpus_commands_load_no_numpy(tmp_path, command):
         [make_user("a"), make_user("b")], [make_tweet("t1", "a")], [make_reply("r1", "t1", "b")]
     )
     path = tmp_path / "dataset.jsonl"
-    save_dataset(dataset, path)
+    save_dataset(dataset.columns, path)
     # features reads the annotations that annotate writes beside the dataset
     steps = []
     if command == "features":
@@ -135,11 +135,17 @@ def test_traced_stage_still_runs(tmp_path):
     dataset = make_dataset(
         [make_user("a"), make_user("b")], [make_tweet("t1", "a")], [make_reply("r1", "t1", "b")]
     )
-    save_dataset(dataset, tmp_path / "archive.jsonl")
+    save_dataset(dataset.columns, tmp_path / "archive.jsonl")
     counts = _traced_counts(
         tmp_path, "ingest", str(tmp_path / "archive.jsonl"), "--output-dir", str(tmp_path / "out")
     )
     assert counts["archive.load_dataset_calls"] == 1
+    out = tmp_path / "out"
+    counts = _traced_counts(
+        tmp_path, "annotate", str(out / "dataset.jsonl"), "--output-dir", str(out)
+    )
+    assert counts["archive.load_dataset_calls"] == 1
+    assert counts["annotate.annotate_dataset_calls"] == 1
 
 
 def test_traced_features_times_the_matrix_work(tmp_path):
@@ -149,12 +155,11 @@ def test_traced_features_times_the_matrix_work(tmp_path):
         [make_user("a"), make_user("b")], [make_tweet("t1", "a")], [make_reply("r1", "t1", "b")]
     )
     path = tmp_path / "dataset.jsonl"
-    save_dataset(dataset, path)
+    save_dataset(dataset.columns, path)
     assert main(["annotate", str(path), "--output-dir", str(tmp_path)]) == 0
     counts = _traced_counts(tmp_path, "features", str(path), "--output-dir", str(tmp_path / "out"))
     assert counts["features.assemble_matrix_calls"] == 1
     assert counts["features.save_matrix_calls"] == 1
     assert counts["features.accumulate_domain_features_calls"] == 1
     assert counts["features.relativeness_weights_calls"] == 1  # once per distinct domain list
-    # the stage reads the dataset as columns, not through load_dataset
-    assert "archive.load_dataset_calls" not in counts
+    assert counts["archive.load_dataset_calls"] == 1

@@ -186,7 +186,7 @@ class TestDatasetInvariants:
     @settings(max_examples=25, deadline=None)
     def test_cleanse_is_idempotent(self, seed):
         dataset, _, _ = random_micro_dataset(np.random.default_rng(seed))
-        once, _ = cleanse(dataset)
+        once, _ = cleanse(dataset.columns)
         twice, report = cleanse(once)
         assert dataset_to_lines(twice) == dataset_to_lines(once)
         assert report.language_removed == 0
@@ -202,10 +202,10 @@ class TestDatasetInvariants:
     def test_archive_round_trip_is_lossless(self, seed, tmp_path):
         dataset, _, _ = random_micro_dataset(np.random.default_rng(seed))
         path = tmp_path / "round_trip.jsonl"
-        save_dataset(dataset, path)
+        save_dataset(dataset.columns, path)
         loaded, report = load_dataset(path)
         assert report.malformed_lines == 0
-        assert dataset_to_lines(loaded) == dataset_to_lines(dataset)
+        assert dataset_to_lines(loaded) == dataset_to_lines(dataset.columns)
 
 
 FAST_HYPERS = {
