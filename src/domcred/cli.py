@@ -21,14 +21,6 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .annotate import (
-    AnnotatorError,
-    LexiconAnnotator,
-    RemoteAnnotator,
-    annotate_dataset,
-    load_annotation_columns,
-    save_annotations,
-)
 from .corpus.archive import (
     ArchiveFormatError,
     json_value,
@@ -39,13 +31,12 @@ from .corpus.archive import (
     save_labels,
     write_json,
 )
-from .corpus.cleanse import cleanse
 from .corpus.periods import GRANULARITIES, PeriodSpec, partition_periods
 from .corpus.types import format_timestamp, parse_timestamp
-from .lexicon import load_domain_lexicon, load_sentiment_lexicon
 
 # synth, evaluate, learn and verify load numpy: each command that needs them
-# imports them itself, so `ingest`, `annotate` and `features` never pay for it
+# imports them itself, so `ingest`, `annotate` and `features` never pay for
+# it; annotate, lexicon and cleanse are imported by the commands that run them
 if TYPE_CHECKING:
     from .learn.base import ModelSpec
 
@@ -114,6 +105,9 @@ def _add_global_options(parser: argparse.ArgumentParser, root: bool = False) -> 
 
 
 def _build_annotator(args, config: dict):
+    from .annotate import LexiconAnnotator, RemoteAnnotator
+    from .lexicon import load_domain_lexicon, load_sentiment_lexicon
+
     section = _section(config.get("annotator", {}), "annotator", _ANNOTATOR_KEYS)
     kind = _resolve(args, section, "kind", "lexicon", str)
     if kind == "remote":
@@ -140,6 +134,8 @@ def _build_annotator(args, config: dict):
 
 
 def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
+    from .corpus.cleanse import cleanse
+
     if args.max_friends is not None and args.max_friends < 1:
         raise ValueError(f"--max-friends must be at least 1, got {args.max_friends}")
     capture = parse_timestamp(args.capture_at) if args.capture_at else None
@@ -188,6 +184,8 @@ def _load_canonical(path: str):
 
 
 def cmd_annotate(args, config, out_dir: Path, seed: int) -> int:
+    from .annotate import annotate_dataset, save_annotations
+
     columns = _load_canonical(args.dataset)
     annotator = _build_annotator(args, config)
     annotations, report = annotate_dataset(columns, annotator, fail_fast=args.fail_fast)
@@ -235,6 +233,8 @@ def _render_period_report(domain: str, slices, cells, top_k: int) -> str:
 def _read_annotations(dataset_path: str, columns):
     """The annotations `annotate` wrote beside the dataset, checked id for id
     against its columns."""
+    from .annotate import load_annotation_columns
+
     path = Path(dataset_path).parent / "annotations.jsonl"
     if not path.is_file():
         raise ValueError(
@@ -423,17 +423,17 @@ def cmd_synth(args, config, out_dir: Path, seed: int) -> int:
             kwargs[level] = _overlay_level(base, level, section[level])
     synth_config = SynthConfig(**kwargs)
 
-    dataset, labels = synthesize(synth_config, seed)
+    columns, labels = synthesize(synth_config, seed)
     archive_path = out_dir / "synth_archive.jsonl"
     labels_path = out_dir / "synth_labels.json"
-    save_dataset(dataset.columns, archive_path)
+    save_dataset(columns, archive_path)
     save_labels(labels, labels_path)
     n_influencers = sum(1 for v in labels.labels.values() if v == "Influencer")
     print(f"wrote {archive_path}")
     print(f"wrote {labels_path}")
     print(
-        f"{len(dataset.users)} users ({n_influencers} influencers), "
-        f"{len(dataset.tweets)} tweets, {len(dataset.replies)} replies"
+        f"{len(columns.user_ids)} users ({n_influencers} influencers), "
+        f"{len(columns.tweet_ids)} tweets, {len(columns.reply_ids)} replies"
     )
     return 0
 
@@ -561,7 +561,7 @@ def main(argv=None) -> int:
         out_dir = Path(_resolve(args, config, "output_dir", _GLOBAL_DEFAULTS["output_dir"], str))
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args, config, out_dir, seed=seed)
-    except (ValueError, OSError, AnnotatorError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import islice
 from json.encoder import encode_basestring
-from operator import lt
 from pathlib import Path
 
 from .types import (
@@ -29,8 +28,9 @@ from .types import (
     TweetRecord,
     UserProfile,
     format_timestamp,
+    format_timestamps,
+    in_id_order,
     parse_timestamp,
-    sorted_by_id,
 )
 
 KINDS = ("user", "tweet", "reply", "dataset")
@@ -38,7 +38,7 @@ KINDS = ("user", "tweet", "reply", "dataset")
 # One template per line kind: the line json.dumps(record, sort_keys=True,
 # separators=(",", ":"), ensure_ascii=False) writes.  Strings are filled in
 # through encode_basestring, the quoting function of that encoder, and
-# timestamps, which are ASCII digits and punctuation, through format_timestamp.
+# timestamps, which are ASCII digits and punctuation, through format_timestamps.
 _META_LINE = '{"capture_at":"%s","kind":"dataset","provenance":%s}'
 _USER_LINE = (
     '{"body":{"created_at":"%s","followers_count":%d,"friends_count":%d,"handle":%s,'
@@ -314,25 +314,16 @@ def load_dataset(
     report.quarantined_replies = len(parents) - len(replies_at)
 
     users, tweets, replies = (
-        _in_id_order(kind[0], columns, at)
+        in_id_order(kind[0], columns, at)
         for kind, columns, at in zip(_RECORD_KINDS, kinds, (alive, tweets_at, replies_at))
     )
     return DatasetColumns(*users, *tweets, *replies, capture_at, provenance), report
 
 
-def _in_id_order(kind: str, columns: list, at: list[int]) -> list[tuple]:
-    """A kind's columns at the positions ``at`` (ascending), in id order."""
-    ids = columns[0]
-    if len(at) == len(ids) and all(map(lt, ids, islice(ids, 1, None))):
-        return list(map(tuple, columns))  # every record, already in id order
-    order = sorted_by_id(kind, at, ids.__getitem__)
-    return [tuple(map(column.__getitem__, order)) for column in columns]
-
-
 def _archive_payload(columns: DatasetColumns) -> tuple:
     """The sidecar payload of the dataset's lines: the capture timestamp and
     the provenance, then each record kind's columns in field order and id
-    order, each timestamp as format_timestamp writes it; ValueError when a
+    order, each timestamp as format_timestamps writes it; ValueError when a
     kind's columns differ in length, which would write a record short."""
     payload = [format_timestamp(columns.capture_at), columns.provenance]
     for (name, record_class, stamp, _), kind in zip(_RECORD_KINDS, columns.kinds()):
@@ -340,7 +331,7 @@ def _archive_payload(columns: DatasetColumns) -> tuple:
             raise ValueError(f"the {name} columns differ in length")
         kind = list(map(tuple, kind))
         at = record_class._fields.index(stamp)
-        kind[at] = tuple(map(format_timestamp, kind[at]))
+        kind[at] = tuple(format_timestamps(kind[at]))
         payload.append(tuple(kind))
     return tuple(payload)
 

@@ -5,6 +5,10 @@ produce byte-identical archives.  Influencers get systematically heavier
 engagement, more followers, and more positive replies than ordinary users,
 so the planted labels are recoverable from the engineered features.
 
+The dataset is returned as a ``DatasetColumns`` built straight from the
+draws, each kind put in id order; the records and ``Dataset`` remain for
+``verify`` and the tests.
+
 Stream contract: the archive bytes are a function of (config, seed, numpy's
 ``Generator`` algorithms).  Every record is built from one ``default_rng``
 stream, consumed as a fixed sequence of sized draws, one per field per
@@ -44,11 +48,9 @@ from ..lexicon import builtin_domain_lexicon, builtin_sentiment_lexicon
 from .types import (
     INFLUENCER,
     NON_INFLUENCER,
-    Dataset,
+    DatasetColumns,
     GroundTruthLabels,
-    ReplyRecord,
-    TweetRecord,
-    UserProfile,
+    in_id_order,
     parse_timestamp,
 )
 
@@ -228,8 +230,8 @@ def _texts(rng, parts, vocab) -> list[str]:
     return "".join(spelled[picks[order] + ending].tolist()).split("\n")[:-1]
 
 
-def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabels]:
-    """Generate (dataset, labels); deterministic in (config, seed)."""
+def synthesize(config: SynthConfig, seed: int) -> tuple[DatasetColumns, GroundTruthLabels]:
+    """Generate (the dataset's columns, labels); deterministic in (config, seed)."""
     lexicon = builtin_domain_lexicon()
     domains = config.domains or lexicon.domains
     unknown = sorted(set(domains) - set(lexicon.domains))
@@ -342,69 +344,41 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[Dataset, GroundTruthLabe
     )
 
     user_ids = [f"u{i:05d}" for i in range(n_users)]
-    users = [
-        UserProfile(
-            user_id=user_id,
-            handle=f"user{user_id[1:]}",
-            followers_count=n_followers,
-            friends_count=n_friends,
-            created_at=start - timedelta(days=age),
-        )
-        for user_id, age, n_followers, n_friends in zip(
-            user_ids, ages.tolist(), followers.tolist(), friends.tolist()
-        )
-    ]
     labels = {
         user_id: INFLUENCER if flag else NON_INFLUENCER
         for user_id, flag in zip(user_ids, is_influencer.tolist())
     }
-    tweet_ids = [f"t{i:05d}-{k:04d}" for i, k in zip(author.tolist(), seq.tolist())]
-    tweets = [
-        TweetRecord(
-            tweet_id=tweet_id,
-            author_id=user_ids[i],
-            posted_at=start + timedelta(seconds=at),
-            text=text,
-            retweet_count=n_retweets,
-            favorite_count=n_favorites,
-            replies_count=n,
-            is_retweet=retweet,
-            language="es" if spanish else "en",
-        )
-        for tweet_id, i, at, text, n_retweets, n_favorites, n, retweet, spanish in zip(
-            tweet_ids,
-            author.tolist(),
-            posted.tolist(),
-            tweet_texts,
-            retweets.tolist(),
-            favorites.tolist(),
-            replies_of.tolist(),
-            is_retweet.tolist(),
-            is_spanish.tolist(),
-        )
-    ]
-    replies = [
-        ReplyRecord(
-            reply_id=f"r{tweet_ids[p][1:]}-{k:03d}",
-            parent_tweet_id=tweet_ids[p],
-            author_id=user_ids[a],
-            posted_at=start + timedelta(seconds=at),
-            text=text,
-        )
-        for p, k, a, at, text in zip(
-            parent.tolist(),
-            reply_seq.tolist(),
-            reply_author.tolist(),
-            reply_posted.tolist(),
-            reply_texts,
-        )
-    ]
-
-    dataset = Dataset(
-        users=tuple(users),
-        tweets=tuple(tweets),
-        replies=tuple(replies),
-        capture_at=capture_at,
-        provenance=f"synthetic seed={seed}",
+    users = (
+        user_ids,
+        [f"user{user_id[1:]}" for user_id in user_ids],
+        followers.tolist(),
+        friends.tolist(),
+        [start - timedelta(days=age) for age in ages.tolist()],
     )
-    return dataset, GroundTruthLabels(domain=target, labels=labels)
+    authors = author.tolist()
+    tweet_ids = [f"t{i:05d}-{k:04d}" for i, k in zip(authors, seq.tolist())]
+    tweets = (
+        tweet_ids,
+        list(map(user_ids.__getitem__, authors)),
+        [start + timedelta(seconds=at) for at in posted.tolist()],
+        tweet_texts,
+        retweets.tolist(),
+        favorites.tolist(),
+        replies_of.tolist(),
+        is_retweet.tolist(),
+        ["es" if spanish else "en" for spanish in is_spanish.tolist()],
+    )
+    parent_ids = list(map(tweet_ids.__getitem__, parent.tolist()))
+    replies = (
+        [f"r{p[1:]}-{k:03d}" for p, k in zip(parent_ids, reply_seq.tolist())],
+        parent_ids,
+        list(map(user_ids.__getitem__, reply_author.tolist())),
+        [start + timedelta(seconds=at) for at in reply_posted.tolist()],
+        reply_texts,
+    )
+    users, tweets, replies = (
+        in_id_order(kind, drawn, range(len(drawn[0])))
+        for kind, drawn in (("user", users), ("tweet", tweets), ("reply", replies))
+    )
+    columns = DatasetColumns(*users, *tweets, *replies, capture_at, f"synthetic seed={seed}")
+    return columns, GroundTruthLabels(domain=target, labels=labels)

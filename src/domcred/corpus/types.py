@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 INFLUENCER = "Influencer"
@@ -27,13 +28,38 @@ def parse_timestamp(value: str) -> datetime:
         raise ValueError(f"timestamp {value!r} falls outside years 1-9999 in UTC") from exc
 
 
-def format_timestamp(dt: datetime) -> str:
-    """Canonical RFC 3339 rendering in UTC with a Z suffix.
+def format_timestamps(stamps) -> list[str]:
+    """Canonical RFC 3339 rendering of each aware datetime, in UTC with a Z
+    suffix; ValueError for a naive one, whose instant depends on the machine.
 
     The year always has four digits; microseconds appear only when nonzero.
+    Each UTC day's date text is built once.
     """
-    # isoformat() of a UTC datetime ends in "+00:00"
-    return dt.astimezone(timezone.utc).isoformat()[:-6] + "Z"
+    utc = timezone.utc
+    days: dict[int, str] = {}
+    texts = []
+    append = texts.append
+    for dt in stamps:
+        if dt.tzinfo is not utc:
+            if dt.utcoffset() is None:
+                raise ValueError(f"timestamp {dt!r} has no timezone; UTC offset required")
+            dt = dt.astimezone(utc)
+        ordinal = dt.toordinal()
+        day = days.get(ordinal)
+        if day is None:
+            day = days[ordinal] = "%04d-%02d-%02dT" % (dt.year, dt.month, dt.day)
+        if dt.microsecond:
+            append(
+                "%s%02d:%02d:%02d.%06dZ" % (day, dt.hour, dt.minute, dt.second, dt.microsecond)
+            )
+        else:
+            append("%s%02d:%02d:%02dZ" % (day, dt.hour, dt.minute, dt.second))
+    return texts
+
+
+def format_timestamp(dt: datetime) -> str:
+    """``format_timestamps`` of one datetime."""
+    return format_timestamps((dt,))[0]
 
 
 class UserProfile(NamedTuple):
@@ -73,6 +99,16 @@ def sorted_by_id(kind: str, items, key) -> list:
         repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
         raise ValueError(f"duplicate {kind}_id {repeated!r}")
     return ordered
+
+
+def in_id_order(kind: str, columns, at) -> list[tuple]:
+    """A kind's columns, the first holding the ids, at the positions ``at``
+    (ascending) and in id order; ValueError naming the first id that repeats."""
+    ids = columns[0]
+    if len(at) == len(ids) and all(map(lt, ids, islice(ids, 1, None))):
+        return list(map(tuple, columns))  # every record, already in id order
+    order = sorted_by_id(kind, at, ids.__getitem__)
+    return [tuple(map(column.__getitem__, order)) for column in columns]
 
 
 class DatasetColumns(NamedTuple):

@@ -288,8 +288,8 @@ def test_criterion_06_feature_pipeline_equals_brute_force():
 
 def _synthetic_matrix(n_users: int, seed: int) -> FeatureMatrix:
     config = SynthConfig(n_users=n_users, domains=(TECH,))
-    dataset, labels = synthesize(config, seed)
-    clean, _ = cleanse(dataset.columns)
+    columns, labels = synthesize(config, seed)
+    clean, _ = cleanse(columns)
     annotations, _ = annotate_dataset(clean, LexiconAnnotator())
     cells = accumulate_domain_features(clean, annotations)
     global_features = compute_global_features(clean)

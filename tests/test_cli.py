@@ -291,11 +291,12 @@ class TestIngest:
 
     def test_reads_columns_and_builds_no_record(self, pipeline, tmp_path, monkeypatch):
         built = _count_records(monkeypatch)
+        assert main(["synth", "--n-users", "5", "--output-dir", str(tmp_path / "synth")]) == 0
         assert main(["ingest", str(pipeline["archive"]), "--output-dir", str(tmp_path)]) == 0
         assert built == NO_RECORDS
         assert (tmp_path / "dataset.jsonl").read_bytes() == pipeline["dataset"].read_bytes()
-        # the counters see the records synth builds
-        assert main(["synth", "--n-users", "5", "--output-dir", str(tmp_path / "synth")]) == 0
+        # the counters see records and a Dataset built here
+        dataset_of(load_dataset(pipeline["dataset"])[0])
         assert all(built.values()), built
 
     def test_malformed_line_skipped_and_counted(self, pipeline, tmp_path, capsys):
@@ -614,6 +615,9 @@ class TestCorpusDigests:
         # the Python version
         "dataset.jsonl.cols": "41c9f231969045a76d53abdc91613722249a30eece8a3f3a348e6282fc496458",
         "annotations.jsonl.cols": "343e0b989238a9bc6b3e8910a8da7a92d0b36bb9c318fce7093c90364d27c671",
+        # synth's own sidecar: a column of numpy scalars, which marshal refuses,
+        # would leave none, and a list in the payload would give other bytes
+        "synth_archive.jsonl.cols": "33acf80e4ce0ccc96be5946f73a7f0a322a8d99f8b93926ec86acbab60dc7c41",
     }
 
     def test_outputs_are_pinned(self, tmp_path):
@@ -909,10 +913,11 @@ class TestFeatures:
             "relativeness_weights",
             counted("weights", domcred.features.relativeness_weights),
         )
-        for module in (domcred.cli, domcred.annotate):
-            monkeypatch.setattr(
-                module, "annotate_dataset", counted("annotate", module.annotate_dataset)
-            )
+        monkeypatch.setattr(
+            domcred.annotate,
+            "annotate_dataset",
+            counted("annotate", domcred.annotate.annotate_dataset),
+        )
         built = _count_records(monkeypatch)
         rc = main(
             ["features", str(dataset), "--domain", TECH,

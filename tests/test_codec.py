@@ -31,6 +31,7 @@ from domcred.corpus.types import (
     TweetRecord,
     UserProfile,
     format_timestamp,
+    format_timestamps,
     parse_timestamp,
 )
 
@@ -66,11 +67,28 @@ def stamps(first_year, last_year):
 
 
 class TestTimestamps:
-    @given(stamp=stamps(1, 9999))
-    def test_format_then_parse_is_identity(self, stamp):
-        text = format_timestamp(stamp)
-        assert CANONICAL.match(text), text
-        assert parse_timestamp(text) == stamp
+    @given(drawn=st.lists(stamps(1, 9999), max_size=6))
+    def test_format_then_parse_is_identity(self, drawn):
+        # each stamp also at microsecond 0 and 1, on the same UTC day
+        batch = [s for d in drawn for s in (d, d.replace(microsecond=0), d.replace(microsecond=1))]
+        texts = format_timestamps(batch)
+        assert texts == [s.astimezone(timezone.utc).isoformat()[:-6] + "Z" for s in batch]
+        assert texts == list(map(format_timestamp, batch))
+        for stamp, text in zip(batch, texts):
+            assert CANONICAL.match(text), text
+            assert parse_timestamp(text) == stamp
+
+    def test_naive_stamp_is_a_value_error(self, tmp_path):
+        # astimezone would read a naive stamp as the machine's local time
+        naive = datetime(2024, 1, 1)
+        with pytest.raises(ValueError, match="has no timezone"):
+            format_timestamp(naive)
+        with pytest.raises(ValueError, match="has no timezone"):
+            format_timestamps([datetime(2024, 1, 1, tzinfo=UTC), naive])
+        dataset = make_dataset([make_user("u")], [make_tweet("t", "u", posted=naive)])
+        with pytest.raises(ValueError, match="has no timezone"):
+            save_dataset(dataset.columns, tmp_path / "dataset.jsonl")
+        assert not (tmp_path / "dataset.jsonl").exists()
 
     def test_year_below_1000_is_zero_padded(self):
         stamp = datetime(999, 6, 1, tzinfo=UTC)

@@ -398,29 +398,27 @@ class TestSynthesize:
         assert sum(1 for v in tiny.labels.values() if v == "Influencer") == 1
 
     def test_labels_cover_every_user(self):
-        dataset, labels = synthesize(SynthConfig(n_users=20), seed=5)
-        labels.validate_against(dataset.columns)
-        assert set(labels.labels) == {u.user_id for u in dataset.users}
+        columns, labels = synthesize(SynthConfig(n_users=20), seed=5)
+        labels.validate_against(columns)
+        assert set(labels.labels) == set(columns.user_ids)
 
     def test_capture_is_after_every_record(self):
-        dataset, _ = synthesize(SynthConfig(n_users=15), seed=9)
-        last = max(
-            [t.posted_at for t in dataset.tweets] + [r.posted_at for r in dataset.replies]
-        )
-        assert last < dataset.capture_at
-        assert dataset.provenance == "synthetic seed=9"
+        columns, _ = synthesize(SynthConfig(n_users=15), seed=9)
+        last = max(columns.tweet_posted + columns.reply_posted)
+        assert last < columns.capture_at
+        assert columns.provenance == "synthetic seed=9"
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ValueError, match="not in the built-in lexicon"):
             synthesize(SynthConfig(domains=("Astrology",)), seed=1)
 
     def test_round_trips_through_archive_io(self, tmp_path):
-        dataset, _ = synthesize(SynthConfig(n_users=12), seed=2)
+        columns, _ = synthesize(SynthConfig(n_users=12), seed=2)
         path = tmp_path / "synth.jsonl"
-        save_dataset(dataset.columns, path)
+        save_dataset(columns, path)
         loaded, report = load_dataset(path)
         assert report.warning_count == 0
-        assert loaded == dataset.columns
+        assert loaded == columns
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -464,47 +462,52 @@ class TestSynthesize:
     @pytest.mark.parametrize("seed", [1, 7, 13])
     def test_record_invariants(self, seed):
         config = SynthConfig(n_users=60)
-        dataset, labels = synthesize(config, seed)
+        columns, labels = synthesize(config, seed)
         start = parse_timestamp(config.start)
-        tweets_of = {u.user_id: 0 for u in dataset.users}
-        for t in dataset.tweets:
-            tweets_of[t.author_id] += 1
-            assert start <= t.posted_at < dataset.capture_at
-            assert t.language in ("en", "es")
+        tweets_of = dict.fromkeys(columns.user_ids, 0)
+        for author, posted, language in zip(
+            columns.tweet_authors, columns.tweet_posted, columns.languages
+        ):
+            tweets_of[author] += 1
+            assert start <= posted < columns.capture_at
+            assert language in ("en", "es")
         for user_id, n in tweets_of.items():
             level = config.influencer if labels.labels[user_id] == "Influencer" else config.ordinary
             lo, hi = level.tweets_per_period
             assert config.n_periods * lo <= n <= config.n_periods * hi
 
-        by_id = {t.tweet_id: t for t in dataset.tweets}
-        reply_ids = {t.tweet_id: [] for t in dataset.tweets}
-        for r in dataset.replies:
-            reply_ids[r.parent_tweet_id].append(r.reply_id)
-            assert r.author_id != by_id[r.parent_tweet_id].author_id
-            assert by_id[r.parent_tweet_id].posted_at <= r.posted_at <= dataset.capture_at
+        tweet_at = {tweet_id: i for i, tweet_id in enumerate(columns.tweet_ids)}
+        reply_ids = {tweet_id: [] for tweet_id in columns.tweet_ids}
+        for reply_id, parent, author, posted in zip(
+            columns.reply_ids, columns.reply_parents, columns.reply_authors, columns.reply_posted
+        ):
+            reply_ids[parent].append(reply_id)
+            i = tweet_at[parent]
+            assert author != columns.tweet_authors[i]
+            assert columns.tweet_posted[i] <= posted <= columns.capture_at
         for tweet_id, ids in reply_ids.items():
-            assert by_id[tweet_id].replies_count == len(ids)
+            assert columns.tweet_replies[tweet_at[tweet_id]] == len(ids)
             assert sorted(ids) == [f"r{tweet_id[1:]}-{k:03d}" for k in range(len(ids))]
 
     def test_edge_configs_behave_as_named(self):
         two, labels = synthesize(GOLDEN_STREAM["two_users"][0], seed=7)
-        labels.validate_against(two.columns)
-        assert len(two.users) == 2 and two.tweets
+        labels.validate_against(two)
+        assert len(two.user_ids) == 2 and two.tweet_ids
 
         silent, _ = synthesize(GOLDEN_STREAM["no_tweets"][0], seed=7)
-        assert len(silent.users) == 40
-        assert silent.tweets == () and silent.replies == ()
+        assert len(silent.user_ids) == 40
+        assert silent.kinds()[1:] == (((),) * 9, ((),) * 5)
 
         loud, _ = synthesize(GOLDEN_STREAM["rates_one"][0], seed=7)
-        assert loud.tweets
-        assert all(t.language == "es" and t.is_retweet for t in loud.tweets)
+        assert loud.tweet_ids
+        assert set(loud.languages) == {"es"} and all(loud.is_retweet)
 
         config = GOLDEN_STREAM["one_domain"][0]
         single, _ = synthesize(config, seed=7)
         allowed = builtin_domain_lexicon().terms["Sports"] | set(_FILLERS)
-        assert single.tweets
-        for t in single.tweets:
-            assert set(t.text.split()) <= allowed, t.text
+        assert single.tweet_texts
+        for text in single.tweet_texts:
+            assert set(text.split()) <= allowed, text
 
     def test_mean_record_counts_match_the_levels(self):
         config = SynthConfig(n_users=2000)
@@ -518,9 +521,9 @@ class TestSynthesize:
         seeds = range(101, 109)
         got_tweets = got_replies = 0
         for seed in seeds:
-            dataset, _ = synthesize(config, seed)
-            got_tweets += len(dataset.tweets)
-            got_replies += len(dataset.replies)
+            columns, _ = synthesize(config, seed)
+            got_tweets += len(columns.tweet_ids)
+            got_replies += len(columns.reply_ids)
         assert got_tweets / len(seeds) == pytest.approx(want_tweets, rel=0.01)
         assert got_replies / len(seeds) == pytest.approx(want_replies, rel=0.01)
 
@@ -529,7 +532,11 @@ def _silent(level: EngagementLevel) -> EngagementLevel:
     return replace(level, tweets_per_period=(0, 0))
 
 
-# sha256 of "\n".join(dataset_to_lines(synthesize(config, seed=7)[0].columns)).  The
+def _steady(level: EngagementLevel) -> EngagementLevel:
+    return replace(level, tweets_per_period=(9, 9), replies_mean=0.0)
+
+
+# sha256 of "\n".join(dataset_to_lines(synthesize(config, seed=7)[0])).  The
 # generator's draw order is its contract: a change that moves these digests
 # moves every synthetic archive and must say so.
 GOLDEN_STREAM = {
@@ -563,6 +570,18 @@ GOLDEN_STREAM = {
         ),
         "706ee069dad4f675760af30f8d76950ee67519eaebf3b56733c9e310e407ecfa",
     ),
+    # 10,800 tweets per user: "t00000-10000" sorts before "t00000-9999", so
+    # the order of generation is not id order
+    "long_timelines": (
+        SynthConfig(
+            n_users=2,
+            n_periods=1200,
+            period_days=1,
+            influencer=_steady(INFLUENCER_LEVEL),
+            ordinary=_steady(ORDINARY_LEVEL),
+        ),
+        "5063b71a550986a4ca5f013026f48a990e555e49a162186c0934002a5cfbbc69",
+    ),
 }
 
 
@@ -570,6 +589,12 @@ class TestSynthStream:
     @pytest.mark.parametrize("name", sorted(GOLDEN_STREAM))
     def test_golden_digest(self, name):
         config, digest = GOLDEN_STREAM[name]
-        dataset, _ = synthesize(config, seed=7)
-        lines = "\n".join(dataset_to_lines(dataset.columns)).encode("utf-8")
+        columns, _ = synthesize(config, seed=7)
+        lines = "\n".join(dataset_to_lines(columns)).encode("utf-8")
         assert hashlib.sha256(lines).hexdigest() == digest
+
+    def test_ids_past_four_digits_are_in_id_order(self):
+        columns, _ = synthesize(GOLDEN_STREAM["long_timelines"][0], seed=7)
+        ids = columns.tweet_ids
+        assert len(ids) == 21600 and "t00000-10000" in ids
+        assert all(a < b for a, b in zip(ids, ids[1:]))

@@ -465,11 +465,11 @@ class TestMatrixIO:
     def test_assembled_matrix_round_trips(self, tmp_path):
         # the pipeline's own matrix: what benchmark reads back from the file
         # is what assemble_matrix built, down to the report
-        dataset, labels = synthesize(SynthConfig(n_users=60, domains=(TECH,)), seed=3)
-        annotations, _ = annotate_dataset(dataset.columns, LexiconAnnotator())
-        cells = accumulate_domain_features(dataset.columns, annotations)
+        columns, labels = synthesize(SynthConfig(n_users=60, domains=(TECH,)), seed=3)
+        annotations, _ = annotate_dataset(columns, LexiconAnnotator())
+        cells = accumulate_domain_features(columns, annotations)
         matrix = assemble_matrix(
-            TECH, POOLED, cells, compute_global_features(dataset.columns), labels=labels
+            TECH, POOLED, cells, compute_global_features(columns), labels=labels
         )
         path = tmp_path / "features.csv"
         save_matrix(matrix, path)

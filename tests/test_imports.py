@@ -55,6 +55,16 @@ def test_importing_the_cli_loads_no_hashlib():
     assert _python("import sys, domcred.cli; print('_hashlib' in sys.modules)") == "False\n"
 
 
+def test_importing_the_cli_loads_no_stage_module():
+    """Each command imports the annotator, the lexicons and the cleanser
+    when it runs them, so `synth` and `ingest` never compile them."""
+    code = """
+        import sys, domcred.cli
+        print(sorted({"domcred.annotate", "domcred.lexicon", "domcred.corpus.cleanse"} & set(sys.modules)))
+        """
+    assert _python(code) == "[]\n"
+
+
 @pytest.mark.parametrize("blas_threads, expected", [(None, "1"), ("2", "2")])
 def test_cli_runs_blas_single_threaded_unless_told_otherwise(blas_threads, expected):
     out = _python(
