@@ -22,11 +22,9 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from .types import (
+    KIND_LAYOUTS,
     DatasetColumns,
     GroundTruthLabels,
-    ReplyRecord,
-    TweetRecord,
-    UserProfile,
     format_timestamp,
     format_timestamps,
     in_id_order,
@@ -116,8 +114,8 @@ def _field(body: dict, key: str, kind: type, default=_REQUIRED):
     return json_value(value, kind, key)
 
 
-# a JSON body's row: its record's fields in field order, with every count
-# checked, since a record does not check itself
+# a JSON body's row: its kind's fields in DatasetColumns order, with every
+# count checked, since the columns do not check themselves
 def _user_from_body(body: dict) -> tuple:
     user_id = _field(body, "user_id", str)
     handle = _field(body, "handle", str, user_id)
@@ -160,13 +158,8 @@ def _reply_from_body(body: dict) -> tuple:
     )
 
 
-# per record kind: its record class, the field that holds its timestamp, and
-# the row read from any JSON body
-_RECORD_KINDS = (
-    ("user", UserProfile, "created_at", _user_from_body),
-    ("tweet", TweetRecord, "posted_at", _tweet_from_body),
-    ("reply", ReplyRecord, "posted_at", _reply_from_body),
-)
+# per record kind, by name: the row read from any JSON body
+_RECORD_KINDS = {"user": _user_from_body, "tweet": _tweet_from_body, "reply": _reply_from_body}
 
 
 def _kinds_from_payload(payload) -> tuple[list, datetime, str]:
@@ -175,12 +168,11 @@ def _kinds_from_payload(payload) -> tuple[list, datetime, str]:
     utc = datetime.fromisoformat
     capture, provenance, *kinds = payload
     read = []
-    for (_, record_class, stamp, _), columns in zip(_RECORD_KINDS, kinds, strict=True):
-        if len(columns) != len(record_class._fields) or len(set(map(len, columns))) > 1:
+    for layout, columns in zip(KIND_LAYOUTS, kinds, strict=True):
+        if len(columns) != layout.width or len(set(map(len, columns))) > 1:
             raise ValueError("a kind's columns differ in number or length")
         columns = list(columns)
-        at = record_class._fields.index(stamp)
-        columns[at] = [utc(s[:-1] + "+00:00") for s in columns[at]]
+        columns[layout.stamp] = [utc(s[:-1] + "+00:00") for s in columns[layout.stamp]]
         read.append(columns)
     return read, utc(capture[:-1] + "+00:00"), provenance
 
@@ -202,7 +194,7 @@ def _read_records(
         return cached
     rows: dict[str, list] = {}
     from_body = {
-        kind: (build, rows.setdefault(kind, []).append) for kind, _, _, build in _RECORD_KINDS
+        kind: (build, rows.setdefault(kind, []).append) for kind, build in _RECORD_KINDS.items()
     }
     meta_seen = False  # apart from meta_capture: a meta line may omit capture_at
     meta_capture: datetime | None = None
@@ -246,10 +238,7 @@ def _read_records(
                     raise ArchiveFormatError(line_no, str(exc)) from exc
                 report.malformed_lines += 1
                 report.malformed_line_numbers.append(line_no)
-    kinds = [
-        list(zip(*rows[kind])) or [()] * len(record_class._fields)
-        for kind, record_class, _, _ in _RECORD_KINDS
-    ]
+    kinds = [list(zip(*rows[layout.name])) or [()] * layout.width for layout in KIND_LAYOUTS]
     return kinds, meta_capture, provenance
 
 
@@ -314,8 +303,8 @@ def load_dataset(
     report.quarantined_replies = len(parents) - len(replies_at)
 
     users, tweets, replies = (
-        in_id_order(kind[0], columns, at)
-        for kind, columns, at in zip(_RECORD_KINDS, kinds, (alive, tweets_at, replies_at))
+        in_id_order(layout.name, columns, at)
+        for layout, columns, at in zip(KIND_LAYOUTS, kinds, (alive, tweets_at, replies_at))
     )
     return DatasetColumns(*users, *tweets, *replies, capture_at, provenance), report
 
@@ -326,12 +315,11 @@ def _archive_payload(columns: DatasetColumns) -> tuple:
     order, each timestamp as format_timestamps writes it; ValueError when a
     kind's columns differ in length, which would write a record short."""
     payload = [format_timestamp(columns.capture_at), columns.provenance]
-    for (name, record_class, stamp, _), kind in zip(_RECORD_KINDS, columns.kinds()):
+    for layout, kind in zip(KIND_LAYOUTS, columns.kinds()):
         if len(set(map(len, kind))) > 1:
-            raise ValueError(f"the {name} columns differ in length")
+            raise ValueError(f"the {layout.name} columns differ in length")
         kind = list(map(tuple, kind))
-        at = record_class._fields.index(stamp)
-        kind[at] = tuple(format_timestamps(kind[at]))
+        kind[layout.stamp] = tuple(format_timestamps(kind[layout.stamp]))
         payload.append(tuple(kind))
     return tuple(payload)
 
@@ -496,4 +484,7 @@ def load_labels(path: str | Path) -> GroundTruthLabels:
             f'{path}: a labels file holds a JSON object with a "domain" string and a'
             ' "labels" object mapping user ids to label strings'
         )
-    return GroundTruthLabels(domain=payload["domain"], labels=payload["labels"])
+    try:
+        return GroundTruthLabels(domain=payload["domain"], labels=payload["labels"])
+    except ValueError as exc:  # a label that is not one of LABELS
+        raise ValueError(f"{path}: {exc}") from exc

@@ -6,8 +6,7 @@ engagement, more followers, and more positive replies than ordinary users,
 so the planted labels are recoverable from the engineered features.
 
 The dataset is returned as a ``DatasetColumns`` built straight from the
-draws, each kind put in id order; the records and ``Dataset`` remain for
-``verify`` and the tests.
+draws, each kind put in id order.
 
 Stream contract: the archive bytes are a function of (config, seed, numpy's
 ``Generator`` algorithms).  Every record is built from one ``default_rng``
@@ -47,6 +46,7 @@ import numpy as np
 from ..lexicon import builtin_domain_lexicon, builtin_sentiment_lexicon
 from .types import (
     INFLUENCER,
+    KIND_LAYOUTS,
     NON_INFLUENCER,
     DatasetColumns,
     GroundTruthLabels,
@@ -377,8 +377,8 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[DatasetColumns, GroundTr
         reply_texts,
     )
     users, tweets, replies = (
-        in_id_order(kind, drawn, range(len(drawn[0])))
-        for kind, drawn in (("user", users), ("tweet", tweets), ("reply", replies))
+        in_id_order(layout.name, drawn, range(len(drawn[0])))
+        for layout, drawn in zip(KIND_LAYOUTS, (users, tweets, replies))
     )
     columns = DatasetColumns(*users, *tweets, *replies, capture_at, f"synthetic seed={seed}")
     return columns, GroundTruthLabels(domain=target, labels=labels)

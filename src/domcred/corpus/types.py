@@ -1,12 +1,12 @@
-"""Core data model: user profiles, tweets, replies, datasets, period slices."""
+"""Core data model: a dataset's columns and each record kind's place in them,
+timestamps, period slices and ground-truth labels."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
 from itertools import islice
-from operator import itemgetter, lt
+from operator import lt
 from typing import NamedTuple
 
 INFLUENCER = "Influencer"
@@ -62,52 +62,17 @@ def format_timestamp(dt: datetime) -> str:
     return format_timestamps((dt,))[0]
 
 
-class UserProfile(NamedTuple):
-    user_id: str
-    handle: str
-    followers_count: int
-    friends_count: int
-    created_at: datetime
-
-
-class TweetRecord(NamedTuple):
-    tweet_id: str
-    author_id: str
-    posted_at: datetime
-    text: str
-    retweet_count: int = 0
-    favorite_count: int = 0
-    replies_count: int = 0
-    is_retweet: bool = False
-    language: str | None = None
-
-
-class ReplyRecord(NamedTuple):
-    reply_id: str
-    parent_tweet_id: str
-    author_id: str
-    posted_at: datetime
-    text: str
-
-
-def sorted_by_id(kind: str, items, key) -> list:
-    """``items`` of one kind sorted by their ids, which ``key`` reads;
-    ValueError naming the first id that repeats."""
-    ordered = sorted(items, key=key)
-    ids = list(map(key, ordered))
-    if len(set(ids)) < len(ids):
-        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
-        raise ValueError(f"duplicate {kind}_id {repeated!r}")
-    return ordered
-
-
 def in_id_order(kind: str, columns, at) -> list[tuple]:
     """A kind's columns, the first holding the ids, at the positions ``at``
     (ascending) and in id order; ValueError naming the first id that repeats."""
     ids = columns[0]
     if len(at) == len(ids) and all(map(lt, ids, islice(ids, 1, None))):
         return list(map(tuple, columns))  # every record, already in id order
-    order = sorted_by_id(kind, at, ids.__getitem__)
+    order = sorted(at, key=ids.__getitem__)
+    sorted_ids = list(map(ids.__getitem__, order))
+    if len(set(sorted_ids)) < len(sorted_ids):
+        repeated = next(a for a, b in zip(sorted_ids, sorted_ids[1:]) if a == b)
+        raise ValueError(f"duplicate {kind}_id {repeated!r}")
     return [tuple(map(column.__getitem__, order)) for column in columns]
 
 
@@ -117,13 +82,13 @@ class DatasetColumns(NamedTuple):
     a named tuple because every command imports this module, and a named
     tuple costs that import a fraction of what a frozen dataclass does."""
 
-    # UserProfile's fields
+    # a user's fields
     user_ids: tuple[str, ...]
     handles: tuple[str, ...]
     followers: tuple[int, ...]
     friends: tuple[int, ...]
     user_created: tuple[datetime, ...]
-    # TweetRecord's fields
+    # a tweet's fields
     tweet_ids: tuple[str, ...]
     tweet_authors: tuple[str, ...]
     tweet_posted: tuple[datetime, ...]
@@ -133,7 +98,7 @@ class DatasetColumns(NamedTuple):
     tweet_replies: tuple[int, ...]
     is_retweet: tuple[bool, ...]
     languages: tuple[str | None, ...]
-    # ReplyRecord's fields
+    # a reply's fields
     reply_ids: tuple[str, ...]
     reply_parents: tuple[str, ...]
     reply_authors: tuple[str, ...]
@@ -142,9 +107,9 @@ class DatasetColumns(NamedTuple):
     capture_at: datetime
     provenance: str = ""
 
-    def kinds(self) -> tuple[tuple, tuple, tuple]:
-        """The users', the tweets' and the replies' columns."""
-        return self[:5], self[5:14], self[14:19]
+    def kinds(self) -> tuple[tuple, ...]:
+        """The users', the tweets' and the replies' columns, as ``KIND_LAYOUTS`` places them."""
+        return tuple(self[layout.start : layout.stop] for layout in KIND_LAYOUTS)
 
     def tweet_engagement(self):
         """(tweet id, author, retweets, favorites, replies) per tweet, in id order."""
@@ -153,32 +118,27 @@ class DatasetColumns(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable snapshot of an archive; record tuples are sorted by id."""
+class KindLayout(NamedTuple):
+    """Where one record kind sits in a ``DatasetColumns``: its fields are
+    ``columns[start:stop]``, in the order its archive lines' bodies are read,
+    and the one at ``stamp`` among them holds its timestamps."""
 
-    users: tuple[UserProfile, ...]
-    tweets: tuple[TweetRecord, ...]
-    replies: tuple[ReplyRecord, ...]
-    capture_at: datetime
-    provenance: str = ""
+    name: str
+    start: int
+    stop: int
+    stamp: int
 
-    def __post_init__(self):
-        for name, kind in (("users", "user"), ("tweets", "tweet"), ("replies", "reply")):
-            records = sorted_by_id(kind, getattr(self, name), itemgetter(0))
-            object.__setattr__(self, name, tuple(records))
-        for u in self.users:
-            if u.created_at >= self.capture_at:
-                raise ValueError(f"user {u.user_id} created at or after capture_at")
+    @property
+    def width(self) -> int:
+        return self.stop - self.start
 
-    @cached_property
-    def columns(self) -> DatasetColumns:
-        """The records' columns, transposed on first use; records are in id order."""
-        users, tweets, replies = (
-            tuple(zip(*records)) or ((),) * width
-            for records, width in ((self.users, 5), (self.tweets, 9), (self.replies, 5))
-        )
-        return DatasetColumns(*users, *tweets, *replies, self.capture_at, self.provenance)
+
+# the record kinds, in DatasetColumns order
+KIND_LAYOUTS = (
+    KindLayout("user", 0, 5, 4),  # user_created
+    KindLayout("tweet", 5, 14, 2),  # tweet_posted
+    KindLayout("reply", 14, 19, 3),  # reply_posted
+)
 
 
 @dataclass(frozen=True)

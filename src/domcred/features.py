@@ -24,13 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .annotate import AnnotationColumns, DomainAnnotation
 from .corpus.periods import slice_indices
-from .corpus.types import (
-    LABELS,
-    DatasetColumns,
-    GroundTruthLabels,
-    PeriodSlice,
-    UserProfile,
-)
+from .corpus.types import LABELS, DatasetColumns, GroundTruthLabels, PeriodSlice
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,18 +104,18 @@ class UserGlobalFeatures(NamedTuple):
     replies_total: int = 0
 
 
-def profile_age_years(profile: UserProfile, capture_at: datetime) -> float:
+def profile_age_years(created_at: datetime, capture_at: datetime) -> float:
     """Fractional account age in years at capture, floored at one day."""
-    if profile.created_at >= capture_at:
-        raise ValueError(f"user {profile.user_id} created at or after capture_at")
-    days = (capture_at - profile.created_at).total_seconds() / 86400.0
+    if created_at >= capture_at:
+        raise ValueError("account created at or after capture_at")
+    days = (capture_at - created_at).total_seconds() / 86400.0
     return max(days / DAYS_PER_YEAR, MIN_AGE_YEARS)
 
 
-def compute_ffr(profile: UserProfile, capture_at: datetime) -> float:
+def compute_ffr(followers: int, friends: int, created_at: datetime, capture_at: datetime) -> float:
     """Followers-friends ratio over account age; 1/age on an exact tie."""
-    age = profile_age_years(profile, capture_at)
-    diff = profile.followers_count - profile.friends_count
+    age = profile_age_years(created_at, capture_at)
+    diff = followers - friends
     if diff == 0:
         return 1.0 / age
     return diff / age

@@ -130,12 +130,21 @@ def parse_sentiment_lexicon(text: str) -> SentimentLexicon:
     return SentimentLexicon(polarity=polarity)
 
 
+def _load(path: str | Path, parse):
+    """``parse`` of a lexicon file's text; LexiconFormatError naming the file
+    when it is not UTF-8 or not in the lexicon's format."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not a lexicon
+        raise LexiconFormatError(f"{path}: {exc}") from exc
+
+
 def load_domain_lexicon(path: str | Path) -> DomainLexicon:
-    return parse_domain_lexicon(Path(path).read_text(encoding="utf-8"))
+    return _load(path, parse_domain_lexicon)
 
 
 def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
-    return parse_sentiment_lexicon(Path(path).read_text(encoding="utf-8"))
+    return _load(path, parse_sentiment_lexicon)
 
 
 def _builtin(name: str) -> str:

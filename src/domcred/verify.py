@@ -11,7 +11,7 @@ from datetime import timedelta
 from typing import Callable, TextIO
 
 from .annotate import AnnotationColumns, DomainAnnotation
-from .corpus.types import Dataset, ReplyRecord, TweetRecord, UserProfile, parse_timestamp
+from .corpus.types import DatasetColumns, parse_timestamp
 from .evaluate import ConfusionTable, metrics
 from .features import (
     UserDomainFeatures,
@@ -36,15 +36,17 @@ def _check_engagement_distribution() -> str:
     # one tweet scored (1, 0.5, 0.5) with 10 retweets, 15 favorites and ten
     # replies of sentiment -1, through the accumulator the pipeline runs
     at = parse_timestamp("2016-01-01T00:00:00Z")
-    user = UserProfile("u", "u", followers_count=0, friends_count=0, created_at=at)
-    tweet = TweetRecord("t", "u", at, "", retweet_count=10, favorite_count=15)
-    replies = tuple(ReplyRecord(f"r{i}", "t", "u", at, "") for i in range(10))
-    dataset = Dataset((user,), (tweet,), replies, capture_at=at + timedelta(days=1))
+    reply_ids = tuple(f"r{i}" for i in range(10))
+    n = len(reply_ids)
+    # user u; u's tweet t, with 10 retweets and 15 favorites; u's replies to t
+    users = (("u",), ("u",), (0,), (0,), (at,))
+    tweets = (("t",), ("u",), (at,), ("",), (10,), (15,), (0,), (False,), (None,))
+    replies = (reply_ids, ("t",) * n, ("u",) * n, (at,) * n, ("",) * n)
+    columns = DatasetColumns(*users, *tweets, *replies, capture_at=at + timedelta(days=1))
     scores = (("Sports", 1.0), ("Arts and Entertainment", 0.5), ("Education", 0.5))
     domains = tuple(DomainAnnotation(d, s) for d, s in scores)
-    reply_ids = tuple(r.reply_id for r in replies)
-    annotations = AnnotationColumns(("t",), (domains,), reply_ids, (-1.0,) * len(reply_ids))
-    cells = accumulate_domain_features(dataset.columns, annotations)
+    annotations = AnnotationColumns(("t",), (domains,), reply_ids, (-1.0,) * n)
+    cells = accumulate_domain_features(columns, annotations)
     got = {domain: (c.r, c.l, c.sn) for (_, domain, _), c in cells.items()}
     expected = {
         "Sports": (5.0, 7.5, -5.0),
@@ -119,14 +121,8 @@ def _check_follower_friend_rate() -> str:
     capture = parse_timestamp("2016-01-01T00:00:00Z")
     rates = {}
     for handle, followers, friends, age_years, _ in _RATE_ROWS:
-        profile = UserProfile(
-            user_id=handle,
-            handle=handle,
-            followers_count=followers,
-            friends_count=friends,
-            created_at=capture - timedelta(days=age_years * 365.25),
-        )
-        rates[handle] = compute_ffr(profile, capture)
+        created = capture - timedelta(days=age_years * 365.25)
+        rates[handle] = compute_ffr(followers, friends, created, capture)
     top = rates["michaelfrisby"]
     _check(round(top, 3) == 588.714, f"top rate {top}")
 

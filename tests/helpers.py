@@ -7,17 +7,78 @@ no shared code paths, so agreement with the package is meaningful.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from domcred.annotate import AnnotationColumns, DomainAnnotation
 from domcred.corpus.archive import LoadReport, _read_records
 from domcred.corpus.cleanse import CleanseReport
 from domcred.corpus.periods import PartitionReport
-from domcred.corpus.types import Dataset, PeriodSlice, ReplyRecord, TweetRecord, UserProfile
+from domcred.corpus.types import KIND_LAYOUTS, DatasetColumns, PeriodSlice
 from domcred.lexicon import tokenize
 
 UTC = timezone.utc
+
+
+# ---------------------------------------------------------------------------
+# test data: a record is the row of one kind's fields, in DatasetColumns order
+
+
+class UserProfile(NamedTuple):
+    user_id: str
+    handle: str
+    followers_count: int
+    friends_count: int
+    created_at: datetime
+
+
+class TweetRecord(NamedTuple):
+    tweet_id: str
+    author_id: str
+    posted_at: datetime
+    text: str
+    retweet_count: int = 0
+    favorite_count: int = 0
+    replies_count: int = 0
+    is_retweet: bool = False
+    language: str | None = None
+
+
+class ReplyRecord(NamedTuple):
+    reply_id: str
+    parent_tweet_id: str
+    author_id: str
+    posted_at: datetime
+    text: str
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """A dataset's records, each kind sorted by id, and their columns."""
+
+    users: tuple[UserProfile, ...]
+    tweets: tuple[TweetRecord, ...]
+    replies: tuple[ReplyRecord, ...]
+    capture_at: datetime
+    provenance: str = ""
+
+    def __post_init__(self):
+        for name in ("users", "tweets", "replies"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=itemgetter(0))))
+
+    @cached_property
+    def columns(self) -> DatasetColumns:
+        """The records transposed on first use, each kind into its layout's columns."""
+        kinds = (self.users, self.tweets, self.replies)
+        users, tweets, replies = (
+            tuple(zip(*records)) or ((),) * layout.width
+            for layout, records in zip(KIND_LAYOUTS, kinds)
+        )
+        return DatasetColumns(*users, *tweets, *replies, self.capture_at, self.provenance)
 
 
 def ts(stamp: str) -> datetime:
@@ -228,6 +289,11 @@ def brute_load(path, fail_fast=False, capture_at=None, max_friends=None):
         r for r in replies if r.parent_tweet_id in tweet_ids and r.author_id in user_ids
     ]
     report.quarantined_replies = len(replies) - len(resolved_replies)
+    for kind, records in (("user", alive), ("tweet", resolved_tweets), ("reply", resolved_replies)):
+        ids = sorted(record[0] for record in records)
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise ValueError(f"duplicate {kind}_id {a!r}")
     dataset = Dataset(
         users=tuple(alive),
         tweets=tuple(resolved_tweets),

@@ -21,7 +21,6 @@ from domcred.corpus.synth import SynthConfig, synthesize
 from domcred.corpus.types import (
     INFLUENCER,
     NON_INFLUENCER,
-    UserProfile,
     parse_timestamp,
 )
 from domcred.evaluate import (
@@ -153,14 +152,8 @@ def test_criterion_04_follower_friend_rate_and_inverted_minimum():
     capture = parse_timestamp("2016-01-01T00:00:00Z")
     rates = {}
     for handle, followers, friends, age_years, _ in rows:
-        profile = UserProfile(
-            user_id=handle,
-            handle=handle,
-            followers_count=followers,
-            friends_count=friends,
-            created_at=capture - timedelta(days=age_years * 365.25),
-        )
-        rates[handle] = compute_ffr(profile, capture)
+        created = capture - timedelta(days=age_years * 365.25)
+        rates[handle] = compute_ffr(followers, friends, created, capture)
     assert round(rates["michaelfrisby"], 3) == 588.714
 
     # The reference normalization subtracts a dataset minimum that is not

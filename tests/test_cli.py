@@ -19,7 +19,6 @@ from domcred.annotate import annotate_dataset, load_annotation_columns, save_ann
 from domcred.cli import main
 from domcred.corpus.archive import load_dataset, load_labels, save_dataset
 from domcred.corpus.periods import PeriodSpec, partition_periods
-from domcred.corpus.types import Dataset, ReplyRecord, TweetRecord, UserProfile
 from domcred.features import (
     POOLED,
     accumulate_domain_features,
@@ -101,31 +100,6 @@ def all_domains(tmp_path_factory):
     dataset = root / "dataset.jsonl"
     assert main(["annotate", str(dataset), "--output-dir", str(root)]) == 0
     return dataset
-
-
-def _count_records(monkeypatch) -> dict[str, int]:
-    """The records built from here on, by class, whichever module builds
-    them: a record class's __new__ and _make (which _replace calls, and which
-    skips __new__) are wrapped, and the Dataset's __init__."""
-    built: dict[str, int] = {}
-
-    def counted(cls, build):
-        def wrapper(*args, **kwargs):
-            built[cls.__name__] += 1
-            return build(*args, **kwargs)
-
-        return wrapper
-
-    for cls in (UserProfile, TweetRecord, ReplyRecord):
-        built[cls.__name__] = 0
-        monkeypatch.setattr(cls, "__new__", counted(cls, cls.__new__))
-        monkeypatch.setattr(cls, "_make", classmethod(counted(cls, cls._make.__func__)))
-    built["Dataset"] = 0
-    monkeypatch.setattr(Dataset, "__init__", counted(Dataset, Dataset.__init__))
-    return built
-
-
-NO_RECORDS = {"UserProfile": 0, "TweetRecord": 0, "ReplyRecord": 0, "Dataset": 0}
 
 
 def _respelled(dataset: Path, path: Path) -> Path:
@@ -289,15 +263,9 @@ class TestIngest:
         assert report["counts"]["tweets"] > 0
         assert "load" in report and "cleanse" in report
 
-    def test_reads_columns_and_builds_no_record(self, pipeline, tmp_path, monkeypatch):
-        built = _count_records(monkeypatch)
-        assert main(["synth", "--n-users", "5", "--output-dir", str(tmp_path / "synth")]) == 0
+    def test_ingest_again_writes_the_same_dataset(self, pipeline, tmp_path):
         assert main(["ingest", str(pipeline["archive"]), "--output-dir", str(tmp_path)]) == 0
-        assert built == NO_RECORDS
         assert (tmp_path / "dataset.jsonl").read_bytes() == pipeline["dataset"].read_bytes()
-        # the counters see records and a Dataset built here
-        dataset_of(load_dataset(pipeline["dataset"])[0])
-        assert all(built.values()), built
 
     def test_malformed_line_skipped_and_counted(self, pipeline, tmp_path, capsys):
         broken = tmp_path / "broken.jsonl"
@@ -395,14 +363,22 @@ class TestAnnotate:
         assert report["n_tweets"] > 0
         assert report["n_annotatable"] > 0
 
-    def test_reads_columns_and_builds_no_record(self, pipeline, tmp_path, monkeypatch):
-        built = _count_records(monkeypatch)
+    def test_annotate_again_writes_the_same_annotations(self, pipeline, tmp_path):
         argv = ["annotate", str(pipeline["dataset"]), "--output-dir", str(tmp_path)]
         assert main(argv) == 0
-        assert built == NO_RECORDS
         assert (tmp_path / "annotations.jsonl").read_bytes() == (
             pipeline["annotations"].read_bytes()
         )
+
+    def test_builtin_lexicon_files_give_the_default_bytes(self, pipeline, tmp_path):
+        data = ROOT / "src/domcred/data"
+        argv = ["annotate", str(pipeline["dataset"]), "--output-dir", str(tmp_path)]
+        argv += ["--domain-lexicon", str(data / "domains.lex")]
+        argv += ["--sentiment-lexicon", str(data / "sentiment.lex")]
+        assert main(argv) == 0
+        for name in ("annotations.jsonl", "annotations.jsonl.cols"):
+            got, want = tmp_path / name, pipeline["annotations"].parent / name
+            assert got.read_bytes() == want.read_bytes(), name
 
     def test_respelled_dataset_gives_the_same_bytes(self, pipeline, tmp_path):
         respelled = _respelled(pipeline["dataset"], tmp_path / "dataset.jsonl")
@@ -670,12 +646,10 @@ class TestFeatures:
         assert payload["domain"] == TECH
         assert payload["rows"] >= 50
 
-    def test_reads_the_dataset_as_columns(self, pipeline, tmp_path, monkeypatch):
-        built = _count_records(monkeypatch)
+    def test_features_again_writes_the_same_matrix(self, pipeline, tmp_path):
         argv = ["features", str(pipeline["dataset"]), "--domain", TECH, "--labels"]
         argv += [str(pipeline["labels"]), "--output-dir", str(tmp_path)]
         assert main(argv) == 0
-        assert built == NO_RECORDS
         assert (tmp_path / "features.csv").read_bytes() == pipeline["matrix"].read_bytes()
 
     def test_respelled_dataset_gives_the_same_bytes(self, pipeline, tmp_path):
@@ -886,8 +860,7 @@ class TestFeatures:
     def test_one_accumulation_pass(
         self, pipeline, all_domains, tmp_path, monkeypatch, spelling, corpus
     ):
-        """One accumulation, the weights once per distinct domain list, and
-        no record built on the way."""
+        """One accumulation, and the weights once per distinct domain list."""
         dataset = source = pipeline["dataset"] if corpus == "one" else all_domains
         if spelling == "respelled":
             dataset = Path(shutil.copy(source, tmp_path / "dataset.jsonl"))
@@ -918,7 +891,6 @@ class TestFeatures:
             "annotate_dataset",
             counted("annotate", domcred.annotate.annotate_dataset),
         )
-        built = _count_records(monkeypatch)
         rc = main(
             ["features", str(dataset), "--domain", TECH,
              "--n-periods", "3", "--output-dir", str(tmp_path / "out")]
@@ -930,7 +902,6 @@ class TestFeatures:
         if corpus == "all":
             assert distinct > 1
         assert calls == {"annotate": 0, "accumulate": 1, "weights": distinct}
-        assert built == NO_RECORDS
 
 
 class TestBenchmark:
@@ -1084,6 +1055,10 @@ class TestBenchmark:
         assert "unknown algorithm" in capsys.readouterr().err
 
 
+# the annotate flag that reads each lexicon file
+LEXICON_FLAGS = {"domains.lex": "--domain-lexicon", "sentiment.lex": "--sentiment-lexicon"}
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "command, name, content",
@@ -1094,6 +1069,12 @@ class TestMalformedInputs:
             ("features", "labels.json", "[1, 2]"),
             ("features", "labels.json", "not json"),
             ("features", "labels.json", "\xff{}"),
+            ("features", "labels.json", '{"domain": "Tech", "labels": {"u1": "Superstar"}}'),
+            ("benchmark", "labels.json", '{"domain": "Tech", "labels": {"u1": "Superstar"}}'),
+            ("annotate", "domains.lex", "python\n"),
+            ("annotate", "domains.lex", "[Tech]\n\xff\n"),
+            ("annotate", "sentiment.lex", "good\t+2\n"),
+            ("annotate", "sentiment.lex", "\xff\t+1\n"),
             ("config", "config.json", "not json"),
             ("config", "config.json", "\xff{}"),
             ("config", "config.json", "[1, 2]"),
@@ -1142,10 +1123,13 @@ class TestMalformedInputs:
         if name == "annotations.jsonl":
             dataset = shutil.copy(dataset, tmp_path / dataset.name)
         argv = {
-            "benchmark": ["benchmark", str(bad)],
+            "benchmark": ["benchmark", str(bad)]
+            if name == "features.csv"
+            else ["benchmark", str(pipeline["bare_matrix"]), "--labels", str(bad)],
             "features": ["features", str(dataset), "--domain", TECH]
             + (["--labels", str(bad)] if name == "labels.json" else []),
             "config": ["benchmark", str(pipeline["matrix"]), "--config", str(bad)],
+            "annotate": ["annotate", str(dataset), LEXICON_FLAGS.get(name), str(bad)],
         }[command]
         out = tmp_path / "out"
         assert main([*argv, "--output-dir", str(out)]) == 1

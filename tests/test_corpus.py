@@ -1,4 +1,4 @@
-"""Dataset model, archive round-trips, cleansing, periods, and the generator."""
+"""Timestamps, labels, archive round-trips, cleansing, periods, and the generator."""
 
 import hashlib
 import json
@@ -12,6 +12,7 @@ from domcred.corpus.archive import (
     dataset_to_lines,
     load_dataset,
     load_labels,
+    read_sidecar,
     save_dataset,
     save_labels,
 )
@@ -26,7 +27,8 @@ from domcred.corpus.synth import (
     synthesize,
 )
 from domcred.corpus.types import (
-    Dataset,
+    KIND_LAYOUTS,
+    DatasetColumns,
     GroundTruthLabels,
     PeriodSlice,
     format_timestamp,
@@ -58,22 +60,7 @@ class TestTimestamps:
             parse_timestamp("2024-03-01T12:30:00")
 
 
-class TestDataset:
-    def test_records_sorted_by_id(self):
-        users = [make_user("b"), make_user("a")]
-        tweets = [make_tweet("t2", "a"), make_tweet("t1", "b")]
-        ds = make_dataset(users, tweets)
-        assert [u.user_id for u in ds.users] == ["a", "b"]
-        assert [t.tweet_id for t in ds.tweets] == ["t1", "t2"]
-
-    def test_duplicate_tweet_id_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            make_dataset([make_user("a")], [make_tweet("t1", "a"), make_tweet("t1", "a")])
-
-    def test_user_created_after_capture_rejected(self):
-        with pytest.raises(ValueError, match="capture"):
-            make_dataset([make_user("a", created="2026-01-01T00:00:00Z")])
-
+class TestGroundTruthLabels:
     def test_labels_validate_against_dataset(self):
         ds = make_dataset([make_user("a")])
         labels = GroundTruthLabels(domain="d", labels={"a": "Influencer"})
@@ -85,6 +72,51 @@ class TestDataset:
     def test_unknown_label_value_rejected(self):
         with pytest.raises(ValueError):
             GroundTruthLabels(domain="d", labels={"a": "Superstar"})
+
+
+# each record kind's columns by name, in the order its fields are read
+KIND_COLUMNS = {
+    "user": ("user_ids", "handles", "followers", "friends", "user_created"),
+    "tweet": (
+        "tweet_ids",
+        "tweet_authors",
+        "tweet_posted",
+        "tweet_texts",
+        "retweets",
+        "favorites",
+        "tweet_replies",
+        "is_retweet",
+        "languages",
+    ),
+    "reply": ("reply_ids", "reply_parents", "reply_authors", "reply_posted", "reply_texts"),
+}
+# the column that holds each kind's timestamps
+KIND_STAMPS = {"user": "user_created", "tweet": "tweet_posted", "reply": "reply_posted"}
+
+
+@pytest.mark.parametrize("through", ["json", "sidecar"])
+@pytest.mark.parametrize(
+    "position", range(len(KIND_LAYOUTS)), ids=[layout.name for layout in KIND_LAYOUTS]
+)
+def test_layout_places_each_kind(tmp_path, position, through):
+    layout = KIND_LAYOUTS[position]
+    dataset = make_dataset(
+        [make_user("a"), make_user("b")], [make_tweet("t1", "a")], [make_reply("r1", "t1", "b")]
+    )
+    path = tmp_path / "archive.jsonl"
+    save_dataset(dataset.columns, path)
+    if through == "json":
+        (tmp_path / "archive.jsonl.cols").unlink()
+    assert (read_sidecar(path, len) is not None) == (through == "sidecar")
+    columns, _ = load_dataset(path)
+    kind = columns.kinds()[position]
+    names = KIND_COLUMNS[layout.name]
+    assert len(kind) == layout.width == len(names)
+    assert DatasetColumns._fields[layout.start : layout.stop] == names
+    assert kind == tuple(getattr(columns, name) for name in names)
+    assert names[layout.stamp] == KIND_STAMPS[layout.name]
+    stamps = kind[layout.stamp]
+    assert stamps and all(s.tzinfo is not None and not s.utcoffset() for s in stamps)
 
 
 class TestArchiveIO:

@@ -275,30 +275,28 @@ class TestGlobalFeatures:
         assert (g.retweet_total, g.favorite_total, g.replies_total) == (3, 1, 2)
 
     def test_age_and_ratio(self):
-        user = make_user("u", followers=100, friends=40, created="2020-01-01T00:00:00Z")
+        created = ts("2020-01-01T00:00:00Z")
         capture = ts("2022-01-01T00:00:00Z")  # 731 days
-        age = profile_age_years(user, capture)
+        age = profile_age_years(created, capture)
         assert age == pytest.approx(731 / 365.25)
-        assert compute_ffr(user, capture) == pytest.approx(60 / age)
+        assert compute_ffr(100, 40, created, capture) == pytest.approx(60 / age)
 
     def test_tie_falls_back_to_inverse_age(self):
-        user = make_user("u", followers=50, friends=50, created="2020-01-01T00:00:00Z")
+        created = ts("2020-01-01T00:00:00Z")
         capture = ts("2021-01-01T00:00:00Z")
-        assert compute_ffr(user, capture) == pytest.approx(365.25 / 366)
+        assert compute_ffr(50, 50, created, capture) == pytest.approx(365.25 / 366)
 
     def test_negative_ratio_allowed(self):
-        user = make_user("u", followers=10, friends=400, created="2020-01-01T00:00:00Z")
-        assert compute_ffr(user, ts("2021-01-01T00:00:00Z")) < 0
+        created = ts("2020-01-01T00:00:00Z")
+        assert compute_ffr(10, 400, created, ts("2021-01-01T00:00:00Z")) < 0
 
     def test_age_floored_at_one_day(self):
-        user = make_user("u", created="2024-12-31T23:00:00Z")
-        age = profile_age_years(user, ts("2025-01-01T00:00:00Z"))
+        age = profile_age_years(ts("2024-12-31T23:00:00Z"), ts("2025-01-01T00:00:00Z"))
         assert age == pytest.approx(1 / 365.25)
 
     def test_created_after_capture_rejected(self):
-        user = make_user("u", created="2025-06-01T00:00:00Z")
         with pytest.raises(ValueError, match="created at or after"):
-            profile_age_years(user, ts("2025-01-01T00:00:00Z"))
+            profile_age_years(ts("2025-06-01T00:00:00Z"), ts("2025-01-01T00:00:00Z"))
 
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(99)

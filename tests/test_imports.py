@@ -6,7 +6,10 @@ since imported numpy.  The last one runs a stage under bench/tracer.py,
 which rebinds the names each loaded domcred module holds.
 """
 
+import ast
 import csv
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -138,6 +141,23 @@ def _traced_counts(tmp_path, *argv) -> dict:
     )
     assert result.returncode == 0, result.stderr
     return json.loads(spans.read_text(encoding="utf-8"))["counts"]
+
+
+def test_tracer_names_resolve():
+    """Each entry of bench/tracer.py's TIMED and COUNTED, read from its source,
+    names a module-level function of the module it gives."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    names = {"TIMED", "COUNTED"}
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names
+    }
+    assert set(tables) == names
+    for module, func, _ in (*tables["TIMED"], *tables["COUNTED"]):
+        value = getattr(importlib.import_module(module), func, None)
+        assert inspect.isfunction(value), f"{module}.{func}"
+        assert (value.__module__, value.__qualname__) == (module, func)
 
 
 def test_traced_stage_still_runs(tmp_path):

@@ -1,5 +1,8 @@
 """Lexicon parsing and scoring."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +11,8 @@ from domcred.lexicon import (
     LexiconFormatError,
     builtin_domain_lexicon,
     builtin_sentiment_lexicon,
+    load_domain_lexicon,
+    load_sentiment_lexicon,
     parse_domain_lexicon,
     parse_sentiment_lexicon,
     tokenize,
@@ -136,6 +141,27 @@ class TestBuiltins:
         lex = builtin_sentiment_lexicon()
         assert lex.score("great awesome") == 1.0
         assert lex.score("terrible awful") == -1.0
+
+
+class TestLexiconFiles:
+    def test_packaged_files_load_as_the_builtins(self):
+        data = Path(__file__).resolve().parent.parent / "src/domcred/data"
+        assert load_domain_lexicon(data / "domains.lex") == builtin_domain_lexicon()
+        assert load_sentiment_lexicon(data / "sentiment.lex") == builtin_sentiment_lexicon()
+
+    @pytest.mark.parametrize(
+        "load, content",
+        [
+            (load_domain_lexicon, b"python\n"),
+            (load_domain_lexicon, b"[Tech]\n\xff\n"),
+            (load_sentiment_lexicon, b"good\t+2\n"),
+        ],
+    )
+    def test_a_bad_file_is_named(self, tmp_path, load, content):
+        path = tmp_path / "bad.lex"
+        path.write_bytes(content)
+        with pytest.raises(LexiconFormatError, match=f"^{re.escape(str(path))}: "):
+            load(path)
 
 
 class TestOnePassAgainstTwoPass:

@@ -1,54 +1,23 @@
-"""The corpus records and domain annotations: named tuples, immutable and
-equal and hashed by their fields."""
+"""Domain annotations: named tuples, immutable and equal and hashed by their
+fields.  The corpus kinds' layout is pinned on the columns, in test_corpus."""
 
 import pytest
 
 from domcred.annotate import DomainAnnotation
-from domcred.corpus.types import ReplyRecord, TweetRecord, UserProfile
 
-from helpers import annotation, make_reply, make_tweet, make_user
+from helpers import annotation
 
-# the field order is the row order the archive reader builds
-FIELDS = {
-    UserProfile: ("user_id", "handle", "followers_count", "friends_count", "created_at"),
-    TweetRecord: (
-        "tweet_id",
-        "author_id",
-        "posted_at",
-        "text",
-        "retweet_count",
-        "favorite_count",
-        "replies_count",
-        "is_retweet",
-        "language",
-    ),
-    ReplyRecord: ("reply_id", "parent_tweet_id", "author_id", "posted_at", "text"),
-    DomainAnnotation: ("label", "score", "confident"),
-}
+FIELDS = ("label", "score", "confident")
 
 
-def _records():
-    """One record of each class, with a field to change and a new value."""
-    return [
-        (make_user("a"), "followers_count", 11),
-        (make_tweet("t1", "a"), "text", "other"),
-        (make_reply("r1", "t1", "a"), "text", "other"),
-        (annotation("Sports", 0.5, True), "score", 0.25),
-    ]
+# a record, a field to change and a new value
+RECORDS = [(annotation("Sports", 0.5, True), "score", 0.25)]
 
 
-RECORDS = _records()
-IDS = [type(record).__name__ for record, _, _ in RECORDS]
-
-
-def test_the_four_record_classes_are_covered():
-    assert {type(record) for record, _, _ in RECORDS} == set(FIELDS)
-
-
-@pytest.mark.parametrize("record, name, value", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record, name, value", RECORDS, ids=[DomainAnnotation.__name__])
 class TestNamedTupleRecords:
     def test_fields_and_no_instance_dict(self, record, name, value):
-        assert type(record)._fields == FIELDS[type(record)]
+        assert type(record)._fields == FIELDS
         assert tuple(record) == tuple(getattr(record, f) for f in record._fields)
         assert type(record).__slots__ == ()
         assert not hasattr(record, "__dict__")
@@ -71,12 +40,5 @@ class TestNamedTupleRecords:
 
     def test_asdict_holds_every_field(self, record, name, value):
         payload = record._asdict()
-        assert list(payload) == list(FIELDS[type(record)])
+        assert list(payload) == list(FIELDS)
         assert payload[name] == getattr(record, name)
-
-
-def test_replace_zeroes_engagement_as_cleanse_does():
-    tweet = make_tweet("t1", "a", retweets=3, favorites=2, replies=1, is_retweet=True)
-    zeroed = tweet._replace(retweet_count=0, favorite_count=0, replies_count=0)
-    assert (zeroed.retweet_count, zeroed.favorite_count, zeroed.replies_count) == (0, 0, 0)
-    assert (zeroed.tweet_id, zeroed.text, zeroed.is_retweet) == ("t1", tweet.text, True)
