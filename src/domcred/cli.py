@@ -139,12 +139,15 @@ def cmd_ingest(args, config, out_dir: Path, seed: int) -> int:
     if args.max_friends is not None and args.max_friends < 1:
         raise ValueError(f"--max-friends must be at least 1, got {args.max_friends}")
     capture = parse_timestamp(args.capture_at) if args.capture_at else None
-    columns, load_report = load_dataset(
-        args.archive,
-        fail_fast=args.fail_fast,
-        capture_at=capture,
-        max_friends=args.max_friends,
-    )
+    try:
+        columns, load_report = load_dataset(
+            args.archive,
+            fail_fast=args.fail_fast,
+            capture_at=capture,
+            max_friends=args.max_friends,
+        )
+    except ValueError as exc:  # a malformed line, a repeated id, a capture past year 9999
+        raise ValueError(f"{args.archive}: {exc}") from exc
     cleansed, cleanse_report = cleanse(
         columns, keep_missing_language=args.keep_missing_language
     )
@@ -176,6 +179,8 @@ def _load_canonical(path: str):
         columns, report = load_dataset(path, fail_fast=True)
     except ArchiveFormatError as exc:
         raise ValueError(f"{path}: {exc}{rerun}") from exc
+    except ValueError as exc:  # a repeated id
+        raise ValueError(f"{path}: {exc}") from exc
     dropped = {k: v for k, v in asdict(report).items() if v}
     if dropped:
         counts = ", ".join(f"{k} {v}" for k, v in dropped.items())
@@ -300,8 +305,8 @@ def cmd_features(args, config, out_dir: Path, seed: int) -> int:
         start=parse_timestamp(args.start) if args.start else None,
         granularity=_resolve(args, config, "granularity", "month"),
     )
-    slices, partition_report = partition_periods(columns, spec)
-    domain_features = accumulate_domain_features(columns, annotations, slices)
+    slices, partition_report, placement = partition_periods(columns, spec)
+    domain_features = accumulate_domain_features(columns, annotations, placement)
     global_features = compute_global_features(columns)
     matrix = assemble_matrix(domain, POOLED, domain_features, global_features, labels=labels)
     matrix_path = out_dir / "features.csv"

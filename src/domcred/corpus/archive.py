@@ -5,8 +5,9 @@ in RFC 3339 UTC.  An optional single {"kind": "dataset", ...} line carries the
 capture timestamp and a provenance note; without it the capture timestamp
 defaults to one day after the newest record.  A dataset is its columns:
 ``save_dataset`` writes them and a columns sidecar beside the file, which
-``load_dataset`` reads in place of the lines while it mirrors them.  See
-docs/formats.md.
+``load_dataset`` reads in place of the lines while it mirrors them.  Its
+timestamps stay the canonical text the lines hold: only a line decoded as
+JSON has its stamps parsed, and formatted once.  See docs/formats.md.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import json
 import marshal
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -36,7 +38,7 @@ KINDS = ("user", "tweet", "reply", "dataset")
 # One template per line kind: the line json.dumps(record, sort_keys=True,
 # separators=(",", ":"), ensure_ascii=False) writes.  Strings are filled in
 # through encode_basestring, the quoting function of that encoder, and
-# timestamps, which are ASCII digits and punctuation, through format_timestamps.
+# timestamps, canonical text of ASCII digits and punctuation, as they are.
 _META_LINE = '{"capture_at":"%s","kind":"dataset","provenance":%s}'
 _USER_LINE = (
     '{"body":{"created_at":"%s","followers_count":%d,"friends_count":%d,"handle":%s,'
@@ -162,32 +164,29 @@ def _reply_from_body(body: dict) -> tuple:
 _RECORD_KINDS = {"user": _user_from_body, "tweet": _tweet_from_body, "reply": _reply_from_body}
 
 
-def _kinds_from_payload(payload) -> tuple[list, datetime, str]:
-    """``_read_records``' result from an archive sidecar's payload."""
-    # parse_timestamp of format_timestamp's text, its Z spelled +00:00
-    utc = datetime.fromisoformat
+def _kinds_from_payload(payload) -> tuple[list, str, str]:
+    """``_read_records``' result from an archive sidecar's payload, whose
+    timestamps are the lines' canonical text."""
     capture, provenance, *kinds = payload
-    read = []
     for layout, columns in zip(KIND_LAYOUTS, kinds, strict=True):
         if len(columns) != layout.width or len(set(map(len, columns))) > 1:
             raise ValueError("a kind's columns differ in number or length")
-        columns = list(columns)
-        columns[layout.stamp] = [utc(s[:-1] + "+00:00") for s in columns[layout.stamp]]
-        read.append(columns)
-    return read, utc(capture[:-1] + "+00:00"), provenance
+    return kinds, capture, provenance
 
 
 def _read_records(
     path: Path, fail_fast: bool, report: LoadReport
-) -> tuple[list, datetime | None, str]:
+) -> tuple[list, str | None, str]:
     """The columns of an archive file's users, tweets and replies in field
     order, records in file order, then the meta line's capture timestamp and
-    provenance.
+    provenance; every timestamp canonical text.
 
     They come from the file's sidecar when it mirrors the file's bytes.
-    Otherwise each line is decoded as JSON into a row, its counts checked,
-    and the rows transposed.  With ``fail_fast`` a malformed line raises
-    ArchiveFormatError; otherwise it is skipped and counted in ``report``.
+    Otherwise each line is decoded as JSON into a row, its counts and
+    timestamps checked, and the rows transposed, each kind's timestamps
+    formatted in one ``format_timestamps`` call.  With ``fail_fast`` a
+    malformed line raises ArchiveFormatError; otherwise it is skipped and
+    counted in ``report``.
     """
     cached = read_sidecar(path, _kinds_from_payload)
     if cached is not None:
@@ -197,7 +196,7 @@ def _read_records(
         kind: (build, rows.setdefault(kind, []).append) for kind, build in _RECORD_KINDS.items()
     }
     meta_seen = False  # apart from meta_capture: a meta line may omit capture_at
-    meta_capture: datetime | None = None
+    meta_capture: str | None = None
     provenance = ""
     # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
     # so a bad line is found, and counted, on its own; lines end at "\n" alone,
@@ -222,7 +221,7 @@ def _read_records(
                     # a malformed meta line sets nothing
                     capture = _field(envelope, "capture_at", str, None)
                     if capture is not None:
-                        capture = parse_timestamp(capture)
+                        capture = format_timestamp(parse_timestamp(capture))
                     provenance = _field(envelope, "provenance", str, "")
                     meta_capture, meta_seen = capture, True
                     continue
@@ -238,7 +237,11 @@ def _read_records(
                     raise ArchiveFormatError(line_no, str(exc)) from exc
                 report.malformed_lines += 1
                 report.malformed_line_numbers.append(line_no)
-    kinds = [list(zip(*rows[layout.name])) or [()] * layout.width for layout in KIND_LAYOUTS]
+    kinds = []
+    for layout in KIND_LAYOUTS:
+        columns = list(zip(*rows[layout.name])) or [()] * layout.width
+        columns[layout.stamp] = format_timestamps(columns[layout.stamp])
+        kinds.append(columns)
     return kinds, meta_capture, provenance
 
 
@@ -252,11 +255,13 @@ def load_dataset(
 
     Records with unresolvable references (tweet author unknown, reply parent or
     author unknown) are quarantined and counted, never loaded, as are users
-    created at or after the capture timestamp.  With ``fail_fast`` a malformed
-    line raises ArchiveFormatError; otherwise it is skipped and counted.
-    ``max_friends`` optionally drops users at or above the given friends count
-    (off by default), together with their records; it must be at least 1.  An
-    id that repeats among the records that load is a ValueError.
+    created at or after the capture timestamp: ``capture_at`` when given
+    (an aware datetime), else the file's, else a day after the newest record.
+    With ``fail_fast`` a malformed line raises ArchiveFormatError; otherwise
+    it is skipped and counted.  ``max_friends`` optionally drops users at or
+    above the given friends count (off by default), together with their
+    records; it must be at least 1.  An id that repeats among the records
+    that load is a ValueError.
     """
     if max_friends is not None and max_friends < 1:
         raise ValueError(f"max_friends must be at least 1, got {max_friends}")
@@ -271,24 +276,24 @@ def load_dataset(
         users_at = [i for i in users_at if friends[i] < max_friends]
         report.filtered_users = len(user_ids) - len(users_at)
 
-    if capture_at is None:
-        capture_at = meta_capture
-    if capture_at is None:
+    # timestamps are canonical text: without their Z they compare as instants
+    capture = meta_capture if capture_at is None else format_timestamp(capture_at)
+    if capture is None:
         stamps = [*posted, *replied, *map(created.__getitem__, users_at)]
         if stamps:
-            newest = max(stamps)
+            newest = max(stamp[:-1] for stamp in stamps) + "Z"
             try:
-                capture_at = newest + timedelta(days=1)
+                capture = format_timestamp(parse_timestamp(newest) + timedelta(days=1))
             except OverflowError:
                 raise ValueError(
-                    f"{path}: the default capture timestamp, a day after the newest record"
-                    f" ({format_timestamp(newest)}), falls after year 9999;"
-                    " pass one with --capture-at"
+                    f"the default capture timestamp, a day after the newest record"
+                    f" ({newest}), falls after year 9999; pass one with --capture-at"
                 ) from None
         else:
-            capture_at = parse_timestamp("1970-01-01T00:00:00Z")
+            capture = "1970-01-01T00:00:00Z"
 
-    alive = [i for i in users_at if created[i] < capture_at]
+    before = capture[:-1]
+    alive = [i for i in users_at if created[i][:-1] < before]
     report.quarantined_users = len(users_at) - len(alive)
 
     known_users = set(map(user_ids.__getitem__, alive))
@@ -306,21 +311,56 @@ def load_dataset(
         in_id_order(layout.name, columns, at)
         for layout, columns, at in zip(KIND_LAYOUTS, kinds, (alive, tweets_at, replies_at))
     )
-    return DatasetColumns(*users, *tweets, *replies, capture_at, provenance), report
+    return DatasetColumns(*users, *tweets, *replies, capture, provenance), report
+
+
+# the canonical text of a timestamp, as format_timestamps writes it, but for
+# its date's place in the calendar, which _canonical checks once per distinct
+# day; [0-9], since \d would match any script's digits
+_STAMP = (
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]"
+    r"(?:\.(?!0{6})[0-9]{6})?Z"
+)
+_STAMP_LINES = rf"(?:{_STAMP}\n)*{_STAMP}"
+
+
+def _canonical(stamps: list) -> bool:
+    """Whether every stamp is canonical timestamp text: one match over each
+    chunk of texts joined by newlines (over all of them at once, the match
+    keeps a stack that grows faster than the texts), then one calendar check
+    per distinct date (year 0, month 13 and February 30 fail it)."""
+    try:
+        for at in range(0, len(stamps), _CHUNK_LINES):
+            chunk = stamps[at : at + _CHUNK_LINES]
+            joined = "\n".join(chunk)
+            # a text that holds a newline would pass as two
+            if joined.count("\n") != len(chunk) - 1 or not re.fullmatch(_STAMP_LINES, joined):
+                return False
+        for day in {stamp[:10] for stamp in stamps}:
+            date(int(day[:4]), int(day[5:7]), int(day[8:]))
+    except (TypeError, ValueError):  # a stamp that is not text, a date not in the calendar
+        return False
+    return True
 
 
 def _archive_payload(columns: DatasetColumns) -> tuple:
     """The sidecar payload of the dataset's lines: the capture timestamp and
     the provenance, then each record kind's columns in field order and id
-    order, each timestamp as format_timestamps writes it; ValueError when a
-    kind's columns differ in length, which would write a record short."""
-    payload = [format_timestamp(columns.capture_at), columns.provenance]
+    order; ValueError when a kind's columns differ in length, which would
+    write a record short, or a timestamp is not canonical text."""
+    payload = [columns.capture_at, columns.provenance]
+    stamps = [columns.capture_at]
     for layout, kind in zip(KIND_LAYOUTS, columns.kinds()):
         if len(set(map(len, kind))) > 1:
             raise ValueError(f"the {layout.name} columns differ in length")
-        kind = list(map(tuple, kind))
-        kind[layout.stamp] = tuple(format_timestamps(kind[layout.stamp]))
-        payload.append(tuple(kind))
+        payload.append(tuple(map(tuple, kind)))
+        stamps += kind[layout.stamp]
+    if not _canonical(stamps):
+        bad = next(stamp for stamp in stamps if not _canonical([stamp]))
+        raise ValueError(
+            f"timestamp {bad!r} is not canonical RFC 3339 UTC text"
+            " (YYYY-MM-DDTHH:MM:SS[.ffffff]Z, as format_timestamps writes it)"
+        )
     return tuple(payload)
 
 

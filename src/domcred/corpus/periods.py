@@ -5,7 +5,8 @@ optionally), start at the configured range start or the month of the first
 activity, and are half-open [start, end).  Without a configured count there
 are just enough slices to reach the last record.  Records outside the range
 land in no slice and are counted.  A period that would end after year 9999
-is an error that names it.
+is an error that names it.  Records are placed by their timestamps' canonical
+text, never parsed: without its ``Z`` such a text compares as its instant does.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from datetime import MAXYEAR, datetime, timezone
 from typing import Iterable, Sequence
 
-from .types import DatasetColumns, PeriodSlice
+from .types import DatasetColumns, PeriodSlice, format_timestamps, parse_timestamp
 
 GRANULARITIES = ("month", "quarter", "year")
 _MONTHS_PER = {"month": 1, "quarter": 3, "year": 12}
@@ -75,53 +76,65 @@ def _period_end(first: datetime, index: int, step: int) -> datetime:
     return datetime(year, month + 1, 1, tzinfo=timezone.utc)
 
 
-def slice_indices(
-    slices: Sequence[PeriodSlice], stamps: Iterable[datetime]
-) -> list[int | None]:
-    """The index of the slice whose [start, end) holds each timestamp, or None
-    where none does, by one bisect over the slice starts; ValueError unless
-    the slices are disjoint and in time order, as ``partition_periods`` makes them."""
+def slice_indices(slices: Sequence[PeriodSlice], stamps: Iterable[str]) -> list[int | None]:
+    """The index of the slice whose [start, end) holds each canonical
+    timestamp text, or None where none does, by one bisect over the slice
+    starts; ValueError unless the slices are disjoint and in time order, as
+    ``partition_periods`` makes them."""
     if any(a.end > b.start for a, b in zip(slices, slices[1:])):
         raise ValueError("slices must be disjoint and in time order")
-    starts = [sl.start for sl in slices]
+    # each edge and stamp without its Z, so that text order is time order
+    starts = [text[:-1] for text in format_timestamps(sl.start for sl in slices)]
+    ends = [text[:-1] for text in format_timestamps(sl.end for sl in slices)]
+    indices = [sl.index for sl in slices]
     placed = []
+    append = placed.append
     for stamp in stamps:
+        stamp = stamp[:-1]
         i = bisect_right(starts, stamp) - 1
-        placed.append(slices[i].index if i >= 0 and stamp < slices[i].end else None)
+        append(indices[i] if i >= 0 and stamp < ends[i] else None)
     return placed
 
 
 def partition_periods(
     columns: DatasetColumns, spec: PeriodSpec
-) -> tuple[tuple[PeriodSlice, ...], PartitionReport]:
+) -> tuple[tuple[PeriodSlice, ...], PartitionReport, tuple[list, list]]:
     """Slice the dataset timeline into consecutive periods (spec.n_periods, or
     just enough to reach the last record when that is None).
 
     Periods are indexed 1..K, disjoint and in time order, each ending where
     the next starts.  Every tweet and reply lies by its own posted_at in at
-    most one slice (``slice_indices``), which the report counts; anything
-    before the range start or at or after the range end is out of range.
+    most one slice (``slice_indices``); anything before the range start or
+    at or after the range end is out of range.  The placement, the index of
+    the slice that holds each tweet and each reply (None where none does),
+    is made once: the report counts it, and it is returned as (tweets,
+    replies) for ``accumulate_domain_features``.
     """
     stamps = [*columns.tweet_posted, *columns.reply_posted]
+    # text order differs from time order only within one second, so the
+    # least and greatest texts lie in the first and last records' months
     if spec.start is not None:
         first = spec.start.astimezone(timezone.utc)
-    elif stamps:
-        first = _floor_boundary(min(stamps), spec.granularity)
     else:
-        first = _floor_boundary(columns.capture_at, spec.granularity)
+        first = _floor_boundary(
+            parse_timestamp(min(stamps, default=columns.capture_at)), spec.granularity
+        )
 
     step = _MONTHS_PER[spec.granularity]
     n_periods = spec.n_periods
     if n_periods is None:
         # period K ends at the boundary step * K months after first's month
-        last = max(stamps, default=first).astimezone(timezone.utc)
+        last = parse_timestamp(max(stamps)) if stamps else first
         months = (last.year - first.year) * 12 + last.month - first.month
         n_periods = max(1, months // step + 1)
     edges = [first, *(_period_end(first, i, step) for i in range(1, n_periods + 1))]
 
     slices = tuple(PeriodSlice(i, edges[i - 1], edges[i]) for i in range(1, n_periods + 1))
-    tweets_in = Counter(slice_indices(slices, columns.tweet_posted))
-    replies_in = Counter(slice_indices(slices, columns.reply_posted))
+    placement = (
+        slice_indices(slices, columns.tweet_posted),
+        slice_indices(slices, columns.reply_posted),
+    )
+    tweets_in, replies_in = map(Counter, placement)
     tweets_per = tuple(tweets_in[sl.index] for sl in slices)
     replies_per = tuple(replies_in[sl.index] for sl in slices)
     report = PartitionReport(
@@ -132,4 +145,4 @@ def partition_periods(
         out_of_range_tweets=len(columns.tweet_ids) - sum(tweets_per),
         out_of_range_replies=len(columns.reply_ids) - sum(replies_per),
     )
-    return slices, report
+    return slices, report, placement

@@ -50,6 +50,7 @@ from .types import (
     NON_INFLUENCER,
     DatasetColumns,
     GroundTruthLabels,
+    format_timestamp,
     in_id_order,
     parse_timestamp,
 )
@@ -191,6 +192,25 @@ def _in_calendar(start: datetime, days: int) -> bool:
     return True
 
 
+def _stamps(start: datetime, seconds: np.ndarray) -> list[str]:
+    """``format_timestamps`` of ``start`` moved by each whole number of
+    seconds, without a datetime per stamp: each day's date text is made once
+    by ``format_timestamp``, and each time of day is put after it."""
+    midnight = start.replace(hour=0, minute=0, second=0, microsecond=0)
+    into_day = start.hour * 3600 + start.minute * 60 + start.second
+    spelled = "%s%02d:%02d:%02d" + (".%06dZ" % start.microsecond if start.microsecond else "Z")
+    day, second = np.divmod(seconds + into_day, 86400)
+    day = day.tolist()
+    # a set, not np.unique, whose first call imports numpy.ma
+    dates = {d: format_timestamp(midnight + timedelta(days=d))[:11] for d in set(day)}
+    hour, second = np.divmod(second, 3600)
+    minute, second = np.divmod(second, 60)
+    return [
+        spelled % (dates[d], h, m, s)
+        for d, h, m, s in zip(day, hour.tolist(), minute.tolist(), second.tolist())
+    ]
+
+
 def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Owner and place of each of ``sum(counts)`` items laid out in runs.
 
@@ -258,7 +278,7 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[DatasetColumns, GroundTr
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     start = parse_timestamp(config.start)
     span_seconds = config.n_periods * config.period_days * 86400
-    capture_at = start + timedelta(seconds=span_seconds)
+    capture_at = format_timestamp(start + timedelta(seconds=span_seconds))
     n_users = config.n_users
 
     # floor with a tiny epsilon so 100 * 0.1 lands on 10, not 9
@@ -353,14 +373,14 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[DatasetColumns, GroundTr
         [f"user{user_id[1:]}" for user_id in user_ids],
         followers.tolist(),
         friends.tolist(),
-        [start - timedelta(days=age) for age in ages.tolist()],
+        _stamps(start, ages * -86400),
     )
     authors = author.tolist()
     tweet_ids = [f"t{i:05d}-{k:04d}" for i, k in zip(authors, seq.tolist())]
     tweets = (
         tweet_ids,
         list(map(user_ids.__getitem__, authors)),
-        [start + timedelta(seconds=at) for at in posted.tolist()],
+        _stamps(start, posted),
         tweet_texts,
         retweets.tolist(),
         favorites.tolist(),
@@ -373,7 +393,7 @@ def synthesize(config: SynthConfig, seed: int) -> tuple[DatasetColumns, GroundTr
         [f"r{p[1:]}-{k:03d}" for p, k in zip(parent_ids, reply_seq.tolist())],
         parent_ids,
         list(map(user_ids.__getitem__, reply_author.tolist())),
-        [start + timedelta(seconds=at) for at in reply_posted.tolist()],
+        _stamps(start, reply_posted),
         reply_texts,
     )
     users, tweets, replies = (

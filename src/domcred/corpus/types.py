@@ -80,18 +80,24 @@ class DatasetColumns(NamedTuple):
     """A dataset: one tuple per field of its users, tweets and replies, each
     kind in id order, then the capture timestamp and the provenance.  It is
     a named tuple because every command imports this module, and a named
-    tuple costs that import a fraction of what a frozen dataclass does."""
+    tuple costs that import a fraction of what a frozen dataclass does.
+
+    Every timestamp is its canonical RFC 3339 UTC text, the string
+    ``format_timestamps`` writes and an archive line holds, so a dataset
+    goes from file to file without a parse.  Dropping the trailing ``Z``
+    makes two such texts compare as their instants do (``...:00`` sorts
+    before ``...:00.000001``; with the ``Z`` it would sort after)."""
 
     # a user's fields
     user_ids: tuple[str, ...]
     handles: tuple[str, ...]
     followers: tuple[int, ...]
     friends: tuple[int, ...]
-    user_created: tuple[datetime, ...]
+    user_created: tuple[str, ...]
     # a tweet's fields
     tweet_ids: tuple[str, ...]
     tweet_authors: tuple[str, ...]
-    tweet_posted: tuple[datetime, ...]
+    tweet_posted: tuple[str, ...]
     tweet_texts: tuple[str, ...]
     retweets: tuple[int, ...]
     favorites: tuple[int, ...]
@@ -102,9 +108,9 @@ class DatasetColumns(NamedTuple):
     reply_ids: tuple[str, ...]
     reply_parents: tuple[str, ...]
     reply_authors: tuple[str, ...]
-    reply_posted: tuple[datetime, ...]
+    reply_posted: tuple[str, ...]
     reply_texts: tuple[str, ...]
-    capture_at: datetime
+    capture_at: str
     provenance: str = ""
 
     def kinds(self) -> tuple[tuple, ...]:

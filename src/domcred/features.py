@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .annotate import AnnotationColumns, DomainAnnotation
 from .corpus.periods import slice_indices
@@ -124,7 +125,7 @@ def compute_ffr(followers: int, friends: int, created_at: datetime, capture_at: 
 def accumulate_domain_features(
     columns: DatasetColumns,
     annotations: AnnotationColumns,
-    slices: Iterable[PeriodSlice] = (),
+    placement: tuple[Sequence[int | None], Sequence[int | None]] | None = None,
 ) -> dict[tuple[str, str, int], UserDomainFeatures]:
     """Accumulate distributed engagement per (user, domain, period) in one pass.
 
@@ -132,12 +133,12 @@ def accumulate_domain_features(
     order.  The weights are computed once per distinct domain list, told
     apart by value: lists equal by value weigh alike, since a score that is
     an integer is 0 or 1 and converts to float exactly.  Each id column must
-    be as long as its value column (ValueError otherwise).  Every record
-    adds its mass to the pooled cell ``(user, domain, POOLED)`` and, when
-    its posted_at lies in a slice, to ``(user, domain, slice.index)``.  Each
-    cell therefore sums the same records in the same order as a separate
-    scan of its selection would.  Slices must be disjoint and in time order,
-    as ``partition_periods`` makes them (ValueError otherwise).
+    be as long as its value column, and the placement's tweet and reply
+    indices as the tweets and the replies (ValueError otherwise).  Every
+    record adds its mass to the pooled cell ``(user, domain, POOLED)`` and,
+    when the placement, as ``partition_periods`` returns it, puts it in a
+    slice, to ``(user, domain, slice.index)``.  Each cell therefore sums the
+    same records in the same order as a separate scan of its selection would.
 
     Tweets contribute their own engagement counts; replies contribute their
     sentiment to the parent tweet's author, split by the parent's weights.
@@ -157,20 +158,23 @@ def accumulate_domain_features(
         )
     )
     sentiment_by_reply = dict(zip(annotations.reply_ids, annotations.sentiments, strict=True))
-    slices = tuple(slices)
-    if any(sl.index == POOLED for sl in slices):
-        raise ValueError(f"slice index {POOLED} is reserved for the pooled cells")
+    if placement is None:
+        placement = ([None] * len(columns.tweet_ids), [None] * len(columns.reply_ids))
+    tweets_in, replies_in = placement
     # a record's slice index (None when no slice holds it) picks its cells' periods
-    periods_of = {None: (POOLED,), **{sl.index: (POOLED, sl.index) for sl in slices}}
-    tweet_periods = map(periods_of.__getitem__, slice_indices(slices, columns.tweet_posted))
-    reply_periods = map(periods_of.__getitem__, slice_indices(slices, columns.reply_posted))
+    periods_of = {i: (POOLED,) if i is None else (POOLED, i) for i in {*tweets_in, *replies_in}}
+    if POOLED in periods_of:
+        raise ValueError(f"slice index {POOLED} is reserved for the pooled cells")
+    tweet_periods = map(periods_of.__getitem__, tweets_in)
+    reply_periods = map(periods_of.__getitem__, replies_in)
     # the authors of the tweets that carry weights, for their replies' cells
     author_of: dict[str, str] = {}
     # a cell holds the UserDomainFeatures fields in order
     cells: dict[tuple[str, str, int], list] = {}
     cell = cells.get
 
-    for periods, (tweet_id, author, rt, fav, rep) in zip(tweet_periods, columns.tweet_engagement()):
+    tweets = zip(tweet_periods, columns.tweet_engagement(), strict=True)
+    for periods, (tweet_id, author, rt, fav, rep) in tweets:
         weights = weights_by_tweet.get(tweet_id)
         if not weights:
             continue
@@ -187,7 +191,8 @@ def accumulate_domain_features(
                 acc[2] += p
                 acc[7] += 1
 
-    for periods, reply_id, parent in zip(reply_periods, columns.reply_ids, columns.reply_parents):
+    replies = zip(reply_periods, columns.reply_ids, columns.reply_parents, strict=True)
+    for periods, reply_id, parent in replies:
         sentiment = sentiment_by_reply.get(reply_id, 0.0)
         if sentiment == 0.0:
             continue
@@ -218,9 +223,11 @@ def compute_global_features(
     end); a user is active when they have at least one tweet in it.
     """
     totals: dict[str, list[int]] = {}
-    for posted, (_, author, rt, fav, rep) in zip(columns.tweet_posted, columns.tweet_engagement()):
-        if period is not None and not period.start <= posted < period.end:
-            continue
+    engagement = columns.tweet_engagement()
+    if period is not None:
+        placed = slice_indices((period,), columns.tweet_posted)
+        engagement = compress(engagement, (at is not None for at in placed))
+    for _, author, rt, fav, rep in engagement:
         entry = totals.setdefault(author, [0, 0, 0])
         entry[0] += rt
         entry[1] += fav

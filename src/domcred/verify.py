@@ -35,14 +35,14 @@ def _check(ok: bool, message: str) -> None:
 def _check_engagement_distribution() -> str:
     # one tweet scored (1, 0.5, 0.5) with 10 retweets, 15 favorites and ten
     # replies of sentiment -1, through the accumulator the pipeline runs
-    at = parse_timestamp("2016-01-01T00:00:00Z")
+    at = "2016-01-01T00:00:00Z"
     reply_ids = tuple(f"r{i}" for i in range(10))
     n = len(reply_ids)
     # user u; u's tweet t, with 10 retweets and 15 favorites; u's replies to t
     users = (("u",), ("u",), (0,), (0,), (at,))
     tweets = (("t",), ("u",), (at,), ("",), (10,), (15,), (0,), (False,), (None,))
     replies = (reply_ids, ("t",) * n, ("u",) * n, (at,) * n, ("",) * n)
-    columns = DatasetColumns(*users, *tweets, *replies, capture_at=at + timedelta(days=1))
+    columns = DatasetColumns(*users, *tweets, *replies, capture_at="2016-01-02T00:00:00Z")
     scores = (("Sports", 1.0), ("Arts and Entertainment", 0.5), ("Education", 0.5))
     domains = tuple(DomainAnnotation(d, s) for d, s in scores)
     annotations = AnnotationColumns(("t",), (domains,), reply_ids, (-1.0,) * n)

@@ -58,7 +58,8 @@ class ReplyRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A dataset's records, each kind sorted by id, and their columns."""
+    """A dataset's records, each kind sorted by id, and their columns, whose
+    timestamps are the records' aware datetimes as canonical text."""
 
     users: tuple[UserProfile, ...]
     tweets: tuple[TweetRecord, ...]
@@ -72,17 +73,23 @@ class Dataset:
 
     @cached_property
     def columns(self) -> DatasetColumns:
-        """The records transposed on first use, each kind into its layout's columns."""
-        kinds = (self.users, self.tweets, self.replies)
-        users, tweets, replies = (
-            tuple(zip(*records)) or ((),) * layout.width
-            for layout, records in zip(KIND_LAYOUTS, kinds)
-        )
-        return DatasetColumns(*users, *tweets, *replies, self.capture_at, self.provenance)
+        """The records transposed on first use, each kind into its layout's
+        columns, each timestamp as its text."""
+        kinds = []
+        for layout, records in zip(KIND_LAYOUTS, (self.users, self.tweets, self.replies)):
+            columns = list(zip(*records)) or [()] * layout.width
+            columns[layout.stamp] = tuple(map(text_of, columns[layout.stamp]))
+            kinds.extend(columns)
+        return DatasetColumns(*kinds, text_of(self.capture_at), self.provenance)
 
 
 def ts(stamp: str) -> datetime:
     return datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+
+
+def text_of(stamp: datetime) -> str:
+    """An aware datetime's canonical text, through isoformat's UTC rendering."""
+    return stamp.astimezone(UTC).isoformat().replace("+00:00", "Z")
 
 
 def make_user(uid, followers=10, friends=5, created="2020-01-01T00:00:00Z", handle=None):
@@ -139,16 +146,19 @@ def make_dataset(users, tweets=(), replies=(), capture="2025-01-01T00:00:00Z", p
     )
 
 
+def records_of(kinds):
+    """The records in each kind's columns, each timestamp text read as a datetime."""
+    records = (UserProfile, TweetRecord, ReplyRecord)
+    for record, layout, columns in zip(records, KIND_LAYOUTS, kinds):
+        columns = list(columns)
+        columns[layout.stamp] = map(ts, columns[layout.stamp])
+        yield tuple(map(record._make, zip(*columns)))
+
+
 def dataset_of(columns):
     """The Dataset whose records are the rows of a dataset's columns."""
-    users, tweets, replies = columns.kinds()
-    return Dataset(
-        users=tuple(map(UserProfile._make, zip(*users))),
-        tweets=tuple(map(TweetRecord._make, zip(*tweets))),
-        replies=tuple(map(ReplyRecord._make, zip(*replies))),
-        capture_at=columns.capture_at,
-        provenance=columns.provenance,
-    )
+    users, tweets, replies = records_of(columns.kinds())
+    return Dataset(users, tweets, replies, ts(columns.capture_at), columns.provenance)
 
 
 def annotation(label, score, confident=False):
@@ -263,10 +273,8 @@ def brute_load(path, fail_fast=False, capture_at=None, max_friends=None):
         raise ValueError(f"max_friends must be at least 1, got {max_friends}")
     report = LoadReport()
     kinds, meta_capture, provenance = _read_records(Path(path), fail_fast, report)
-    users, tweets, replies = (
-        [record_class._make(row) for row in zip(*columns)]
-        for record_class, columns in zip((UserProfile, TweetRecord, ReplyRecord), kinds)
-    )
+    users, tweets, replies = map(list, records_of(kinds))
+    meta_capture = None if meta_capture is None else ts(meta_capture)
     if max_friends is not None:
         kept = [u for u in users if u.friends_count < max_friends]
         report.filtered_users = len(users) - len(kept)

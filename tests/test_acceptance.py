@@ -253,11 +253,11 @@ def test_criterion_06_feature_pipeline_equals_brute_force():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         dataset, notes, sentiments = random_micro_dataset(rng)
-        slices, _ = partition_periods(
+        slices, _, placement = partition_periods(
             dataset.columns, PeriodSpec(n_periods=int(rng.integers(1, 7)))
         )
         annotations = annotation_columns(notes, sentiments)
-        cells = accumulate_domain_features(dataset.columns, annotations, slices)
+        cells = accumulate_domain_features(dataset.columns, annotations, placement)
         assert {k for _, _, k in cells} <= {POOLED} | {sl.index for sl in slices}
         _compare_cells(
             _period_cells(cells, POOLED),

@@ -288,7 +288,7 @@ class TestIngest:
             ["ingest", str(broken), "--fail-fast", "--output-dir", str(tmp_path / "ff")]
         )
         assert rc == 1
-        assert f"error: line {not_utf8}: not UTF-8: byte 0xff" in capsys.readouterr().err
+        assert f"error: {broken}: line {not_utf8}: not UTF-8: byte 0xff" in capsys.readouterr().err
 
     @staticmethod
     def _archive(path, created_b):
@@ -335,7 +335,7 @@ class TestIngest:
         capsys.readouterr()
         rc = main(["ingest", str(archive), "--fail-fast", "--output-dir", str(tmp_path / "ff")])
         assert rc == 1
-        assert "error: line 2: " in capsys.readouterr().err
+        assert f"error: {archive}: line 2: " in capsys.readouterr().err
 
     def test_default_capture_past_year_9999_fails(self, tmp_path, capsys):
         # no meta line: the capture would be a day after the newest record
@@ -346,8 +346,24 @@ class TestIngest:
         rc = main(["ingest", str(archive), "--output-dir", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
+        assert err.startswith(f"error: {archive}: the default capture timestamp")
         assert "falls after year 9999; pass one with --capture-at" in err
         assert "Traceback" not in err
+
+    def test_load_errors_name_the_archive(self, tmp_path, capsys):
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_text('{"kind":"user","body":{}}\n', encoding="utf-8")
+        body = {"user_id": "a", "followers_count": 1, "friends_count": 1}
+        user = {"kind": "user", "body": {**body, "created_at": "2020-01-01T00:00:00Z"}}
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text((json.dumps(user) + "\n") * 2, encoding="utf-8")
+        for archive, flags, message in (
+            (malformed, ["--fail-fast"], "line 1: missing user_id"),
+            (repeated, [], "duplicate user_id 'a'"),
+        ):
+            rc = main(["ingest", str(archive), *flags, "--output-dir", str(tmp_path / "out")])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {archive}: {message}\n"
 
 
 class TestAnnotate:
@@ -488,7 +504,7 @@ class TestCanonicalDataset:
         record_id = json.loads(record)["body"][f"{kind}_id"]
         argv = [command, str(dataset), "--output-dir", str(tmp_path / "out")]
         assert main(argv + (["--domain", TECH] if command == "features" else [])) == 1
-        assert capsys.readouterr().err == f"error: duplicate {kind}_id {record_id!r}\n"
+        assert capsys.readouterr().err == f"error: {dataset}: duplicate {kind}_id {record_id!r}\n"
         assert not any((tmp_path / "out").iterdir())
 
 
@@ -767,8 +783,8 @@ class TestFeatures:
         """The plain rows `features` writes match save_matrix(assemble_matrix(...))."""
         columns, _ = load_dataset(pipeline["dataset"])
         annotations = load_annotation_columns(pipeline["dataset"].parent / "annotations.jsonl")
-        slices, _ = partition_periods(columns, PeriodSpec())
-        cells = accumulate_domain_features(columns, annotations, slices)
+        _, _, placement = partition_periods(columns, PeriodSpec())
+        cells = accumulate_domain_features(columns, annotations, placement)
         active = compute_global_features(columns)
         for labels, written in (
             (load_labels(pipeline["labels"]), pipeline["matrix"]),
@@ -1289,13 +1305,13 @@ class TestVerify:
 
     def test_distribution_fixture_runs_the_accumulator(self, capsys, monkeypatch):
         # a splitter that ignores the scores and weighs every domain alike
-        def even_split(dataset, annotations, slices=()):
+        def even_split(dataset, annotations, placement=None):
             flat = tuple(
                 tuple(d._replace(score=1.0) for d in domains)
                 for domains in annotations.merged_domains
             )
             return accumulate_domain_features(
-                dataset, annotations._replace(merged_domains=flat), slices
+                dataset, annotations._replace(merged_domains=flat), placement
             )
 
         monkeypatch.setattr(domcred.verify, "accumulate_domain_features", even_split)

@@ -52,6 +52,15 @@ offsets = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
 )
 
 
+# an aware stamp spelled with its own offset (+HH:MM or -HH:MM), in UTC as
+# +00:00, and in UTC with a lowercase z
+SPELLINGS = (
+    datetime.isoformat,
+    lambda stamp: stamp.astimezone(UTC).isoformat(),
+    lambda stamp: stamp.astimezone(UTC).isoformat()[:-6] + "z",
+)
+
+
 def stamps(first_year, last_year):
     """Aware datetimes whose UTC instant stays inside [first_year, last_year]."""
     # one day of margin on each side keeps any offset inside the range
@@ -74,17 +83,81 @@ class TestTimestamps:
             assert CANONICAL.match(text), text
             assert parse_timestamp(text) == stamp
 
-    def test_naive_stamp_is_a_value_error(self, tmp_path):
+    def test_naive_stamp_is_a_value_error(self):
         # astimezone would read a naive stamp as the machine's local time
         naive = datetime(2024, 1, 1)
         with pytest.raises(ValueError, match="has no timezone"):
             format_timestamp(naive)
         with pytest.raises(ValueError, match="has no timezone"):
             format_timestamps([datetime(2024, 1, 1, tzinfo=UTC), naive])
-        dataset = make_dataset([make_user("u")], [make_tweet("t", "u", posted=naive)])
-        with pytest.raises(ValueError, match="has no timezone"):
-            save_dataset(dataset.columns, tmp_path / "dataset.jsonl")
-        assert not (tmp_path / "dataset.jsonl").exists()
+
+    @given(data=st.data())
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_any_spelling_loads_as_canonical_text(self, tmp_path, data):
+        # the user's, the tweet's and the reply's stamps, then the capture after them
+        drawn = [data.draw(stamps(1, 9997)) for _ in range(3)]
+        drawn.append(max(drawn) + timedelta(seconds=1))
+        spelled = [data.draw(st.sampled_from(SPELLINGS))(stamp) for stamp in drawn]
+        created, posted, replied, capture = spelled
+        lines = [
+            json.dumps({"kind": "dataset", "capture_at": capture}),
+            _body_line("user", created_at=created),
+            _body_line("tweet", posted_at=posted),
+            _body_line("reply", posted_at=replied),
+        ]
+        path = tmp_path / "archive.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns, report = load_dataset(path, fail_fast=True)
+        assert report.warning_count == 0
+        read = [*columns.user_created, *columns.tweet_posted, *columns.reply_posted]
+        assert read + [columns.capture_at] == format_timestamps(drawn)
+        # saved, they read back alike through their sidecar and through their lines
+        saved = tmp_path / "saved.jsonl"
+        save_dataset(columns, saved)
+        assert read_sidecar(saved, len) is not None
+        assert load_dataset(saved)[0] == columns
+        Path(f"{saved}.cols").unlink()
+        assert load_dataset(saved)[0] == columns
+
+    @pytest.mark.parametrize(
+        "field", ["capture_at", "user_created", "tweet_posted", "reply_posted"]
+    )
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2024-01-01T00:00:00",
+            "2024-01-01T00:00:00+00:00",
+            "2024-01-01T00:00:00.000000Z",
+            "2024-13-01T00:00:00Z",
+            "0000-01-01T00:00:00Z",
+            "2024-02-30T00:00:00Z",
+            "2024-01-01T24:00:00Z",
+            "2024-01-01T00:00:00z",
+            "2024-01-01T00:00:00Z\n2024-01-01T00:00:00Z",
+            "\uff12024-01-01T00:00:00Z",
+            datetime(2024, 1, 1, tzinfo=UTC),
+        ],
+        ids=[
+            "no-offset", "offset", "zero-fraction", "month-13", "year-0", "feb-30",
+            "hour-24", "lowercase-z", "newline", "fullwidth-digit", "datetime",
+        ],
+    )
+    def test_writer_refuses_stamp_that_is_not_canonical_text(self, tmp_path, field, stamp):
+        # the lines would hold what the sidecar mirrors, so neither is written
+        dataset = make_dataset(
+            [make_user("u"), make_user("v")],
+            [make_tweet("t", "u")],
+            [make_reply("r", "t", "v")],
+        )
+        columns = dataset.columns
+        value = stamp if field == "capture_at" else (stamp,) + getattr(columns, field)[1:]
+        path = tmp_path / "dataset.jsonl"
+        with pytest.raises(ValueError, match=re.escape(f"timestamp {stamp!r} is not canonical")):
+            save_dataset(columns._replace(**{field: value}), path)
+        assert not path.exists()
+        assert not Path(f"{path}.cols").exists()
 
     def test_year_below_1000_is_zero_padded(self):
         stamp = datetime(999, 6, 1, tzinfo=UTC)
@@ -642,7 +715,7 @@ class TestArchiveFieldTypes:
         )
         dataset, report = load_dataset(path)
         assert report.malformed_line_numbers == [1]
-        assert dataset.capture_at == parse_timestamp("2020-01-02T00:00:00Z")
+        assert dataset.capture_at == "2020-01-02T00:00:00Z"
         with pytest.raises(ArchiveFormatError, match=f"line 1: {message}"):
             load_dataset(path, fail_fast=True)
 
@@ -653,7 +726,7 @@ class TestArchiveFieldTypes:
         dataset, report = load_dataset(path)
         assert report.warning_count == 0
         assert dataset.provenance == ""
-        assert dataset.capture_at == parse_timestamp("2020-01-02T00:00:00Z")
+        assert dataset.capture_at == "2020-01-02T00:00:00Z"
 
     @pytest.mark.parametrize(
         "first, second, capture, provenance",
@@ -678,7 +751,7 @@ class TestArchiveFieldTypes:
             encoding="utf-8",
         )
         # without capture_at the loader falls back to a day after the newest record
-        want = parse_timestamp(capture or "2020-01-02T00:00:00Z")
+        want = capture or "2020-01-02T00:00:00Z"
         loaded, report = load_dataset(path)
         assert report.malformed_line_numbers == [2]
         assert (loaded.capture_at, loaded.provenance) == (want, provenance)

@@ -3,7 +3,7 @@
 import hashlib
 import json
 from dataclasses import replace
-from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
@@ -116,7 +116,7 @@ def test_layout_places_each_kind(tmp_path, position, through):
     assert kind == tuple(getattr(columns, name) for name in names)
     assert names[layout.stamp] == KIND_STAMPS[layout.name]
     stamps = kind[layout.stamp]
-    assert stamps and all(s.tzinfo is not None and not s.utcoffset() for s in stamps)
+    assert stamps and all(format_timestamp(parse_timestamp(s)) == s for s in stamps)
 
 
 class TestArchiveIO:
@@ -169,7 +169,7 @@ class TestArchiveIO:
         path = tmp_path / "ds.jsonl"
         save_dataset(ds.columns, path)
         loaded, _ = load_dataset(path)
-        assert loaded.capture_at == ds.capture_at
+        assert loaded.capture_at == ds.columns.capture_at == "2025-01-01T00:00:00Z"
         assert loaded.provenance == "unit test"
 
     def test_malformed_line_skipped_and_counted(self, tmp_path):
@@ -238,7 +238,32 @@ class TestArchiveIO:
             [self._user_line("a"), self._tweet_line("t1", "a", posted_at="2024-05-01T00:00:00Z")],
         )
         ds, _ = load_dataset(path)
-        assert ds.capture_at == ts("2024-05-01T00:00:00Z") + timedelta(days=1)
+        assert ds.capture_at == "2024-05-02T00:00:00Z"
+
+    @pytest.mark.parametrize("through", ["json", "sidecar"])
+    def test_capture_quarantine_compares_instants(self, tmp_path, through):
+        # a day and a second apart in text, and a microsecond in time
+        ds = make_dataset(
+            [
+                make_user("before", created="2024-02-29T23:59:59.999999Z"),
+                make_user("at", created="2024-03-01T00:00:00Z"),
+            ],
+            capture="2024-03-01T00:00:00Z",
+        )
+        path = tmp_path / "archive.jsonl"
+        save_dataset(ds.columns, path)
+        if through == "json":
+            Path(f"{path}.cols").unlink()
+        for capture_at, kept in (
+            (None, ("before",)),
+            (ts("2024-03-01T00:00:00.000001Z"), ("at", "before")),
+            (ts("2024-02-29T23:59:59.999999Z"), ()),
+            # within one second: with its Z, "...:00Z" would sort after "...:00.5Z"
+            (ts("2024-03-01T00:00:00.5Z"), ("at", "before")),
+        ):
+            loaded, report = load_dataset(path, capture_at=capture_at)
+            assert loaded.user_ids == kept
+            assert report.quarantined_users == 2 - len(kept)
 
     def test_labels_round_trip(self, tmp_path):
         labels = GroundTruthLabels(
@@ -317,38 +342,42 @@ class TestPeriods:
         ds = self._dataset(
             ["2024-01-15T00:00:00Z", "2024-02-01T00:00:00Z", "2024-02-29T23:59:59Z"]
         )
-        slices, report = partition_periods(ds.columns, PeriodSpec(n_periods=2))
+        slices, report, (tweets_in, replies_in) = partition_periods(
+            ds.columns, PeriodSpec(n_periods=2)
+        )
         assert [s.index for s in slices] == [1, 2]
         assert slices[0].start == ts("2024-01-01T00:00:00Z")
         assert slices[0].end == ts("2024-02-01T00:00:00Z")
         # the boundary tweet t1 belongs to the later period
-        assert slice_indices(slices, ds.columns.tweet_posted) == [1, 2, 2]
+        assert tweets_in == slice_indices(slices, ds.columns.tweet_posted) == [1, 2, 2]
         assert report.tweets_per_period == (1, 2)
         assert report.out_of_range_tweets == 0
 
     def test_out_of_range_counted_not_assigned(self):
         ds = self._dataset(["2024-01-15T00:00:00Z", "2024-06-01T00:00:00Z"])
-        slices, report = partition_periods(ds.columns, PeriodSpec(n_periods=2))
+        slices, report, (tweets_in, replies_in) = partition_periods(
+            ds.columns, PeriodSpec(n_periods=2)
+        )
         assert report.out_of_range_tweets == 1
-        assert slice_indices(slices, ds.columns.tweet_posted) == [1, None]
+        assert tweets_in == [1, None]
         assert sum(report.tweets_per_period) == 1
 
     def test_explicit_start_before_data_gives_empty_leading_periods(self):
         ds = self._dataset(["2024-03-10T00:00:00Z"])
         spec = PeriodSpec(n_periods=3, start=ts("2024-01-01T00:00:00Z"))
-        slices, report = partition_periods(ds.columns, spec)
+        slices, report, (tweets_in, replies_in) = partition_periods(ds.columns, spec)
         assert report.empty_periods == 2
-        assert slice_indices(slices, ds.columns.tweet_posted) == [3]
+        assert tweets_in == [3]
         assert report.tweets_per_period == (0, 0, 1)
 
     def test_quarter_and_year_granularity(self):
         ds = self._dataset(["2024-02-10T00:00:00Z", "2024-05-10T00:00:00Z"])
-        quarters, _ = partition_periods(
+        quarters, _, _ = partition_periods(
             ds.columns, PeriodSpec(n_periods=2, granularity="quarter")
         )
         assert quarters[0].start == ts("2024-01-01T00:00:00Z")
         assert quarters[1].end == ts("2024-07-01T00:00:00Z")
-        years, _ = partition_periods(ds.columns, PeriodSpec(n_periods=1, granularity="year"))
+        years, _, _ = partition_periods(ds.columns, PeriodSpec(n_periods=1, granularity="year"))
         assert years[0].start == ts("2024-01-01T00:00:00Z")
         assert years[0].end == ts("2025-01-01T00:00:00Z")
 
@@ -358,9 +387,10 @@ class TestPeriods:
             [make_tweet("t1", "a", posted="2024-01-05T00:00:00Z")],
             [make_reply("r1", "t1", "b", posted="2024-02-20T00:00:00Z")],
         )
-        slices, report = partition_periods(ds.columns, PeriodSpec(n_periods=2))
-        assert slice_indices(slices, ds.columns.tweet_posted) == [1]
-        assert slice_indices(slices, ds.columns.reply_posted) == [2]
+        slices, report, (tweets_in, replies_in) = partition_periods(
+            ds.columns, PeriodSpec(n_periods=2)
+        )
+        assert (tweets_in, replies_in) == ([1], [2])
         assert report.replies_per_period == (0, 1)
 
     def test_default_count_reaches_the_last_record(self):
@@ -370,17 +400,18 @@ class TestPeriods:
             # a reply exactly on the April boundary needs a fourth month
             [make_reply("r1", "t1", "b", posted="2024-04-01T00:00:00Z")],
         )
-        slices, report = partition_periods(ds.columns, PeriodSpec())
+        slices, report, (tweets_in, replies_in) = partition_periods(ds.columns, PeriodSpec())
         assert report.n_periods == 4 and len(slices) == 4
-        assert slice_indices(slices, ds.columns.reply_posted) == [4]
+        assert replies_in == [4]
         assert report.replies_per_period == (0, 0, 0, 1)
         assert report.out_of_range_tweets == report.out_of_range_replies == 0
-        quarters, _ = partition_periods(ds.columns, PeriodSpec(granularity="quarter"))
+        quarters, _, _ = partition_periods(ds.columns, PeriodSpec(granularity="quarter"))
         assert [q.end for q in quarters] == [
             ts("2024-04-01T00:00:00Z"), ts("2024-07-01T00:00:00Z")
         ]
         # a start after every record still gives one (empty) period
-        late, report = partition_periods(ds.columns, PeriodSpec(start=ts("2024-06-01T00:00:00Z")))
+        late_start = PeriodSpec(start=ts("2024-06-01T00:00:00Z"))
+        late, report, _ = partition_periods(ds.columns, late_start)
         assert len(late) == 1 and report.out_of_range_tweets == 1
 
     def test_slice_indices_place_by_half_open_interval(self):
@@ -395,13 +426,34 @@ class TestPeriods:
             "2024-02-15T00:00:00Z", "2024-03-01T00:00:00Z", "2024-03-31T23:59:59Z",
             "2024-04-01T00:00:00Z",
         ]
-        placed = slice_indices(slices, map(ts, stamps))
+        placed = slice_indices(slices, stamps)
         assert placed == [None, 1, None, None, 2, 2, None]
-        assert slice_indices((), [ts("2024-01-01T00:00:00Z")]) == [None]
+        assert slice_indices((), ["2024-01-01T00:00:00Z"]) == [None]
+
+    def test_stamps_at_an_edge_place_by_their_instant(self):
+        ds = self._dataset(
+            [
+                "2024-01-15T00:00:00Z",
+                "2024-01-31T23:59:59.999999Z",
+                "2024-02-01T00:00:00Z",
+                "2024-02-01T00:00:00.000001Z",
+            ]
+        )
+        _, report, (tweets_in, _) = partition_periods(ds.columns, PeriodSpec(n_periods=2))
+        assert tweets_in == [1, 1, 2, 2]
+        assert report.tweets_per_period == (2, 2)
+        # an edge inside a second: with their Z, "...:00Z" would sort after "...:00.5Z"
+        inside = ts("2024-01-31T23:59:59.5Z")
+        slices = (
+            PeriodSlice(1, ts("2024-01-01T00:00:00Z"), inside),
+            PeriodSlice(2, inside, ts("2024-03-01T00:00:00Z")),
+        )
+        at = ["2024-01-31T23:59:59Z", "2024-01-31T23:59:59.500000Z"]
+        assert slice_indices(slices, at) == [1, 2]
 
     def test_slices_out_of_order_or_overlapping_rejected(self):
         ds = self._dataset(["2024-01-15T00:00:00Z", "2024-02-15T00:00:00Z"])
-        slices, _ = partition_periods(ds.columns, PeriodSpec(n_periods=2))
+        slices, _, _ = partition_periods(ds.columns, PeriodSpec(n_periods=2))
         overlapping = (slices[0], replace(slices[1], start=ts("2024-01-31T00:00:00Z")))
         for bad in (slices[::-1], overlapping):
             with pytest.raises(ValueError, match="disjoint and in time order"):
@@ -436,8 +488,8 @@ class TestSynthesize:
 
     def test_capture_is_after_every_record(self):
         columns, _ = synthesize(SynthConfig(n_users=15), seed=9)
-        last = max(columns.tweet_posted + columns.reply_posted)
-        assert last < columns.capture_at
+        last = max(map(ts, columns.tweet_posted + columns.reply_posted))
+        assert last < ts(columns.capture_at)
         assert columns.provenance == "synthetic seed=9"
 
     def test_unknown_domain_rejected(self):
@@ -496,12 +548,13 @@ class TestSynthesize:
         config = SynthConfig(n_users=60)
         columns, labels = synthesize(config, seed)
         start = parse_timestamp(config.start)
+        capture = ts(columns.capture_at)
         tweets_of = dict.fromkeys(columns.user_ids, 0)
         for author, posted, language in zip(
             columns.tweet_authors, columns.tweet_posted, columns.languages
         ):
             tweets_of[author] += 1
-            assert start <= posted < columns.capture_at
+            assert start <= ts(posted) < capture
             assert language in ("en", "es")
         for user_id, n in tweets_of.items():
             level = config.influencer if labels.labels[user_id] == "Influencer" else config.ordinary
@@ -516,7 +569,7 @@ class TestSynthesize:
             reply_ids[parent].append(reply_id)
             i = tweet_at[parent]
             assert author != columns.tweet_authors[i]
-            assert columns.tweet_posted[i] <= posted <= columns.capture_at
+            assert ts(columns.tweet_posted[i]) <= ts(posted) <= capture
         for tweet_id, ids in reply_ids.items():
             assert columns.tweet_replies[tweet_at[tweet_id]] == len(ids)
             assert sorted(ids) == [f"r{tweet_id[1:]}-{k:03d}" for k in range(len(ids))]

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from domcred.annotate import LexiconAnnotator, annotate_dataset
-from domcred.corpus.periods import PeriodSpec, partition_periods
+from domcred.corpus.periods import PeriodSpec, partition_periods, slice_indices
 from domcred.corpus.synth import SynthConfig, synthesize
 from domcred.corpus.types import GroundTruthLabels
 from domcred.evaluate import SplitSpec, benchmark, matrix_fingerprint
@@ -185,12 +185,12 @@ class TestAccumulate:
         # reply lands a month after the tweet
         replies = [make_reply("r1", "t1", "bob", posted="2024-02-20T00:00:00Z")]
         dataset = make_dataset(users, tweets, replies)
-        slices, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=2))
+        slices, _, placement = partition_periods(dataset.columns, PeriodSpec(n_periods=2))
         notes = (annotated_tweet("t1", {"tech": 1.0}),)
         sentiments = (annotated_reply("r1", 1.0),)
 
         annotations = annotation_columns(notes, sentiments)
-        cells = accumulate_domain_features(dataset.columns, annotations, slices)
+        cells = accumulate_domain_features(dataset.columns, annotations, placement)
         first = cells[("alice", "tech", slices[0].index)]
         second = cells[("alice", "tech", slices[1].index)]
         assert first.r == 8.0
@@ -203,19 +203,26 @@ class TestAccumulate:
 
     def test_pooled_index_is_not_a_slice(self):
         dataset, notes, sentiments = self.small()
-        slices, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=1))
+        slices, _, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=1))
         clash = dataclasses.replace(slices[0], index=POOLED)
+        columns = dataset.columns
+        placement = (
+            slice_indices([clash], columns.tweet_posted),
+            slice_indices([clash], columns.reply_posted),
+        )
         annotations = annotation_columns(notes, sentiments)
         with pytest.raises(ValueError, match="reserved"):
-            accumulate_domain_features(dataset.columns, annotations, [clash])
+            accumulate_domain_features(columns, annotations, placement)
 
-    def test_slices_out_of_time_order_fail(self):
-        # a bisect over unordered starts would put records in the wrong cells
+    def test_placement_must_fit_the_records(self):
+        # a placement of other records would put these in the wrong cells
         dataset, notes, sentiments = self.small()
-        slices, _ = partition_periods(dataset.columns, PeriodSpec(n_periods=2))
+        _, _, (tweets_in, replies_in) = partition_periods(dataset.columns, PeriodSpec(n_periods=2))
         annotations = annotation_columns(notes, sentiments)
-        with pytest.raises(ValueError, match="disjoint and in time order"):
-            accumulate_domain_features(dataset.columns, annotations, slices[::-1])
+        others = ((tweets_in[1:], replies_in), (tweets_in, replies_in + [1]))
+        for other in others:
+            with pytest.raises(ValueError):
+                accumulate_domain_features(dataset.columns, annotations, other)
 
     # unchecked, tweets t1 (3 retweets) and t2 (5) with one domain list gave
     # a single cell with r=3.0: an id without its value was dropped unseen

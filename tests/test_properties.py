@@ -11,7 +11,8 @@ from domcred.annotate import DomainAnnotation
 from domcred.corpus.archive import dataset_to_lines, load_dataset, save_dataset
 from domcred.corpus.cleanse import cleanse
 from domcred.corpus.periods import GRANULARITIES, PeriodSpec, partition_periods, slice_indices
-from domcred.corpus.types import INFLUENCER, NON_INFLUENCER
+from domcred.corpus.synth import _stamps
+from domcred.corpus.types import INFLUENCER, NON_INFLUENCER, format_timestamps
 from domcred.evaluate import ConfusionTable, SplitSpec, metrics, roc, split_indices
 from domcred.features import accumulate_domain_features, relativeness_weights
 from domcred.learn import ModelSpec, train_xy
@@ -207,6 +208,18 @@ class TestDatasetInvariants:
         assert report.malformed_lines == 0
         assert dataset_to_lines(loaded) == dataset_to_lines(dataset.columns)
 
+    @given(
+        start=st.datetimes(
+            min_value=datetime(1000, 1, 1),
+            max_value=datetime(9000, 1, 1),
+            timezones=st.just(timezone.utc),
+        ),
+        seconds=st.lists(st.integers(-(10**10), 10**10), max_size=20),
+    )
+    def test_synth_stamps_equal_format_timestamps(self, start, seconds):
+        want = format_timestamps([start + timedelta(seconds=at) for at in seconds])
+        assert _stamps(start, np.array(seconds, dtype=np.int64)) == want
+
 
 FAST_HYPERS = {
     "naive_bayes": {},
@@ -262,17 +275,17 @@ class TestPartitionInvariants:
             [make_user("a", created="2000-01-01T00:00:00Z")], tweets, replies,
             capture="2030-01-01T00:00:00Z",
         )
-        slices, report = partition_periods(dataset.columns, spec)
+        slices, report, (tweets_in, replies_in) = partition_periods(dataset.columns, spec)
         oracle_slices, oracle_report, tweet_slice, reply_slice = brute_partition(
             dataset, spec.start, spec.n_periods, MONTHS_PER[spec.granularity]
         )
         assert (slices, report) == (oracle_slices, oracle_report)
         # each record in the slice the rescan found it in, not just equal counts
         columns = dataset.columns
-        assert slice_indices(slices, columns.tweet_posted) == [
+        assert tweets_in == slice_indices(slices, columns.tweet_posted) == [
             tweet_slice.get(t) for t in columns.tweet_ids
         ]
-        assert slice_indices(slices, columns.reply_posted) == [
+        assert replies_in == slice_indices(slices, columns.reply_posted) == [
             reply_slice.get(r) for r in columns.reply_ids
         ]
 
